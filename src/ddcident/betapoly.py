@@ -141,7 +141,7 @@ class MatrixPoly:
     def premultiply(self, mat) -> "MatrixPoly":
         """Left-multiply every coefficient matrix by a constant matrix."""
         m = np.asarray(mat, dtype=float)
-        return MatrixPoly(np.einsum("ij,djk->dik", m, self.coeff_mats))
+        return MatrixPoly(np.matmul(m, self.coeff_mats))
 
     def premultiply_i_minus_beta(self, Q) -> "MatrixPoly":
         """Return ``(I - beta*Q)`` times this polynomial (degree rises by one)."""
@@ -149,7 +149,7 @@ class MatrixPoly:
         d, n, m = self.coeff_mats.shape
         out = np.zeros((d + 1, n, m))
         out[:d] = self.coeff_mats
-        out[1:] -= np.einsum("ij,djk->dik", Q, self.coeff_mats)
+        out[1:] -= np.matmul(Q, self.coeff_mats)
         return MatrixPoly(out)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .betapoly import BetaPoly
-from .ddc import SingleAgentModel, master_system, psi_from_ccps, solve_bellman
+from .ddc import _STOCH_TOL, SingleAgentModel, master_system, psi_from_ccps, solve_bellman
 from .games import (
     _system_polys,
     build_system,
@@ -110,9 +110,9 @@ def validate_config(cfg: dict) -> list:
         rows = Q.sum(axis=2)
         for k in range(K):
             for j in range(J):
-                if abs(rows[k, j] - 1.0) > 1e-8:
+                if abs(rows[k, j] - 1.0) > _STOCH_TOL:
                     issues.append({"field": "Q",
-                                   "message": f"transition row (action {k}, state {j}) sums to {rows[k, j]:.6g}, not 1"})
+                                   "message": f"transition row (action {k}, state {j}) sums to {rows[k, j]:.12g}, not 1"})
     if "payoffs" not in cfg and "ccps" not in cfg:
         issues.append({"field": "payoffs", "message": "config needs 'payoffs' (with beta) or 'ccps'"})
     if "payoffs" in cfg:
@@ -138,6 +138,13 @@ def validate_config(cfg: dict) -> list:
                 if not 0 <= int(c) < p_cols:
                     issues.append({"field": f"restrictions[{r}].rows[{i}]",
                                    "message": f"column {c} out of range for {p_cols} stacked payoff cells"})
+    if not issues:
+        # the model's own checks (sign, beta range, sizes): what validate
+        # accepts, run accepts
+        try:
+            _model_from_config(cfg)
+        except ValueError as err:
+            issues.append({"field": "model", "message": str(err)})
     return issues
 
 

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .betapoly import BetaPoly, faddeev_adj_det, sign_region
 from .ddc import EULER_GAMMA
@@ -190,19 +189,30 @@ class MpeSolution:
 
 
 def _firm_dp(pi_star, Q_star, beta, V0=None, tol=1e-13, max_iter=200_000):
-    """Logit dynamic program for one firm against fixed rival behavior."""
-    K, m_x = pi_star.shape
+    """Logit dynamic program for one firm against fixed rival behavior.
+
+    Newton-Kantorovich (policy-iteration) steps on the integrated value: each
+    step takes the logit choice probabilities ``P`` at the current ``V`` and
+    solves ``(I - beta sum_k P_k Q_k) V = gamma + sum_k P_k (pi_k - log P_k)``.
+    Iterates until the sup-norm step falls to ``tol``.
+    """
+    m_x = pi_star.shape[1]
     V = np.zeros(m_x) if V0 is None else V0.copy()
+    eye = np.eye(m_x)
     for _ in range(max_iter):
         v = pi_star + beta * np.einsum("kxy,y->kx", Q_star, V)
         m = v.max(axis=0)
-        V_new = EULER_GAMMA + m + np.log(np.exp(v - m).sum(axis=0))
+        log_P = v - (m + np.log(np.exp(v - m).sum(axis=0)))
+        P = np.exp(log_P)
+        A = eye - beta * np.einsum("kx,kxy->xy", P, Q_star)
+        b = EULER_GAMMA + np.einsum("kx,kx->x", P, pi_star - log_P)
+        V_new = np.linalg.solve(A, b)
         diff = float(np.max(np.abs(V_new - V)))
         V = V_new
         if diff <= tol:
             break
     else:
-        raise ConvergenceError("firm-level value iteration stalled", residual=diff)
+        raise ConvergenceError("firm-level Newton iteration stalled", residual=diff)
     v = pi_star + beta * np.einsum("kxy,y->kx", Q_star, V)
     P = np.exp(v - (V - EULER_GAMMA))
     P /= P.sum(axis=0)
@@ -546,6 +556,8 @@ def _select_square_block(X, method: str):
     if method == "natural":
         idx = np.arange(n)
     elif method == "qr":
+        import scipy.linalg  # only this path needs scipy; keep it off the import path
+
         _, _, piv = scipy.linalg.qr(X.T, pivoting=True)
         idx = np.sort(piv[:n])
     else:

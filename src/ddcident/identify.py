@@ -161,16 +161,25 @@ def inequality_region(master: MasterSystem, rs: RestrictionSet, **kwargs) -> Ide
 
 def combine(eq_set: IdentifiedSet, ineq_set: IdentifiedSet,
             tol: float = COMBINE_TOL) -> IdentifiedSet:
-    """Intersect equality roots with an inequality region (both on ``[0, 1)``)."""
-    roots = eq_set.equality_roots or []
+    """Intersect equality roots with an inequality region (both on ``[0, 1)``).
+
+    An equality set flagged ``no_identifying_content`` holds at every discount
+    factor, so it constrains nothing: the roots and the combined set are
+    ``None`` and the flag is carried, rather than an empty intersection.
+    """
     intervals = ineq_set.inequality_intervals or []
+    diagnostics = {"equality": eq_set.diagnostics, "inequality": ineq_set.diagnostics}
+    if eq_set.diagnostics.get("no_identifying_content"):
+        return IdentifiedSet(inequality_intervals=list(intervals),
+                             diagnostics={**diagnostics, "no_identifying_content": True})
+    roots = eq_set.equality_roots or []
     region = SignRegion(list(intervals))
     kept = [r for r in roots if region.contains(r, tol=tol)]
     return IdentifiedSet(
         equality_roots=list(roots),
         inequality_intervals=list(intervals),
         combined=kept,
-        diagnostics={"equality": eq_set.diagnostics, "inequality": ineq_set.diagnostics},
+        diagnostics=diagnostics,
     )
 
 

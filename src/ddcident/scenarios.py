@@ -3,10 +3,11 @@ three-firm entry game, at fixed documented parameterizations."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .ddc import SingleAgentModel
 from .games import GameModel, reduced_cells
@@ -21,6 +22,12 @@ from .restrictions import (
 )
 
 
+def _norm_cdf(z) -> np.ndarray:
+    """Standard normal cdf by ``erfc``, accurate in the lower tail (where
+    ``1 + erf`` cancels)."""
+    return np.array([0.5 * math.erfc(-t / math.sqrt(2.0)) for t in z])
+
+
 def ar1_transition(grid, gamma1: float, sigma: float, shift: float = 0.0) -> np.ndarray:
     """Transition matrix on a fixed ascending grid for ``x' = shift + gamma1*x + e``,
     ``e ~ N(0, sigma^2)``, with midpoint-rule cell probabilities and tail mass
@@ -33,7 +40,7 @@ def ar1_transition(grid, gamma1: float, sigma: float, shift: float = 0.0) -> np.
     T = np.empty((J, J))
     for i in range(J):
         mu = shift + gamma1 * grid[i]
-        cdf = norm.cdf((mid - mu) / sigma)
+        cdf = _norm_cdf((mid - mu) / sigma)
         T[i, 0] = cdf[0]
         T[i, 1:-1] = np.diff(cdf)
         T[i, -1] = 1.0 - cdf[-1]
@@ -61,7 +68,7 @@ def tauchen(gamma1: float, sigma: float, J: int, center: float = 0.0):
     if J == 1:
         return np.array([center]), np.ones((1, 1))
     sd_stat = sigma / np.sqrt(1.0 - gamma1 ** 2)
-    half = norm.ppf(1.0 - 0.5 / J) * sd_stat
+    half = NormalDist().inv_cdf(1.0 - 0.5 / J) * sd_stat
     grid = center + np.linspace(-half, half, J)
     T = ar1_transition(grid, gamma1, sigma, shift=center * (1.0 - gamma1))
     return grid, T
@@ -99,7 +106,7 @@ class EntryModelConfig:
         if self.sigma_w is not None:
             return self.sigma_w
         top = self.theta[1] / self.theta[2]
-        return top * np.sqrt(1.0 - self.gamma_w ** 2) / norm.ppf(1.0 - 0.5 / self.J_w)
+        return top * np.sqrt(1.0 - self.gamma_w ** 2) / NormalDist().inv_cdf(1.0 - 0.5 / self.J_w)
 
 
 @dataclass(frozen=True)

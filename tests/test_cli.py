@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ddcident
 from ddcident.cli import (
     main,
     model_from_dict,
@@ -78,6 +83,31 @@ class TestValidate:
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
         assert main(["validate", "--config", str(bad_path)]) == 2
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("Q", 5e-9, "sums to 1.000000005"),   # within 1e-8, outside the model's 1e-10
+        ("beta", 1.5, "beta must lie in [0, 1)"),
+    ])
+    def test_validate_and_run_agree(self, entry_config, tmp_path, capsys, field, value, message):
+        # a config that validate accepts must run; one the model rejects must
+        # fail both commands with the structured error, never a traceback
+        _, cfg = entry_config
+        bad = json.loads(json.dumps(cfg))
+        if field == "Q":
+            bad["Q"][0][2][0] += value
+        else:
+            bad["beta"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["validate", "--config", str(path)]) == 2
+        issues = json.loads(capsys.readouterr().out)["issues"]
+        assert any(message in i["message"] for i in issues)
+        rc = main(["run", "--config", str(path), "--restrictions", "zero-cross",
+                   "--beta-grid", "0:1:11", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid_config"
+        assert any(message in i["message"] for i in err["issues"])
 
 
 class TestModelRoundTrip:
@@ -335,3 +365,36 @@ class TestFdZeroCross:
         assert combined["diagnostics"].get("no_identifying_content")
         assert combined["equality_roots"] is None and combined["combined"] is None
         assert combined["inequality_intervals"]
+
+
+class TestColdImport:
+    """scipy is needed only by ``selection="qr"``; the cold paths stay off it."""
+
+    SCIPY_HEAVY = ("scipy.stats", "scipy.linalg")
+
+    @staticmethod
+    def _env():
+        src = str(pathlib.Path(ddcident.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return env
+
+    def test_import_leaves_scipy_out(self):
+        code = ("import sys, ddcident; "
+                f"print([m for m in {self.SCIPY_HEAVY!r} if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=self._env(), check=True)
+        assert proc.stdout.strip() == "[]"
+
+    def test_cli_run_leaves_scipy_out(self, tmp_path):
+        # -X importtime lists every module the run imports, one per stderr line
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "ddcident.cli", "run",
+             "--scenario", "entry", "--restrictions", "homogeneity,zero-cross",
+             "--beta-grid", "0.85:1.05:41", "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=self._env())
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "ddcident.scenarios" in imported
+        assert not imported & set(self.SCIPY_HEAVY)

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from ddcident.ddc import SingleAgentModel, solve_bellman
-from ddcident.errors import RankDeficiencyError
+from ddcident.ddc import EULER_GAMMA, SingleAgentModel, solve_bellman
+from ddcident.errors import ConvergenceError, RankDeficiencyError
 from ddcident.games import (
     GameModel,
+    _firm_dp,
     build_system,
     expected_objects,
     identified_set_game,
@@ -107,6 +108,61 @@ class TestMpe:
         bundle, _ = game
         with pytest.raises(ValueError):
             solve_mpe(bundle.model, damping=0.0)
+
+
+def value_iteration_oracle(pi_star, Q_star, beta):
+    """Successive approximation on the logit Bellman operator to rounding level."""
+    V = np.zeros(pi_star.shape[1])
+    for _ in range(100_000):
+        v = pi_star + beta * np.einsum("kxy,y->kx", Q_star, V)
+        m = v.max(axis=0)
+        V_new = EULER_GAMMA + m + np.log(np.exp(v - m).sum(axis=0))
+        done = np.max(np.abs(V_new - V)) <= 1e-15 * max(1.0, np.max(np.abs(V_new)))
+        V = V_new
+        if done:
+            break
+    v = pi_star + beta * np.einsum("kxy,y->kx", Q_star, V)
+    P = np.exp(v - v.max(axis=0))
+    return P / P.sum(axis=0), V, v
+
+
+def random_firm_problem(rng):
+    K = int(rng.integers(2, 4))
+    m_x = int(rng.integers(4, 25))
+    pi_star = rng.normal(scale=2.0, size=(K, m_x))
+    Q_star = rng.random((K, m_x, m_x)) * (rng.random((K, m_x, m_x)) < 0.4)
+    Q_star[:, :, 0] += 1e-3  # no empty rows
+    Q_star /= Q_star.sum(axis=2, keepdims=True)
+    return pi_star, Q_star, float(rng.uniform(0.5, 0.95))
+
+
+class TestFirmDp:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_newton_matches_value_iteration_cold_and_warm(self, seed):
+        rng = np.random.default_rng(seed)
+        pi_star, Q_star, beta = random_firm_problem(rng)
+        P_ref, V_ref, v_ref = value_iteration_oracle(pi_star, Q_star, beta)
+        starts = [None, V_ref + rng.normal(scale=0.5, size=V_ref.shape),
+                  np.full_like(V_ref, 50.0)]
+        for V0 in starts:
+            kept = None if V0 is None else V0.copy()
+            P, V, v = _firm_dp(pi_star, Q_star, beta, V0=V0)
+            assert np.max(np.abs(V - V_ref)) <= 1e-12
+            assert np.max(np.abs(v - v_ref)) <= 1e-12
+            assert np.max(np.abs(P - P_ref)) <= 1e-12
+            if V0 is not None:
+                assert np.array_equal(V0, kept)  # the warm start is not written to
+
+    def test_stall_raises_convergence_error(self):
+        pi_star, Q_star, beta = random_firm_problem(np.random.default_rng(0))
+        with pytest.raises(ConvergenceError) as err:
+            _firm_dp(pi_star, Q_star, beta, tol=0.0, max_iter=1)
+        assert err.value.residual > 0.0
+
+    def test_reference_game_sweep_count(self):
+        # the outer damped best-response loop, and with it the equilibrium
+        # selection, is unchanged by the firm-level solver
+        assert solve_mpe(build_entry_game().model).n_iter == 39
 
 
 class TestExpectedObjects:

@@ -126,6 +126,21 @@ class TestInequalityRegions:
         empty = combine(IdentifiedSet(equality_roots=[]), iq)
         assert empty.combined == []
 
+    def test_combine_uninformative_equality_set_constrains_nothing(self, entry_fd):
+        # zero-cross holds at every discount factor in the one-dependent
+        # variant; it must not empty the combination with a feasible region
+        bundle, sol = entry_fd
+        ms = master_system(sol.psi, bundle.model.Q)
+        eq = equality_identified_set(ms, bundle.restrictions["zero_cross"])
+        iq = inequality_region(ms, bundle.restrictions["monotonicity"])
+        assert eq.diagnostics["no_identifying_content"]
+        (lo, hi), = iq.inequality_intervals
+        assert lo == pytest.approx(0.95, abs=1e-3) and hi == 1.0
+        both = combine(eq, iq)
+        assert both.combined is None and both.equality_roots is None
+        assert both.diagnostics["no_identifying_content"]
+        assert both.inequality_intervals == iq.inequality_intervals
+
 
 @pytest.fixture(scope="module")
 def planted():

@@ -32,6 +32,31 @@ class TestTauchen:
         assert T.sum(axis=1) == pytest.approx(1.0, abs=1e-12)
         assert np.all(T >= 0.0)
 
+    @pytest.mark.parametrize("gamma1,sigma,J,center", [
+        (0.5, 1.0, 3, 0.0), (0.8, 0.3, 9, -1.0), (0.95, 0.5, 51, 2.0), (0.99, 0.1, 144, 0.0)])
+    def test_matches_scipy_reference(self, gamma1, sigma, J, center):
+        # the package computes the normal cdf by erfc and the quantile by
+        # statistics.NormalDist; rebuild the same grid and rows with scipy
+        half = norm.ppf(1.0 - 0.5 / J) * sigma / np.sqrt(1.0 - gamma1 ** 2)
+        ref_grid = center + np.linspace(-half, half, J)
+        mid = 0.5 * (ref_grid[1:] + ref_grid[:-1])
+        ref_T = np.empty((J, J))
+        for i in range(J):
+            cdf = norm.cdf((mid - center * (1.0 - gamma1) - gamma1 * ref_grid[i]) / sigma)
+            ref_T[i] = np.concatenate([[cdf[0]], np.diff(cdf), [1.0 - cdf[-1]]])
+        grid, T = tauchen(gamma1, sigma, J, center=center)
+        assert np.max(np.abs(grid - ref_grid)) <= 1e-14
+        assert np.max(np.abs(T - ref_T)) <= 1e-14
+        assert np.max(np.abs(ar1_transition(ref_grid, gamma1, sigma, center * (1.0 - gamma1))
+                             - ref_T)) <= 1e-14
+
+    def test_lower_tail_keeps_relative_accuracy(self):
+        # far below the mean, 1 + erf cancels; the erfc form keeps the tail mass
+        # (gamma1 = 1 centres row i on grid[i])
+        T = ar1_transition(np.array([-10.0, 0.0, 10.0]), 1.0, 1.0)
+        assert T[1, 0] == pytest.approx(norm.cdf(-5.0), rel=1e-12)
+        assert T[2, 0] == pytest.approx(norm.cdf(-15.0), rel=1e-12)
+
     def test_small_noise_concentrates_mass(self):
         grid, _ = tauchen(0.9, 1.0, 7)
         T_tiny = ar1_transition(grid, 0.9, 1e-4)
