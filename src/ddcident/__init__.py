@@ -6,7 +6,6 @@ from .betapoly import (
     RootSet,
     SignRegion,
     faddeev_adj_det,
-    reduce_degree,
     roots_in_interval,
     sign_region,
 )
@@ -29,14 +28,12 @@ from .games import (
     expected_objects,
     identified_set_game,
     inequality_region_game,
-    pooled_identified_set,
     r2_irrelevance,
     r3_adjustment_cost,
     r3_exchangeability,
     r3_linear,
     r4_monotone_own_lag,
     r4_monotone_rivals,
-    recover_game_payoffs,
     solve_mpe,
 )
 from .identify import (

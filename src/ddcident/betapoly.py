@@ -23,7 +23,6 @@ ROOT_CLUSTER_TOL = 1e-7
 LEADING_COEFF_TOL = 1e-12
 SIGN_GRID_POINTS = 2001
 SIGN_REFINE_TOL = 1e-10
-PIVOT_TOL = 1e-10
 
 
 class BetaPoly:
@@ -377,38 +376,3 @@ def sign_region(
         i = j + 1
     return SignRegion(intervals)
 
-
-def reduce_degree(ps, *, pivot_tol: float = PIVOT_TOL) -> list[BetaPoly]:
-    """Eliminate leading coefficients across a polynomial system.
-
-    Gauss-Jordan elimination on the coefficient matrix, pivoting on the highest
-    powers first.  Row operations only, so the common-root set of the system is
-    preserved; rows that reduce to the zero polynomial are returned as zero
-    polynomials (callers should treat them as uninformative).  Pivots whose
-    column maximum falls below ``pivot_tol`` times the system scale are skipped.
-    """
-    ps = list(ps)
-    if len(ps) < 2:
-        raise ValueError("need at least two polynomials to reduce")
-    width = max(len(p.coeffs) for p in ps)
-    A = np.zeros((len(ps), width))
-    for i, p in enumerate(ps):
-        A[i, : len(p.coeffs)] = p.coeffs
-    scale = np.max(np.abs(A))
-    if scale == 0.0:
-        return [BetaPoly.zero() for _ in ps]
-
-    used = np.zeros(len(ps), dtype=bool)
-    for col in range(width - 1, -1, -1):
-        avail = np.where(~used)[0]
-        if avail.size == 0:
-            break
-        piv = avail[np.argmax(np.abs(A[avail, col]))]
-        if abs(A[piv, col]) <= pivot_tol * scale:
-            A[avail, col] = 0.0  # numerically negligible leading coefficients
-            continue
-        used[piv] = True
-        others = np.arange(len(ps)) != piv
-        A[others] -= np.outer(A[others, col] / A[piv, col], A[piv])
-        A[others, col] = 0.0
-    return [BetaPoly(row) for row in A]

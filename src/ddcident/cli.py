@@ -23,10 +23,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .betapoly import BetaPoly
 from .ddc import _STOCH_TOL, SingleAgentModel, master_system, psi_from_ccps, solve_bellman
+from .errors import ConvergenceError
 from .games import (
-    _system_polys,
     build_system,
     identified_set_game,
     inequality_region_game,
@@ -40,13 +39,21 @@ from .games import (
 from .identify import (
     IdentifiedSet,
     check_finite_dependence,
+    combine,
     equality_identified_set,
     finite_equality_set,
     finite_inequality_region,
     finite_restriction_poly,
     inequality_region,
 )
-from .restrictions import RestrictionSet
+from .restrictions import (
+    RestrictionSet,
+    additive_homogeneous,
+    complementarity,
+    concavity,
+    monotonicity,
+    zero_cross_difference,
+)
 from .scenarios import (
     build_entry_game,
     build_entry_model,
@@ -88,64 +95,108 @@ def model_from_dict(d: dict) -> SingleAgentModel:
 
 
 def validate_config(cfg: dict) -> list:
-    """Schema, stochasticity, and restriction-reference checks; returns an issue list."""
+    """Every check ``run --config`` relies on; returns an issue list."""
+    return _check_config(cfg)[0]
+
+
+def _check_config(cfg) -> tuple:
+    """Issues of a config, then its model and its inline restrictions by label
+    (both ``None`` unless the issue list is empty)."""
     issues = []
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        issues.append({"field": "schema_version",
-                       "message": f"schema_version must be {SCHEMA_VERSION}"})
-    mode = cfg.get("mode")
-    if mode not in ("single",):
-        issues.append({"field": "mode", "message": "mode must be 'single'"})
-        return issues
-    try:
-        K = int(cfg["n_actions"])
-        J = int(cfg["n_states"])
-    except (KeyError, TypeError, ValueError):
-        issues.append({"field": "n_actions/n_states", "message": "missing or non-integer sizes"})
-        return issues
-    Q = np.asarray(cfg.get("Q", []), dtype=float)
-    if Q.shape != (K, J, J):
-        issues.append({"field": "Q", "message": f"Q must have shape {(K, J, J)}, got {Q.shape}"})
-    else:
-        rows = Q.sum(axis=2)
-        for k in range(K):
-            for j in range(J):
-                if abs(rows[k, j] - 1.0) > _STOCH_TOL:
-                    issues.append({"field": "Q",
-                                   "message": f"transition row (action {k}, state {j}) sums to {rows[k, j]:.12g}, not 1"})
-    if "payoffs" not in cfg and "ccps" not in cfg:
-        issues.append({"field": "payoffs", "message": "config needs 'payoffs' (with beta) or 'ccps'"})
-    if "payoffs" in cfg:
-        u = np.asarray(cfg["payoffs"], dtype=float)
-        if u.shape != (K, J):
-            issues.append({"field": "payoffs", "message": f"payoffs must have shape {(K, J)}"})
-        if "beta" not in cfg:
-            issues.append({"field": "beta", "message": "beta is required with payoffs"})
-    if "ccps" in cfg:
-        p = np.asarray(cfg["ccps"], dtype=float)
-        if p.shape != (K, J):
-            issues.append({"field": "ccps", "message": f"ccps must have shape {(K, J)}"})
-        elif np.any(p <= 0) or np.any(np.abs(p.sum(axis=0) - 1) > 1e-8):
-            issues.append({"field": "ccps", "message": "ccps must be positive and sum to 1 per state"})
-    p_cols = J * (K - 1)
-    for r, rdict in enumerate(cfg.get("restrictions", [])):
-        if rdict.get("kind") not in ("equality", "inequality_ge"):
-            issues.append({"field": f"restrictions[{r}].kind",
-                           "message": "kind must be 'equality' or 'inequality_ge'"})
-            continue
-        for i, row in enumerate(rdict.get("rows", [])):
-            for c in row.get("cols", []):
-                if not 0 <= int(c) < p_cols:
-                    issues.append({"field": f"restrictions[{r}].rows[{i}]",
-                                   "message": f"column {c} out of range for {p_cols} stacked payoff cells"})
-    if not issues:
-        # the model's own checks (sign, beta range, sizes): what validate
-        # accepts, run accepts
+
+    def issue(field, message):
+        issues.append({"field": field, "message": message})
+
+    def numbers(name):
         try:
-            _model_from_config(cfg)
-        except ValueError as err:
-            issues.append({"field": "model", "message": str(err)})
-    return issues
+            arr = np.asarray(cfg.get(name, []), dtype=float)
+        except (TypeError, ValueError) as err:
+            return issue(name, f"{name} must be an array of numbers: {err}")
+        if not np.all(np.isfinite(arr)):
+            return issue(name, f"{name} must be finite")
+        return arr
+
+    if not isinstance(cfg, dict):
+        return [{"field": "config", "message": "config must be a JSON object"}], None, None
+    if cfg.get("schema_version") != SCHEMA_VERSION:
+        issue("schema_version", f"schema_version must be {SCHEMA_VERSION}")
+    if cfg.get("mode") != "single":
+        issue("mode", "mode must be 'single'")
+        return issues, None, None
+    try:
+        K, J = int(cfg["n_actions"]), int(cfg["n_states"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        issue("n_actions/n_states", "missing or non-integer sizes")
+        return issues, None, None
+    Q = numbers("Q")
+    if Q is not None and Q.shape != (K, J, J):
+        issue("Q", f"Q must have shape {(K, J, J)}, got {Q.shape}")
+    elif Q is not None:
+        rows = Q.sum(axis=2)
+        for k, j in np.argwhere(np.abs(rows - 1.0) > _STOCH_TOL):
+            issue("Q", f"transition row (action {k}, state {j}) sums to {rows[k, j]:.12g}, not 1")
+    if "payoffs" not in cfg and "ccps" not in cfg:
+        issue("payoffs", "config needs 'payoffs' (with beta) or 'ccps'")
+    if "payoffs" in cfg:
+        u = numbers("payoffs")
+        if u is not None and u.shape != (K, J):
+            issue("payoffs", f"payoffs must have shape {(K, J)}")
+        if "beta" not in cfg:
+            issue("beta", "beta is required with payoffs")
+    if "ccps" in cfg:
+        p = numbers("ccps")
+        if p is not None and p.shape != (K, J):
+            issue("ccps", f"ccps must have shape {(K, J)}")
+        elif p is not None and (np.any(p <= 0) or np.any(np.abs(p.sum(axis=0) - 1) > 1e-8)):
+            issue("ccps", "ccps must be positive and sum to 1 per state")
+
+    p_cols = J * (K - 1)
+    rdicts = cfg.get("restrictions", [])
+    if not isinstance(rdicts, list):
+        issue("restrictions", "restrictions must be a list")
+        rdicts = []
+    inline = {}
+    for r, rd in enumerate(rdicts):
+        field = f"restrictions[{r}]"
+        if not isinstance(rd, dict) or rd.get("kind") not in ("equality", "inequality_ge"):
+            issue(f"{field}.kind", "kind must be 'equality' or 'inequality_ge'")
+            continue
+        label = rd.get("label")
+        if not isinstance(label, str) or not label:
+            issue(f"{field}.label", "label must be a nonempty string")
+            label = None
+        elif label in inline:
+            issue(f"{field}.label", f"duplicate label {label!r}")
+        if rd.get("n_columns") != p_cols:
+            issue(f"{field}.n_columns", f"n_columns must be {p_cols}, the number of stacked payoff cells")
+            continue
+        if not isinstance(rd.get("rows"), list) or not rd["rows"]:
+            issue(f"{field}.rows", "rows must be a nonempty list")
+            continue
+        for i, row in enumerate(rd["rows"]):
+            cols = row.get("cols") if isinstance(row, dict) else None
+            if not (isinstance(cols, list) and all(type(c) is int for c in cols)):
+                issue(f"{field}.rows[{i}]", "cols must be a list of integers")
+                continue
+            for c in cols:
+                if not 0 <= c < p_cols:
+                    issue(f"{field}.rows[{i}]", f"column {c} out of range for {p_cols} stacked payoff cells")
+        try:
+            rs = RestrictionSet.from_json_dict(rd)
+        except (KeyError, TypeError, ValueError, IndexError) as err:
+            issue(field, f"cannot build the restriction: {err!r}")
+            continue
+        if not (np.all(np.isfinite(rs.R)) and np.all(np.isfinite(rs.c))):
+            issue(field, "restriction values must be finite")
+        inline.setdefault(label, rs)
+    if issues:
+        return issues, None, None
+    # the model's own checks (sign, beta range, sizes): what validate
+    # accepts, run accepts
+    try:
+        return [], _model_from_config(cfg), inline
+    except (TypeError, ValueError, OverflowError) as err:
+        return [{"field": "model", "message": str(err)}], None, None
 
 
 # ---- restriction spec parsing ----------------------------------------------
@@ -202,55 +253,33 @@ def _parse_value(v: str):
 
 # ---- run pipeline -----------------------------------------------------------
 
-_ENTRY_NAMES = {
-    "homogeneity": "homogeneity",
-    "zero-cross": "zero_cross",
-    "zero_cross": "zero_cross",
-    "monotonicity": "monotonicity",
-    "concavity": "concavity",
-    "complementarity": "complementarity",
-    "linearity": "linearity",
+# result key -> builder of the restriction with arguments (e.g. ``monotonicity(axis=w)``)
+_ENTRY_BUILDERS = {
+    "homogeneity": additive_homogeneous,
+    "zero_cross": zero_cross_difference,
+    "monotonicity": monotonicity,
+    "concavity": concavity,
+    "complementarity": complementarity,
+    "linearity": None,
 }
 
 
 def _entry_restriction(bundle, name, kwargs):
     """Resolve a requested restriction: the bundle's prebuilt set, or a rebuilt
-    one when arguments are supplied (e.g. ``monotonicity(axis=w)``)."""
-    key = _ENTRY_NAMES.get(name)
-    if key is None:
+    one when arguments are supplied."""
+    key = name.replace("-", "_")
+    if key not in _ENTRY_BUILDERS:
         raise ConfigError([{"field": "--restrictions",
                             "message": f"unknown restriction {name!r} for this scenario"}])
     if not kwargs:
         return key, bundle.restrictions[key]
-    from .restrictions import (additive_homogeneous, complementarity, concavity,
-                               monotonicity, zero_cross_difference)
-    fs = bundle.states
     try:
-        if key == "homogeneity":
-            rs = additive_homogeneous(fs, 0, **kwargs)
-        elif key == "zero_cross":
-            rs = zero_cross_difference(fs, 0, **kwargs)
-        elif key == "monotonicity":
-            rs = monotonicity(fs, 0, **kwargs)
-        elif key == "concavity":
-            rs = concavity(fs, 0, **kwargs)
-        elif key == "complementarity":
-            rs = complementarity(fs, 0, **kwargs)
-        else:
-            raise TypeError("linearity takes no arguments")
+        if _ENTRY_BUILDERS[key] is None:
+            raise TypeError(f"{key} takes no arguments")
+        return key, _ENTRY_BUILDERS[key](bundle.states, 0, **kwargs)
     except (TypeError, ValueError, KeyError) as err:
         raise ConfigError([{"field": "--restrictions",
                             "message": f"cannot build {name!r} with {kwargs}: {err}"}])
-    return key, rs
-
-_GAME_BUILDERS = {
-    "exchangeability": "eq",
-    "adjustment-cost": "eq",
-    "adjustment_cost": "eq",
-    "linearity": "eq",
-    "mono-own-lag": "ge",
-    "mono-rivals": "ge",
-}
 
 
 def _beta_grid(spec: str) -> np.ndarray:
@@ -281,137 +310,99 @@ def _write_curves(path, grid, columns):
             fh.write(",".join(row) + "\n")
 
 
-def _single_agent_run(bundle, specs, grid, tol_root, tol_fp):
-    psi = solve_bellman(bundle.model, tol=tol_fp).psi
-    ms = master_system(psi, bundle.model.Q)
-    results, curves = {}, {}
-    eq_sets, ineq_sets = [], []
-    for name, kwargs in specs:
+def _read_config(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ConfigError([{"field": "config", "message": f"not valid JSON: {err}"}])
+
+
+def _master_set(ms, rs, tol_root) -> IdentifiedSet:
+    if rs.kind == "eq":
+        return equality_identified_set(ms, rs, residual_tol=tol_root)
+    return inequality_region(ms, rs)
+
+
+# Each source does its one-time setup and returns a resolver, which maps a
+# requested restriction to its result key and identified set, and the fields
+# added to every per-restriction result.
+
+
+def _config_source(args):
+    cfg = _read_config(args.config)
+    issues, model, inline = _check_config(cfg)
+    if issues:
+        raise ConfigError(issues)
+    psi = (psi_from_ccps(np.asarray(cfg["ccps"], dtype=float)) if "ccps" in cfg
+           else solve_bellman(model, tol=args.tol_fixedpoint).psi)
+    ms = master_system(psi, model.Q)
+
+    def resolve(name, kwargs):
+        if name not in inline:
+            raise ConfigError([{"field": "--restrictions",
+                                "message": f"restriction {name!r} not found in config"}])
+        return name, _master_set(ms, inline[name], args.tol_root)
+    return resolve, {}
+
+
+def _entry_source(args):
+    bundle = build_entry_model()
+    ms = master_system(solve_bellman(bundle.model, tol=args.tol_fixedpoint).psi, bundle.model.Q)
+
+    def resolve(name, kwargs):
         key, rs = _entry_restriction(bundle, name, kwargs)
-        polys = ms.residual_polys(rs.R, rs.c)
-        curves.update(_normalized_curves(grid, polys, [f"{key}_{i}" for i in range(len(polys))]))
-        if rs.kind == "eq":
-            ident = equality_identified_set(ms, rs, residual_tol=tol_root)
-            eq_sets.append(ident)
-        else:
-            ident = inequality_region(ms, rs)
-            ineq_sets.append(ident)
-        results[key] = ident.to_json_dict()
-    combined = _combine_many(eq_sets, ineq_sets)
-    return results, combined, curves
+        return key, _master_set(ms, rs, args.tol_root)
+    return resolve, {}
 
 
-def _fd_run(bundle, specs, grid, tol_root, tol_fp):
+def _fd_source(args):
+    bundle = build_entry_model_fd()
     model = bundle.model
-    sol = solve_bellman(model, tol=tol_fp)
-    fs = bundle.states
-    pairs = [((0, x), (0, (x + fs.n_states // 2) % fs.n_states)) for x in (0,)]
-    cert = check_finite_dependence(model.Q, pairs, rho_max=4)
+    psi = solve_bellman(model, tol=args.tol_fixedpoint).psi
+    cert = check_finite_dependence(model.Q, [((0, 0), (0, bundle.states.n_states // 2))], rho_max=4)
     if not cert.satisfied:
         raise ConfigError([{"field": "scenario",
                             "message": "scenario is not finitely dependent; use mode 'single'"}])
-    rho = cert.rho
-    results, curves = {}, {}
-    eq_sets, ineq_sets = [], []
-    for name, kwargs in specs:
+
+    def resolve(name, kwargs):
         key, rs = _entry_restriction(bundle, name, kwargs)
-        polys = [finite_restriction_poly(sol.psi, model.Q, rs.R[i], rs.c[i], rho)
-                 for i in range(rs.n_rows)]
-        curves.update(_normalized_curves(grid, polys, [f"{key}_{i}" for i in range(len(polys))]))
+        polys = [finite_restriction_poly(psi, model.Q, row, c, cert.rho) for row, c in zip(rs.R, rs.c)]
         if rs.kind == "eq":
-            ident = finite_equality_set(polys, residual_tol=tol_root)
-            eq_sets.append(ident)
-        else:
-            ident = finite_inequality_region(polys)
-            ineq_sets.append(ident)
-        d = ident.to_json_dict()
-        d["rho"] = rho
-        results[key] = d
-    combined = _combine_many(eq_sets, ineq_sets)
-    return results, combined, curves
+            return key, finite_equality_set(polys, residual_tol=args.tol_root)
+        return key, finite_inequality_region(polys)
+    return resolve, {"rho": cert.rho}
 
 
-def _game_run(bundle, specs, grid, firm, tol_fp, damping):
+def _game_source(args):
+    if args.firm is None:
+        raise ConfigError([{"field": "--firm", "message": "--firm is required for the game scenario"}])
+    bundle = build_entry_game()
     model = bundle.model
-    mpe = solve_mpe(model, damping=damping, tol=tol_fp)
-    system = build_system(model, mpe, firm)
-    results, curves = {}, {}
-    eq_sets, ineq_sets = [], []
-    for name, kwargs in specs:
-        if name not in _GAME_BUILDERS:
+    if not 1 <= args.firm <= model.n_firms:
+        raise ConfigError([{"field": "--firm", "message":
+                            f"firm indices are 1-based, from 1 to {model.n_firms}"}])
+    i = args.firm - 1
+    mpe = solve_mpe(model, damping=args.damping, tol=max(args.tol_fixedpoint, 1e-13))
+    system = build_system(model, mpe, i)
+    sets = {
+        "exchangeability": lambda: identified_set_game(system, r3_exchangeability(model, i)),
+        "adjustment_cost": lambda: identified_set_game(system, r3_adjustment_cost(model, i)),
+        "linearity": lambda: identified_set_game(system, r3_linear(model, i, bundle.designs[i])),
+        "mono_own_lag": lambda: inequality_region_game(system, *r4_monotone_own_lag(model, i)),
+        "mono_rivals": lambda: inequality_region_game(system, *r4_monotone_rivals(model, i)),
+    }
+
+    def resolve(name, kwargs):
+        key = name.replace("-", "_")
+        if key not in sets:
             raise ConfigError([{"field": "--restrictions",
                                 "message": f"unknown restriction {name!r} for the game scenario"}])
-        if name == "exchangeability":
-            R3 = r3_exchangeability(model, firm)
-        elif name in ("adjustment-cost", "adjustment_cost"):
-            R3 = r3_adjustment_cost(model, firm)
-        elif name == "linearity":
-            R3 = r3_linear(model, firm, bundle.designs[firm])
-        elif name == "mono-own-lag":
-            R4, c4 = r4_monotone_own_lag(model, firm)
-        else:
-            R4, c4 = r4_monotone_rivals(model, firm)
-        key = name.replace("-", "_")
-        if _GAME_BUILDERS[name] == "eq":
-            ident = identified_set_game(system, R3)
-            polys, _ = _system_polys(system, R3, None, "natural")
-            eq_sets.append(ident)
-        else:
-            ident = inequality_region_game(system, R4, c4)
-            # boundary polynomials for plotting
-            X, Y = system.X_a, system.Y_a_coeffs()
-            W = np.linalg.solve(X, Y)
-            polys = [BetaPoly(row) for row in (R4 @ W)]
-            ineq_sets.append(ident)
-        curves.update(_normalized_curves(grid, polys, [f"{key}_{i}" for i in range(len(polys))]))
-        d = ident.to_json_dict()
-        d["firm"] = firm + 1  # firms are reported 1-based on the CLI surface
-        results[key] = d
-    combined = _combine_many(eq_sets, ineq_sets)
-    return results, combined, curves
+        return key, sets[key]()
+    return resolve, {"firm": args.firm}  # firms are reported 1-based on the CLI surface
 
 
-def _combine_many(eq_sets, ineq_sets):
-    """Intersect equality root sets and inequality regions.
-
-    An equality set flagged ``no_identifying_content`` holds at every discount
-    factor, so it constrains nothing; if every equality set is flagged, the
-    combined result carries the flag instead of an empty root list.
-    """
-    informative = [s for s in eq_sets if not s.diagnostics.get("no_identifying_content")]
-    eq = None
-    for s in informative:
-        if eq is None:
-            eq = list(s.equality_roots or [])
-        else:
-            eq = [r for r in eq if any(abs(r - q) <= 1e-6 for q in (s.equality_roots or []))]
-    region = None
-    for s in ineq_sets:
-        ivs = list(s.inequality_intervals or [])
-        if region is None:
-            region = ivs
-        else:
-            region = _intersect_intervals(region, ivs)
-    out = IdentifiedSet(
-        equality_roots=eq,
-        inequality_intervals=region,
-        combined=None if eq is None else (
-            eq if region is None
-            else [r for r in eq if any(lo - 1e-6 <= r <= hi + 1e-6 for lo, hi in region)]
-        ),
-        diagnostics={"no_identifying_content": True} if eq_sets and not informative else {},
-    )
-    return out.to_json_dict()
-
-
-def _intersect_intervals(a, b):
-    out = []
-    for lo1, hi1 in a:
-        for lo2, hi2 in b:
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if lo <= hi:
-                out.append((lo, hi))
-    return out
+_SOURCES = {"entry": _entry_source, "entry-fd": _fd_source, "entry-game": _game_source}
 
 
 def cmd_run(args) -> int:
@@ -423,56 +414,30 @@ def cmd_run(args) -> int:
                    "restrictions": args.restrictions, "beta_grid": args.beta_grid,
                    "tol_root": args.tol_root, "tol_fixedpoint": args.tol_fixedpoint,
                    "damping": args.damping}
-
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        issues = validate_config(cfg)
-        if issues:
-            raise ConfigError(issues)
-        model = _model_from_config(cfg)
-        psi = (psi_from_ccps(np.asarray(cfg["ccps"], dtype=float)) if "ccps" in cfg
-               else solve_bellman(model, tol=args.tol_fixedpoint).psi)
-        ms = master_system(psi, model.Q)
-        inline = {r["label"]: RestrictionSet.from_json_dict(r) for r in cfg.get("restrictions", [])}
-        results, curves = {}, {}
-        eq_sets, ineq_sets = [], []
-        for name, kwargs in specs:
-            if name not in inline:
-                raise ConfigError([{"field": "--restrictions",
-                                    "message": f"restriction {name!r} not found in config"}])
-            rs = inline[name]
-            polys = ms.residual_polys(rs.R, rs.c)
-            curves.update(_normalized_curves(grid, polys,
-                                             [f"{name}_{i}" for i in range(len(polys))]))
-            if rs.kind == "eq":
-                ident = equality_identified_set(ms, rs, residual_tol=args.tol_root)
-                eq_sets.append(ident)
-            else:
-                ident = inequality_region(ms, rs)
-                ineq_sets.append(ident)
-            results[name] = ident.to_json_dict()
-        combined = _combine_many(eq_sets, ineq_sets)
-    elif args.scenario == "entry":
-        results, combined, curves = _single_agent_run(build_entry_model(), specs, grid,
-                                                      args.tol_root, args.tol_fixedpoint)
-    elif args.scenario == "entry-fd":
-        results, combined, curves = _fd_run(build_entry_model_fd(), specs, grid,
-                                            args.tol_root, args.tol_fixedpoint)
-    elif args.scenario == "entry-game":
-        if args.firm is None:
-            raise ConfigError([{"field": "--firm", "message": "--firm is required for the game scenario"}])
-        if args.firm < 1:
-            raise ConfigError([{"field": "--firm", "message": "firm indices are 1-based"}])
-        results, combined, curves = _game_run(build_entry_game(), specs, grid, args.firm - 1,
-                                              max(args.tol_fixedpoint, 1e-13), args.damping)
+        source = _config_source
+    elif args.scenario in _SOURCES:
+        source = _SOURCES[args.scenario]
     else:
         raise ConfigError([{"field": "--scenario",
                             "message": "scenario must be entry, entry-fd, or entry-game (or use --config)"}])
+    resolve, extra = source(args)
+
+    results, curves, sets = {}, {}, []
+    for name, kwargs in specs:
+        key, ident = resolve(name, kwargs)
+        if key in results:
+            raise ConfigError([{"field": "--restrictions",
+                                "message": f"{name!r} asks again for the result {key!r}"}])
+        results[key] = {**ident.to_json_dict(), **extra}
+        curves.update(_normalized_curves(grid, ident.polys,
+                                         [f"{key}_{i}" for i in range(len(ident.polys))]))
+        sets.append(ident)
 
     os.makedirs(args.out_dir, exist_ok=True)
     _write_curves(os.path.join(args.out_dir, "curves.csv"), grid, curves)
-    ident_doc = {"schema_version": SCHEMA_VERSION, "restrictions": results, "combined": combined}
+    ident_doc = {"schema_version": SCHEMA_VERSION, "restrictions": results,
+                 "combined": combine(*sets).to_json_dict()}
     with open(os.path.join(args.out_dir, "identified_set.json"), "w", encoding="utf-8") as fh:
         json.dump(ident_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -482,7 +447,6 @@ def cmd_run(args) -> int:
         "config": config_echo,
         "tolerances": {"root_residual": args.tol_root, "fixed_point": args.tol_fixedpoint,
                        "damping": args.damping},
-        "threads": os.environ.get("DDC_IDENT_THREADS", "1"),
         "outputs": ["curves.csv", "identified_set.json", "run_manifest.json"],
     }
     with open(os.path.join(args.out_dir, "run_manifest.json"), "w", encoding="utf-8") as fh:
@@ -501,9 +465,7 @@ def _model_from_config(cfg) -> SingleAgentModel:
 
 
 def cmd_validate(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    issues = validate_config(cfg)
+    issues = validate_config(_read_config(args.config))
     print(json.dumps({"config": args.config, "issues": issues}, indent=2, sort_keys=True))
     return 0 if not issues else 2
 
@@ -538,14 +500,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as err:
-        json.dump({"error": "invalid_config", "issues": err.issues}, sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 2
+        error, issues = "invalid_config", err.issues
     except FileNotFoundError as err:
-        json.dump({"error": "file_not_found", "issues": [{"message": str(err)}]}, sys.stderr,
-                  sort_keys=True)
-        sys.stderr.write("\n")
-        return 2
+        error, issues = "file_not_found", [{"message": str(err)}]
+    except ConvergenceError as err:
+        error, issues = "not_converged", [{"message": str(err)}]
+    json.dump({"error": error, "issues": issues}, sys.stderr, sort_keys=True)
+    sys.stderr.write("\n")
+    return 2
 
 
 if __name__ == "__main__":

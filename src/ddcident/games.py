@@ -338,7 +338,10 @@ class GameIdentSystem:
         return out
 
     def solve_payoffs(self, beta: float) -> np.ndarray:
-        """Stacked payoff vector implied by the system at a candidate discount factor."""
+        """Stacked payoff vector implied by the system at a candidate discount
+        factor in ``[0, 1)`` (square-block inversion of the stacked system)."""
+        if not 0.0 <= beta < 1.0:
+            raise ValueError("beta must lie in [0, 1)")
         powers = beta ** np.arange(self.rhs_coeffs.shape[1])
         y = self.Y_a_coeffs() @ powers
         return np.linalg.solve(self.X_a, y) / self.det(beta)
@@ -550,46 +553,28 @@ def r4_monotone_rivals(model: GameModel, i: int, actions=(0,)) -> tuple[np.ndarr
 # ---- identified sets ------------------------------------------------------
 
 
-def _select_square_block(X, method: str):
-    """Row indices forming a well-conditioned square block of ``X``."""
+def _recovered_payoff_coeffs(system: GameIdentSystem) -> np.ndarray:
+    """Polynomial coefficients ``W = X_a^{-1} Y_a`` of the determinant-scaled
+    payoffs recovered from the square model block."""
+    X = system.X_a
     n = X.shape[1]
-    if method == "natural":
-        idx = np.arange(n)
-    elif method == "qr":
-        import scipy.linalg  # only this path needs scipy; keep it off the import path
-
-        _, _, piv = scipy.linalg.qr(X.T, pivoting=True)
-        idx = np.sort(piv[:n])
-    else:
-        raise ValueError("selection must be 'natural' or 'qr'")
-    block = X[idx]
-    if np.linalg.matrix_rank(block, tol=1e-10 * max(1.0, np.linalg.norm(block, 2))) < n:
+    if np.linalg.matrix_rank(X, tol=1e-10 * max(1.0, np.linalg.norm(X, 2))) < n:
         raise RankDeficiencyError(
-            "selected square block of the stacked system is singular; "
+            "square model block of the stacked system is singular; "
             "the stacked matrix must have full column rank",
-            rank=int(np.linalg.matrix_rank(block)), required=n,
+            rank=int(np.linalg.matrix_rank(X)), required=n,
         )
-    return idx
+    return np.linalg.solve(X, system.Y_a_coeffs())
 
 
-def _system_polys(system: GameIdentSystem, R3, c3, selection: str):
-    """Identifying polynomials: one per stacked row beyond the square block."""
+def _system_polys(system: GameIdentSystem, R3, c3=None):
+    """Identifying polynomials: one per extra equality row ``R3 Pi = c3``."""
     R3 = np.atleast_2d(np.asarray(R3, dtype=float))
     q3 = R3.shape[0]
     c3 = np.zeros(q3) if c3 is None else np.broadcast_to(np.asarray(c3, dtype=float), (q3,))
-    X = np.vstack([system.X_a, R3])
-    ncoef = system.rhs_coeffs.shape[1]
-    Y = np.zeros((X.shape[0], ncoef))
-    Y[: system.rhs_coeffs.shape[0]] = system.rhs_coeffs
-    dpad = np.zeros(ncoef)
+    W = _recovered_payoff_coeffs(system)
+    dpad = np.zeros(system.rhs_coeffs.shape[1])
     dpad[: len(system.det.coeffs)] = system.det.coeffs
-    Y[system.m_pi:] = np.outer(c3, dpad)
-
-    idx1 = _select_square_block(X, selection)
-    mask = np.zeros(X.shape[0], dtype=bool)
-    mask[idx1] = True
-    idx2 = np.where(~mask)[0]
-    W = np.linalg.solve(X[idx1], Y[idx1])  # polynomial coefficients of X1^{-1} Y1
     # a polynomial at noise level relative to the system right-hand side is a
     # redundant restriction (satisfied at every discount factor); zero it so
     # downstream root logic flags it as uninformative.  The noise is rounding or
@@ -598,65 +583,47 @@ def _system_polys(system: GameIdentSystem, R3, c3, selection: str):
     noise_floor = (max(1e-9, 100.0 * system.equilibrium_residual)
                    * float(np.max(np.abs(system.rhs_coeffs))))
     polys = []
-    for t in idx2:
-        p = BetaPoly(X[t] @ W - Y[t])
+    for row, c in zip(R3, c3):
+        p = BetaPoly(row @ W - c * dpad)
         polys.append(BetaPoly.zero() if p.max_abs_coeff <= noise_floor else p)
-    cond = float(np.linalg.cond(X[idx1]))
+    cond = float(np.linalg.cond(system.X_a))
     return polys, cond
 
 
 def identified_set_game(system: GameIdentSystem, R3, c3=None, *,
-                        selection: str = "natural", value_tol: float = 1e-6) -> IdentifiedSet:
+                        value_tol: float = 1e-6) -> IdentifiedSet:
     """Common roots on ``[0, 1)`` of the firm's equality identification system.
 
-    Stacks the model equations, the lagged-action-irrelevance rows, and the
-    supplied extra equality rows; inverts a square block and intersects the
-    roots of the remaining rows' polynomials (degree at most ``m_x``).
-    Identically-zero polynomials (redundant rows) are flagged and excluded.
+    Inverts the square block of model equations and lagged-action-irrelevance
+    rows, and intersects the roots of the supplied extra equality rows'
+    polynomials (degree at most ``m_x``).  Identically-zero polynomials
+    (redundant rows) are flagged and excluded.
     """
-    polys, cond = _system_polys(system, R3, c3, selection)
+    polys, cond = _system_polys(system, R3, c3)
     roots, diag = _common_roots(polys, value_tol=value_tol)
     diagnostics = {"firm": system.firm, "condition_estimate": cond, "polynomials": diag}
     if roots is None:
         diagnostics["no_identifying_content"] = True
-        return IdentifiedSet(equality_roots=[], diagnostics=diagnostics)
+        return IdentifiedSet(equality_roots=[], diagnostics=diagnostics, polys=polys)
     coeff_rows = np.array([np.pad(p.coeffs, (0, system.m_x + 1 - len(p.coeffs))) for p in polys])
     sv = np.linalg.svd(coeff_rows, compute_uv=False)
     diagnostics["independent_polynomials"] = int(np.sum(sv > 1e-10 * sv[0]))
     diagnostics["root_residuals"] = list(roots.residuals)
-    return IdentifiedSet(equality_roots=list(roots.points), diagnostics=diagnostics)
+    return IdentifiedSet(equality_roots=list(roots.points), diagnostics=diagnostics, polys=polys)
 
 
-def inequality_region_game(system: GameIdentSystem, R4, c4=None, *,
-                           r3=None, c3=None, selection: str = "natural",
-                           **region_kwargs) -> IdentifiedSet:
+def inequality_region_game(system: GameIdentSystem, R4, c4=None, **region_kwargs) -> IdentifiedSet:
     """Subset of ``[0, 1)`` satisfying inequality restrictions on the firm's payoff.
 
-    Without extra equality rows the square model system is inverted directly;
-    with ``r3`` the square block is selected from the augmented stack.  The
-    region collects discount factors where ``R4 @ Pi(beta) >= c4`` (evaluated
-    in determinant-scaled polynomial form, degree at most ``m_x``).
+    The square model system is inverted directly.  The region collects
+    discount factors where ``R4 @ Pi(beta) >= c4`` (evaluated in
+    determinant-scaled polynomial form, degree at most ``m_x``).
     """
     R4 = np.atleast_2d(np.asarray(R4, dtype=float))
     q4 = R4.shape[0]
     c4 = np.zeros(q4) if c4 is None else np.broadcast_to(np.asarray(c4, dtype=float), (q4,))
-    ncoef = system.rhs_coeffs.shape[1]
-    if r3 is None:
-        X = system.X_a
-        Y = system.Y_a_coeffs()
-        idx1 = _select_square_block(X, "natural")
-    else:
-        r3 = np.atleast_2d(np.asarray(r3, dtype=float))
-        X = np.vstack([system.X_a, r3])
-        Y = np.zeros((X.shape[0], ncoef))
-        Y[: system.rhs_coeffs.shape[0]] = system.rhs_coeffs
-        if c3 is not None:
-            dpad = np.zeros(ncoef)
-            dpad[: len(system.det.coeffs)] = system.det.coeffs
-            Y[system.m_pi:] = np.outer(np.asarray(c3, dtype=float), dpad)
-        idx1 = _select_square_block(X, selection)
-    W = np.linalg.solve(X[idx1], Y[idx1])
-    dpad = np.zeros(ncoef)
+    W = _recovered_payoff_coeffs(system)
+    dpad = np.zeros(system.rhs_coeffs.shape[1])
     dpad[: len(system.det.coeffs)] = system.det.coeffs
     mat = R4 @ W - np.outer(c4, dpad)
     polys = [BetaPoly(row) for row in mat]
@@ -665,28 +632,5 @@ def inequality_region_game(system: GameIdentSystem, R4, c4=None, *,
     return IdentifiedSet(
         inequality_intervals=list(region.intervals),
         diagnostics={"firm": system.firm, "polynomials": _poly_diagnostics(polys, scale)},
+        polys=polys,
     )
-
-
-def recover_game_payoffs(system: GameIdentSystem, beta_hat: float) -> np.ndarray:
-    """Stacked payoff vector implied by the model equations at a candidate
-    discount factor (square-block inversion of the stacked system)."""
-    if not 0.0 <= beta_hat < 1.0:
-        raise ValueError("beta_hat must lie in [0, 1)")
-    return system.solve_payoffs(beta_hat)
-
-
-def pooled_identified_set(sets, tol: float = 1e-7) -> IdentifiedSet:
-    """Intersection of per-firm root sets, for games with a common discount factor."""
-    sets = list(sets)
-    if not sets:
-        raise ValueError("need at least one identified set")
-    common = list(sets[0].equality_roots or [])
-    for s in sets[1:]:
-        keep = []
-        for r in common:
-            if any(abs(r - q) <= tol for q in (s.equality_roots or [])):
-                keep.append(r)
-        common = keep
-    return IdentifiedSet(equality_roots=common,
-                         diagnostics={"pooled_from": [s.diagnostics.get("firm") for s in sets]})

@@ -36,13 +36,15 @@ class IdentifiedSet:
     ``inequality_intervals`` the feasible subintervals; ``combined`` their
     intersection.  Components that were not computed are ``None``.
     ``diagnostics`` records per-polynomial degrees, scales, and uninformative
-    flags.
+    flags.  ``polys`` holds the identifying polynomials the set was computed
+    from; it is not serialized.
     """
 
     equality_roots: list | None = None
     inequality_intervals: list | None = None
     combined: list | None = None
     diagnostics: dict = field(default_factory=dict)
+    polys: list = field(default_factory=list, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         def _clean(v):
@@ -136,11 +138,13 @@ def equality_identified_set(master: MasterSystem, rs: RestrictionSet, *,
         return IdentifiedSet(
             equality_roots=[],
             diagnostics={"label": rs.label, "polynomials": diag, "no_identifying_content": True},
+            polys=polys,
         )
     return IdentifiedSet(
         equality_roots=list(roots.points),
         diagnostics={"label": rs.label, "polynomials": diag,
                      "root_residuals": list(roots.residuals)},
+        polys=polys,
     )
 
 
@@ -156,30 +160,39 @@ def inequality_region(master: MasterSystem, rs: RestrictionSet, **kwargs) -> Ide
     return IdentifiedSet(
         inequality_intervals=list(region.intervals),
         diagnostics={"label": rs.label, "polynomials": _poly_diagnostics(polys, system_scale)},
+        polys=polys,
     )
 
 
-def combine(eq_set: IdentifiedSet, ineq_set: IdentifiedSet,
-            tol: float = COMBINE_TOL) -> IdentifiedSet:
-    """Intersect equality roots with an inequality region (both on ``[0, 1)``).
+def combine(*sets: IdentifiedSet, tol: float = COMBINE_TOL) -> IdentifiedSet:
+    """Intersect any number of equality root sets and inequality regions.
 
-    An equality set flagged ``no_identifying_content`` holds at every discount
-    factor, so it constrains nothing: the roots and the combined set are
-    ``None`` and the flag is carried, rather than an empty intersection.
+    Roots of different equality sets match within ``tol``, and a root is kept
+    if it lies within ``tol`` of the intersected region.  An equality set
+    flagged ``no_identifying_content`` holds at every discount factor, so it
+    constrains nothing; if every equality set is flagged, the roots and the
+    combined set are ``None`` and the result carries the flag instead of an
+    empty intersection.
     """
-    intervals = ineq_set.inequality_intervals or []
-    diagnostics = {"equality": eq_set.diagnostics, "inequality": ineq_set.diagnostics}
-    if eq_set.diagnostics.get("no_identifying_content"):
-        return IdentifiedSet(inequality_intervals=list(intervals),
-                             diagnostics={**diagnostics, "no_identifying_content": True})
-    roots = eq_set.equality_roots or []
-    region = SignRegion(list(intervals))
-    kept = [r for r in roots if region.contains(r, tol=tol)]
+    roots, region, flagged = None, None, False
+    for s in sets:
+        if s.diagnostics.get("no_identifying_content"):
+            flagged = True
+        elif s.equality_roots is not None:
+            roots = list(s.equality_roots) if roots is None else [
+                r for r in roots if any(abs(r - q) <= tol for q in s.equality_roots)]
+        if s.inequality_intervals is not None:
+            region = list(s.inequality_intervals) if region is None else [
+                (max(lo1, lo2), min(hi1, hi2)) for lo1, hi1 in region
+                for lo2, hi2 in s.inequality_intervals if max(lo1, lo2) <= min(hi1, hi2)]
+    combined = roots
+    if roots is not None and region is not None:
+        combined = [r for r in roots if SignRegion(region).contains(r, tol=tol)]
     return IdentifiedSet(
-        equality_roots=list(roots),
-        inequality_intervals=list(intervals),
-        combined=kept,
-        diagnostics=diagnostics,
+        equality_roots=roots,
+        inequality_intervals=region,
+        combined=combined,
+        diagnostics={"no_identifying_content": True} if flagged and roots is None else {},
     )
 
 
@@ -390,9 +403,9 @@ def finite_equality_set(polys, *, value_tol: float = COMMON_ROOT_TOL,
     polys = list(polys)
     roots, diag = _common_roots(polys, value_tol=value_tol, residual_tol=residual_tol)
     if roots is None:
-        return IdentifiedSet(equality_roots=[],
+        return IdentifiedSet(equality_roots=[], polys=polys,
                              diagnostics={"polynomials": diag, "no_identifying_content": True})
-    return IdentifiedSet(equality_roots=list(roots.points),
+    return IdentifiedSet(equality_roots=list(roots.points), polys=polys,
                          diagnostics={"polynomials": diag,
                                       "root_residuals": list(roots.residuals)})
 
@@ -406,4 +419,5 @@ def finite_inequality_region(polys, **kwargs) -> IdentifiedSet:
     return IdentifiedSet(
         inequality_intervals=list(region.intervals),
         diagnostics={"polynomials": _poly_diagnostics(polys, system_scale)},
+        polys=polys,
     )

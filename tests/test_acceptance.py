@@ -320,7 +320,7 @@ def test_criterion_8_property_suites(entry, entry_fd, game):
                           bundle.restrictions["linearity"])]
     sys0 = build_system(bundle_g.model, mpe, 0)
     from ddcident.games import _system_polys
-    polys_g, _ = _system_polys(sys0, r3_exchangeability(bundle_g.model, 0), None, "natural")
+    polys_g, _ = _system_polys(sys0, r3_exchangeability(bundle_g.model, 0))
     systems.append([p for p in polys_g if not p.is_zero])
     for polys in systems:
         for p in polys:

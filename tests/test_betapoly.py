@@ -6,7 +6,6 @@ from ddcident.betapoly import (
     BetaPoly,
     MatrixPoly,
     faddeev_adj_det,
-    reduce_degree,
     roots_in_interval,
     sign_region,
 )
@@ -162,36 +161,6 @@ class TestSignRegion:
         assert len(sr.intervals) == 2
         assert sr.intervals[0] == pytest.approx((0.0, 0.2), abs=1e-8)
         assert sr.intervals[1] == pytest.approx((0.5, 0.8), abs=1e-8)
-
-
-class TestReduceDegree:
-    def test_leading_term_elimination(self):
-        a = BetaPoly([0.3, -1.0, 1.0])
-        b = BetaPoly([0.1, 0.4, 1.0])
-        red = reduce_degree([a, b])
-        assert min(p.degree for p in red) <= 1
-
-    def test_duplicate_row_becomes_zero(self):
-        p = BetaPoly([0.5, -1.5, 1.0])
-        red = reduce_degree([p, 2.0 * p])
-        assert sum(q.is_zero for q in red) == 1
-
-    def test_common_roots_preserved(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            shared = rng.uniform(0.1, 0.9)
-            polys = []
-            for _ in range(4):
-                other = rng.uniform(1.5, 3.0, size=2)
-                c = npoly.polymul([-shared, 1.0], npoly.polymul([-other[0], 1.0], [-other[1], 1.0]))
-                polys.append(BetaPoly(c * rng.uniform(0.5, 2.0)))
-            red = [q for q in reduce_degree(polys) if not q.is_zero]
-            for q in red:
-                assert abs(q(shared)) <= 1e-7 * q.max_abs_coeff
-
-    def test_requires_two_polynomials(self):
-        with pytest.raises(ValueError):
-            reduce_degree([BetaPoly([1.0, 1.0])])
 
 
 class TestPolyTypes:

@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ddcident
 from ddcident.cli import (
@@ -87,16 +92,29 @@ class TestValidate:
     @pytest.mark.parametrize("field,value,message", [
         ("Q", 5e-9, "sums to 1.000000005"),   # within 1e-8, outside the model's 1e-10
         ("beta", 1.5, "beta must lie in [0, 1)"),
+        ("restrictions.n_columns", None, "n_columns must be 18"),
+        ("restrictions.label", None, "label must be a nonempty string"),
+        ("restrictions.n_columns", 5, "n_columns must be 18"),
+        ("Q", "abc", "Q must be an array of numbers"),
+        ("payoffs", [[0.0, 1.0], [0.0]], "payoffs must be an array of numbers"),
+        ("restrictions.cols", ["x"], "cols must be a list of integers"),
     ])
     def test_validate_and_run_agree(self, entry_config, tmp_path, capsys, field, value, message):
-        # a config that validate accepts must run; one the model rejects must
-        # fail both commands with the structured error, never a traceback
+        # a config that validate accepts must run; one that run cannot load
+        # must fail both commands with the structured error, never a traceback
         _, cfg = entry_config
         bad = json.loads(json.dumps(cfg))
-        if field == "Q":
+        restriction = bad["restrictions"][0]
+        if field == "Q" and isinstance(value, float):
             bad["Q"][0][2][0] += value
+        elif field == "restrictions.cols":
+            restriction["rows"][0]["cols"] = value
+        elif field.startswith("restrictions.") and value is None:
+            del restriction[field.split(".")[1]]
+        elif field.startswith("restrictions."):
+            restriction[field.split(".")[1]] = value
         else:
-            bad["beta"] = value
+            bad[field] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert main(["validate", "--config", str(path)]) == 2
@@ -108,6 +126,19 @@ class TestValidate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "invalid_config"
         assert any(message in i["message"] for i in err["issues"])
+
+    def test_duplicate_labels_reported(self, entry_config):
+        _, cfg = entry_config
+        bad = json.loads(json.dumps(cfg))
+        bad["restrictions"].append(bad["restrictions"][0])
+        issues = validate_config(bad)
+        assert any("duplicate label 'zero-cross'" in i["message"] for i in issues)
+
+    def test_malformed_json_is_structured_error(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"schema_version": 1,')
+        assert main(["validate", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid_config"
 
 
 class TestModelRoundTrip:
@@ -207,6 +238,33 @@ class TestRun:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("firm", ["0", "4"])
+    def test_game_firm_out_of_range(self, tmp_path, capsys, firm):
+        rc = main(["run", "--scenario", "entry-game", "--firm", firm,
+                   "--restrictions", "exchangeability", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid_config"
+        assert err["issues"][0]["field"] == "--firm"
+
+    @pytest.mark.parametrize("scenario,restrictions", [
+        ("entry", "monotonicity,monotonicity(axis=w)"),
+        ("entry", "zero-cross,zero_cross"),
+        ("entry-fd", "homogeneity,homogeneity"),
+        ("entry-game", "adjustment-cost,adjustment_cost"),
+    ])
+    def test_repeated_result_key_rejected(self, tmp_path, capsys, scenario, restrictions):
+        # artifacts keep one result per key, so a second request for the same
+        # key would be dropped from them while still entering the combined set
+        out = tmp_path / "o"
+        rc = main(["run", "--scenario", scenario, "--firm", "1", "--restrictions", restrictions,
+                   "--beta-grid", "0:1:11", "--out-dir", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid_config"
+        assert "asks again" in err["issues"][0]["message"]
+        assert not out.exists()
+
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "m"
         main(["run", "--scenario", "entry", "--restrictions", "homogeneity",
@@ -216,16 +274,6 @@ class TestRun:
         assert manifest["tolerances"]["root_residual"] == 1e-8
         assert set(manifest["outputs"]) == {"curves.csv", "identified_set.json",
                                             "run_manifest.json"}
-
-
-class TestEnvironment:
-    def test_thread_cap_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DDC_IDENT_THREADS", "4")
-        out = tmp_path / "threads"
-        main(["run", "--scenario", "entry", "--restrictions", "homogeneity",
-              "--beta-grid", "0:1:11", "--out-dir", str(out)])
-        manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["threads"] == "4"
 
 
 class TestReferenceConfigs:
@@ -327,6 +375,21 @@ class TestCliEdges:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "file_not_found"
 
+    def test_solver_failure_is_structured_error(self, tmp_path, capsys):
+        # a beta this close to 1 passes validation, but value iteration
+        # cannot reach the tolerance within its iteration cap
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "mode": "single", "n_actions": 2, "n_states": 1,
+            "Q": [[[1.0]], [[1.0]]], "payoffs": [[1.0], [0.0]], "beta": 0.999999,
+            "restrictions": [{"label": "r", "kind": "inequality_ge", "n_columns": 1,
+                              "rows": [{"cols": [0], "vals": [1.0]}], "c": [0.0]}]}))
+        assert validate_config(json.loads(path.read_text())) == []
+        rc = main(["run", "--config", str(path), "--restrictions", "r",
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "not_converged"
+
     def test_empty_restriction_list(self, tmp_path, capsys):
         rc = main(["run", "--scenario", "entry", "--restrictions", ",",
                    "--out-dir", str(tmp_path / "o")])
@@ -368,7 +431,7 @@ class TestFdZeroCross:
 
 
 class TestColdImport:
-    """scipy is needed only by ``selection="qr"``; the cold paths stay off it."""
+    """The package never imports scipy (only the tests use it, as a reference)."""
 
     SCIPY_HEAVY = ("scipy.stats", "scipy.linalg")
 
@@ -398,3 +461,77 @@ class TestColdImport:
                     if line.startswith("import time:")}
         assert "ddcident.scenarios" in imported
         assert not imported & set(self.SCIPY_HEAVY)
+
+
+# ---- validate/run agreement under random configs ---------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.text(max_size=3)
+    | st.sampled_from([0.5, -1.0, 1e6, float("nan"), float("inf")]),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+_EDIT_PATHS = [
+    ("schema_version",), ("mode",), ("n_actions",), ("n_states",), ("beta",),
+    ("Q",), ("Q", 0, 0, 0), ("Q", 1, 0), ("payoffs",), ("payoffs", 0, 0), ("ccps",), ("ccps", 1, 0),
+    ("restrictions",), ("restrictions", 0), ("restrictions", 0, "label"), ("restrictions", 0, "kind"),
+    ("restrictions", 0, "n_columns"), ("restrictions", 0, "rows"), ("restrictions", 0, "c"),
+    ("restrictions", 0, "rows", 0, "cols"), ("restrictions", 0, "rows", 0, "cols", 0),
+    ("restrictions", 0, "rows", 0, "vals"), ("restrictions", 0, "rows", 0, "vals", 0),
+]
+
+
+@st.composite
+def _configs(draw):
+    """A valid two-action config, then up to three random edits: a value
+    replaced or deleted anywhere, or the restriction listed twice."""
+    J = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    Q = rng.random((2, J, J)) + 0.1
+    Q /= Q.sum(axis=2, keepdims=True)
+    cfg = {"schema_version": 1, "mode": "single", "n_actions": 2, "n_states": J,
+           "Q": Q.tolist(), "beta": draw(st.sampled_from([0.0, 0.5, 0.9]))}
+    if draw(st.booleans()):
+        cfg["payoffs"] = rng.uniform(-2, 2, (2, J)).tolist()
+    else:
+        p = rng.uniform(0.2, 0.8, J)
+        cfg["ccps"] = [p.tolist(), (1 - p).tolist()]
+    cols = [0, J - 1] if J > 1 else [0]
+    cfg["restrictions"] = [{"label": "r", "kind": draw(st.sampled_from(["equality", "inequality_ge"])),
+                            "n_columns": J, "c": [0.0],
+                            "rows": [{"cols": cols, "vals": [1.0, -1.0][:len(cols)]}]}]
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(_EDIT_PATHS + [None]))
+        if path is None:
+            cfg["restrictions"] = [cfg["restrictions"][0]] * 2 if cfg.get("restrictions") else []
+            continue
+        try:
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            if draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = draw(_JSON_VALUES)
+        except (KeyError, IndexError, TypeError):
+            pass
+    return cfg
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=_configs())
+    def test_accepted_config_runs_or_fails_structured(self, cfg):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            if validate_config(json.loads(json.dumps(cfg))):
+                return
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["run", "--config", path, "--restrictions", "r",
+                           "--beta-grid", "0:1:5", "--out-dir", os.path.join(d, "o")])
+            assert rc in (0, 2)
+            if rc == 2:
+                assert "error" in json.loads(err.getvalue())

@@ -12,17 +12,16 @@ from ddcident.games import (
     expected_objects,
     identified_set_game,
     inequality_region_game,
-    pooled_identified_set,
     r2_irrelevance,
     r3_adjustment_cost,
     r3_exchangeability,
     r3_linear,
     r4_monotone_own_lag,
     r4_monotone_rivals,
-    recover_game_payoffs,
     rival_probabilities,
     solve_mpe,
 )
+from ddcident.identify import combine
 from ddcident.scenarios import build_entry_game
 
 
@@ -306,18 +305,10 @@ class TestIdentifiedSets:
         bundle, mpe = game
         from ddcident.games import _system_polys
         sys0 = build_system(bundle.model, mpe, 0)
-        polys, _ = _system_polys(sys0, r3_exchangeability(bundle.model, 0), None, "natural")
+        polys, _ = _system_polys(sys0, r3_exchangeability(bundle.model, 0))
         for p in polys:
             if not p.is_zero:
                 assert abs(p(1.0)) <= 1e-8 * p.max_abs_coeff
-
-    def test_block_selection_invariance(self, game):
-        bundle, mpe = game
-        sys1 = build_system(bundle.model, mpe, 1)
-        rows = r3_exchangeability(bundle.model, 1)
-        nat = identified_set_game(sys1, rows, selection="natural")
-        qr = identified_set_game(sys1, rows, selection="qr")
-        assert nat.equality_roots == pytest.approx(qr.equality_roots, abs=1e-7)
 
     def test_planted_two_firm_game(self):
         rng = np.random.default_rng(5)
@@ -365,8 +356,9 @@ class TestIdentifiedSets:
         for i in range(2):
             sys_i = build_system(m, mpe, i)
             sets.append(identified_set_game(sys_i, r3_exchangeability(m, i)))
-        pooled = pooled_identified_set(sets)
+        pooled = combine(*sets)
         assert pooled.equality_roots == []  # betas differ across firms
+        assert combine(sets[0], sets[0]).equality_roots == pytest.approx([0.8], abs=1e-3)
 
     def test_rank_deficiency_detected(self, game):
         bundle, mpe = game
@@ -409,14 +401,14 @@ class TestRecoveryAndInequalities:
         m = bundle.model
         for i in range(3):
             sys_i = build_system(m, mpe, i)
-            rec = recover_game_payoffs(sys_i, m.betas[i])
+            rec = sys_i.solve_payoffs(m.betas[i])
             assert np.max(np.abs(rec - m.pi_stack(i))) <= 1e-7
 
     def test_recovery_at_zero_matches_static_slice(self, game):
         bundle, mpe = game
         m = bundle.model
         sys0 = build_system(m, mpe, 0)
-        rec = recover_game_payoffs(sys0, 0.0)
+        rec = sys0.solve_payoffs(0.0)
         assert sys0.Pbar @ rec == pytest.approx(sys0.rhs_coeffs[:, 0], abs=1e-8)
 
     def test_wrong_beta_violates_held_out_row(self, game):
@@ -424,8 +416,8 @@ class TestRecoveryAndInequalities:
         m = bundle.model
         sys0 = build_system(m, mpe, 0)
         rows = r3_exchangeability(m, 0)
-        good = np.max(np.abs(rows @ recover_game_payoffs(sys0, m.betas[0])))
-        bad = np.max(np.abs(rows @ recover_game_payoffs(sys0, 0.4)))
+        good = np.max(np.abs(rows @ sys0.solve_payoffs(m.betas[0])))
+        bad = np.max(np.abs(rows @ sys0.solve_payoffs(0.4)))
         assert good < 1e-6
         assert bad > 100.0 * good and bad > 1e-4
 
@@ -458,7 +450,7 @@ class TestRecoveryAndInequalities:
         bundle, mpe = game
         sys0 = build_system(bundle.model, mpe, 0)
         with pytest.raises(ValueError):
-            recover_game_payoffs(sys0, 1.0)
+            sys0.solve_payoffs(1.0)
 
 
 class TestGameSerialization:
@@ -504,11 +496,12 @@ class TestSolverEdges:
             solve_mpe(bundle.model, start=np.full_like(mpe.P, 0.4))
 
     def test_inequality_region_with_extra_equality_rows(self, game):
+        # extra equality rows restrict a region by combining their root set with it
         bundle, mpe = game
         m = bundle.model
         sys0 = build_system(m, mpe, 0)
-        R4, c4 = r4_monotone_rivals(m, 0)
-        region = inequality_region_game(sys0, R4, c4,
-                                        r3=r3_exchangeability(m, 0), selection="qr")
-        (lo, hi), = region.inequality_intervals
+        region = inequality_region_game(sys0, *r4_monotone_rivals(m, 0))
+        both = combine(identified_set_game(sys0, r3_exchangeability(m, 0)), region)
+        (lo, hi), = both.inequality_intervals
         assert lo <= 1e-9 and hi >= 0.99
+        assert both.combined == pytest.approx([0.8], abs=1e-3)

@@ -346,20 +346,6 @@ class TestDecomposition:
             assert np.max(np.abs(d)) > 1e-6
 
 
-class TestReduceDegreeOnScenario:
-    def test_reduced_homogeneity_system_keeps_root(self, entry):
-        from ddcident.betapoly import reduce_degree
-        bundle, _, ms = entry
-        rs = bundle.restrictions["homogeneity"]
-        polys = ms.residual_polys(rs.R, rs.c)
-        reduced = [p for p in reduce_degree(polys) if not p.is_zero]
-        assert len(reduced) >= 2
-        assert max(p.degree for p in polys) == 18
-        # the reduced system keeps the common root and nothing else in [0, 1)
-        s = finite_equality_set(reduced, value_tol=1e-5)
-        assert s.equality_roots == pytest.approx([0.95], abs=1e-4)
-
-
 class TestLogDiffDomain:
     def test_undefined_everywhere_raises(self):
         # strictly negative payoffs keep the determinant-scaled components
