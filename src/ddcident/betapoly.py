@@ -193,19 +193,22 @@ class SignRegion:
         return len(self.intervals)
 
 
-def _check_stochastic(Q, tol=1e-10):
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError(f"transition matrix must be square, got shape {Q.shape}")
-    if np.any(Q < -tol):
-        raise ValueError("transition matrix has negative entries")
-    rows = Q.sum(axis=1)
-    bad = np.where(np.abs(rows - 1.0) > tol)[0]
-    if bad.size:
-        raise ValueError(
-            f"transition matrix rows {bad.tolist()} sum to {rows[bad]} (must be 1 within {tol})"
-        )
-    return Q
+_STOCH_TOL = 1e-10
+
+
+def check_stochastic(M, name: str, labels, axis: int = -1) -> None:
+    """Check that ``M`` holds probability distributions along ``axis``: entries
+    at least ``-_STOCH_TOL``, sums within ``_STOCH_TOL`` of 1.  The ValueError
+    names the first bad one by its index, with one label per other axis."""
+    M = np.moveaxis(np.asarray(M, dtype=float), axis, -1)
+    sums = M.sum(axis=-1)
+    negative = np.any(M < -_STOCH_TOL, axis=-1)
+    bad = negative | ~(np.abs(sums - 1.0) <= _STOCH_TOL)  # a NaN sum is bad too
+    if np.any(bad):
+        idx = tuple(np.argwhere(bad)[0])
+        where = ", ".join(f"{label} {i}" for label, i in zip(labels, idx))
+        problem = "has a negative entry" if negative[idx] else f"sums to {sums[idx]:.12g}, not 1"
+        raise ValueError(f"{name} ({where}) {problem}")
 
 
 def faddeev_adj_det(Q) -> tuple[MatrixPoly, BetaPoly]:
@@ -221,7 +224,10 @@ def faddeev_adj_det(Q) -> tuple[MatrixPoly, BetaPoly]:
 
     Returns the degree ``J - 1`` adjugate and the degree ``J`` determinant.
     """
-    Q = _check_stochastic(Q)
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError(f"transition matrix must be square, got shape {Q.shape}")
+    check_stochastic(Q, "transition row", ("state",))
     J = Q.shape[0]
     adj = np.zeros((J, J, J))
     det = np.zeros(J + 1)

@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ddc import _STOCH_TOL, SingleAgentModel, master_system, psi_from_ccps, solve_bellman
+from .betapoly import check_stochastic
+from .ddc import SingleAgentModel, master_system, psi_from_ccps, solve_bellman
 from .errors import ConvergenceError
 from .games import (
     build_system,
@@ -132,9 +133,10 @@ def _check_config(cfg) -> tuple:
     if Q is not None and Q.shape != (K, J, J):
         issue("Q", f"Q must have shape {(K, J, J)}, got {Q.shape}")
     elif Q is not None:
-        rows = Q.sum(axis=2)
-        for k, j in np.argwhere(np.abs(rows - 1.0) > _STOCH_TOL):
-            issue("Q", f"transition row (action {k}, state {j}) sums to {rows[k, j]:.12g}, not 1")
+        try:
+            check_stochastic(Q, "transition row", ("action", "state"))
+        except ValueError as err:
+            issue("Q", str(err))
     if "payoffs" not in cfg and "ccps" not in cfg:
         issue("payoffs", "config needs 'payoffs' (with beta) or 'ccps'")
     if "payoffs" in cfg:
@@ -253,35 +255,6 @@ def _parse_value(v: str):
 
 # ---- run pipeline -----------------------------------------------------------
 
-# result key -> builder of the restriction with arguments (e.g. ``monotonicity(axis=w)``)
-_ENTRY_BUILDERS = {
-    "homogeneity": additive_homogeneous,
-    "zero_cross": zero_cross_difference,
-    "monotonicity": monotonicity,
-    "concavity": concavity,
-    "complementarity": complementarity,
-    "linearity": None,
-}
-
-
-def _entry_restriction(bundle, name, kwargs):
-    """Resolve a requested restriction: the bundle's prebuilt set, or a rebuilt
-    one when arguments are supplied."""
-    key = name.replace("-", "_")
-    if key not in _ENTRY_BUILDERS:
-        raise ConfigError([{"field": "--restrictions",
-                            "message": f"unknown restriction {name!r} for this scenario"}])
-    if not kwargs:
-        return key, bundle.restrictions[key]
-    try:
-        if _ENTRY_BUILDERS[key] is None:
-            raise TypeError(f"{key} takes no arguments")
-        return key, _ENTRY_BUILDERS[key](bundle.states, 0, **kwargs)
-    except (TypeError, ValueError, KeyError) as err:
-        raise ConfigError([{"field": "--restrictions",
-                            "message": f"cannot build {name!r} with {kwargs}: {err}"}])
-
-
 def _beta_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
@@ -324,9 +297,46 @@ def _master_set(ms, rs, tol_root) -> IdentifiedSet:
     return inequality_region(ms, rs)
 
 
-# Each source does its one-time setup and returns a resolver, which maps a
-# requested restriction to its result key and identified set, and the fields
-# added to every per-restriction result.
+# Each source does its one-time setup and returns its restriction builders
+# (result key -> builder called with the requested arguments), the function
+# from a built RestrictionSet to its identified set, and the fields added to
+# every per-restriction result.
+
+
+def _no_arguments(rs):
+    """Builder of a restriction that takes no arguments."""
+    def build(**kwargs):
+        if kwargs:
+            raise TypeError("this restriction takes no arguments")
+        return rs
+    return build
+
+
+def _entry_builders(bundle) -> dict:
+    """Builders of an entry bundle's restrictions: the prebuilt set without
+    arguments, else the set rebuilt from them on the bundle's grid (action 0)."""
+    makers = {"homogeneity": additive_homogeneous, "zero_cross": zero_cross_difference,
+              "monotonicity": monotonicity, "concavity": concavity,
+              "complementarity": complementarity}
+
+    def rebuild(key):
+        return lambda **kw: makers[key](bundle.states, 0, **kw) if kw else bundle.restrictions[key]
+    return {key: rebuild(key) if key in makers else _no_arguments(rs)
+            for key, rs in bundle.restrictions.items()}
+
+
+def _build_restriction(builders, name, kwargs):
+    """Result key and restriction of a request, looked up as written or with
+    ``-`` read as ``_``."""
+    key = name if name in builders else name.replace("-", "_")
+    if key not in builders:
+        raise ConfigError([{"field": "--restrictions", "message": f"unknown restriction {name!r}; "
+                            f"this run offers {', '.join(sorted(builders))}"}])
+    try:
+        return key, builders[key](**kwargs)
+    except (TypeError, ValueError, KeyError) as err:
+        raise ConfigError([{"field": "--restrictions",
+                            "message": f"cannot build {name!r} with {kwargs}: {err}"}])
 
 
 def _config_source(args):
@@ -337,23 +347,14 @@ def _config_source(args):
     psi = (psi_from_ccps(np.asarray(cfg["ccps"], dtype=float)) if "ccps" in cfg
            else solve_bellman(model, tol=args.tol_fixedpoint).psi)
     ms = master_system(psi, model.Q)
-
-    def resolve(name, kwargs):
-        if name not in inline:
-            raise ConfigError([{"field": "--restrictions",
-                                "message": f"restriction {name!r} not found in config"}])
-        return name, _master_set(ms, inline[name], args.tol_root)
-    return resolve, {}
+    builders = {label: _no_arguments(rs) for label, rs in inline.items()}
+    return builders, lambda rs: _master_set(ms, rs, args.tol_root), {}
 
 
 def _entry_source(args):
     bundle = build_entry_model()
     ms = master_system(solve_bellman(bundle.model, tol=args.tol_fixedpoint).psi, bundle.model.Q)
-
-    def resolve(name, kwargs):
-        key, rs = _entry_restriction(bundle, name, kwargs)
-        return key, _master_set(ms, rs, args.tol_root)
-    return resolve, {}
+    return _entry_builders(bundle), lambda rs: _master_set(ms, rs, args.tol_root), {}
 
 
 def _fd_source(args):
@@ -365,13 +366,12 @@ def _fd_source(args):
         raise ConfigError([{"field": "scenario",
                             "message": "scenario is not finitely dependent; use mode 'single'"}])
 
-    def resolve(name, kwargs):
-        key, rs = _entry_restriction(bundle, name, kwargs)
+    def identify(rs):
         polys = [finite_restriction_poly(psi, model.Q, row, c, cert.rho) for row, c in zip(rs.R, rs.c)]
         if rs.kind == "eq":
-            return key, finite_equality_set(polys, residual_tol=args.tol_root)
-        return key, finite_inequality_region(polys)
-    return resolve, {"rho": cert.rho}
+            return finite_equality_set(polys, residual_tol=args.tol_root)
+        return finite_inequality_region(polys)
+    return _entry_builders(bundle), identify, {"rho": cert.rho}
 
 
 def _game_source(args):
@@ -385,21 +385,19 @@ def _game_source(args):
     i = args.firm - 1
     mpe = solve_mpe(model, damping=args.damping, tol=max(args.tol_fixedpoint, 1e-13))
     system = build_system(model, mpe, i)
-    sets = {
-        "exchangeability": lambda: identified_set_game(system, r3_exchangeability(model, i)),
-        "adjustment_cost": lambda: identified_set_game(system, r3_adjustment_cost(model, i)),
-        "linearity": lambda: identified_set_game(system, r3_linear(model, i, bundle.designs[i])),
-        "mono_own_lag": lambda: inequality_region_game(system, *r4_monotone_own_lag(model, i)),
-        "mono_rivals": lambda: inequality_region_game(system, *r4_monotone_rivals(model, i)),
+    builders = {
+        "exchangeability": lambda **kw: RestrictionSet(r3_exchangeability(model, i, **kw), 0.0, "eq"),
+        "adjustment_cost": lambda **kw: RestrictionSet(r3_adjustment_cost(model, i, **kw), 0.0, "eq"),
+        "linearity": lambda **kw: RestrictionSet(r3_linear(model, i, bundle.designs[i], **kw), 0.0, "eq"),
+        "mono_own_lag": lambda **kw: RestrictionSet(*r4_monotone_own_lag(model, i, **kw), "ge"),
+        "mono_rivals": lambda **kw: RestrictionSet(*r4_monotone_rivals(model, i, **kw), "ge"),
     }
 
-    def resolve(name, kwargs):
-        key = name.replace("-", "_")
-        if key not in sets:
-            raise ConfigError([{"field": "--restrictions",
-                                "message": f"unknown restriction {name!r} for the game scenario"}])
-        return key, sets[key]()
-    return resolve, {"firm": args.firm}  # firms are reported 1-based on the CLI surface
+    def identify(rs):
+        if rs.kind == "eq":
+            return identified_set_game(system, rs.R, rs.c)
+        return inequality_region_game(system, rs.R, rs.c)
+    return builders, identify, {"firm": args.firm}  # firms are reported 1-based on the CLI surface
 
 
 _SOURCES = {"entry": _entry_source, "entry-fd": _fd_source, "entry-game": _game_source}
@@ -421,14 +419,15 @@ def cmd_run(args) -> int:
     else:
         raise ConfigError([{"field": "--scenario",
                             "message": "scenario must be entry, entry-fd, or entry-game (or use --config)"}])
-    resolve, extra = source(args)
+    builders, identify, extra = source(args)
 
     results, curves, sets = {}, {}, []
     for name, kwargs in specs:
-        key, ident = resolve(name, kwargs)
+        key, rs = _build_restriction(builders, name, kwargs)
         if key in results:
             raise ConfigError([{"field": "--restrictions",
                                 "message": f"{name!r} asks again for the result {key!r}"}])
+        ident = identify(rs)
         results[key] = {**ident.to_json_dict(), **extra}
         curves.update(_normalized_curves(grid, ident.polys,
                                          [f"{key}_{i}" for i in range(len(ident.polys))]))
@@ -485,7 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--beta-grid", default="0:1:2001", help="lo:hi:n curve grid")
     run.add_argument("--out-dir", default=".", help="output directory")
     run.add_argument("--tol-root", type=float, default=1e-8, help="root residual tolerance")
-    run.add_argument("--tol-fixedpoint", type=float, default=1e-12, help="solver tolerance")
+    run.add_argument("--tol-fixedpoint", type=float, default=1e-12,
+                     help="fixed-point tolerance: Newton steps of the logit solver stop at "
+                          "tol * max(1, ||V||inf); game best responses at max(tol, 1e-13)")
     run.add_argument("--damping", type=float, default=0.5, help="best-response damping (games)")
     run.set_defaults(func=cmd_run)
 

@@ -1,5 +1,8 @@
 """Single-agent dynamic discrete choice: model, logit solver, payoff recovery.
 
+``solve_logit``, the package's one logit dynamic-program solver, takes Newton
+steps for ``solve_bellman`` and for each firm's best response in ``games``.
+
 Conventions: actions are 0-based (``k = 0, ..., K-1``); the last action
 ``K-1`` carries the payoff normalization ``u[K-1] = 0`` whenever the model is
 used for identification.  Stacked payoff/inversion vectors are action-major:
@@ -13,12 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betapoly import BetaPoly, MatrixPoly, faddeev_adj_det
+from .betapoly import BetaPoly, MatrixPoly, check_stochastic, faddeev_adj_det
 from .errors import ConvergenceError
 
 EULER_GAMMA = float(np.euler_gamma)
 
-_STOCH_TOL = 1e-10
+# A Newton step below this (relative to max(1, |V|_inf)) that does not shrink is
+# rounding noise: under quadratic convergence the next step is at rounding level.
+_NOISE_STEP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -49,12 +54,7 @@ class SingleAgentModel:
             raise ValueError("need at least two actions and one state")
         if Q.shape != (K, J, J):
             raise ValueError(f"Q must have shape {(K, J, J)}, got {Q.shape}")
-        if np.any(Q < -_STOCH_TOL):
-            raise ValueError("transition matrices must be nonnegative")
-        row_err = np.abs(Q.sum(axis=2) - 1.0) > _STOCH_TOL
-        if np.any(row_err):
-            k, j = np.argwhere(row_err)[0]
-            raise ValueError(f"row {j} of Q[{k}] does not sum to 1 within {_STOCH_TOL}")
+        check_stochastic(Q, "transition row", ("action", "state"))
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
         u.setflags(write=False)
@@ -76,8 +76,9 @@ class CcpSolution:
     """Equilibrium objects of the solved model (all in utils).
 
     ``p`` and ``psi`` are (K, J); ``V`` is the integrated value (J,);
-    ``v`` the choice-specific values (K, J).  ``residual`` is the final
-    sup-norm Bellman residual and ``residual_path`` the per-iteration history.
+    ``v`` the choice-specific values (K, J).  ``residual`` is the sup-norm
+    Bellman residual at ``V`` and ``residual_path`` the sup-norm size of each
+    Newton step taken.  The solution unpacks as ``p, V, v``.
     """
 
     p: np.ndarray
@@ -95,43 +96,70 @@ class CcpSolution:
     def n_states(self) -> int:
         return self.p.shape[1]
 
+    def __iter__(self):
+        return iter((self.p, self.V, self.v))
 
-def solve_bellman(model: SingleAgentModel, tol: float = 1e-12, max_iter: int = 100_000) -> CcpSolution:
-    """Solve the logit dynamic program by value iteration on the integrated value.
 
-    Iterates ``V <- gamma + logsumexp_k(u_k + beta Q_k V)`` (max-shifted for
-    overflow safety) until the sup-norm residual falls below ``tol``.
+def _logit(u, Q, beta, V):
+    """Values ``v_k = u_k + beta Q_k V``, log choice probabilities and
+    ``logsumexp(v)``; the log probabilities come from the max-shifted values,
+    so they stay normalized however large ``V`` is."""
+    v = u + beta * np.einsum("kij,j->ki", Q, V)
+    m = v.max(axis=0)
+    log_s = np.log(np.exp(v - m).sum(axis=0))
+    return v, (v - m) - log_s, m + log_s
+
+
+def solve_logit(u, Q, beta: float, V0=None, tol: float = 1e-12, max_iter: int = 100) -> CcpSolution:
+    """Solve a logit dynamic program by Newton-Kantorovich steps (Rust 1987).
+
+    Each step takes the logit choice probabilities ``p`` at the integrated
+    value ``V`` (``u`` is (K, J), ``Q`` is (K, J, J), ``V0`` defaults to zero
+    and is not written to) and solves the policy's Bellman equation
+    ``(I - beta sum_k p_k Q_k) V = gamma + sum_k p_k (u_k - log p_k)``.  It stops
+    after a step of at most ``tol * max(1, |V|_inf)``, or before a step that is
+    rounding noise (``_NOISE_STEP``), which it does not take.
 
     Raises
     ------
     ConvergenceError
-        If the tolerance is not reached within ``max_iter`` iterations; the
-        exception carries the last residual.
+        If neither happens within ``max_iter`` steps, or a step cannot be
+        solved or overflows; the exception carries the last step sizes.
     """
-    u, Q, beta = model.u, model.Q, model.beta
-    J = model.n_states
-    V = np.zeros(J)
-    history = []
+    V = np.zeros(u.shape[1]) if V0 is None else np.array(V0, dtype=float)
+    eye = np.eye(len(V))
+    steps = []
     for _ in range(max_iter):
-        v = u + beta * np.einsum("kij,j->ki", Q, V)
-        m = v.max(axis=0)
-        V_new = EULER_GAMMA + m + np.log(np.exp(v - m).sum(axis=0))
-        resid = float(np.max(np.abs(V_new - V)))
-        history.append(resid)
+        _, log_p, _ = _logit(u, Q, beta, V)
+        p = np.exp(log_p)
+        A = eye - beta * np.einsum("ki,kij->ij", p, Q)
+        try:
+            V_new = np.linalg.solve(A, EULER_GAMMA + np.einsum("ki,ki->i", p, u - log_p))
+        except np.linalg.LinAlgError as err:  # beta within rounding of 1
+            raise ConvergenceError(f"Newton step has no solution: {err}", history=steps[-10:]) from err
+        step = float(np.max(np.abs(V_new - V)))
+        if not np.isfinite(step):
+            raise ConvergenceError("Newton step is not finite: the values overflow",
+                                   residual=step, history=steps[-10:])
+        scale = max(1.0, float(np.max(np.abs(V_new))))
+        if steps and steps[-1] <= step <= _NOISE_STEP * scale:
+            break
         V = V_new
-        if resid <= tol:
+        steps.append(step)
+        if step <= tol * scale:
             break
     else:
-        raise ConvergenceError(
-            f"value iteration did not reach {tol} in {max_iter} iterations",
-            residual=history[-1],
-            history=history[-10:],
-        )
-    v = u + beta * np.einsum("kij,j->ki", Q, V)
-    p = np.exp(v - (V - EULER_GAMMA))
-    p /= p.sum(axis=0)
-    psi = EULER_GAMMA - np.log(p)
-    return CcpSolution(p=p, psi=psi, V=V, v=v, residual=resid, residual_path=np.asarray(history))
+        raise ConvergenceError(f"Newton iteration did not reach a relative step of {tol} "
+                               f"in {max_iter} steps", residual=steps[-1], history=steps[-10:])
+    v, log_p, lse = _logit(u, Q, beta, V)
+    return CcpSolution(p=np.exp(log_p), psi=EULER_GAMMA - log_p, V=V, v=v,
+                       residual=float(np.max(np.abs(EULER_GAMMA + lse - V))),
+                       residual_path=np.asarray(steps))
+
+
+def solve_bellman(model: SingleAgentModel, tol: float = 1e-12, max_iter: int = 100) -> CcpSolution:
+    """Solve the model's logit dynamic program with :func:`solve_logit`."""
+    return solve_logit(model.u, model.Q, model.beta, tol=tol, max_iter=max_iter)
 
 
 def psi_from_ccps(p) -> np.ndarray:

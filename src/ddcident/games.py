@@ -3,7 +3,8 @@ discount-factor identification.
 
 States are pairs of an exogenous component and the lagged action profile.
 Solving proceeds by damped best-response iteration on conditional choice
-probabilities; identification stacks the model's expected-payoff equations
+probabilities, each firm's logit best response computed by
+``ddc.solve_logit``; identification stacks the model's expected-payoff equations
 with cross-firm payoff restrictions into polynomial systems in each firm's
 discount factor.
 """
@@ -15,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betapoly import BetaPoly, faddeev_adj_det, sign_region
-from .ddc import EULER_GAMMA
+from .betapoly import BetaPoly, check_stochastic, faddeev_adj_det, sign_region
+from .ddc import EULER_GAMMA, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, _common_roots, _poly_diagnostics
-
-_STOCH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,7 @@ class GameModel:
         m_s = len(s_values)
         if T.shape != (m_s, m_s):
             raise ValueError("exogenous transition must be square and match the state values")
-        if np.any(T < -_STOCH_TOL) or np.any(np.abs(T.sum(axis=1) - 1.0) > _STOCH_TOL):
-            raise ValueError("exogenous transition rows must be nonnegative and sum to 1")
+        check_stochastic(T, "exogenous transition row", ("state",))
         m_x = m_s * K ** N
         if payoffs.shape != (N, K, K ** (N - 1), m_x):
             raise ValueError(f"payoffs must have shape {(N, K, K ** (N - 1), m_x)}, got {payoffs.shape}")
@@ -92,16 +90,8 @@ class GameModel:
         K = self.n_actions
         return sum(int(a) * K ** i for i, a in enumerate(profile))
 
-    def lag_profile(self, lag: int) -> tuple:
-        K, N = self.n_actions, self.n_firms
-        return tuple((lag // K ** i) % K for i in range(N))
-
     def x_index(self, s: int, profile) -> int:
         return s * self.n_actions ** self.n_firms + self.lag_index(profile)
-
-    def x_components(self, x: int):
-        base = self.n_actions ** self.n_firms
-        return x // base, self.lag_profile(x % base)
 
     def rivals(self, i: int) -> tuple:
         return tuple(j for j in range(self.n_firms) if j != i)
@@ -188,37 +178,6 @@ class MpeSolution:
                 "psi": self.psi.tolist(), "residual": self.residual, "n_iter": self.n_iter}
 
 
-def _firm_dp(pi_star, Q_star, beta, V0=None, tol=1e-13, max_iter=200_000):
-    """Logit dynamic program for one firm against fixed rival behavior.
-
-    Newton-Kantorovich (policy-iteration) steps on the integrated value: each
-    step takes the logit choice probabilities ``P`` at the current ``V`` and
-    solves ``(I - beta sum_k P_k Q_k) V = gamma + sum_k P_k (pi_k - log P_k)``.
-    Iterates until the sup-norm step falls to ``tol``.
-    """
-    m_x = pi_star.shape[1]
-    V = np.zeros(m_x) if V0 is None else V0.copy()
-    eye = np.eye(m_x)
-    for _ in range(max_iter):
-        v = pi_star + beta * np.einsum("kxy,y->kx", Q_star, V)
-        m = v.max(axis=0)
-        log_P = v - (m + np.log(np.exp(v - m).sum(axis=0)))
-        P = np.exp(log_P)
-        A = eye - beta * np.einsum("kx,kxy->xy", P, Q_star)
-        b = EULER_GAMMA + np.einsum("kx,kx->x", P, pi_star - log_P)
-        V_new = np.linalg.solve(A, b)
-        diff = float(np.max(np.abs(V_new - V)))
-        V = V_new
-        if diff <= tol:
-            break
-    else:
-        raise ConvergenceError("firm-level Newton iteration stalled", residual=diff)
-    v = pi_star + beta * np.einsum("kxy,y->kx", Q_star, V)
-    P = np.exp(v - (V - EULER_GAMMA))
-    P /= P.sum(axis=0)
-    return P, V, v
-
-
 def rival_probabilities(model: GameModel, P, i: int) -> np.ndarray:
     """Joint probability of each rival action profile by state, shape
     ``(m_x, K**(N-1))``; rows sum to one."""
@@ -269,15 +228,16 @@ def solve_mpe(model: GameModel, damping: float = 0.5, start=None,
         P = np.full((N, K, m_x), 1.0 / K)
     else:
         P = np.array(start, dtype=float)
-        if P.shape != (N, K, m_x) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-8):
-            raise ValueError("start must be per-firm choice probabilities summing to 1")
+        if P.shape != (N, K, m_x):
+            raise ValueError(f"start must have shape {(N, K, m_x)}, got {P.shape}")
+        check_stochastic(P, "start choice distribution", ("firm", "state"), axis=1)
     V_cache = np.zeros((N, m_x))
     history = []
     for it in range(max_iter):
         worst = 0.0
         for i in range(N):
             pi_star, Q_star, _ = expected_objects(model, P, i)
-            BR, V_i, _ = _firm_dp(pi_star, Q_star, model.betas[i], V0=V_cache[i])
+            BR, V_i, _ = solve_logit(pi_star, Q_star, model.betas[i], V0=V_cache[i])
             V_cache[i] = V_i
             worst = max(worst, float(np.max(np.abs(BR - P[i]))))
             P[i] = damping * BR + (1.0 - damping) * P[i]
@@ -295,7 +255,7 @@ def solve_mpe(model: GameModel, damping: float = 0.5, start=None,
     residual = 0.0
     for i in range(N):
         pi_star, Q_star, _ = expected_objects(model, P, i)
-        BR, V_i, v_i = _firm_dp(pi_star, Q_star, model.betas[i], V0=V_cache[i])
+        BR, V_i, v_i = solve_logit(pi_star, Q_star, model.betas[i], V0=V_cache[i])
         residual = max(residual, float(np.max(np.abs(BR - P[i]))))
         V[i], v[i] = V_i, v_i
     psi = EULER_GAMMA - np.log(P)

@@ -359,6 +359,22 @@ class TestParameterizedRestrictions:
         err = json.loads(capsys.readouterr().err)
         assert "cannot build" in err["issues"][0]["message"]
 
+    @pytest.mark.parametrize("source,spec", [
+        (["--scenario", "entry-game", "--firm", "1"], "exchangeability(actions=1)"),
+        (["--config", str(pathlib.Path(__file__).resolve().parents[1] / "configs" / "entry_model.json")],
+         "homogeneity(bogus=3)"),
+        (["--scenario", "entry"], "linearity(nu=2)"),
+    ])
+    def test_arguments_never_ignored(self, tmp_path, capsys, source, spec):
+        # every source builds the restriction from the arguments or rejects them
+        out = tmp_path / "o"
+        rc = main(["run", *source, "--restrictions", spec, "--out-dir", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid_config"
+        assert "cannot build" in err["issues"][0]["message"]
+        assert not out.exists()
+
 
 class TestCliEdges:
     def test_bad_beta_grid(self, tmp_path, capsys):
@@ -376,12 +392,12 @@ class TestCliEdges:
         assert err["error"] == "file_not_found"
 
     def test_solver_failure_is_structured_error(self, tmp_path, capsys):
-        # a beta this close to 1 passes validation, but value iteration
-        # cannot reach the tolerance within its iteration cap
+        # the largest float below 1 passes validation, but I - beta*Q is then
+        # singular to rounding and the Newton steps cannot settle
         path = tmp_path / "slow.json"
         path.write_text(json.dumps({
             "schema_version": 1, "mode": "single", "n_actions": 2, "n_states": 1,
-            "Q": [[[1.0]], [[1.0]]], "payoffs": [[1.0], [0.0]], "beta": 0.999999,
+            "Q": [[[1.0]], [[1.0]]], "payoffs": [[1.0], [0.0]], "beta": 0.9999999999999999,
             "restrictions": [{"label": "r", "kind": "inequality_ge", "n_columns": 1,
                               "rows": [{"cols": [0], "vals": [1.0]}], "c": [0.0]}]}))
         assert validate_config(json.loads(path.read_text())) == []
@@ -503,7 +519,8 @@ def _configs(draw):
     for _ in range(draw(st.integers(0, 3))):
         path = draw(st.sampled_from(_EDIT_PATHS + [None]))
         if path is None:
-            cfg["restrictions"] = [cfg["restrictions"][0]] * 2 if cfg.get("restrictions") else []
+            if isinstance(cfg.get("restrictions"), list) and cfg["restrictions"]:
+                cfg["restrictions"] = [cfg["restrictions"][0]] * 2
             continue
         try:
             parent = cfg

@@ -102,6 +102,11 @@ class TestSolveBellman:
             solve_bellman(m, tol=1e-12, max_iter=3)
         assert err.value.residual is not None
 
+    def test_overflowing_values_raise(self):
+        m = SingleAgentModel(u=np.array([[1e306], [0.0]]), Q=np.ones((2, 1, 1)), beta=0.999999)
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
+            solve_bellman(m)
+
     def test_rejects_bad_primitives(self):
         with pytest.raises(ValueError, match="sum"):
             SingleAgentModel(u=np.zeros((2, 2)), Q=np.full((2, 2, 2), 0.4), beta=0.5)

@@ -3,11 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from ddcident.ddc import EULER_GAMMA, SingleAgentModel, solve_bellman
+from ddcident.ddc import EULER_GAMMA, SingleAgentModel, solve_bellman, solve_logit
 from ddcident.errors import ConvergenceError, RankDeficiencyError
 from ddcident.games import (
     GameModel,
-    _firm_dp,
     build_system,
     expected_objects,
     identified_set_game,
@@ -145,7 +144,7 @@ class TestFirmDp:
                   np.full_like(V_ref, 50.0)]
         for V0 in starts:
             kept = None if V0 is None else V0.copy()
-            P, V, v = _firm_dp(pi_star, Q_star, beta, V0=V0)
+            P, V, v = solve_logit(pi_star, Q_star, beta, V0=V0)
             assert np.max(np.abs(V - V_ref)) <= 1e-12
             assert np.max(np.abs(v - v_ref)) <= 1e-12
             assert np.max(np.abs(P - P_ref)) <= 1e-12
@@ -155,8 +154,23 @@ class TestFirmDp:
     def test_stall_raises_convergence_error(self):
         pi_star, Q_star, beta = random_firm_problem(np.random.default_rng(0))
         with pytest.raises(ConvergenceError) as err:
-            _firm_dp(pi_star, Q_star, beta, tol=0.0, max_iter=1)
+            solve_logit(pi_star, Q_star, beta, tol=0.0, max_iter=1)
         assert err.value.residual > 0.0
+
+    def test_reference_game_firm_does_not_spin(self):
+        # firm 2 (beta 0.95, |V| about 26) against uniform rivals from V0 = 0:
+        # its steps level off near 1e-13, so an absolute stop at 1e-13 spun
+        model = build_entry_game().model
+        P = np.full((model.n_firms, model.n_actions, model.m_x), 1.0 / model.n_actions)
+        pi_star, Q_star, _ = expected_objects(model, P, 2)
+        beta = model.betas[2]
+        P_ref, V_ref, v_ref = value_iteration_oracle(pi_star, Q_star, beta)
+        for tol in (1e-12, 0.0):  # with tol = 0 only the noise rule can stop it
+            sol = solve_logit(pi_star, Q_star, beta, V0=np.zeros(model.m_x), tol=tol)
+            assert len(sol.residual_path) <= 10
+            assert np.max(np.abs(sol.V - V_ref)) <= 1e-12
+            assert np.max(np.abs(sol.v - v_ref)) <= 1e-12
+            assert np.max(np.abs(sol.p - P_ref)) <= 1e-12
 
     def test_reference_game_sweep_count(self):
         # the outer damped best-response loop, and with it the equilibrium
@@ -494,6 +508,13 @@ class TestSolverEdges:
         bundle, mpe = game
         with pytest.raises(ValueError):
             solve_mpe(bundle.model, start=np.full_like(mpe.P, 0.4))
+
+    def test_negative_start_rejected(self, game):
+        bundle, mpe = game
+        start = np.full_like(mpe.P, 0.5)
+        start[0, 0, 0], start[0, 1, 0] = -0.5, 1.5
+        with pytest.raises(ValueError, match="firm 0, state 0"):
+            solve_mpe(bundle.model, start=start)
 
     def test_inequality_region_with_extra_equality_rows(self, game):
         # extra equality rows restrict a region by combining their root set with it
