@@ -96,6 +96,13 @@ class BetaPoly:
         return f"BetaPoly(degree={self.degree}, coeffs={np.array2string(self.coeffs, precision=6)})"
 
 
+def coeff_matrix(polys) -> np.ndarray:
+    """Coefficients of a list of polynomials as the rows of one matrix,
+    zero-padded to the longest."""
+    width = max(len(p.coeffs) for p in polys)
+    return np.array([np.pad(p.coeffs, (0, width - len(p.coeffs))) for p in polys])
+
+
 def _coeffs_of(x):
     if isinstance(x, BetaPoly):
         return x.coeffs
@@ -136,11 +143,6 @@ class MatrixPoly:
         polynomial coefficient vectors, shape ``(nrows, degree + 1)``."""
         v = np.asarray(vec, dtype=float)
         return np.einsum("dij,j->id", self.coeff_mats, v)
-
-    def premultiply(self, mat) -> "MatrixPoly":
-        """Left-multiply every coefficient matrix by a constant matrix."""
-        m = np.asarray(mat, dtype=float)
-        return MatrixPoly(np.matmul(m, self.coeff_mats))
 
     def premultiply_i_minus_beta(self, Q) -> "MatrixPoly":
         """Return ``(I - beta*Q)`` times this polynomial (degree rises by one)."""
@@ -257,29 +259,20 @@ def _effective_coeffs(p: BetaPoly, leading_tol: float):
     return c[:keep], scale
 
 
-def roots_in_interval(
-    p: BetaPoly,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    *,
-    residual_tol: float = ROOT_RESIDUAL_TOL,
-    imag_tol: float = ROOT_IMAG_TOL,
-    cluster_tol: float = ROOT_CLUSTER_TOL,
-) -> RootSet:
-    """All real roots of ``p`` in the half-open interval ``[lo, hi)``.
+def roots_in_interval(p: BetaPoly, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
+    """All real roots of ``p`` in ``[0, 1)``.
 
     Companion-matrix eigenvalues of the max-abs-scaled polynomial, followed by
-    Newton refinement.  A candidate is accepted when its imaginary part and its
-    relative residual are both below tolerance; accepted roots are deduplicated
-    within ``cluster_tol``.
+    Newton refinement.  A candidate is accepted when its imaginary part is
+    within ``ROOT_IMAG_TOL`` and its relative residual within
+    ``residual_tol``; accepted roots are deduplicated within
+    ``ROOT_CLUSTER_TOL``.
 
     Raises
     ------
     UninformativeRestrictionError
         If ``p`` is identically zero (distinct from an empty root set).
     """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
     c, _ = _effective_coeffs(p, LEADING_COEFF_TOL)
     if len(c) == 1:
         return RootSet(np.empty(0), np.empty(0))
@@ -292,11 +285,11 @@ def roots_in_interval(
         step = np.where(der != 0.0, val / np.where(der == 0.0, 1.0, der), 0.0)
         cand = cand - step
 
-    real = cand[np.abs(cand.imag) <= imag_tol].real
-    # half-open interval: points indistinguishable from hi (within the cluster
-    # radius) are treated as hi and excluded; likewise snapped up to lo
-    real = real[(real >= lo - cluster_tol) & (real < hi - cluster_tol)]
-    real = np.clip(real, lo, None)
+    real = cand[np.abs(cand.imag) <= ROOT_IMAG_TOL].real
+    # half-open interval: points indistinguishable from 1 (within the cluster
+    # radius) are treated as 1 and excluded; likewise snapped up to 0
+    real = real[(real >= -ROOT_CLUSTER_TOL) & (real < 1.0 - ROOT_CLUSTER_TOL)]
+    real = np.clip(real, 0.0, None)
     real = real[np.abs(npoly.polyval(real, c)) <= residual_tol]
     if real.size == 0:
         return RootSet(np.empty(0), np.empty(0))
@@ -304,7 +297,7 @@ def roots_in_interval(
     real.sort()
     clusters = [[real[0]]]
     for r in real[1:]:
-        if r - clusters[-1][-1] <= cluster_tol:
+        if r - clusters[-1][-1] <= ROOT_CLUSTER_TOL:
             clusters[-1].append(r)
         else:
             clusters.append([r])
@@ -313,51 +306,36 @@ def roots_in_interval(
     return RootSet(pts, res)
 
 
-def sign_region(
-    ps,
-    direction: str = "le",
-    *,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    grid_points: int = SIGN_GRID_POINTS,
-    refine_tol: float = SIGN_REFINE_TOL,
-) -> SignRegion:
-    """Subintervals of ``[lo, hi)`` where every polynomial satisfies a sign condition.
+def sign_region(ps) -> SignRegion:
+    """Subintervals of ``[0, 1)`` where every polynomial is nonnegative.
 
-    ``direction`` is ``"le"`` (all ``p <= 0``) or ``"ge"`` (all ``p >= 0``).
-    Feasibility is detected on an equispaced grid and interval boundaries are
-    refined by bisection.  The grid resolution is a documented heuristic: the
+    Feasibility is detected on an equispaced grid of ``SIGN_GRID_POINTS``
+    points and interval boundaries are refined by bisection to
+    ``SIGN_REFINE_TOL``.  The grid resolution is a documented heuristic: the
     polynomials this package produces (degree <= ~24) do not oscillate between
-    adjacent points at the default resolution.
+    adjacent points.
     """
-    if direction not in ("le", "ge"):
-        raise ValueError("direction must be 'le' or 'ge'")
-    sgn = 1.0 if direction == "le" else -1.0
-    coeff_list = []
-    for p in ps:
-        pn = p.normalized()
-        if not pn.is_zero:
-            coeff_list.append(sgn * pn.coeffs)
+    coeff_list = [pn.coeffs for p in ps if not (pn := p.normalized()).is_zero]
     if not coeff_list:
         # every polynomial is identically zero: the condition holds everywhere
-        return SignRegion([(lo, hi)])
+        return SignRegion([(0.0, 1.0)])
 
-    def worst(x):
-        return max(npoly.polyval(x, c) for c in coeff_list)
+    def slack(x):
+        return min(npoly.polyval(x, c) for c in coeff_list)
 
-    xs = lo + (hi - lo) * np.arange(grid_points) / grid_points
-    vals = np.max(np.stack([npoly.polyval(xs, c) for c in coeff_list]), axis=0)
-    feas = vals <= 0.0
+    n = SIGN_GRID_POINTS
+    xs = np.arange(n) / n
+    feas = np.min(np.stack([npoly.polyval(xs, c) for c in coeff_list]), axis=0) >= 0.0
 
     def bisect(a, b):
-        # worst(a) and worst(b) straddle zero; return the crossing
-        fa = worst(a)
+        # slack(a) and slack(b) straddle zero; return the crossing
+        fa = slack(a)
         for _ in range(200):
-            if b - a <= refine_tol:
+            if b - a <= SIGN_REFINE_TOL:
                 break
             m = 0.5 * (a + b)
-            fm = worst(m)
-            if (fm <= 0.0) == (fa <= 0.0):
+            fm = slack(m)
+            if (fm >= 0.0) == (fa >= 0.0):
                 a, fa = m, fm
             else:
                 b = m
@@ -365,7 +343,6 @@ def sign_region(
 
     intervals = []
     i = 0
-    n = grid_points
     while i < n:
         if not feas[i]:
             i += 1
@@ -374,11 +351,7 @@ def sign_region(
         while j + 1 < n and feas[j + 1]:
             j += 1
         left = xs[i] if i == 0 else bisect(xs[i - 1], xs[i])
-        if j == n - 1:
-            right = hi
-        else:
-            right = bisect(xs[j], xs[j + 1])
+        right = 1.0 if j == n - 1 else bisect(xs[j], xs[j + 1])
         intervals.append((float(left), float(right)))
         i = j + 1
     return SignRegion(intervals)
-

@@ -261,9 +261,24 @@ def _beta_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise ConfigError([{"field": "--beta-grid", "message": f"expected lo:hi:n, got {spec!r}"}])
-    if not (lo < hi and n >= 2):
-        raise ConfigError([{"field": "--beta-grid", "message": "need lo < hi and n >= 2"}])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi and n >= 2):
+        raise ConfigError([{"field": "--beta-grid", "message": "need finite lo < hi and n >= 2"}])
     return np.linspace(lo, hi, n)
+
+
+def _check_tolerances(args):
+    """Reject a tolerance or damping that would give a wrong set, a
+    traceback or an endless solve (NaN fails every comparison, so it is
+    caught here too)."""
+    issues = []
+    if not 0.0 < args.tol_root < np.inf:
+        issues.append({"field": "--tol-root", "message": "must be a positive finite number"})
+    if not 0.0 <= args.tol_fixedpoint < np.inf:
+        issues.append({"field": "--tol-fixedpoint", "message": "must be a nonnegative finite number"})
+    if not 0.0 < args.damping <= 1.0:
+        issues.append({"field": "--damping", "message": "must lie in (0, 1]"})
+    if issues:
+        raise ConfigError(issues)
 
 
 def _normalized_curves(grid, polys, labels):
@@ -395,7 +410,7 @@ def _game_source(args):
 
     def identify(rs):
         if rs.kind == "eq":
-            return identified_set_game(system, rs.R, rs.c)
+            return identified_set_game(system, rs.R, rs.c, residual_tol=args.tol_root)
         return inequality_region_game(system, rs.R, rs.c)
     return builders, identify, {"firm": args.firm}  # firms are reported 1-based on the CLI surface
 
@@ -405,6 +420,7 @@ _SOURCES = {"entry": _entry_source, "entry-fd": _fd_source, "entry-game": _game_
 
 def cmd_run(args) -> int:
     grid = _beta_grid(args.beta_grid)
+    _check_tolerances(args)
     specs = parse_restriction_specs(args.restrictions) if args.restrictions else []
     if not specs:
         raise ConfigError([{"field": "--restrictions", "message": "at least one restriction is required"}])

@@ -204,59 +204,37 @@ def recover_payoffs(psi, Q, beta_hat: float) -> np.ndarray:
 class MasterSystem:
     """The stacked polynomial restriction system of the model.
 
-    For the true payoff vector ``U`` and true discount factor, the residual
+    The determinant-scaled payoffs recovered at a discount factor are
 
-        det(beta) * U + det(beta) * Psi - M(beta) @ psi_last
+        G(beta) = M(beta) @ psi_last - det(beta) * Psi
 
-    vanishes, where ``det`` is the determinant of ``I - beta*Q[K-1]``, ``M`` is
-    the degree-J matrix polynomial stacking ``(I - beta*Q_k) adj(I - beta*Q[K-1])``
+    where ``det`` is the determinant of ``I - beta*Q[K-1]``, ``M`` is the
+    degree-J matrix polynomial stacking ``(I - beta*Q_k) adj(I - beta*Q[K-1])``
     over ``k = 0..K-2``, and ``Psi`` stacks the inversion vectors of those
-    actions.
+    actions; ``G(beta) = det(beta) * U`` at the true discount factor.
     """
 
     det: BetaPoly
     m: MatrixPoly
     psi_stack: np.ndarray
-    psi_last: np.ndarray
     m_psi: np.ndarray  # (J*(K-1), J+1): coefficient rows of M(beta) @ psi_last
 
     @property
     def n_rows(self) -> int:
         return self.psi_stack.shape[0]
 
-    def residual_polys(self, R=None, c=None) -> list[BetaPoly]:
-        """Polynomials ``det*c + det*(R Psi) - R M psi_last`` row by row.
-
-        With ``R = None`` the identity is used (one polynomial per stacked
-        payoff entry, with that entry's unknown payoff set to ``c`` or zero).
-        """
-        if R is None:
-            R = np.eye(self.n_rows)
+    def payoff_polys(self, R, c=0.0) -> list[BetaPoly]:
+        """Rows ``R G(beta) - c det(beta)``: since ``det > 0`` on ``[0, 1)``, a
+        row is ``>= 0`` where the payoffs recovered at beta satisfy
+        ``R U >= c``.  Rows at rounding level of the system inputs hold at
+        every discount factor and are returned as the zero polynomial."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
-        q = R.shape[0]
-        cvec = np.zeros(q) if c is None else np.broadcast_to(np.asarray(c, dtype=float), (q,))
-        dpad = np.zeros(self.m_psi.shape[1])
-        dpad[: len(self.det.coeffs)] = self.det.coeffs
-        lead = cvec + R @ self.psi_stack
-        mat = np.outer(lead, dpad) - R @ self.m_psi
-        return [BetaPoly(row) for row in mat]
-
-    def residual_at(self, U, beta: float) -> np.ndarray:
-        """Residual vector of the master system at a payoff vector and discount factor."""
-        U = np.asarray(U, dtype=float)
-        return self.det(beta) * (U + self.psi_stack) - self.m(beta) @ self.psi_last
-
-    def g_polys(self) -> np.ndarray:
-        """Coefficient rows of ``-det*Psi + M psi_last`` (the determinant-scaled
-        recovered payoffs), shape ``(J*(K-1), J+1)``."""
-        dpad = np.zeros(self.m_psi.shape[1])
-        dpad[: len(self.det.coeffs)] = self.det.coeffs
-        return self.m_psi - np.outer(self.psi_stack, dpad)
-
-    def recovered_payoff(self, beta: float) -> np.ndarray:
-        """Stacked payoff vector implied by the system at a candidate discount factor."""
-        det = self.det(beta)
-        return (self.m(beta) @ self.psi_last) / det - self.psi_stack
+        c = np.broadcast_to(np.asarray(c, dtype=float), (R.shape[0],))
+        det = np.pad(self.det.coeffs, (0, self.m_psi.shape[1] - len(self.det.coeffs)))
+        rows = R @ self.m_psi - np.outer(c + R @ self.psi_stack, det)
+        input_scale = max(1.0, float(np.max(np.abs(self.m_psi)))) * max(1.0, float(np.max(np.abs(R))))
+        noise = np.max(np.abs(rows), axis=1) <= 1e-12 * input_scale
+        return [BetaPoly.zero() if z else BetaPoly(row) for row, z in zip(rows, noise)]
 
 
 def master_system(psi, Q) -> MasterSystem:
@@ -283,6 +261,5 @@ def master_system(psi, Q) -> MasterSystem:
         det=det,
         m=m,
         psi_stack=stack_actions(psi),
-        psi_last=psi[K - 1].copy(),
         m_psi=m_psi,
     )

@@ -12,14 +12,14 @@ discount factor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .betapoly import BetaPoly, check_stochastic, faddeev_adj_det, sign_region
+from .betapoly import ROOT_RESIDUAL_TOL, BetaPoly, check_stochastic, coeff_matrix, faddeev_adj_det
 from .ddc import EULER_GAMMA, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
-from .identify import IdentifiedSet, _common_roots, _poly_diagnostics
+from .identify import IdentifiedSet, identified_set
 
 
 @dataclass(frozen=True)
@@ -272,10 +272,19 @@ class GameIdentSystem:
     is the block-diagonal expected-rival-probability matrix and each entry of
     ``rhs`` is a polynomial of degree ``m_x``.  ``R2`` stacks the
     lagged-action-irrelevance rows (``R2 @ Pi = 0``), completing a square
-    system; additional equality rows test candidate discount factors and
-    inequality rows bound them.  ``equilibrium_residual`` is the
+    system ``X_a``; additional equality rows test candidate discount factors
+    and inequality rows bound them.  ``equilibrium_residual`` is the
     :class:`MpeSolution` residual the system was built from; it sets the noise
     level below which an identifying polynomial counts as zero.
+
+    On construction the square system is inverted once: ``W`` holds the
+    coefficient rows of the determinant-scaled payoffs ``X_a^{-1} Y_a``
+    recovered from it and ``condition_estimate`` is ``cond(X_a)``.
+
+    Raises
+    ------
+    RankDeficiencyError
+        If ``X_a`` does not have full column rank.
     """
 
     firm: int
@@ -287,29 +296,48 @@ class GameIdentSystem:
     m_x: int
     m_pi: int
     equilibrium_residual: float
+    W: np.ndarray = field(init=False, repr=False)  # (m_pi, m_x + 1)
+    condition_estimate: float = field(init=False)
+
+    def __post_init__(self):
+        X = self.X_a
+        n = X.shape[1]
+        if np.linalg.matrix_rank(X, tol=1e-10 * max(1.0, np.linalg.norm(X, 2))) < n:
+            raise RankDeficiencyError(
+                "square model block of the stacked system is singular; "
+                "the stacked matrix must have full column rank",
+                rank=int(np.linalg.matrix_rank(X)), required=n,
+            )
+        Y = np.zeros((self.m_pi, self.rhs_coeffs.shape[1]))
+        Y[: self.rhs_coeffs.shape[0]] = self.rhs_coeffs
+        object.__setattr__(self, "W", np.linalg.solve(X, Y))
+        object.__setattr__(self, "condition_estimate", float(np.linalg.cond(X)))
 
     @property
     def X_a(self) -> np.ndarray:
         return np.vstack([self.Pbar, self.R2])
 
-    def Y_a_coeffs(self) -> np.ndarray:
-        out = np.zeros((self.m_pi, self.rhs_coeffs.shape[1]))
-        out[: self.rhs_coeffs.shape[0]] = self.rhs_coeffs
-        return out
-
     def solve_payoffs(self, beta: float) -> np.ndarray:
         """Stacked payoff vector implied by the system at a candidate discount
-        factor in ``[0, 1)`` (square-block inversion of the stacked system)."""
+        factor in ``[0, 1)``."""
         if not 0.0 <= beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
-        powers = beta ** np.arange(self.rhs_coeffs.shape[1])
-        y = self.Y_a_coeffs() @ powers
-        return np.linalg.solve(self.X_a, y) / self.det(beta)
+        return self.W @ beta ** np.arange(self.W.shape[1]) / self.det(beta)
 
-    def residual_at(self, pi_stack, beta: float) -> np.ndarray:
-        """Model-equation residual ``d*Pbar@Pi - rhs`` at a payoff vector and discount factor."""
-        powers = beta ** np.arange(self.rhs_coeffs.shape[1])
-        return self.det(beta) * (self.Pbar @ pi_stack) - self.rhs_coeffs @ powers
+    def payoff_polys(self, R, c=0.0) -> list[BetaPoly]:
+        """Rows ``R W(beta) - c det(beta)``: a row is ``>= 0`` where the payoffs
+        recovered at beta satisfy ``R Pi >= c``.  A row at noise level relative
+        to the right-hand side holds at every discount factor and is returned
+        as the zero polynomial.  The noise is rounding or the equilibrium
+        residual: a beta-free row's coefficients sit at a few times that
+        residual, informative rows at 1e-4 or more."""
+        R = np.atleast_2d(np.asarray(R, dtype=float))
+        c = np.broadcast_to(np.asarray(c, dtype=float), (R.shape[0],))
+        det = np.pad(self.det.coeffs, (0, self.W.shape[1] - len(self.det.coeffs)))
+        rows = R @ self.W - np.outer(c, det)
+        floor = max(1e-9, 100.0 * self.equilibrium_residual) * float(np.max(np.abs(self.rhs_coeffs)))
+        noise = np.max(np.abs(rows), axis=1) <= floor
+        return [BetaPoly.zero() if z else BetaPoly(row) for row, z in zip(rows, noise)]
 
 
 def build_system(model: GameModel, mpe: MpeSolution, i: int) -> GameIdentSystem:
@@ -513,84 +541,24 @@ def r4_monotone_rivals(model: GameModel, i: int, actions=(0,)) -> tuple[np.ndarr
 # ---- identified sets ------------------------------------------------------
 
 
-def _recovered_payoff_coeffs(system: GameIdentSystem) -> np.ndarray:
-    """Polynomial coefficients ``W = X_a^{-1} Y_a`` of the determinant-scaled
-    payoffs recovered from the square model block."""
-    X = system.X_a
-    n = X.shape[1]
-    if np.linalg.matrix_rank(X, tol=1e-10 * max(1.0, np.linalg.norm(X, 2))) < n:
-        raise RankDeficiencyError(
-            "square model block of the stacked system is singular; "
-            "the stacked matrix must have full column rank",
-            rank=int(np.linalg.matrix_rank(X)), required=n,
-        )
-    return np.linalg.solve(X, system.Y_a_coeffs())
-
-
-def _system_polys(system: GameIdentSystem, R3, c3=None):
-    """Identifying polynomials: one per extra equality row ``R3 Pi = c3``."""
-    R3 = np.atleast_2d(np.asarray(R3, dtype=float))
-    q3 = R3.shape[0]
-    c3 = np.zeros(q3) if c3 is None else np.broadcast_to(np.asarray(c3, dtype=float), (q3,))
-    W = _recovered_payoff_coeffs(system)
-    dpad = np.zeros(system.rhs_coeffs.shape[1])
-    dpad[: len(system.det.coeffs)] = system.det.coeffs
-    # a polynomial at noise level relative to the system right-hand side is a
-    # redundant restriction (satisfied at every discount factor); zero it so
-    # downstream root logic flags it as uninformative.  The noise is rounding or
-    # the equilibrium residual: a beta-free row's coefficients sit at a few
-    # times that residual, informative rows at 1e-4 or more.
-    noise_floor = (max(1e-9, 100.0 * system.equilibrium_residual)
-                   * float(np.max(np.abs(system.rhs_coeffs))))
-    polys = []
-    for row, c in zip(R3, c3):
-        p = BetaPoly(row @ W - c * dpad)
-        polys.append(BetaPoly.zero() if p.max_abs_coeff <= noise_floor else p)
-    cond = float(np.linalg.cond(system.X_a))
-    return polys, cond
-
-
-def identified_set_game(system: GameIdentSystem, R3, c3=None, *,
-                        value_tol: float = 1e-6) -> IdentifiedSet:
+def identified_set_game(system: GameIdentSystem, R3, c3=0.0, *,
+                        residual_tol: float = ROOT_RESIDUAL_TOL) -> IdentifiedSet:
     """Common roots on ``[0, 1)`` of the firm's equality identification system.
 
-    Inverts the square block of model equations and lagged-action-irrelevance
-    rows, and intersects the roots of the supplied extra equality rows'
-    polynomials (degree at most ``m_x``).  Identically-zero polynomials
-    (redundant rows) are flagged and excluded.
+    Intersects the roots of the extra equality rows ``R3 Pi = c3``, each a
+    polynomial of degree at most ``m_x`` in the payoffs recovered from the
+    square block (see :meth:`GameIdentSystem.payoff_polys`).
+    Identically-zero polynomials (redundant rows) are flagged and excluded.
     """
-    polys, cond = _system_polys(system, R3, c3)
-    roots, diag = _common_roots(polys, value_tol=value_tol)
-    diagnostics = {"firm": system.firm, "condition_estimate": cond, "polynomials": diag}
-    if roots is None:
-        diagnostics["no_identifying_content"] = True
-        return IdentifiedSet(equality_roots=[], diagnostics=diagnostics, polys=polys)
-    coeff_rows = np.array([np.pad(p.coeffs, (0, system.m_x + 1 - len(p.coeffs))) for p in polys])
-    sv = np.linalg.svd(coeff_rows, compute_uv=False)
-    diagnostics["independent_polynomials"] = int(np.sum(sv > 1e-10 * sv[0]))
-    diagnostics["root_residuals"] = list(roots.residuals)
-    return IdentifiedSet(equality_roots=list(roots.points), diagnostics=diagnostics, polys=polys)
+    polys = system.payoff_polys(R3, c3)
+    diagnostics = {"firm": system.firm, "condition_estimate": system.condition_estimate}
+    if any(not p.is_zero for p in polys):
+        sv = np.linalg.svd(coeff_matrix(polys), compute_uv=False)
+        diagnostics["independent_polynomials"] = int(np.sum(sv > 1e-10 * sv[0]))
+    return identified_set(polys, "eq", diagnostics, residual_tol=residual_tol)
 
 
-def inequality_region_game(system: GameIdentSystem, R4, c4=None, **region_kwargs) -> IdentifiedSet:
-    """Subset of ``[0, 1)`` satisfying inequality restrictions on the firm's payoff.
-
-    The square model system is inverted directly.  The region collects
-    discount factors where ``R4 @ Pi(beta) >= c4`` (evaluated in
-    determinant-scaled polynomial form, degree at most ``m_x``).
-    """
-    R4 = np.atleast_2d(np.asarray(R4, dtype=float))
-    q4 = R4.shape[0]
-    c4 = np.zeros(q4) if c4 is None else np.broadcast_to(np.asarray(c4, dtype=float), (q4,))
-    W = _recovered_payoff_coeffs(system)
-    dpad = np.zeros(system.rhs_coeffs.shape[1])
-    dpad[: len(system.det.coeffs)] = system.det.coeffs
-    mat = R4 @ W - np.outer(c4, dpad)
-    polys = [BetaPoly(row) for row in mat]
-    region = sign_region(polys, "ge", **region_kwargs)
-    scale = max((p.max_abs_coeff for p in polys), default=0.0)
-    return IdentifiedSet(
-        inequality_intervals=list(region.intervals),
-        diagnostics={"firm": system.firm, "polynomials": _poly_diagnostics(polys, scale)},
-        polys=polys,
-    )
+def inequality_region_game(system: GameIdentSystem, R4, c4=0.0) -> IdentifiedSet:
+    """Subset of ``[0, 1)`` where the payoffs recovered from the firm's square
+    system satisfy ``R4 @ Pi(beta) >= c4``."""
+    return identified_set(system.payoff_polys(R4, c4), "ge", {"firm": system.firm})

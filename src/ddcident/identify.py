@@ -13,9 +13,11 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .betapoly import (
+    ROOT_RESIDUAL_TOL,
     BetaPoly,
     RootSet,
     SignRegion,
+    coeff_matrix,
     roots_in_interval,
     sign_region,
 )
@@ -26,6 +28,8 @@ ZERO_POLY_TOL = 1e-12
 COMMON_ROOT_TOL = 1e-6
 COMBINE_TOL = 1e-6
 FD_CERT_TOL = 1e-10
+LOG_DIFF_GRID_POINTS = 4001
+LOG_DIFF_REFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -95,73 +99,71 @@ def _poly_diagnostics(polys, system_scale):
     return diag
 
 
-def _common_roots(polys, *, value_tol=COMMON_ROOT_TOL, residual_tol=None):
+def _common_roots(polys, residual_tol):
     """Common roots on [0, 1) of a list of polynomials.
 
     Candidates are the roots of the first informative polynomial; a candidate
-    survives if every other informative polynomial is within ``value_tol`` of
-    zero there (relative to its own coefficient scale).
+    survives if every other informative polynomial is within
+    ``COMMON_ROOT_TOL`` of zero there (relative to its own coefficient scale).
     """
     system_scale = max((p.max_abs_coeff for p in polys), default=0.0)
     diag = _poly_diagnostics(polys, system_scale)
     informative = [p for p, d in zip(polys, diag) if not d["uninformative"]]
     if not informative:
         return None, diag
-    kwargs = {} if residual_tol is None else {"residual_tol": residual_tol}
-    candidates = roots_in_interval(informative[0], **kwargs)
+    candidates = roots_in_interval(informative[0], residual_tol=residual_tol)
     pts, res = [], []
     for r, rr in zip(candidates.points, candidates.residuals):
         vals = [abs(p(r)) / p.max_abs_coeff for p in informative[1:]]
-        if all(v <= value_tol for v in vals):
+        if all(v <= COMMON_ROOT_TOL for v in vals):
             pts.append(float(r))
             res.append(max([float(rr)] + vals))
     return RootSet(np.asarray(pts), np.asarray(res)), diag
 
 
-def equality_identified_set(master: MasterSystem, rs: RestrictionSet, *,
-                            residual_tol: float | None = None) -> IdentifiedSet:
-    """Common roots on ``[0, 1)`` of the equality restriction polynomial system.
+def identified_set(polys, kind: str, diagnostics: dict, *,
+                   residual_tol: float = ROOT_RESIDUAL_TOL) -> IdentifiedSet:
+    """The identified set of a system of restriction rows, each a polynomial
+    that is ``>= 0`` (kind ``"ge"``) or ``== 0`` (kind ``"eq"``) at the
+    discount factors consistent with it.
 
-    Identically-zero polynomials are flagged uninformative and excluded; if all
-    rows are uninformative the result carries ``no_identifying_content`` in its
-    diagnostics and an empty root list.
+    Equality rows give their common roots on ``[0, 1)``; identically-zero rows
+    are flagged uninformative and excluded, and if every row is, the set
+    carries ``no_identifying_content`` and an empty root list.  Inequality
+    rows give the subintervals of ``[0, 1)`` where all are nonnegative.  The
+    caller's ``diagnostics`` (a label, a firm) are merged into the set's.
     """
+    polys = list(polys)
+    if kind == "ge":
+        scale = max((p.max_abs_coeff for p in polys), default=0.0)
+        return IdentifiedSet(inequality_intervals=list(sign_region(polys).intervals), polys=polys,
+                             diagnostics={**diagnostics, "polynomials": _poly_diagnostics(polys, scale)})
+    if kind != "eq":
+        raise ValueError("kind must be 'eq' or 'ge'")
+    roots, diag = _common_roots(polys, residual_tol)
+    if roots is None:
+        return IdentifiedSet(equality_roots=[], polys=polys, diagnostics={
+            **diagnostics, "polynomials": diag, "no_identifying_content": True})
+    return IdentifiedSet(equality_roots=list(roots.points), polys=polys, diagnostics={
+        **diagnostics, "polynomials": diag, "root_residuals": list(roots.residuals)})
+
+
+def equality_identified_set(master: MasterSystem, rs: RestrictionSet, *,
+                            residual_tol: float = ROOT_RESIDUAL_TOL) -> IdentifiedSet:
+    """Common roots on ``[0, 1)`` of the equality restriction's rows (see
+    :func:`identified_set`)."""
     if rs.kind != "eq":
         raise ValueError("restriction set must be of equality kind")
-    polys = master.residual_polys(rs.R, rs.c)
-    # rows whose polynomial sits at rounding level of the system inputs hold at
-    # every discount factor; zero them so they are flagged uninformative
-    input_scale = max(1.0, float(np.max(np.abs(master.m_psi)))) * max(1.0, float(np.max(np.abs(rs.R))))
-    polys = [BetaPoly.zero() if p.max_abs_coeff <= 1e-12 * input_scale else p for p in polys]
-    roots, diag = _common_roots(polys, residual_tol=residual_tol)
-    if roots is None:
-        return IdentifiedSet(
-            equality_roots=[],
-            diagnostics={"label": rs.label, "polynomials": diag, "no_identifying_content": True},
-            polys=polys,
-        )
-    return IdentifiedSet(
-        equality_roots=list(roots.points),
-        diagnostics={"label": rs.label, "polynomials": diag,
-                     "root_residuals": list(roots.residuals)},
-        polys=polys,
-    )
+    return identified_set(master.payoff_polys(rs.R, rs.c), "eq", {"label": rs.label},
+                          residual_tol=residual_tol)
 
 
-def inequality_region(master: MasterSystem, rs: RestrictionSet, **kwargs) -> IdentifiedSet:
-    """Subset of ``[0, 1)`` on which the determinant-scaled residuals of an
-    inequality restriction are all nonpositive (equivalently, the payoffs
-    recovered at each candidate discount factor satisfy ``R U >= c``)."""
+def inequality_region(master: MasterSystem, rs: RestrictionSet) -> IdentifiedSet:
+    """Subset of ``[0, 1)`` on which the payoffs recovered at each discount
+    factor satisfy the inequality restriction ``R U >= c``."""
     if rs.kind != "ge":
         raise ValueError("restriction set must be of inequality kind")
-    polys = master.residual_polys(rs.R, rs.c)
-    system_scale = max((p.max_abs_coeff for p in polys), default=0.0)
-    region = sign_region(polys, "le", **kwargs)
-    return IdentifiedSet(
-        inequality_intervals=list(region.intervals),
-        diagnostics={"label": rs.label, "polynomials": _poly_diagnostics(polys, system_scale)},
-        polys=polys,
-    )
+    return identified_set(master.payoff_polys(rs.R, rs.c), "ge", {"label": rs.label})
 
 
 def combine(*sets: IdentifiedSet, tol: float = COMBINE_TOL) -> IdentifiedSet:
@@ -196,8 +198,7 @@ def combine(*sets: IdentifiedSet, tol: float = COMBINE_TOL) -> IdentifiedSet:
     )
 
 
-def solve_log_diff(master: MasterSystem, r, c: float, *,
-                   grid_points: int = 4001, refine_tol: float = 1e-10) -> RootSet:
+def solve_log_diff(master: MasterSystem, r, c: float) -> RootSet:
     """Roots of a log-payoff-difference restriction on ``[0, 1)``.
 
     Solves ``sum_k r_k * log(G_k(beta)) = c`` where ``G`` is the vector of
@@ -209,11 +210,10 @@ def solve_log_diff(master: MasterSystem, r, c: float, *,
     r = np.asarray(r, dtype=float)
     if abs(r.sum()) > 1e-10:
         raise ValueError("log-difference weights must sum to zero")
-    gcoeffs = master.g_polys()
     active = np.nonzero(r)[0]
     if active.size == 0:
         raise ValueError("weight vector is identically zero")
-    ga = gcoeffs[active]
+    ga = coeff_matrix(master.payoff_polys(np.eye(master.n_rows)[active]))
     ra = r[active]
     scale = np.max(np.abs(ga))
 
@@ -224,7 +224,7 @@ def solve_log_diff(master: MasterSystem, r, c: float, *,
             return None
         return float(np.dot(ra, np.log(vals / scale)))  # scale cancels: sum(r)=0
 
-    xs = np.arange(grid_points) / grid_points
+    xs = np.arange(LOG_DIFF_GRID_POINTS) / LOG_DIFF_GRID_POINTS
     fs = np.array([np.nan if (v := objective(x)) is None else v - c for x in xs])
     valid = ~np.isnan(fs)
     if not valid.any():
@@ -234,7 +234,7 @@ def solve_log_diff(master: MasterSystem, r, c: float, *,
 
     def bisect(a, b, fa):
         for _ in range(200):
-            if b - a <= refine_tol:
+            if b - a <= LOG_DIFF_REFINE_TOL:
                 break
             m = 0.5 * (a + b)
             fm = objective(m)
@@ -248,7 +248,7 @@ def solve_log_diff(master: MasterSystem, r, c: float, *,
         return 0.5 * (a + b)
 
     pts = []
-    for i in range(grid_points - 1):
+    for i in range(LOG_DIFF_GRID_POINTS - 1):
         if not (valid[i] and valid[i + 1]):
             continue
         if fs[i] == 0.0:
@@ -397,27 +397,12 @@ def finite_restriction_poly(psi, Q, row, c: float, rho: int, *,
     return poly
 
 
-def finite_equality_set(polys, *, value_tol: float = COMMON_ROOT_TOL,
-                        residual_tol: float | None = None) -> IdentifiedSet:
+def finite_equality_set(polys, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> IdentifiedSet:
     """Common roots on ``[0, 1)`` of degree-``rho`` equality polynomials."""
-    polys = list(polys)
-    roots, diag = _common_roots(polys, value_tol=value_tol, residual_tol=residual_tol)
-    if roots is None:
-        return IdentifiedSet(equality_roots=[], polys=polys,
-                             diagnostics={"polynomials": diag, "no_identifying_content": True})
-    return IdentifiedSet(equality_roots=list(roots.points), polys=polys,
-                         diagnostics={"polynomials": diag,
-                                      "root_residuals": list(roots.residuals)})
+    return identified_set(polys, "eq", {}, residual_tol=residual_tol)
 
 
-def finite_inequality_region(polys, **kwargs) -> IdentifiedSet:
+def finite_inequality_region(polys) -> IdentifiedSet:
     """Subset of ``[0, 1)`` where every degree-``rho`` inequality polynomial is
     nonnegative (rows were stored as ``r @ U >= c``)."""
-    polys = list(polys)
-    system_scale = max((p.max_abs_coeff for p in polys), default=0.0)
-    region = sign_region(polys, "ge", **kwargs)
-    return IdentifiedSet(
-        inequality_intervals=list(region.intervals),
-        diagnostics={"polynomials": _poly_diagnostics(polys, system_scale)},
-        polys=polys,
-    )
+    return identified_set(polys, "ge", {})

@@ -86,7 +86,7 @@ def test_criterion_1_entry_equality_identification(entry):
         ident = equality_identified_set(ms, rs)
         assert len(ident.equality_roots) == 1, f"{name}: {ident.equality_roots}"
         assert ident.equality_roots[0] == pytest.approx(0.95, abs=1e-4)
-        for p in ms.residual_polys(rs.R, rs.c):
+        for p in ms.payoff_polys(rs.R, rs.c):
             assert abs(p(1.0)) <= 1e-6 * p.max_abs_coeff
 
 
@@ -314,13 +314,12 @@ def test_criterion_8_property_suites(entry, entry_fd, game):
 
     # root finder against the dense-scan oracle on every scenario system
     bundle, _, ms = entry
-    systems = [ms.residual_polys(rs.R, rs.c)
+    systems = [ms.payoff_polys(rs.R, rs.c)
                for rs in (bundle.restrictions["homogeneity"],
                           bundle.restrictions["zero_cross"],
                           bundle.restrictions["linearity"])]
     sys0 = build_system(bundle_g.model, mpe, 0)
-    from ddcident.games import _system_polys
-    polys_g, _ = _system_polys(sys0, r3_exchangeability(bundle_g.model, 0))
+    polys_g = sys0.payoff_polys(r3_exchangeability(bundle_g.model, 0))
     systems.append([p for p in polys_g if not p.is_zero])
     for polys in systems:
         for p in polys:

@@ -133,31 +133,31 @@ class TestRoots:
 
 class TestSignRegion:
     def test_half_line(self):
-        sr = sign_region([BetaPoly([-0.5, 1.0])], "ge")
+        sr = sign_region([BetaPoly([-0.5, 1.0])])
         (lo, hi), = sr.intervals
         assert lo == pytest.approx(0.5, abs=1e-9)
         assert hi == 1.0
 
     def test_two_constraints(self):
         # b >= 0.2 and b <= 0.7
-        sr = sign_region([BetaPoly([-0.2, 1.0]), BetaPoly([-0.7, 1.0]) * -1.0], "ge")
+        sr = sign_region([BetaPoly([-0.2, 1.0]), BetaPoly([-0.7, 1.0]) * -1.0])
         (lo, hi), = sr.intervals
         assert (lo, hi) == pytest.approx((0.2, 0.7), abs=1e-9)
 
     def test_empty_region(self):
-        sr = sign_region([BetaPoly([1.0])], "le")
+        sr = sign_region([BetaPoly([-1.0])])
         assert len(sr) == 0
 
     def test_all_zero_polynomials_cover_domain(self):
-        sr = sign_region([BetaPoly.zero()], "le")
+        sr = sign_region([BetaPoly.zero()])
         assert sr.intervals == [(0.0, 1.0)]
 
     def test_disjoint_pieces(self):
-        # (b-0.2)(b-0.5)(b-0.8) <= 0 on [0, 0.2] and [0.5, 0.8]
-        c = [1.0]
+        # -(b-0.2)(b-0.5)(b-0.8) >= 0 on [0, 0.2] and [0.5, 0.8]
+        c = [-1.0]
         for r in (0.2, 0.5, 0.8):
             c = npoly.polymul(c, [-r, 1.0])
-        sr = sign_region([BetaPoly(c)], "le")
+        sr = sign_region([BetaPoly(c)])
         assert len(sr.intervals) == 2
         assert sr.intervals[0] == pytest.approx((0.0, 0.2), abs=1e-8)
         assert sr.intervals[1] == pytest.approx((0.5, 0.8), abs=1e-8)
@@ -175,12 +175,10 @@ class TestPolyTypes:
         assert (p - q).coeffs == pytest.approx([1.0])
         assert (2.0 * p)(0.5) == pytest.approx(3.0)
 
-    def test_matrix_poly_apply_and_premultiply(self):
+    def test_matrix_poly_apply(self):
         mp = MatrixPoly([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
         rows = mp.apply([1.0, 2.0])
         assert np.allclose(rows, [[1.0, 2.0], [2.0, 1.0]])
-        scaled = mp.premultiply(2.0 * np.eye(2))
-        assert np.allclose(scaled(0.5), 2.0 * mp(0.5))
 
     def test_premultiply_i_minus_beta(self):
         rng = np.random.default_rng(9)

@@ -339,6 +339,25 @@ class TestGameCliBranches:
         assert ident["restrictions"]["adjustment_cost"]["diagnostics"].get("no_identifying_content")
         assert ident["combined"]["diagnostics"].get("no_identifying_content")
 
+    def test_tol_root_reaches_game_roots(self, tmp_path, monkeypatch):
+        # the manifest records --tol-root as root_residual, so the game's
+        # root finder must use it too
+        from ddcident import identify
+        seen, roots_in_interval = [], identify.roots_in_interval
+
+        def spy(p, **kwargs):
+            seen.append(kwargs.get("residual_tol"))
+            return roots_in_interval(p, **kwargs)
+        monkeypatch.setattr(identify, "roots_in_interval", spy)
+        out = tmp_path / "g_tol"
+        rc = main(["run", "--scenario", "entry-game", "--firm", "1", "--tol-root", "1e-7",
+                   "--restrictions", "exchangeability", "--beta-grid", "0:1:51",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        assert seen == [1e-7]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["tolerances"]["root_residual"] == 1e-7
+
 
 class TestParameterizedRestrictions:
     def test_monotonicity_axis_argument(self, tmp_path):
@@ -411,6 +430,39 @@ class TestCliEdges:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         capsys.readouterr()
+
+    def assert_flag_rejected(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "o"
+        rc = main(["run", *args, "--out-dir", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid_config"
+        assert [i["field"] for i in err["issues"]] == [flag]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "nan"])
+    def test_bad_damping_rejected(self, tmp_path, capsys, value):
+        self.assert_flag_rejected(tmp_path, capsys, [
+            "--scenario", "entry-game", "--firm", "1", "--restrictions", "exchangeability",
+            "--damping", value], "--damping")
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_tol_root_rejected(self, tmp_path, capsys, value):
+        self.assert_flag_rejected(tmp_path, capsys, [
+            "--scenario", "entry", "--restrictions", "homogeneity", "--tol-root", value],
+            "--tol-root")
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_tol_fixedpoint_rejected(self, tmp_path, capsys, value):
+        # NaN made the game's best-response loop run all its sweeps
+        self.assert_flag_rejected(tmp_path, capsys, [
+            "--scenario", "entry", "--restrictions", "homogeneity", "--tol-fixedpoint", value],
+            "--tol-fixedpoint")
+
+    def test_infinite_beta_grid_rejected(self, tmp_path, capsys):
+        self.assert_flag_rejected(tmp_path, capsys, [
+            "--scenario", "entry", "--restrictions", "homogeneity", "--beta-grid", "0:inf:5"],
+            "--beta-grid")
 
 
 class TestFdZeroCross:

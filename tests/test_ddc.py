@@ -22,6 +22,12 @@ def random_model(rng, K=2, J=4, beta=None):
     return SingleAgentModel(u=u, Q=Q, beta=beta)
 
 
+def master_residual(ms, U, beta):
+    """Rows ``G(beta) - det(beta) U`` of the master system: zero where ``U`` is
+    the payoff vector recovered at ``beta``."""
+    return np.array([p(beta) for p in ms.payoff_polys(np.eye(ms.n_rows), U)])
+
+
 def bellman_oracle(model, tol=1e-13, max_iter=400_000):
     """Independent successive-approximation solver on choice-specific values.
 
@@ -172,7 +178,7 @@ class TestMasterSystem:
         sol = solve_bellman(m)
         ms = master_system(sol.psi, m.Q)
         assert ms.det.coeffs == pytest.approx([1.0, -2.0, 1.0])
-        assert np.max(np.abs(ms.residual_at(stack_actions(u), 0.7))) < 1e-10
+        assert np.max(np.abs(master_residual(ms, stack_actions(u), 0.7))) < 1e-10
 
     def test_residual_vanishes_at_true_beta(self):
         rng = np.random.default_rng(10)
@@ -181,7 +187,7 @@ class TestMasterSystem:
             sol = solve_bellman(m)
             ms = master_system(sol.psi, m.Q)
             scale = max(1.0, np.max(np.abs(ms.m_psi)))
-            res = ms.residual_at(stack_actions(m.u), m.beta)
+            res = master_residual(ms, stack_actions(m.u), m.beta)
             assert np.max(np.abs(res)) <= 1e-8 * scale
 
     def test_residual_vanishes_at_one_for_any_payoff(self):
@@ -192,14 +198,14 @@ class TestMasterSystem:
         scale = max(1.0, np.max(np.abs(ms.m_psi)))
         for _ in range(5):
             U = rng.normal(scale=10.0, size=ms.n_rows)
-            assert np.max(np.abs(ms.residual_at(U, 1.0))) <= 1e-8 * scale
+            assert np.max(np.abs(master_residual(ms, U, 1.0))) <= 1e-8 * scale
 
     def test_residual_polys_have_degree_at_most_j(self):
         rng = np.random.default_rng(12)
         m = random_model(rng, K=2, J=7)
         sol = solve_bellman(m)
         ms = master_system(sol.psi, m.Q)
-        for p in ms.residual_polys():
+        for p in ms.payoff_polys(np.eye(ms.n_rows)):
             assert p.degree <= 7
 
     def test_recovered_payoff_matches_direct_recovery(self):
@@ -207,8 +213,9 @@ class TestMasterSystem:
         m = random_model(rng, K=2, J=5)
         sol = solve_bellman(m)
         ms = master_system(sol.psi, m.Q)
+        G = ms.payoff_polys(np.eye(ms.n_rows))
         for beta in (0.0, 0.3, 0.9):
-            assert ms.recovered_payoff(beta) == pytest.approx(
+            assert np.array([p(beta) for p in G]) / ms.det(beta) == pytest.approx(
                 recover_payoffs(sol.psi, m.Q, beta), abs=1e-9)
 
     def test_dimension_mismatch(self):
@@ -233,5 +240,5 @@ class TestEntryModelCrossChecks:
         sol = solve_bellman(bundle.model)
         ms = master_system(sol.psi, bundle.model.Q)
         scale = max(1.0, np.max(np.abs(ms.m_psi)))
-        res = ms.residual_at(stack_actions(bundle.model.u), 0.95)
+        res = master_residual(ms, stack_actions(bundle.model.u), 0.95)
         assert np.max(np.abs(res)) <= 1e-8 * scale

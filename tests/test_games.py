@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -235,8 +236,10 @@ class TestBuildSystem:
             sys_i = build_system(m, mpe, i)
             pi_true = m.pi_stack(i)
             scale = np.max(np.abs(sys_i.rhs_coeffs))
-            good = np.max(np.abs(sys_i.residual_at(pi_true, m.betas[i])))
-            bad = np.max(np.abs(sys_i.residual_at(pi_true, 0.5)))
+            # Pbar (W(beta) - det(beta) pi) = rhs(beta) - det(beta) Pbar pi
+            rows = sys_i.payoff_polys(np.eye(m.m_pi), pi_true)
+            good = np.max(np.abs(sys_i.Pbar @ [p(m.betas[i]) for p in rows]))
+            bad = np.max(np.abs(sys_i.Pbar @ [p(0.5) for p in rows]))
             assert good <= 1e-8 * scale
             assert bad > 1e-4 * scale
 
@@ -317,9 +320,8 @@ class TestIdentifiedSets:
 
     def test_polynomials_vanish_at_one(self, game):
         bundle, mpe = game
-        from ddcident.games import _system_polys
         sys0 = build_system(bundle.model, mpe, 0)
-        polys, _ = _system_polys(sys0, r3_exchangeability(bundle.model, 0))
+        polys = sys0.payoff_polys(r3_exchangeability(bundle.model, 0))
         for p in polys:
             if not p.is_zero:
                 assert abs(p(1.0)) <= 1e-8 * p.max_abs_coeff
@@ -377,36 +379,13 @@ class TestIdentifiedSets:
     def test_rank_deficiency_detected(self, game):
         bundle, mpe = game
         sys0 = build_system(bundle.model, mpe, 0)
-        broken = GameModelPatch(sys0)
-        with pytest.raises(RankDeficiencyError):
-            identified_set_game(broken, r3_exchangeability(bundle.model, 0))
-
-
-class GameModelPatch:
-    """System wrapper with a duplicated expectation row (rank-deficient stack)."""
-
-    def __init__(self, system):
-        Pbar = system.Pbar.copy()
+        # a duplicated expectation row makes the stacked system rank deficient
+        Pbar = sys0.Pbar.copy()
         Pbar[1] = Pbar[0]
-        rhs = system.rhs_coeffs.copy()
+        rhs = sys0.rhs_coeffs.copy()
         rhs[1] = rhs[0]
-        self.firm = system.firm
-        self.Pbar = Pbar
-        self.rhs_coeffs = rhs
-        self.det = system.det
-        self.R2 = system.R2
-        self.psi = system.psi
-        self.m_x = system.m_x
-        self.m_pi = system.m_pi
-
-    @property
-    def X_a(self):
-        return np.vstack([self.Pbar, self.R2])
-
-    def Y_a_coeffs(self):
-        out = np.zeros((self.m_pi, self.rhs_coeffs.shape[1]))
-        out[: self.rhs_coeffs.shape[0]] = self.rhs_coeffs
-        return out
+        with pytest.raises(RankDeficiencyError):
+            dataclasses.replace(sys0, Pbar=Pbar, rhs_coeffs=rhs)
 
 
 class TestRecoveryAndInequalities:

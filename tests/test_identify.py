@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddcident.ddc import SingleAgentModel, master_system, solve_bellman
+from ddcident.ddc import SingleAgentModel, master_system, recover_payoffs, solve_bellman
 from ddcident.identify import (
     check_finite_dependence,
     combine,
@@ -67,13 +67,13 @@ class TestEqualitySets:
         bundle, _, ms = entry
         for name in ("homogeneity", "zero_cross", "linearity"):
             rs = bundle.restrictions[name]
-            for p in ms.residual_polys(rs.R, rs.c):
+            for p in ms.payoff_polys(rs.R, rs.c):
                 assert abs(p(1.0)) <= 1e-6 * p.max_abs_coeff
 
     def test_roots_match_grid_scan_oracle(self, entry):
         bundle, _, ms = entry
         rs = bundle.restrictions["homogeneity"]
-        polys = ms.residual_polys(rs.R, rs.c)
+        polys = ms.payoff_polys(rs.R, rs.c)
         from ddcident.betapoly import roots_in_interval
         for p in polys:
             found = roots_in_interval(p).points
@@ -238,12 +238,11 @@ class TestFiniteDependencePolys:
         # the degree-rho payoff-difference polynomial agrees with the full
         # master-system recovery at every discount factor
         bundle, sol = entry_fd
-        ms = master_system(sol.psi, bundle.model.Q)
         pairs = [((0, 0), (0, 9)), ((0, 2), (0, 11))]
         for pa, pb in pairs:
             D = pair_difference_poly(sol.psi, bundle.model.Q, pa, pb, rho=1)
             for beta in np.linspace(0.0, 0.99, 101):
-                U = ms.recovered_payoff(beta)
+                U = recover_payoffs(sol.psi, bundle.model.Q, beta)
                 direct = U[pa[0] * 18 + pa[1]] - U[pb[0] * 18 + pb[1]]
                 assert D(beta) == pytest.approx(direct, abs=1e-8)
 
@@ -263,11 +262,10 @@ class TestFiniteDependencePolys:
         sol = solve_bellman(m)
         cert = check_finite_dependence(Q, [((0, 1), (0, 3))], rho_max=3)
         assert cert.rho == 2
-        ms = master_system(sol.psi, m.Q)
         D = pair_difference_poly(sol.psi, m.Q, (0, 1), (0, 3), rho=2)
         assert D.degree <= 2
         for beta in np.linspace(0.0, 0.99, 101):
-            U = ms.recovered_payoff(beta)
+            U = recover_payoffs(sol.psi, m.Q, beta)
             assert D(beta) == pytest.approx(U[1] - U[3], abs=1e-8)
 
     def test_rho_one_linear_root_formula(self, entry_fd):
@@ -370,3 +368,34 @@ class TestSerialization:
         doc = json.loads(json.dumps(s.to_json_dict()))
         assert doc["equality_roots"] == pytest.approx([0.95], abs=1e-4)
         assert doc["diagnostics"]["label"].startswith("additive_homogeneous")
+
+
+class TestRowConvention:
+    """Every source builds rows that are ``>= 0`` where ``R U >= c`` holds: an
+    inequality the planted payoffs satisfy with slack has nonnegative rows at
+    the planted discount factor."""
+
+    def test_single_agent_rows(self, entry):
+        bundle, _, ms = entry
+        rs = bundle.restrictions["complementarity"]
+        assert np.min(rs.R @ bundle.model.u[:-1].reshape(-1) - rs.c) > 0.1
+        rows = [p(bundle.model.beta) for p in ms.payoff_polys(rs.R, rs.c)]
+        assert min(rows) > 0.0
+
+    def test_finite_dependence_rows(self, entry_fd):
+        bundle, sol = entry_fd
+        rs = bundle.restrictions["complementarity"]
+        assert np.min(rs.R @ bundle.model.u[:-1].reshape(-1) - rs.c) > 0.1
+        rows = [finite_restriction_poly(sol.psi, bundle.model.Q, r, c, 1)(bundle.model.beta)
+                for r, c in zip(rs.R, rs.c)]
+        assert min(rows) > 0.0
+
+    def test_game_rows(self):
+        from ddcident.games import build_system, r4_monotone_rivals, solve_mpe
+        from ddcident.scenarios import build_entry_game
+        model = build_entry_game().model
+        system = build_system(model, solve_mpe(model), 0)
+        R, c = r4_monotone_rivals(model, 0)
+        assert np.min(R @ model.pi_stack(0) - c) > 0.1
+        rows = [p(model.betas[0]) for p in system.payoff_polys(R, c)]
+        assert min(rows) > 0.0
