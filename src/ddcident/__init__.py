@@ -41,14 +41,11 @@ from .identify import (
     IdentifiedSet,
     check_finite_dependence,
     combine,
-    decompose_row_to_pairs,
     equality_identified_set,
-    finite_dependence_g,
     finite_equality_set,
     finite_inequality_region,
     finite_restriction_poly,
     inequality_region,
-    pair_difference_poly,
     solve_log_diff,
 )
 from .restrictions import (

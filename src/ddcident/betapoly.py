@@ -28,9 +28,10 @@ SIGN_REFINE_TOL = 1e-10
 class BetaPoly:
     """Polynomial in the discount factor with real coefficients.
 
-    ``coeffs[j]`` multiplies ``beta**j``.  Exact trailing zeros are trimmed on
-    construction so the stored degree is the true degree (the zero polynomial
-    is stored as the single coefficient ``0.0``).
+    It holds and evaluates coefficients and has no arithmetic: every row is
+    built as one coefficient vector.  ``coeffs[j]`` multiplies ``beta**j``.
+    Exact trailing zeros are trimmed on construction so the stored degree is
+    the true degree (the zero polynomial is the single coefficient ``0.0``).
     """
 
     __slots__ = ("coeffs",)
@@ -63,34 +64,10 @@ class BetaPoly:
     def __call__(self, beta):
         return npoly.polyval(beta, self.coeffs)
 
-    def derivative(self) -> "BetaPoly":
-        return BetaPoly(npoly.polyder(self.coeffs))
-
     def normalized(self) -> "BetaPoly":
         """Divide by the max-abs coefficient; the zero polynomial is returned as is."""
         s = self.max_abs_coeff
         return self if s == 0.0 else BetaPoly(self.coeffs / s)
-
-    def __add__(self, other):
-        return BetaPoly(npoly.polyadd(self.coeffs, _coeffs_of(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return BetaPoly(npoly.polysub(self.coeffs, _coeffs_of(other)))
-
-    def __rsub__(self, other):
-        return BetaPoly(npoly.polysub(_coeffs_of(other), self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, BetaPoly):
-            return BetaPoly(npoly.polymul(self.coeffs, other.coeffs))
-        return BetaPoly(self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return BetaPoly(-self.coeffs)
 
     def __repr__(self):
         return f"BetaPoly(degree={self.degree}, coeffs={np.array2string(self.coeffs, precision=6)})"
@@ -101,12 +78,6 @@ def coeff_matrix(polys) -> np.ndarray:
     zero-padded to the longest."""
     width = max(len(p.coeffs) for p in polys)
     return np.array([np.pad(p.coeffs, (0, width - len(p.coeffs))) for p in polys])
-
-
-def _coeffs_of(x):
-    if isinstance(x, BetaPoly):
-        return x.coeffs
-    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 class MatrixPoly:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .betapoly import ROOT_RESIDUAL_TOL, BetaPoly, check_stochastic, coeff_matrix, faddeev_adj_det
-from .ddc import EULER_GAMMA, solve_logit
+from .betapoly import ROOT_RESIDUAL_TOL, BetaPoly, check_stochastic, coeff_matrix
+from .ddc import EULER_GAMMA, master_system, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, identified_set
 
@@ -344,21 +344,19 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> GameIdentSystem:
     """Assemble firm ``i``'s identification system from equilibrium objects.
 
     Requires the model to declare the last action's payoff as known; the known
-    payoff enters the right-hand side through the expected-rival average.
+    payoff enters the right-hand side through the expected-rival average.  The
+    right-hand side is the single-agent system ``master_system(psi, Q_star)``
+    with that payoff added to ``psi_last``: ``M(beta) psi_last - det(beta) Psi``.
     """
     if not model.last_action_known:
         raise ValueError("identification requires declaring the last action's payoff as known")
     K, m_x = model.n_actions, model.m_x
     pi_star, Q_star, P_minus = expected_objects(model, mpe.P, i)
-    adjK, det = faddeev_adj_det(Q_star[K - 1])
-    w = mpe.psi[i, K - 1] + pi_star[K - 1]  # known-action expected payoff
+    psi = mpe.psi[i].copy()
+    psi[K - 1] += pi_star[K - 1]  # the known-action expected payoff joins psi_last
+    ms = master_system(psi, Q_star)
+    rhs = ms.m_psi - np.outer(ms.psi_stack, np.pad(ms.det.coeffs, (0, m_x + 1 - len(ms.det.coeffs))))
     q1 = (K - 1) * m_x
-    rhs = np.zeros((q1, m_x + 1))
-    for k in range(K - 1):
-        Ak = adjK.premultiply_i_minus_beta(Q_star[k])  # degree m_x
-        rows = Ak.apply(w)  # (m_x, m_x + 1)
-        rows[:, : len(det.coeffs)] -= np.outer(mpe.psi[i, k], det.coeffs)
-        rhs[k * m_x:(k + 1) * m_x] = rows
     n_o = model.n_rival_profiles
     Pbar = np.zeros((q1, model.m_pi))
     for k in range(K - 1):
@@ -366,7 +364,7 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> GameIdentSystem:
             cols = (k * m_x + x) * n_o + np.arange(n_o)
             Pbar[k * m_x + x, cols] = P_minus[x]
     R2 = r2_irrelevance(model, i)
-    return GameIdentSystem(firm=i, Pbar=Pbar, rhs_coeffs=rhs, det=det, R2=R2,
+    return GameIdentSystem(firm=i, Pbar=Pbar, rhs_coeffs=rhs, det=ms.det, R2=R2,
                            psi=mpe.psi[i].copy(), m_x=m_x, m_pi=model.m_pi,
                            equilibrium_residual=mpe.residual)
 

@@ -2,7 +2,10 @@
 
 Equality restrictions yield root systems of degree-J polynomials; inequality
 restrictions yield sign regions; both can be combined.  Under finite
-dependence the identifying polynomials collapse to the dependence order.
+dependence each row's polynomial collapses to the dependence order ``rho``:
+``finite_restriction_poly`` writes it in closed form from the payoff identity,
+and one certificate, ``max |D Q_last^rho|`` over stacked bracket rows ``D``,
+serves both a row and ``check_finite_dependence``'s pairs.
 """
 
 from __future__ import annotations
@@ -260,138 +263,72 @@ def solve_log_diff(master: MasterSystem, r, c: float) -> RootSet:
     return RootSet(pts, res)
 
 
+def _dependence_powers(D, QK, rho: int) -> list:
+    """``D, D Q_last, ..., D Q_last^rho`` for a bracket row (or matrix of rows) ``D``."""
+    out = [D]
+    for _ in range(rho):
+        out.append(out[-1] @ QK)
+    return out
+
+
 def check_finite_dependence(Q, pairs, rho_max: int = 5,
                             tol: float = FD_CERT_TOL) -> FiniteDependenceCert:
     """Find the smallest order at which paired action-state transitions coincide.
 
     Each pair is ``((k_a, x_a), (k_b, x_b))`` with actions different from the
-    last one.  The certificate verifies
-
-        [Q_ka(x_a) - Q_kb(x_b)] Q_last^rho == [Q_last(x_a) - Q_last(x_b)] Q_last^rho
-
-    within ``tol`` for all pairs, returning the smallest such ``rho <= rho_max``
-    or an unsatisfied certificate.
+    last one.  The pair brackets
+    ``Q_ka(x_a) - Q_kb(x_b) - Q_last(x_a) + Q_last(x_b)`` are stacked as the
+    rows of one matrix ``D``; the certificate verifies
+    ``max |D Q_last^rho| <= tol``, returning the smallest such
+    ``rho <= rho_max`` or an unsatisfied certificate.
     """
     Q = np.asarray(Q, dtype=float)
     K = Q.shape[0]
     pairs = tuple((tuple(a), tuple(b)) for a, b in pairs)
-    for (ka, _), (kb, _) in pairs:
-        if ka == K - 1 or kb == K - 1:
-            raise ValueError("finite-dependence pairs must use actions other than the last")
-    power = Q[K - 1].copy()
-    best_violation = np.inf
-    for rho in range(1, rho_max + 1):
-        worst = 0.0
-        for (ka, xa), (kb, xb) in pairs:
-            lhs = (Q[ka][xa] - Q[kb][xb]) @ power
-            rhs = (Q[K - 1][xa] - Q[K - 1][xb]) @ power
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        best_violation = min(best_violation, worst)
-        if worst <= tol:
-            return FiniteDependenceCert(rho=rho, pairs=pairs, tol=tol, max_violation=worst)
-        power = power @ Q[K - 1]
-    return FiniteDependenceCert(rho=None, pairs=pairs, tol=tol, max_violation=best_violation)
-
-
-def finite_dependence_g(psi, Q, k: int, x: int, rho: int) -> BetaPoly:
-    """Degree-``rho`` building block of the finite-dependence payoff identity:
-    ``-psi_k(x) - beta * Q_k(x) (I + beta Q_last + ... + beta^(rho-1) Q_last^(rho-1)) psi_last``."""
-    psi = np.asarray(psi, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if rho < 1:
-        raise ValueError("rho must be a positive integer")
-    K = psi.shape[0]
-    coeffs = np.zeros(rho + 1)
-    coeffs[0] = -psi[k, x]
-    w = psi[K - 1].copy()
-    for s in range(rho):
-        coeffs[s + 1] = -float(Q[k][x] @ w)
-        w = Q[K - 1] @ w
-    return BetaPoly(coeffs)
-
-
-def pair_difference_poly(psi, Q, pair_a, pair_b, rho: int) -> BetaPoly:
-    """Polynomial equal to ``u_ka(x_a) - u_kb(x_b)`` at the true discount factor
-    under ``rho``-dependence of the pair."""
-    (ka, xa), (kb, xb) = pair_a, pair_b
-    K = np.asarray(psi).shape[0]
-    g = lambda k, x: finite_dependence_g(psi, Q, k, x, rho)
-    return g(ka, xa) - g(kb, xb) - g(K - 1, xa) + g(K - 1, xb)
-
-
-def decompose_row_to_pairs(row, n_states: int, Q=None, tol: float = 1e-12):
-    """Write a stacked-payoff restriction row as a signed sum of payoff differences.
-
-    Returns ``(alphas, pairs)`` with ``row @ U == sum_j alphas[j] *
-    (U[p_j] - U[q_j])`` for pair positions expressed as ``(action, state)``.
-    Requires the row weights to sum to zero (payoff-difference form).
-
-    The pairing of positive against negative weights is not unique.  When the
-    transition matrices are supplied, each greedy step picks the pairing whose
-    dependence bracket
-
-        Q_ka(x_a) - Q_kb(x_b) - Q_last(x_a) + Q_last(x_b)
-
-    is largest, so the resulting difference polynomials carry identifying
-    content whenever any valid pairing does.
-    """
-    row = np.asarray(row, dtype=float)
-    if abs(row.sum()) > 1e-9 * max(1.0, np.max(np.abs(row))):
-        raise ValueError("row weights must sum to zero to decompose into payoff differences")
-    if Q is not None:
-        Q = np.asarray(Q, dtype=float)
-        K = Q.shape[0]
-
-    def bracket(ip, im):
-        if Q is None:
-            return 0.0
-        ka, xa = divmod(ip, n_states)
-        kb, xb = divmod(im, n_states)
-        d = Q[ka][xa] - Q[kb][xb] - Q[K - 1][xa] + Q[K - 1][xb]
-        return float(np.max(np.abs(d)))
-
-    pos = {i: v for i, v in enumerate(row) if v > tol}
-    neg = {i: -v for i, v in enumerate(row) if v < -tol}
-    alphas, pairs = [], []
-    while pos and neg:
-        ip, im = max(((p, m) for p in sorted(pos) for m in sorted(neg)),
-                     key=lambda pm: bracket(*pm))
-        a = min(pos[ip], neg[im])
-        alphas.append(a)
-        pairs.append(((ip // n_states, ip % n_states), (im // n_states, im % n_states)))
-        pos[ip] -= a
-        neg[im] -= a
-        if pos[ip] <= tol:
-            del pos[ip]
-        if neg[im] <= tol:
-            del neg[im]
-    return alphas, pairs
+    if not pairs:
+        raise ValueError("finite dependence needs at least one pair")
+    if any(ka == K - 1 or kb == K - 1 for (ka, _), (kb, _) in pairs):
+        raise ValueError("finite-dependence pairs must use actions other than the last")
+    QK = Q[K - 1]
+    D = np.array([Q[ka][xa] - Q[kb][xb] - QK[xa] + QK[xb] for (ka, xa), (kb, xb) in pairs])
+    gaps = [float(np.max(np.abs(W))) for W in _dependence_powers(D, QK, rho_max)[1:]]
+    for rho, gap in enumerate(gaps, start=1):
+        if gap <= tol:
+            return FiniteDependenceCert(rho=rho, pairs=pairs, tol=tol, max_violation=gap)
+    return FiniteDependenceCert(rho=None, pairs=pairs, tol=tol, max_violation=min(gaps, default=np.inf))
 
 
 def finite_restriction_poly(psi, Q, row, c: float, rho: int, *,
                             cert_tol: float = FD_CERT_TOL) -> BetaPoly:
-    """Identifying polynomial of one restriction row under finite dependence.
+    """Identifying polynomial ``r U(beta) - c`` of one restriction row under
+    ``rho``-dependence, of degree ``rho``.
 
-    The row is decomposed into payoff differences; each difference pair is
-    verified against the dependence certificate tolerance before its degree-
-    ``rho`` polynomial enters the combination ``sum_j alpha_j D_j(beta) - c``.
+    Every recovered payoff satisfies ``u_k(x) = psi_last(x) - psi_k(x) +
+    beta (Q_last(x) - Q_k(x)) V(beta)`` with ``V = (I - beta Q_last)^-1
+    psi_last = sum_s beta^s Q_last^s psi_last``.  With the row's bracket
+    ``d = sum_kx r_kx (Q_last(x) - Q_k(x))``, the row is certified when
+    ``max |d Q_last^rho| <= cert_tol * max(1, sum |r|)``; the series then stops
+    and the coefficients are ``a_0 = sum_kx r_kx (psi_last(x) - psi_k(x)) - c``
+    and ``a_(s+1) = d Q_last^s psi_last`` for ``s < rho``.
     """
     psi = np.asarray(psi, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    J = psi.shape[1]
-    alphas, pairs = decompose_row_to_pairs(row, J, Q=Q)
-    cert = check_finite_dependence(Q, pairs, rho_max=rho, tol=cert_tol)
-    if not (cert.satisfied and cert.rho <= rho):
-        raise ValueError(
-            f"restriction row references pairs without {rho}-dependence "
-            f"(max violation {cert.max_violation:.3e})"
-        )
-    poly = BetaPoly([-c])
-    for a, (pa, pb) in zip(alphas, pairs):
-        poly = poly + a * pair_difference_poly(psi, Q, pa, pb, rho)
+    if rho < 1:
+        raise ValueError("rho must be a positive integer")
+    K, J = psi.shape
+    r = np.asarray(row, dtype=float).reshape(K - 1, J)
+    weight = max(1.0, float(np.sum(np.abs(r))))
+    d = r.sum(axis=0) @ Q[K - 1] - np.einsum("kx,kxy->y", r, Q[: K - 1])
+    powers = _dependence_powers(d, Q[K - 1], rho)
+    gap = float(np.max(np.abs(powers[-1])))
+    if gap > cert_tol * weight:
+        raise ValueError(f"restriction row lacks {rho}-dependence (max violation {gap:.3e})")
+    coeffs = [float(np.sum(r * (psi[K - 1] - psi[: K - 1]))) - c]
+    coeffs += [float(w @ psi[K - 1]) for w in powers[:-1]]
+    poly = BetaPoly(coeffs)
     # coefficients at rounding level of the inputs mean the row holds at every
     # discount factor; return the zero polynomial so it is flagged uninformative
-    input_scale = max(1.0, float(np.max(np.abs(psi))), abs(c)) * max(1.0, float(np.sum(np.abs(row))))
+    input_scale = max(1.0, float(np.max(np.abs(psi))), abs(c)) * weight
     if poly.max_abs_coeff <= 1e-12 * input_scale:
         return BetaPoly.zero()
     return poly

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddcident.ddc import SingleAgentModel, master_system, recover_payoffs, solve_bellman
 from ddcident.identify import (
     check_finite_dependence,
     combine,
-    decompose_row_to_pairs,
     equality_identified_set,
-    finite_dependence_g,
     finite_equality_set,
     finite_inequality_region,
     finite_restriction_poly,
     inequality_region,
-    pair_difference_poly,
     solve_log_diff,
 )
 from ddcident.restrictions import FactoredStates, RestrictionSet, log_diff_restriction
@@ -221,6 +220,11 @@ class TestFiniteDependence:
         assert not cert.satisfied
         assert cert.max_violation > 1e-10
 
+    def test_empty_pairs_rejected(self, entry_fd):
+        bundle, _ = entry_fd
+        with pytest.raises(ValueError, match="at least one pair"):
+            check_finite_dependence(bundle.model.Q, [], rho_max=3)
+
     def test_pairs_cannot_use_last_action(self, entry):
         bundle, _, _ = entry
         with pytest.raises(ValueError):
@@ -228,19 +232,15 @@ class TestFiniteDependence:
 
 
 class TestFiniteDependencePolys:
-    def test_g_linear_with_expected_intercept(self, entry_fd):
-        bundle, sol = entry_fd
-        g = finite_dependence_g(sol.psi, bundle.model.Q, 0, 5, rho=1)
-        assert g.degree <= 1
-        assert g.coeffs[0] == pytest.approx(-sol.psi[0, 5])
-
     def test_pair_poly_matches_master_recovery(self, entry_fd):
         # the degree-rho payoff-difference polynomial agrees with the full
         # master-system recovery at every discount factor
         bundle, sol = entry_fd
         pairs = [((0, 0), (0, 9)), ((0, 2), (0, 11))]
         for pa, pb in pairs:
-            D = pair_difference_poly(sol.psi, bundle.model.Q, pa, pb, rho=1)
+            row = np.zeros(18)
+            row[pa[0] * 18 + pa[1]], row[pb[0] * 18 + pb[1]] = 1.0, -1.0
+            D = finite_restriction_poly(sol.psi, bundle.model.Q, row, 0.0, rho=1)
             for beta in np.linspace(0.0, 0.99, 101):
                 U = recover_payoffs(sol.psi, bundle.model.Q, beta)
                 direct = U[pa[0] * 18 + pa[1]] - U[pb[0] * 18 + pb[1]]
@@ -262,7 +262,9 @@ class TestFiniteDependencePolys:
         sol = solve_bellman(m)
         cert = check_finite_dependence(Q, [((0, 1), (0, 3))], rho_max=3)
         assert cert.rho == 2
-        D = pair_difference_poly(sol.psi, m.Q, (0, 1), (0, 3), rho=2)
+        row = np.zeros(J)
+        row[1], row[3] = 1.0, -1.0
+        D = finite_restriction_poly(sol.psi, m.Q, row, 0.0, rho=2)
         assert D.degree <= 2
         for beta in np.linspace(0.0, 0.99, 101):
             U = recover_payoffs(sol.psi, m.Q, beta)
@@ -312,36 +314,74 @@ class TestFiniteDependencePolys:
         with pytest.raises(ValueError, match="dependence"):
             finite_restriction_poly(sol.psi, bundle.model.Q, row, 0.0, rho=1)
 
-
-class TestDecomposition:
-    def test_transport_reconstructs_row(self):
-        rng = np.random.default_rng(31)
-        row = np.zeros(12)
-        row[[1, 4, 7]] = [1.0, 0.5, -1.5]
-        alphas, pairs = decompose_row_to_pairs(row, 6)
-        rebuilt = np.zeros(12)
-        for a, ((ka, xa), (kb, xb)) in zip(alphas, pairs):
-            rebuilt[ka * 6 + xa] += a
-            rebuilt[kb * 6 + xb] -= a
-        assert rebuilt == pytest.approx(row)
-
-    def test_nonzero_sum_rejected(self):
-        row = np.zeros(4)
-        row[0] = 1.0
-        with pytest.raises(ValueError):
-            decompose_row_to_pairs(row, 4)
-
-    def test_prefers_informative_pairs(self, entry_fd):
-        # with the dependence bracket supplied, cross-state pairs are chosen
-        # over ones whose transitions coincide
-        bundle, _ = entry_fd
-        Q = bundle.model.Q
+    def test_rho_below_one_rejected(self, entry_fd):
+        bundle, sol = entry_fd
         row = np.zeros(18)
-        row[0], row[9], row[3], row[12] = 1.0, -1.0, -1.0, 1.0
-        _, pairs = decompose_row_to_pairs(row, 18, Q=Q)
-        for (ka, xa), (kb, xb) in pairs:
-            d = Q[ka][xa] - Q[kb][xb] - Q[1][xa] + Q[1][xb]
-            assert np.max(np.abs(d)) > 1e-6
+        row[0], row[4] = 1.0, -1.0
+        with pytest.raises(ValueError, match="positive"):
+            finite_restriction_poly(sol.psi, bundle.model.Q, row, 0.0, rho=0)
+
+    def test_renewal_row_with_nonzero_weight_sum(self):
+        # under renewal every row is 1-dependent, payoff differences or not:
+        # u_0(x_1) + u_0(x_2) = c is a degree-1 polynomial in beta
+        m = renewal_model(np.random.default_rng(29), K=2, J=4)
+        sol = solve_bellman(m)
+        row = np.zeros(4)
+        row[1] = row[2] = 1.0
+        c = 0.3
+        p = finite_restriction_poly(sol.psi, m.Q, row, c, rho=1)
+        assert p.degree == 1
+        for beta in np.linspace(0.0, 0.99, 101):
+            assert p(beta) == pytest.approx(row @ recover_payoffs(sol.psi, m.Q, beta) - c, abs=1e-8)
+
+
+def renewal_model(rng, K, J):
+    """Random model whose last action resets the state: every row of
+    ``Q_last`` is the same distribution."""
+    Q = rng.random((K, J, J)) + 0.1
+    Q /= Q.sum(axis=2, keepdims=True)
+    Q[K - 1] = rng.dirichlet(np.ones(J))
+    u = np.vstack([rng.normal(size=(K - 1, J)), np.zeros((1, J))])
+    return SingleAgentModel(u=u, Q=Q, beta=float(rng.uniform(0.3, 0.9)))
+
+
+def funnel_model(rng, K, J):
+    """Random model whose last action moves every state into {0, 1} and then
+    to state 0, so ``Q_last^2`` has identical rows (2-dependence)."""
+    Q = rng.random((K, J, J)) + 0.1
+    Q /= Q.sum(axis=2, keepdims=True)
+    targets = rng.integers(0, 2, size=J)
+    targets[:2] = 0
+    Q[K - 1] = np.eye(J)[targets]
+    u = np.vstack([rng.normal(size=(K - 1, J)), np.zeros((1, J))])
+    return SingleAgentModel(u=u, Q=Q, beta=float(rng.uniform(0.3, 0.9)))
+
+
+class TestClosedFormRows:
+    """Each finite-dependence row either fails its certificate or equals the
+    row applied to the payoffs recovered at every discount factor."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), funnel=st.booleans(), K=st.integers(2, 3),
+           J=st.integers(2, 6), rho=st.integers(1, 3),
+           cells=st.lists(st.tuples(st.integers(0, 11), st.floats(-2.0, 2.0)), min_size=1, max_size=4),
+           c=st.floats(-1.0, 1.0))
+    def test_row_matches_recovered_payoffs_or_is_rejected(self, seed, funnel, K, J, rho, cells, c):
+        rng = np.random.default_rng(seed)
+        m = (funnel_model if funnel else renewal_model)(rng, K, J)
+        sol = solve_bellman(m)
+        row = np.zeros((K - 1) * J)
+        for i, w in cells:
+            row[i % row.size] = w
+        try:
+            p = finite_restriction_poly(sol.psi, m.Q, row, c, rho)
+        except ValueError as err:
+            assert "dependence" in str(err)
+            assert funnel and rho == 1
+            return
+        assert p.degree <= rho
+        for beta in np.linspace(0.0, 0.99, 34):
+            assert p(beta) == pytest.approx(row @ recover_payoffs(sol.psi, m.Q, beta) - c, abs=1e-8)
 
 
 class TestLogDiffDomain:
