@@ -302,7 +302,7 @@ def _read_config(path):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ConfigError([{"field": "config", "message": f"not valid JSON: {err}"}])
 
 
@@ -520,6 +520,8 @@ def main(argv=None) -> int:
         error, issues = "invalid_config", err.issues
     except FileNotFoundError as err:
         error, issues = "file_not_found", [{"message": str(err)}]
+    except OSError as err:  # a directory for a file, a file for a directory, ...
+        error, issues = "file_error", [{"message": str(err)}]
     except ConvergenceError as err:
         error, issues = "not_converged", [{"message": str(err)}]
     json.dump({"error": error, "issues": issues}, sys.stderr, sort_keys=True)

@@ -20,6 +20,7 @@ from .betapoly import ROOT_RESIDUAL_TOL, BetaPoly, check_stochastic, coeff_matri
 from .ddc import EULER_GAMMA, master_system, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, identified_set
+from .restrictions import linear_in_parameters
 
 
 @dataclass(frozen=True)
@@ -292,8 +293,6 @@ class GameIdentSystem:
     rhs_coeffs: np.ndarray  # (q1, m_x + 1)
     det: BetaPoly
     R2: np.ndarray
-    psi: np.ndarray
-    m_x: int
     m_pi: int
     equilibrium_residual: float
     W: np.ndarray = field(init=False, repr=False)  # (m_pi, m_x + 1)
@@ -365,11 +364,26 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> GameIdentSystem:
             Pbar[k * m_x + x, cols] = P_minus[x]
     R2 = r2_irrelevance(model, i)
     return GameIdentSystem(firm=i, Pbar=Pbar, rhs_coeffs=rhs, det=ms.det, R2=R2,
-                           psi=mpe.psi[i].copy(), m_x=m_x, m_pi=model.m_pi,
-                           equilibrium_residual=mpe.residual)
+                           m_pi=model.m_pi, equilibrium_residual=mpe.residual)
 
 
 # ---- restriction rows on the stacked game payoff -------------------------
+
+
+def _rows(model: GameModel, terms) -> np.ndarray:
+    """Restriction rows on the stacked payoff, one per list of ``(position,
+    weight)`` terms; shape ``(n, m_pi)``, also when there are no rows."""
+    terms = list(terms)
+    R = np.zeros((len(terms), model.m_pi))
+    for row, row_terms in zip(R, terms):
+        for pos, w in row_terms:
+            row[pos] += w
+    return R
+
+
+def _baseline_x(model: GameModel, i: int, s: int, own: int) -> int:
+    """State with the given exogenous index and own lag, rivals' lags zeroed."""
+    return model.x_index(s, model.joint_from(i, own, (0,) * (model.n_firms - 1)))
 
 
 def r2_irrelevance(model: GameModel, i: int) -> np.ndarray:
@@ -379,28 +393,13 @@ def r2_irrelevance(model: GameModel, i: int) -> np.ndarray:
     action, the payoff at each rivals'-lag variant equals the payoff at the
     all-zeros rivals'-lag baseline: ``(K-1)(K^(N-1)-1)m_x`` rows.
     """
-    K, N, m_s = model.n_actions, model.n_firms, model.m_s
-    rivals = model.rivals(i)
-    rows = []
-    for k in range(K - 1):
-        for o in range(model.n_rival_profiles):
-            for s in range(m_s):
-                for own in range(K):
-                    base_x = model.x_index(s, model.joint_from(i, own, (0,) * (N - 1)))
-                    for _, lag_actions in model.rival_profiles(i):
-                        if all(a == 0 for a in lag_actions):
-                            continue
-                        var_x = model.x_index(s, model.joint_from(i, own, lag_actions))
-                        row = np.zeros(model.m_pi)
-                        row[model.pi_position(i, k, var_x, o)] = 1.0
-                        row[model.pi_position(i, k, base_x, o)] = -1.0
-                        rows.append(row)
-    return np.array(rows)
-
-
-def _baseline_x(model: GameModel, i: int, s: int, own: int) -> int:
-    """State with the given exogenous index and own lag, rivals' lags zeroed."""
-    return model.x_index(s, model.joint_from(i, own, (0,) * (model.n_firms - 1)))
+    K, pos = model.n_actions, model.pi_position
+    return _rows(model, (
+        ((pos(i, k, model.x_index(s, model.joint_from(i, own, lags)), o), 1.0),
+         (pos(i, k, _baseline_x(model, i, s, own), o), -1.0))
+        for k in range(K - 1) for o in range(model.n_rival_profiles)
+        for s in range(model.m_s) for own in range(K)
+        for _, lags in model.rival_profiles(i) if any(lags)))
 
 
 def reduced_cells(model: GameModel, i: int, actions=None):
@@ -424,21 +423,20 @@ def r3_exchangeability(model: GameModel, i: int, actions=(0,)) -> np.ndarray:
     For each restricted action, exogenous state, and own lagged action, rival
     profiles with the same action multiset are equated to a representative.
     """
-    rows = []
     classes = {}
     for o, acts in model.rival_profiles(i):
         classes.setdefault(tuple(sorted(acts)), []).append(o)
-    for k in actions:
-        for s in range(model.m_s):
-            for own in range(model.n_actions):
-                x = _baseline_x(model, i, s, own)
-                for members in classes.values():
-                    for o in members[1:]:
-                        row = np.zeros(model.m_pi)
-                        row[model.pi_position(i, k, x, members[0])] = 1.0
-                        row[model.pi_position(i, k, x, o)] = -1.0
-                        rows.append(row)
-    return np.array(rows)
+    pos = model.pi_position
+
+    def terms():
+        for k in actions:
+            for s in range(model.m_s):
+                for own in range(model.n_actions):
+                    x = _baseline_x(model, i, s, own)
+                    for members in classes.values():
+                        for o in members[1:]:
+                            yield (pos(i, k, x, members[0]), 1.0), (pos(i, k, x, o), -1.0)
+    return _rows(model, terms())
 
 
 def r3_adjustment_cost(model: GameModel, i: int, actions=(0,), lag_pair=(0,)) -> np.ndarray:
@@ -448,42 +446,35 @@ def r3_adjustment_cost(model: GameModel, i: int, actions=(0,), lag_pair=(0,)) ->
     lagged actions ``l`` and ``l+1`` under rival profile ``o`` equals the same
     difference under the first profile.
     """
-    rows = []
-    for k in actions:
-        for s in range(model.m_s):
-            for lag in lag_pair:
-                x_hi = _baseline_x(model, i, s, lag)
-                x_lo = _baseline_x(model, i, s, lag + 1)
-                for o in range(1, model.n_rival_profiles):
-                    row = np.zeros(model.m_pi)
-                    row[model.pi_position(i, k, x_hi, o)] += 1.0
-                    row[model.pi_position(i, k, x_lo, o)] -= 1.0
-                    row[model.pi_position(i, k, x_hi, 0)] -= 1.0
-                    row[model.pi_position(i, k, x_lo, 0)] += 1.0
-                    rows.append(row)
-    return np.array(rows)
+    pos = model.pi_position
+
+    def terms():
+        for k in actions:
+            for s in range(model.m_s):
+                for lag in lag_pair:
+                    x_hi = _baseline_x(model, i, s, lag)
+                    x_lo = _baseline_x(model, i, s, lag + 1)
+                    for o in range(1, model.n_rival_profiles):
+                        yield ((pos(i, k, x_hi, o), 1.0), (pos(i, k, x_lo, o), -1.0),
+                               (pos(i, k, x_hi, 0), -1.0), (pos(i, k, x_lo, 0), 1.0))
+    return _rows(model, terms())
 
 
 def r3_linear(model: GameModel, i: int, design: np.ndarray) -> np.ndarray:
     """Kernel rows for a payoff linear in parameters on the reduced cells.
 
     ``design`` has one row per cell from :func:`reduced_cells` (same order) and
-    one column per parameter.  Returns an orthonormal basis of the left null
-    space, scattered to the stacked payoff coordinates.
+    one column per parameter.  Returns the rows of
+    :func:`restrictions.linear_in_parameters` (an orthonormal basis of the
+    left null space), scattered to the stacked payoff coordinates.
     """
-    cells = list(reduced_cells(model, i))
+    cells = [pos for pos, *_ in reduced_cells(model, i)]
     design = np.asarray(design, dtype=float)
     if design.shape[0] != len(cells):
         raise ValueError(f"design must have {len(cells)} rows (one per reduced cell)")
-    Umat, sv, _ = np.linalg.svd(design, full_matrices=True)
-    rank = int(np.sum(sv > 1e-10 * sv[0]))
-    if rank < design.shape[1]:
-        raise RankDeficiencyError("design matrix is rank deficient",
-                                  rank=rank, required=design.shape[1])
-    kernel = Umat[:, rank:].T
+    kernel = linear_in_parameters(design).R
     rows = np.zeros((kernel.shape[0], model.m_pi))
-    for c, (pos, *_rest) in enumerate(cells):
-        rows[:, pos] = kernel[:, c]
+    rows[:, cells] = kernel
     return rows
 
 
@@ -494,16 +485,12 @@ def r4_monotone_own_lag(model: GameModel, i: int, actions=(0,)) -> tuple[np.ndar
     each rival profile, state, and restricted action the payoff at own lag
     ``l`` is at least the payoff at own lag ``l+1``.
     """
-    rows = []
-    for k in actions:
-        for o in range(model.n_rival_profiles):
-            for s in range(model.m_s):
-                for lag in range(model.n_actions - 1):
-                    row = np.zeros(model.m_pi)
-                    row[model.pi_position(i, k, _baseline_x(model, i, s, lag), o)] += 1.0
-                    row[model.pi_position(i, k, _baseline_x(model, i, s, lag + 1), o)] -= 1.0
-                    rows.append(row)
-    R = np.array(rows)
+    pos = model.pi_position
+    R = _rows(model, (
+        ((pos(i, k, _baseline_x(model, i, s, lag), o), 1.0),
+         (pos(i, k, _baseline_x(model, i, s, lag + 1), o), -1.0))
+        for k in actions for o in range(model.n_rival_profiles)
+        for s in range(model.m_s) for lag in range(model.n_actions - 1)))
     return R, np.zeros(R.shape[0])
 
 
@@ -514,25 +501,18 @@ def r4_monotone_rivals(model: GameModel, i: int, actions=(0,)) -> tuple[np.ndarr
     at least as large, one strictly), the weaker-rival payoff is at least the
     stronger-rival payoff.
     """
-    rows = []
-    profs = list(model.rival_profiles(i))
-    for k in actions:
-        for s in range(model.m_s):
-            for own in range(model.n_actions):
-                x = _baseline_x(model, i, s, own)
-                for (oa, aa), (ob, ab) in itertools.combinations(profs, 2):
-                    hi, lo = None, None
-                    if all(p >= q for p, q in zip(aa, ab)) and aa != ab:
-                        hi, lo = oa, ob
-                    elif all(q >= p for p, q in zip(aa, ab)) and aa != ab:
-                        hi, lo = ob, oa
-                    if hi is None:
-                        continue
-                    row = np.zeros(model.m_pi)
-                    row[model.pi_position(i, k, x, hi)] += 1.0
-                    row[model.pi_position(i, k, x, lo)] -= 1.0
-                    rows.append(row)
-    R = np.array(rows)
+    ordered = []  # (weaker-rival profile, stronger-rival profile)
+    for (oa, aa), (ob, ab) in itertools.combinations(model.rival_profiles(i), 2):
+        if aa != ab and all(p >= q for p, q in zip(aa, ab)):
+            ordered.append((oa, ob))
+        elif aa != ab and all(q >= p for p, q in zip(aa, ab)):
+            ordered.append((ob, oa))
+    pos = model.pi_position
+    R = _rows(model, (
+        ((pos(i, k, _baseline_x(model, i, s, own), hi), 1.0),
+         (pos(i, k, _baseline_x(model, i, s, own), lo), -1.0))
+        for k in actions for s in range(model.m_s) for own in range(model.n_actions)
+        for hi, lo in ordered))
     return R, np.zeros(R.shape[0])
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .betapoly import (
     ROOT_RESIDUAL_TOL,
@@ -21,6 +20,8 @@ from .betapoly import (
     RootSet,
     SignRegion,
     coeff_matrix,
+    crossing,
+    polyval_rows,
     roots_in_interval,
     sign_region,
 )
@@ -32,7 +33,6 @@ COMMON_ROOT_TOL = 1e-6
 COMBINE_TOL = 1e-6
 FD_CERT_TOL = 1e-10
 LOG_DIFF_GRID_POINTS = 4001
-LOG_DIFF_REFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,11 @@ def solve_log_diff(master: MasterSystem, r, c: float) -> RootSet:
 
     Solves ``sum_k r_k * log(G_k(beta)) = c`` where ``G`` is the vector of
     determinant-scaled recovered payoffs, working in log space.  Subdomains
-    where any required ``G_k`` is nonpositive are excluded.  If the objective
-    is within tolerance of zero everywhere on its domain the restriction holds
+    where any required ``G_k`` is nonpositive are excluded.  The objective is
+    evaluated on a grid of ``LOG_DIFF_GRID_POINTS`` points in one call; exact
+    zeros and sign changes between defined neighbours are the roots, each
+    change refined by :func:`betapoly.crossing`.  If the objective is within
+    tolerance of zero everywhere on its domain the restriction holds
     identically and the result is flagged uninformative.
     """
     r = np.asarray(r, dtype=float)
@@ -220,47 +223,25 @@ def solve_log_diff(master: MasterSystem, r, c: float) -> RootSet:
     ra = r[active]
     scale = np.max(np.abs(ga))
 
-    def objective(x):
-        vals = npoly.polyval(x, ga.T)  # g-values of the active rows at x
-        vals = np.atleast_1d(vals)
-        if np.any(vals <= 0.0):
-            return None
-        return float(np.dot(ra, np.log(vals / scale)))  # scale cancels: sum(r)=0
+    def h(x):
+        # c - sum_k r_k log G_k(x), NaN where an active G_k <= 0; the scale
+        # cancels because sum(r) = 0
+        vals = polyval_rows(ga, x)
+        return c - ra @ np.log(np.where(vals > 0.0, vals / scale, np.nan))
 
     xs = np.arange(LOG_DIFF_GRID_POINTS) / LOG_DIFF_GRID_POINTS
-    fs = np.array([np.nan if (v := objective(x)) is None else v - c for x in xs])
+    fs = h(xs)
     valid = ~np.isnan(fs)
     if not valid.any():
         raise ValueError("log-difference objective is undefined everywhere on [0, 1)")
     if np.nanmax(np.abs(fs)) <= 1e-10:
         return RootSet(np.empty(0), np.empty(0), uninformative=True)
-
-    def bisect(a, b, fa):
-        for _ in range(200):
-            if b - a <= LOG_DIFF_REFINE_TOL:
-                break
-            m = 0.5 * (a + b)
-            fm = objective(m)
-            if fm is None:
-                break
-            fm -= c
-            if (fm <= 0.0) == (fa <= 0.0):
-                a, fa = m, fm
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    pts = []
-    for i in range(LOG_DIFF_GRID_POINTS - 1):
-        if not (valid[i] and valid[i + 1]):
-            continue
-        if fs[i] == 0.0:
-            pts.append(xs[i])
-        elif fs[i] * fs[i + 1] < 0.0:
-            pts.append(bisect(xs[i], xs[i + 1], fs[i]))
-    pts = np.asarray(sorted(pts))
-    res = np.array([abs((objective(x) or 0.0) - c) for x in pts])
-    return RootSet(pts, res)
+    defined = valid[:-1] & valid[1:]
+    zeros = defined & (fs[:-1] == 0.0)
+    flips = defined & (fs[:-1] * fs[1:] < 0.0)
+    pts = np.array([xs[i] if zeros[i] else crossing(h, xs[i], xs[i + 1])
+                    for i in np.flatnonzero(zeros | flips)])
+    return RootSet(pts, np.abs(h(pts)))
 
 
 def _dependence_powers(D, QK, rho: int) -> list:

@@ -6,6 +6,7 @@ from ddcident.betapoly import (
     BetaPoly,
     MatrixPoly,
     faddeev_adj_det,
+    polyval_rows,
     roots_in_interval,
     sign_region,
 )
@@ -148,6 +149,9 @@ class TestSignRegion:
         sr = sign_region([BetaPoly([-1.0])])
         assert len(sr) == 0
 
+    def test_no_polynomials_cover_domain(self):
+        assert sign_region([]).intervals == [(0.0, 1.0)]
+
     def test_all_zero_polynomials_cover_domain(self):
         sr = sign_region([BetaPoly.zero()])
         assert sr.intervals == [(0.0, 1.0)]
@@ -167,6 +171,13 @@ class TestPolyTypes:
     def test_trailing_zero_trim(self):
         p = BetaPoly([1.0, 2.0, 0.0, 0.0])
         assert p.degree == 1
+
+    @pytest.mark.parametrize("degree", [0, 3, 144])
+    def test_polyval_rows_matches_polyval_bitwise(self, degree):
+        C = np.random.default_rng(degree).normal(size=(5, degree + 1))
+        xs = np.arange(2001) / 2001
+        assert np.array_equal(polyval_rows(C, xs), np.stack([npoly.polyval(xs, c) for c in C]))
+        assert np.array_equal(polyval_rows(C, xs[7]), [npoly.polyval(xs[7], c) for c in C])
 
     def test_matrix_poly_apply(self):
         mp = MatrixPoly([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])

@@ -410,6 +410,27 @@ class TestCliEdges:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "file_not_found"
 
+    def assert_json_error(self, capsys, argv, error):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
+    def test_config_directory_is_structured_error(self, tmp_path, capsys):
+        self.assert_json_error(capsys, ["validate", "--config", str(tmp_path)], "file_error")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_not_utf8_is_structured_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        extra = ["--restrictions", "x", "--out-dir", str(tmp_path / "o")] if command == "run" else []
+        self.assert_json_error(capsys, [command, "--config", str(path), *extra], "invalid_config")
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_dir_blocked_by_file_is_structured_error(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        self.assert_json_error(capsys, [
+            "run", "--scenario", "entry", "--restrictions", "zero-cross", "--beta-grid", "0:1:11",
+            "--out-dir", str(tmp_path / out)], "file_error")
+
     def test_solver_failure_is_structured_error(self, tmp_path, capsys):
         # the largest float below 1 passes validation, but I - beta*Q is then
         # singular to rounding and the Newton steps cannot settle

@@ -22,7 +22,7 @@ from ddcident.games import (
     solve_mpe,
 )
 from ddcident.identify import combine
-from ddcident.scenarios import build_entry_game
+from ddcident.scenarios import EntryGameConfig, build_entry_game
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +298,23 @@ class TestRestrictionRows:
     def test_exchangeability_needs_three_firms(self):
         rng = np.random.default_rng(4)
         gm = small_game(rng)
-        assert r3_exchangeability(gm, 0).size == 0
+        assert r3_exchangeability(gm, 0).shape == (0, gm.m_pi)
+
+    def test_one_firm_game_identifies(self):
+        # one firm: no rival lags and no rival profiles to permute, so R2 and
+        # the exchangeability rows are empty but keep their (0, m_pi) shape
+        bundle = build_entry_game(EntryGameConfig(n_firms=1, theta_fc=(1.0,), betas=(0.9,)))
+        gm = bundle.model
+        system = build_system(gm, solve_mpe(gm), 0)
+        assert system.R2.shape == (0, gm.m_pi)
+        assert np.max(np.abs(system.solve_payoffs(0.9) - gm.pi_stack(0))) <= 1e-8
+        ex = identified_set_game(system, r3_exchangeability(gm, 0))
+        assert ex.diagnostics["no_identifying_content"] and ex.equality_roots == []
+        region = inequality_region_game(system, *r4_monotone_own_lag(gm, 0))
+        assert any(lo <= 0.9 <= hi for lo, hi in region.inequality_intervals)
+        # with no rivals the design's rival-count column is zero
+        with pytest.raises(RankDeficiencyError):
+            r3_linear(gm, 0, bundle.designs[0])
 
     def test_linear_design_shape_guard(self, game):
         bundle, _ = game

@@ -400,6 +400,29 @@ class TestLogDiffDomain:
             solve_log_diff(ms, r, 0.0)
 
 
+class TestLogDiffPlanted:
+    """The grid scan finds the planted discount factor of a log-separable
+    model, and every root it returns satisfies the restriction."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), a=st.floats(0.1, 0.5), b=st.floats(0.04, 0.12),
+           beta=st.floats(0.4, 0.8))
+    def test_planted_root_found_and_roots_hold(self, seed, a, b, beta):
+        # the recipe of perfbench.inputs.log_diff_model: U = exp(a + b w^2) on
+        # the ray (1, 2, 4) meets the degree-2 log-difference weights
+        w = np.array([1.0, 2.0, 4.0])
+        Q = np.random.default_rng(seed).random((2, 3, 3)) + 0.2
+        Q /= Q.sum(axis=2, keepdims=True)
+        m = SingleAgentModel(u=np.stack([np.exp(a + b * w ** 2), np.zeros(3)]), Q=Q, beta=beta)
+        fs = FactoredStates(axes=("w",), grids=(w,), n_actions=2)
+        r, c = log_diff_restriction(fs, 0, base=1.0, lambdas=[2.0, 4.0], nu=2.0)
+        sol = solve_bellman(m)
+        roots = solve_log_diff(master_system(sol.psi, m.Q), r, c)
+        assert np.min(np.abs(roots.points - beta)) <= 1e-6
+        for x in roots.points:
+            assert abs(r @ np.log(recover_payoffs(sol.psi, m.Q, x)) - c) <= 1e-6
+
+
 class TestSerialization:
     def test_identified_set_round_trips_through_json(self, entry):
         import json
