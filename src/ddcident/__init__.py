@@ -1,7 +1,6 @@
 """Identified sets for discount factors and payoffs in dynamic discrete choice models."""
 
 from .betapoly import (
-    BetaPoly,
     MatrixPoly,
     RootSet,
     SignRegion,

@@ -3,7 +3,10 @@
 Everything downstream reduces to scalar polynomials ``p(beta)`` and matrix
 polynomials ``M(beta)`` with real coefficients: the determinant and adjugate of
 ``I - beta*Q`` for a row-stochastic ``Q``, root extraction on ``[0, 1)``, and
-sign-region scans for systems of polynomial inequalities.
+sign-region scans for systems of polynomial inequalities.  A system of
+polynomials is one float matrix ``C`` whose row ``i`` holds polynomial ``i``'s
+coefficients, ``C[i, j]`` multiplying ``beta**j``; rows are not trimmed, and a
+zero row is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -25,59 +28,8 @@ SIGN_GRID_POINTS = 2001
 SIGN_REFINE_TOL = 1e-10
 
 
-class BetaPoly:
-    """Polynomial in the discount factor with real coefficients.
-
-    It holds and evaluates coefficients and has no arithmetic: every row is
-    built as one coefficient vector.  ``coeffs[j]`` multiplies ``beta**j``.
-    Exact trailing zeros are trimmed on construction so the stored degree is
-    the true degree (the zero polynomial is the single coefficient ``0.0``).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        if c.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        nz = np.nonzero(c)[0]
-        c = c[: nz[-1] + 1] if nz.size else c[:1] * 0.0
-        self.coeffs = c
-        self.coeffs.setflags(write=False)
-
-    @classmethod
-    def zero(cls) -> "BetaPoly":
-        return cls([0.0])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0.0
-
-    @property
-    def max_abs_coeff(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    def __call__(self, beta):
-        return npoly.polyval(beta, self.coeffs)
-
-    def __repr__(self):
-        return f"BetaPoly(degree={self.degree}, coeffs={np.array2string(self.coeffs, precision=6)})"
-
-
-def coeff_matrix(polys) -> np.ndarray:
-    """Coefficients of a list of polynomials as the rows of one matrix,
-    zero-padded to the longest."""
-    width = max(len(p.coeffs) for p in polys)
-    return np.array([np.pad(p.coeffs, (0, width - len(p.coeffs))) for p in polys])
-
-
 def polyval_rows(C, x) -> np.ndarray:
-    """Every row of a coefficient matrix (as :func:`coeff_matrix` gives) at
-    ``x``, shape ``(rows,) + shape(x)``.
+    """Every row of a coefficient matrix at ``x``, shape ``(rows,) + shape(x)``.
 
     Horner's rule with ``numpy.polynomial.polynomial.polyval``'s arithmetic,
     so the values are bit-for-bit the same, but in place in one buffer:
@@ -108,14 +60,6 @@ class MatrixPoly:
             raise ValueError("expected a stack of equally shaped coefficient matrices")
         self.coeff_mats = mats
         self.coeff_mats.setflags(write=False)
-
-    @property
-    def degree(self) -> int:
-        return self.coeff_mats.shape[0] - 1
-
-    @property
-    def shape(self):
-        return self.coeff_mats.shape[1:]
 
     def __call__(self, beta: float) -> np.ndarray:
         powers = float(beta) ** np.arange(self.coeff_mats.shape[0])
@@ -196,7 +140,7 @@ def check_stochastic(M, name: str, labels, axis: int = -1) -> None:
         raise ValueError(f"{name} ({where}) {problem}")
 
 
-def faddeev_adj_det(Q) -> tuple[MatrixPoly, BetaPoly]:
+def faddeev_adj_det(Q) -> tuple[MatrixPoly, npoly.Polynomial]:
     """Adjugate and determinant of ``I - beta*Q`` as explicit polynomials.
 
     Uses the trace recursion obtained by matching powers of beta in
@@ -207,7 +151,8 @@ def faddeev_adj_det(Q) -> tuple[MatrixPoly, BetaPoly]:
         d_j = -tr(Q A_{j-1}) / j,
         A_j = Q A_{j-1} + d_j I.
 
-    Returns the degree ``J - 1`` adjugate and the degree ``J`` determinant.
+    Returns the degree ``J - 1`` adjugate and the degree ``J`` determinant,
+    whose ``coef`` holds all ``J + 1`` coefficients, trailing zeros included.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -225,27 +170,15 @@ def faddeev_adj_det(Q) -> tuple[MatrixPoly, BetaPoly]:
         if j < J:
             work = work + det[j] * np.eye(J)
             adj[j] = work
-    return MatrixPoly(adj), BetaPoly(det)
+    return MatrixPoly(adj), npoly.Polynomial(det)
 
 
-def _effective_coeffs(p: BetaPoly, leading_tol: float):
-    """Normalize by max-abs and drop numerically negligible leading coefficients."""
-    scale = p.max_abs_coeff
-    if scale == 0.0:
-        raise UninformativeRestrictionError(
-            "polynomial is identically zero; the restriction is uninformative"
-        )
-    c = p.coeffs / scale
-    keep = len(c)
-    while keep > 1 and abs(c[keep - 1]) <= leading_tol:
-        keep -= 1
-    return c[:keep], scale
+def roots_in_interval(p, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
+    """All real roots in ``[0, 1)`` of the polynomial with coefficient vector
+    ``p`` (``p[j]`` multiplies ``beta**j``).
 
-
-def roots_in_interval(p: BetaPoly, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
-    """All real roots of ``p`` in ``[0, 1)``.
-
-    Companion-matrix eigenvalues of the max-abs-scaled polynomial, followed by
+    Companion-matrix eigenvalues of the max-abs-scaled polynomial, its
+    leading coefficients up to ``LEADING_COEFF_TOL`` dropped, followed by
     Newton refinement.  A candidate is accepted when its imaginary part is
     within ``ROOT_IMAG_TOL`` and its relative residual within
     ``residual_tol``; accepted roots are deduplicated within
@@ -256,7 +189,14 @@ def roots_in_interval(p: BetaPoly, *, residual_tol: float = ROOT_RESIDUAL_TOL) -
     UninformativeRestrictionError
         If ``p`` is identically zero (distinct from an empty root set).
     """
-    c, _ = _effective_coeffs(p, LEADING_COEFF_TOL)
+    p = np.asarray(p, dtype=float)
+    scale = np.max(np.abs(p))
+    if scale == 0.0:
+        raise UninformativeRestrictionError(
+            "polynomial is identically zero; the restriction is uninformative"
+        )
+    c = p / scale
+    c = c[: np.flatnonzero(np.abs(c) > LEADING_COEFF_TOL)[-1] + 1]
     if len(c) == 1:
         return RootSet(np.empty(0), np.empty(0))
 
@@ -305,21 +245,22 @@ def crossing(f, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def sign_region(ps) -> SignRegion:
-    """Subintervals of ``[0, 1)`` where every polynomial is nonnegative.
+def sign_region(C) -> SignRegion:
+    """Subintervals of ``[0, 1)`` where every row of the coefficient matrix
+    ``C`` is nonnegative as a polynomial.
 
-    Every polynomial, scaled by its max-abs coefficient, is evaluated on an
+    Every row, scaled by its max-abs coefficient, is evaluated on an
     equispaced grid of ``SIGN_GRID_POINTS`` points, and each flip of the
     feasibility mask is refined by :func:`crossing`.  An interval narrower
     than one grid step (``1 / SIGN_GRID_POINTS``), or a tangent point, can
     fall between grid points and be missed.
     """
-    C = coeff_matrix(list(ps) or [BetaPoly.zero()])
+    C = np.asarray(C, dtype=float)
     scale = np.max(np.abs(C), axis=1)
     keep = scale != 0.0
     C = C[keep] / scale[keep, None]
     if not C.size:
-        # no polynomial, or only zero ones: the condition holds everywhere
+        # no row, or only zero ones: the condition holds everywhere
         return SignRegion([(0.0, 1.0)])
 
     def slack(x):

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .betapoly import check_stochastic
+from .betapoly import check_stochastic, polyval_rows
 from .ddc import SingleAgentModel, master_system, psi_from_ccps, solve_bellman
 from .errors import ConvergenceError
 from .games import (
@@ -42,9 +42,8 @@ from .identify import (
     check_finite_dependence,
     combine,
     equality_identified_set,
-    finite_equality_set,
-    finite_inequality_region,
     finite_restriction_poly,
+    identified_set,
     inequality_region,
 )
 from .restrictions import (
@@ -281,12 +280,11 @@ def _check_tolerances(args):
         raise ConfigError(issues)
 
 
-def _normalized_curves(grid, polys, labels):
+def _normalized_curves(grid, rows, key):
     cols = {}
-    for label, p in zip(labels, polys):
-        vals = p(grid)
+    for i, vals in enumerate(polyval_rows(rows, grid)):
         scale = np.max(np.abs(vals))
-        cols[label] = vals / scale if scale > 0 else vals
+        cols[f"{key}_{i}"] = vals / scale if scale > 0 else vals
     return cols
 
 
@@ -382,10 +380,9 @@ def _fd_source(args):
                             "message": "scenario is not finitely dependent; use mode 'single'"}])
 
     def identify(rs):
-        polys = [finite_restriction_poly(psi, model.Q, row, c, cert.rho) for row, c in zip(rs.R, rs.c)]
-        if rs.kind == "eq":
-            return finite_equality_set(polys, residual_tol=args.tol_root)
-        return finite_inequality_region(polys)
+        rows = np.reshape([finite_restriction_poly(psi, model.Q, row, c, cert.rho)
+                           for row, c in zip(rs.R, rs.c)], (-1, cert.rho + 1))
+        return identified_set(rows, rs.kind, {}, residual_tol=args.tol_root)
     return _entry_builders(bundle), identify, {"rho": cert.rho}
 
 
@@ -435,6 +432,13 @@ def cmd_run(args) -> int:
     else:
         raise ConfigError([{"field": "--scenario",
                             "message": "scenario must be entry, entry-fd, or entry-game (or use --config)"}])
+    # fail before the pipeline runs if a file stands where the output directory goes
+    existing = os.path.abspath(args.out_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise NotADirectoryError(f"cannot create the output directory {args.out_dir!r}: "
+                                 f"{existing!r} is not a directory")
     builders, identify, extra = source(args)
 
     results, curves, sets = {}, {}, []
@@ -445,8 +449,7 @@ def cmd_run(args) -> int:
                                 "message": f"{name!r} asks again for the result {key!r}"}])
         ident = identify(rs)
         results[key] = {**ident.to_json_dict(), **extra}
-        curves.update(_normalized_curves(grid, ident.polys,
-                                         [f"{key}_{i}" for i in range(len(ident.polys))]))
+        curves.update(_normalized_curves(grid, ident.rows, key))
         sets.append(ident)
 
     os.makedirs(args.out_dir, exist_ok=True)

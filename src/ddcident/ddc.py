@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betapoly import BetaPoly, MatrixPoly, check_stochastic, faddeev_adj_det
+from .betapoly import MatrixPoly, check_stochastic, faddeev_adj_det
 from .errors import ConvergenceError
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -212,9 +212,10 @@ class MasterSystem:
     degree-J matrix polynomial stacking ``(I - beta*Q_k) adj(I - beta*Q[K-1])``
     over ``k = 0..K-2``, and ``Psi`` stacks the inversion vectors of those
     actions; ``G(beta) = det(beta) * U`` at the true discount factor.
+    ``det`` holds the ``J + 1`` coefficients of the determinant.
     """
 
-    det: BetaPoly
+    det: np.ndarray
     m: MatrixPoly
     psi_stack: np.ndarray
     m_psi: np.ndarray  # (J*(K-1), J+1): coefficient rows of M(beta) @ psi_last
@@ -223,18 +224,18 @@ class MasterSystem:
     def n_rows(self) -> int:
         return self.psi_stack.shape[0]
 
-    def payoff_polys(self, R, c=0.0) -> list[BetaPoly]:
-        """Rows ``R G(beta) - c det(beta)``: since ``det > 0`` on ``[0, 1)``, a
-        row is ``>= 0`` where the payoffs recovered at beta satisfy
-        ``R U >= c``.  Rows at rounding level of the system inputs hold at
-        every discount factor and are returned as the zero polynomial."""
+    def payoff_polys(self, R, c=0.0) -> np.ndarray:
+        """Coefficient rows of ``R G(beta) - c det(beta)``, shape
+        ``(rows, J + 1)``: since ``det > 0`` on ``[0, 1)``, a row is ``>= 0``
+        where the payoffs recovered at beta satisfy ``R U >= c``.  Rows at
+        rounding level of the system inputs hold at every discount factor and
+        are set to zero."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
         c = np.broadcast_to(np.asarray(c, dtype=float), (R.shape[0],))
-        det = np.pad(self.det.coeffs, (0, self.m_psi.shape[1] - len(self.det.coeffs)))
-        rows = R @ self.m_psi - np.outer(c + R @ self.psi_stack, det)
+        rows = R @ self.m_psi - np.outer(c + R @ self.psi_stack, self.det)
         input_scale = max(1.0, float(np.max(np.abs(self.m_psi)))) * max(1.0, float(np.max(np.abs(R))))
-        noise = np.max(np.abs(rows), axis=1) <= 1e-12 * input_scale
-        return [BetaPoly.zero() if z else BetaPoly(row) for row, z in zip(rows, noise)]
+        rows[np.max(np.abs(rows), axis=1) <= 1e-12 * input_scale] = 0.0
+        return rows
 
 
 def master_system(psi, Q) -> MasterSystem:
@@ -258,7 +259,7 @@ def master_system(psi, Q) -> MasterSystem:
     m = MatrixPoly(np.concatenate([b.coeff_mats for b in blocks], axis=1))
     m_psi = m.apply(psi[K - 1])
     return MasterSystem(
-        det=det,
+        det=det.coef,
         m=m,
         psi_stack=stack_actions(psi),
         m_psi=m_psi,

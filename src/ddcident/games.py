@@ -15,8 +15,9 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
-from .betapoly import ROOT_RESIDUAL_TOL, BetaPoly, check_stochastic, coeff_matrix
+from .betapoly import ROOT_RESIDUAL_TOL, check_stochastic
 from .ddc import EULER_GAMMA, master_system, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, identified_set
@@ -271,7 +272,8 @@ class GameIdentSystem:
 
     The model equations read ``d(beta) * Pbar @ Pi = rhs(beta)`` where ``Pbar``
     is the block-diagonal expected-rival-probability matrix and each entry of
-    ``rhs`` is a polynomial of degree ``m_x``.  ``R2`` stacks the
+    ``rhs`` is a polynomial of degree ``m_x``; ``det`` holds the ``m_x + 1``
+    coefficients of ``d``.  ``R2`` stacks the
     lagged-action-irrelevance rows (``R2 @ Pi = 0``), completing a square
     system ``X_a``; additional equality rows test candidate discount factors
     and inequality rows bound them.  ``equilibrium_residual`` is the
@@ -291,7 +293,7 @@ class GameIdentSystem:
     firm: int
     Pbar: np.ndarray
     rhs_coeffs: np.ndarray  # (q1, m_x + 1)
-    det: BetaPoly
+    det: np.ndarray
     R2: np.ndarray
     m_pi: int
     equilibrium_residual: float
@@ -301,16 +303,17 @@ class GameIdentSystem:
     def __post_init__(self):
         X = self.X_a
         n = X.shape[1]
-        if np.linalg.matrix_rank(X, tol=1e-10 * max(1.0, np.linalg.norm(X, 2))) < n:
+        s = np.linalg.svd(X, compute_uv=False)  # rank, norm and condition from one factorization
+        if np.sum(s > 1e-10 * max(1.0, s[0])) < n:
             raise RankDeficiencyError(
                 "square model block of the stacked system is singular; "
                 "the stacked matrix must have full column rank",
-                rank=int(np.linalg.matrix_rank(X)), required=n,
+                rank=int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps)), required=n,
             )
         Y = np.zeros((self.m_pi, self.rhs_coeffs.shape[1]))
         Y[: self.rhs_coeffs.shape[0]] = self.rhs_coeffs
         object.__setattr__(self, "W", np.linalg.solve(X, Y))
-        object.__setattr__(self, "condition_estimate", float(np.linalg.cond(X)))
+        object.__setattr__(self, "condition_estimate", float(s[0] / s[-1]))
 
     @property
     def X_a(self) -> np.ndarray:
@@ -321,22 +324,22 @@ class GameIdentSystem:
         factor in ``[0, 1)``."""
         if not 0.0 <= beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
-        return self.W @ beta ** np.arange(self.W.shape[1]) / self.det(beta)
+        return self.W @ beta ** np.arange(self.W.shape[1]) / npoly.polyval(beta, self.det)
 
-    def payoff_polys(self, R, c=0.0) -> list[BetaPoly]:
-        """Rows ``R W(beta) - c det(beta)``: a row is ``>= 0`` where the payoffs
-        recovered at beta satisfy ``R Pi >= c``.  A row at noise level relative
-        to the right-hand side holds at every discount factor and is returned
-        as the zero polynomial.  The noise is rounding or the equilibrium
-        residual: a beta-free row's coefficients sit at a few times that
-        residual, informative rows at 1e-4 or more."""
+    def payoff_polys(self, R, c=0.0) -> np.ndarray:
+        """Coefficient rows of ``R W(beta) - c det(beta)``, shape
+        ``(rows, m_x + 1)``: a row is ``>= 0`` where the payoffs recovered at
+        beta satisfy ``R Pi >= c``.  A row at noise level relative to the
+        right-hand side holds at every discount factor and is set to zero.
+        The noise is rounding or the equilibrium residual: a beta-free row's
+        coefficients sit at a few times that residual, informative rows at
+        1e-4 or more."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
         c = np.broadcast_to(np.asarray(c, dtype=float), (R.shape[0],))
-        det = np.pad(self.det.coeffs, (0, self.W.shape[1] - len(self.det.coeffs)))
-        rows = R @ self.W - np.outer(c, det)
+        rows = R @ self.W - np.outer(c, self.det)
         floor = max(1e-9, 100.0 * self.equilibrium_residual) * float(np.max(np.abs(self.rhs_coeffs)))
-        noise = np.max(np.abs(rows), axis=1) <= floor
-        return [BetaPoly.zero() if z else BetaPoly(row) for row, z in zip(rows, noise)]
+        rows[np.max(np.abs(rows), axis=1) <= floor] = 0.0
+        return rows
 
 
 def build_system(model: GameModel, mpe: MpeSolution, i: int) -> GameIdentSystem:
@@ -354,7 +357,7 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> GameIdentSystem:
     psi = mpe.psi[i].copy()
     psi[K - 1] += pi_star[K - 1]  # the known-action expected payoff joins psi_last
     ms = master_system(psi, Q_star)
-    rhs = ms.m_psi - np.outer(ms.psi_stack, np.pad(ms.det.coeffs, (0, m_x + 1 - len(ms.det.coeffs))))
+    rhs = ms.m_psi - np.outer(ms.psi_stack, ms.det)
     q1 = (K - 1) * m_x
     n_o = model.n_rival_profiles
     Pbar = np.zeros((q1, model.m_pi))
@@ -528,12 +531,12 @@ def identified_set_game(system: GameIdentSystem, R3, c3=0.0, *,
     square block (see :meth:`GameIdentSystem.payoff_polys`).
     Identically-zero polynomials (redundant rows) are flagged and excluded.
     """
-    polys = system.payoff_polys(R3, c3)
+    rows = system.payoff_polys(R3, c3)
     diagnostics = {"firm": system.firm, "condition_estimate": system.condition_estimate}
-    if any(not p.is_zero for p in polys):
-        sv = np.linalg.svd(coeff_matrix(polys), compute_uv=False)
+    if rows.any():
+        sv = np.linalg.svd(rows, compute_uv=False)
         diagnostics["independent_polynomials"] = int(np.sum(sv > 1e-10 * sv[0]))
-    return identified_set(polys, "eq", diagnostics, residual_tol=residual_tol)
+    return identified_set(rows, "eq", diagnostics, residual_tol=residual_tol)
 
 
 def inequality_region_game(system: GameIdentSystem, R4, c4=0.0) -> IdentifiedSet:

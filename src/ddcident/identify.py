@@ -16,10 +16,8 @@ import numpy as np
 
 from .betapoly import (
     ROOT_RESIDUAL_TOL,
-    BetaPoly,
     RootSet,
     SignRegion,
-    coeff_matrix,
     crossing,
     polyval_rows,
     roots_in_interval,
@@ -43,15 +41,15 @@ class IdentifiedSet:
     ``inequality_intervals`` the feasible subintervals; ``combined`` their
     intersection.  Components that were not computed are ``None``.
     ``diagnostics`` records per-polynomial degrees, scales, and uninformative
-    flags.  ``polys`` holds the identifying polynomials the set was computed
-    from; it is not serialized.
+    flags.  ``rows`` holds the coefficient matrix of the identifying
+    polynomials the set was computed from; it is not serialized.
     """
 
     equality_roots: list | None = None
     inequality_intervals: list | None = None
     combined: list | None = None
     diagnostics: dict = field(default_factory=dict)
-    polys: list = field(default_factory=list, repr=False, compare=False)
+    rows: np.ndarray = field(default_factory=lambda: np.zeros((0, 1)), repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         def _clean(v):
@@ -91,44 +89,41 @@ class FiniteDependenceCert:
         return self.rho is not None
 
 
-def _poly_diagnostics(polys, system_scale):
-    diag = []
-    for p in polys:
-        diag.append({
-            "degree": p.degree,
-            "scale": p.max_abs_coeff,
-            "uninformative": p.max_abs_coeff <= ZERO_POLY_TOL * system_scale,
-        })
-    return diag
+def _poly_diagnostics(rows):
+    """Per row: degree (index of the last nonzero coefficient), max-abs
+    coefficient, and whether that scale is negligible against the system's."""
+    scale = np.max(np.abs(rows), axis=1)
+    last_nonzero = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] != 0.0, axis=1)
+    degree = np.where(scale > 0.0, last_nonzero, 0)
+    uninformative = scale <= ZERO_POLY_TOL * scale.max(initial=0.0)
+    return [{"degree": int(d), "scale": float(s), "uninformative": bool(u)}
+            for d, s, u in zip(degree, scale, uninformative)]
 
 
-def _common_roots(polys, residual_tol):
-    """Common roots on [0, 1) of a list of polynomials.
+def _common_roots(rows, diag, residual_tol):
+    """Common roots on [0, 1) of the rows of a coefficient matrix.
 
-    Candidates are the roots of the first informative polynomial; a candidate
-    survives if every other informative polynomial is within
-    ``COMMON_ROOT_TOL`` of zero there (relative to its own coefficient scale).
+    Candidates are the roots of the first informative row; a candidate
+    survives if every other informative row is within ``COMMON_ROOT_TOL`` of
+    zero there (relative to its own coefficient scale).
     """
-    system_scale = max((p.max_abs_coeff for p in polys), default=0.0)
-    diag = _poly_diagnostics(polys, system_scale)
-    informative = [p for p, d in zip(polys, diag) if not d["uninformative"]]
-    if not informative:
-        return None, diag
+    informative = rows[[not d["uninformative"] for d in diag]]
+    if not len(informative):
+        return None
     candidates = roots_in_interval(informative[0], residual_tol=residual_tol)
-    pts, res = [], []
-    for r, rr in zip(candidates.points, candidates.residuals):
-        vals = [abs(p(r)) / p.max_abs_coeff for p in informative[1:]]
-        if all(v <= COMMON_ROOT_TOL for v in vals):
-            pts.append(float(r))
-            res.append(max([float(rr)] + vals))
-    return RootSet(np.asarray(pts), np.asarray(res)), diag
+    rest = informative[1:]
+    vals = np.abs(polyval_rows(rest, candidates.points)) / np.max(np.abs(rest), axis=1)[:, None]
+    keep = np.all(vals <= COMMON_ROOT_TOL, axis=0)
+    res = np.max(np.vstack([candidates.residuals, vals]), axis=0)
+    return RootSet(candidates.points[keep], res[keep])
 
 
-def identified_set(polys, kind: str, diagnostics: dict, *,
+def identified_set(rows, kind: str, diagnostics: dict, *,
                    residual_tol: float = ROOT_RESIDUAL_TOL) -> IdentifiedSet:
-    """The identified set of a system of restriction rows, each a polynomial
-    that is ``>= 0`` (kind ``"ge"``) or ``== 0`` (kind ``"eq"``) at the
-    discount factors consistent with it.
+    """The identified set of a system of restriction rows, the rows of a
+    coefficient matrix (``rows[i, j]`` multiplies ``beta**j``), each a
+    polynomial that is ``>= 0`` (kind ``"ge"``) or ``== 0`` (kind ``"eq"``) at
+    the discount factors consistent with it.
 
     Equality rows give their common roots on ``[0, 1)``; identically-zero rows
     are flagged uninformative and excluded, and if every row is, the set
@@ -136,18 +131,18 @@ def identified_set(polys, kind: str, diagnostics: dict, *,
     rows give the subintervals of ``[0, 1)`` where all are nonnegative.  The
     caller's ``diagnostics`` (a label, a firm) are merged into the set's.
     """
-    polys = list(polys)
+    rows = np.asarray(rows, dtype=float)
+    diag = _poly_diagnostics(rows)
     if kind == "ge":
-        scale = max((p.max_abs_coeff for p in polys), default=0.0)
-        return IdentifiedSet(inequality_intervals=list(sign_region(polys).intervals), polys=polys,
-                             diagnostics={**diagnostics, "polynomials": _poly_diagnostics(polys, scale)})
+        return IdentifiedSet(inequality_intervals=list(sign_region(rows).intervals), rows=rows,
+                             diagnostics={**diagnostics, "polynomials": diag})
     if kind != "eq":
         raise ValueError("kind must be 'eq' or 'ge'")
-    roots, diag = _common_roots(polys, residual_tol)
+    roots = _common_roots(rows, diag, residual_tol)
     if roots is None:
-        return IdentifiedSet(equality_roots=[], polys=polys, diagnostics={
+        return IdentifiedSet(equality_roots=[], rows=rows, diagnostics={
             **diagnostics, "polynomials": diag, "no_identifying_content": True})
-    return IdentifiedSet(equality_roots=list(roots.points), polys=polys, diagnostics={
+    return IdentifiedSet(equality_roots=list(roots.points), rows=rows, diagnostics={
         **diagnostics, "polynomials": diag, "root_residuals": list(roots.residuals)})
 
 
@@ -219,7 +214,7 @@ def solve_log_diff(master: MasterSystem, r, c: float) -> RootSet:
     active = np.nonzero(r)[0]
     if active.size == 0:
         raise ValueError("weight vector is identically zero")
-    ga = coeff_matrix(master.payoff_polys(np.eye(master.n_rows)[active]))
+    ga = master.payoff_polys(np.eye(master.n_rows)[active])
     ra = r[active]
     scale = np.max(np.abs(ga))
 
@@ -280,9 +275,9 @@ def check_finite_dependence(Q, pairs, rho_max: int = 5,
 
 
 def finite_restriction_poly(psi, Q, row, c: float, rho: int, *,
-                            cert_tol: float = FD_CERT_TOL) -> BetaPoly:
-    """Identifying polynomial ``r U(beta) - c`` of one restriction row under
-    ``rho``-dependence, of degree ``rho``.
+                            cert_tol: float = FD_CERT_TOL) -> np.ndarray:
+    """Coefficients (length ``rho + 1``) of the identifying polynomial
+    ``r U(beta) - c`` of one restriction row under ``rho``-dependence.
 
     Every recovered payoff satisfies ``u_k(x) = psi_last(x) - psi_k(x) +
     beta (Q_last(x) - Q_k(x)) V(beta)`` with ``V = (I - beta Q_last)^-1
@@ -304,23 +299,22 @@ def finite_restriction_poly(psi, Q, row, c: float, rho: int, *,
     gap = float(np.max(np.abs(powers[-1])))
     if gap > cert_tol * weight:
         raise ValueError(f"restriction row lacks {rho}-dependence (max violation {gap:.3e})")
-    coeffs = [float(np.sum(r * (psi[K - 1] - psi[: K - 1]))) - c]
-    coeffs += [float(w @ psi[K - 1]) for w in powers[:-1]]
-    poly = BetaPoly(coeffs)
+    coeffs = np.array([float(np.sum(r * (psi[K - 1] - psi[: K - 1]))) - c]
+                      + [float(w @ psi[K - 1]) for w in powers[:-1]])
     # coefficients at rounding level of the inputs mean the row holds at every
-    # discount factor; return the zero polynomial so it is flagged uninformative
+    # discount factor; return zeros so it is flagged uninformative
     input_scale = max(1.0, float(np.max(np.abs(psi))), abs(c)) * weight
-    if poly.max_abs_coeff <= 1e-12 * input_scale:
-        return BetaPoly.zero()
-    return poly
+    if np.max(np.abs(coeffs)) <= 1e-12 * input_scale:
+        coeffs[:] = 0.0
+    return coeffs
 
 
 def finite_equality_set(polys, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> IdentifiedSet:
-    """Common roots on ``[0, 1)`` of degree-``rho`` equality polynomials."""
-    return identified_set(polys, "eq", {}, residual_tol=residual_tol)
+    """Common roots on ``[0, 1)`` of a list of degree-``rho`` equality rows."""
+    return identified_set(np.vstack(polys), "eq", {}, residual_tol=residual_tol)
 
 
 def finite_inequality_region(polys) -> IdentifiedSet:
-    """Subset of ``[0, 1)`` where every degree-``rho`` inequality polynomial is
-    nonnegative (rows were stored as ``r @ U >= c``)."""
-    return identified_set(polys, "ge", {})
+    """Subset of ``[0, 1)`` where every row of a list of degree-``rho``
+    inequality rows is nonnegative (rows were stored as ``r @ U >= c``)."""
+    return identified_set(np.vstack(polys), "ge", {})

@@ -221,7 +221,7 @@ class EntryGameBundle:
     """The built game plus per-firm linear-in-parameters design matrices."""
 
     model: GameModel
-    designs: tuple  # one (n_cells, 4) design matrix per firm
+    designs: tuple  # one (n_cells, 4) design matrix per firm; (n_cells, 3) for a lone firm
     config: EntryGameConfig
 
 
@@ -262,5 +262,6 @@ def build_entry_game(cfg: EntryGameConfig | None = None) -> EntryGameBundle:
             n_in = sum(1 for t in range(N - 1) if (o // K ** t) % K == 0)
             rows.append([np.log(s_values[s]), -np.log(1.0 + n_in), -1.0,
                          -1.0 if own == 1 else 0.0])
-        designs.append(np.asarray(rows))
+        # a lone firm has no rivals to count: that column would be all zero
+        designs.append(np.asarray(rows)[:, [0, 2, 3] if N == 1 else [0, 1, 2, 3]])
     return EntryGameBundle(model=model, designs=tuple(designs), config=cfg)

@@ -431,6 +431,17 @@ class TestCliEdges:
             "run", "--scenario", "entry", "--restrictions", "zero-cross", "--beta-grid", "0:1:11",
             "--out-dir", str(tmp_path / out)], "file_error")
 
+    def test_blocked_out_dir_is_reported_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # the check runs before the scenario is built: the equilibrium solver never starts
+        from ddcident import cli
+        calls = []
+        monkeypatch.setattr(cli, "solve_mpe", lambda *args, **kwargs: calls.append(args))
+        (tmp_path / "file").write_text("")
+        self.assert_json_error(capsys, [
+            "run", "--scenario", "entry-game", "--firm", "1", "--restrictions", "exchangeability",
+            "--out-dir", str(tmp_path / "file")], "file_error")
+        assert calls == []
+
     def test_solver_failure_is_structured_error(self, tmp_path, capsys):
         # the largest float below 1 passes validation, but I - beta*Q is then
         # singular to rounding and the Newton steps cannot settle

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from ddcident.ddc import EULER_GAMMA, SingleAgentModel, solve_bellman, solve_logit
@@ -238,8 +239,8 @@ class TestBuildSystem:
             scale = np.max(np.abs(sys_i.rhs_coeffs))
             # Pbar (W(beta) - det(beta) pi) = rhs(beta) - det(beta) Pbar pi
             rows = sys_i.payoff_polys(np.eye(m.m_pi), pi_true)
-            good = np.max(np.abs(sys_i.Pbar @ [p(m.betas[i]) for p in rows]))
-            bad = np.max(np.abs(sys_i.Pbar @ [p(0.5) for p in rows]))
+            good = np.max(np.abs(sys_i.Pbar @ npoly.polyval(m.betas[i], rows.T)))
+            bad = np.max(np.abs(sys_i.Pbar @ npoly.polyval(0.5, rows.T)))
             assert good <= 1e-8 * scale
             assert bad > 1e-4 * scale
 
@@ -257,7 +258,7 @@ class TestBuildSystem:
         grid = np.linspace(0.0, 1.0, 1001, endpoint=False)
         for i in range(3):
             sys_i = build_system(bundle.model, mpe, i)
-            assert np.all(sys_i.det(grid) > 0.0)
+            assert np.all(npoly.polyval(grid, sys_i.det) > 0.0)
 
 
 class TestRestrictionRows:
@@ -312,9 +313,21 @@ class TestRestrictionRows:
         assert ex.diagnostics["no_identifying_content"] and ex.equality_roots == []
         region = inequality_region_game(system, *r4_monotone_own_lag(gm, 0))
         assert any(lo <= 0.9 <= hi for lo, hi in region.inequality_intervals)
-        # with no rivals the design's rival-count column is zero
+        # with no rivals the design leaves out the rival-count column
+        assert bundle.designs[0].shape[1] == 3
+        R = r3_linear(gm, 0, bundle.designs[0])
+        lin = identified_set_game(system, R)
+        assert len(lin.equality_roots) == 1
+        assert abs(lin.equality_roots[0] - 0.9) <= 1e-6
+        assert np.max(np.abs(R @ system.solve_payoffs(0.9))) <= 1e-8
+
+    def test_linear_design_rank_guard(self, game):
+        # a design column that is zero in every cell cannot be identified
+        bundle, _ = game
+        design = bundle.designs[0].copy()
+        design[:, 1] = 0.0
         with pytest.raises(RankDeficiencyError):
-            r3_linear(gm, 0, bundle.designs[0])
+            r3_linear(bundle.model, 0, design)
 
     def test_linear_design_shape_guard(self, game):
         bundle, _ = game
@@ -339,8 +352,8 @@ class TestIdentifiedSets:
         sys0 = build_system(bundle.model, mpe, 0)
         polys = sys0.payoff_polys(r3_exchangeability(bundle.model, 0))
         for p in polys:
-            if not p.is_zero:
-                assert abs(p(1.0)) <= 1e-8 * p.max_abs_coeff
+            if p.any():
+                assert abs(npoly.polyval(1.0, p)) <= 1e-8 * np.max(np.abs(p))
 
     def test_planted_two_firm_game(self):
         rng = np.random.default_rng(5)
@@ -400,8 +413,11 @@ class TestIdentifiedSets:
         Pbar[1] = Pbar[0]
         rhs = sys0.rhs_coeffs.copy()
         rhs[1] = rhs[0]
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(RankDeficiencyError) as err:
             dataclasses.replace(sys0, Pbar=Pbar, rhs_coeffs=rhs)
+        # the reported rank is numpy's at its default tolerance
+        assert err.value.rank == np.linalg.matrix_rank(np.vstack([Pbar, sys0.R2]))
+        assert err.value.required == sys0.m_pi
 
 
 class TestRecoveryAndInequalities:

@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
+
 from ddcident import betapoly, ddc, games
 from ddcident.scenarios import build_entry_game, build_entry_model
 
@@ -45,6 +47,13 @@ def test_result_probes_read_their_results():
     for name, result in results.items():
         _, amount = spans.RESULT_COUNTS[name]
         assert amount(result) > 0, name
+
+
+def test_determinant_is_callable_as_the_sweep_calls_it():
+    # perfbench/sweep.py evaluates the second part of faddeev_adj_det at 0.95
+    Q = build_entry_model().model.Q[-1]
+    _, det = betapoly.faddeev_adj_det(Q)
+    assert abs(float(det(0.95)) - np.linalg.det(np.eye(len(Q)) - 0.95 * Q)) <= 1e-8
 
 
 def test_tracer_installs_and_counts():
