@@ -59,7 +59,6 @@ from .restrictions import (
     log_diff_restriction,
     log_homogeneity,
     monotonicity,
-    stack_restrictions,
     zero_cross_difference,
 )
 from .scenarios import (

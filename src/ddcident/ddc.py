@@ -233,7 +233,7 @@ class MasterSystem:
         R = np.atleast_2d(np.asarray(R, dtype=float))
         c = np.broadcast_to(np.asarray(c, dtype=float), (R.shape[0],))
         rows = R @ self.m_psi - np.outer(c + R @ self.psi_stack, self.det)
-        input_scale = max(1.0, float(np.max(np.abs(self.m_psi)))) * max(1.0, float(np.max(np.abs(R))))
+        input_scale = max(1.0, float(np.max(np.abs(self.m_psi)))) * max(1.0, float(np.abs(R).max(initial=0.0)))
         rows[np.max(np.abs(rows), axis=1) <= 1e-12 * input_scale] = 0.0
         return rows
 

@@ -175,10 +175,6 @@ class MpeSolution:
     residual: float
     n_iter: int
 
-    def to_json_dict(self) -> dict:
-        return {"P": self.P.tolist(), "V": self.V.tolist(), "v": self.v.tolist(),
-                "psi": self.psi.tolist(), "residual": self.residual, "n_iter": self.n_iter}
-
 
 def rival_probabilities(model: GameModel, P, i: int) -> np.ndarray:
     """Joint probability of each rival action profile by state, shape

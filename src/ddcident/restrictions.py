@@ -5,13 +5,15 @@ cross-differences, monotonicity, curvature, complementarity, linearity in
 parameters, exclusions) into ``(R, c)`` pairs acting on the action-major
 stacked payoff vector.  Equalities are stored as ``R @ U = c`` and
 inequalities as ``R @ U >= c``.
+
+Each shape restriction is a stencil along one or two grid axes: its builder
+slices the index array of ``FactoredStates.cells`` (``u[..., 1:]`` against
+``u[..., :-1]``, say) and passes the weighted slices to one assembler.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,11 @@ class FactoredStates:
     The first axis varies fastest in the flat state index.  Payoff columns are
     action-major: column of ``(action k, state x)`` is ``k * J + x`` for
     actions ``k = 0..K-2`` (the last action is normalized away).
+
+    ``cells(action, *axes)`` holds those columns, one dimension per axis: the
+    other axes in ``axes`` order, then the named ones as given.  Its C order is
+    every stencil builder's row order (``itertools.product`` over the other
+    axes, then the stencil positions along the named ones).
     """
 
     axes: tuple[str, ...]
@@ -80,12 +87,16 @@ class FactoredStates:
             raise IndexError(f"action {action} has no payoff column (normalized or out of range)")
         return action * self.n_states + self.state_index(coords)
 
-    def iter_coords(self, axes=None):
-        """Iterate over dicts of grid indices for the given axes (all by default)."""
-        axes = self.axes if axes is None else tuple(axes)
-        ranges = [range(len(self.grid(a))) for a in axes]
-        for combo in itertools.product(*ranges):
-            yield dict(zip(axes, combo))
+    def cells(self, action: int, *axes: str) -> np.ndarray:
+        """Payoff columns of ``action``, one dimension per grid axis, with the
+        named ``axes`` moved last in the order given (see the class docstring)."""
+        if not 0 <= action < self.n_actions - 1:
+            raise IndexError(f"action {action} has no payoff column (normalized or out of range)")
+        pos = [self.axis_pos(a) for a in axes]
+        if len(set(axes)) < len(axes):
+            raise ValueError(f"axis {max(axes, key=axes.count)!r} is named more than once")
+        flat = action * self.n_states + np.arange(self.n_states).reshape(self.shape, order="F")
+        return np.moveaxis(flat, pos, range(len(self.axes) - len(pos), len(self.axes)))
 
     def find_on_grid(self, axis: str, value: float, tol: float = 1e-9) -> int:
         """Grid index of a value on an axis; errors if the point is absent."""
@@ -120,33 +131,14 @@ class RestrictionSet:
     def n_rows(self) -> int:
         return self.R.shape[0]
 
-    @property
-    def n_columns(self) -> int:
-        return self.R.shape[1]
-
-    def row_rank(self, tol: float = RANK_TOL) -> int:
-        if self.n_rows == 0:
-            return 0
-        s = np.linalg.svd(self.R, compute_uv=False)
-        return int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-
-    def violation(self, U) -> np.ndarray:
-        """Signed violations at a payoff vector: equality rows return
-        ``R U - c``; inequality rows return ``min(R U - c, 0)``."""
-        g = self.R @ np.asarray(U, dtype=float) - self.c
-        return g if self.kind == "eq" else np.minimum(g, 0.0)
-
     def to_json_dict(self) -> dict:
         rows = []
         for row in self.R:
             cols = np.nonzero(row)[0]
             rows.append({"cols": cols.tolist(), "vals": row[cols].tolist()})
         kind = "equality" if self.kind == "eq" else "inequality_ge"
-        return {"label": self.label, "kind": kind, "n_columns": self.n_columns,
+        return {"label": self.label, "kind": kind, "n_columns": self.R.shape[1],
                 "c": self.c.tolist(), "rows": rows}
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RestrictionSet":
@@ -156,37 +148,33 @@ class RestrictionSet:
             R[i, row["cols"]] = row["vals"]
         return cls(R=R, c=np.asarray(d["c"], dtype=float), kind=kind, label=d.get("label", ""))
 
-    @classmethod
-    def from_json(cls, s: str) -> "RestrictionSet":
-        return cls.from_json_dict(json.loads(s))
+
+def _stencil_rows(fs: FactoredStates, kind: str, label: str, *terms) -> RestrictionSet:
+    """Rows ``R U (=|>=) 0``, one per cell of the common shape of the
+    ``(columns, weights)`` terms: term by term, in the order given, row ``i``
+    adds the ``i``-th weight at the ``i``-th column (both in C order)."""
+    shape = np.broadcast_shapes(*(np.shape(x) for term in terms for x in term))
+    n = math.prod(shape)
+    R = np.zeros((n, fs.n_columns))
+    for cols, weights in terms:
+        R[np.arange(n), np.broadcast_to(cols, shape).ravel()] += np.broadcast_to(weights, shape).ravel()
+    return RestrictionSet(R, np.zeros(n), kind, label)
 
 
-def stack_restrictions(sets, label: str = "", drop_dependent: bool = True) -> RestrictionSet:
-    """Concatenate restriction sets of one kind; dependent rows are dropped with a warning."""
-    sets = list(sets)
-    kinds = {s.kind for s in sets}
-    if len(kinds) != 1:
-        raise ValueError("cannot stack restriction sets of different kinds")
-    R = np.vstack([s.R for s in sets])
-    c = np.concatenate([s.c for s in sets])
-    if drop_dependent and R.shape[0] > 1:
-        keep = []
-        for i in range(R.shape[0]):
-            trial = R[keep + [i]]
-            s = np.linalg.svd(trial, compute_uv=False)
-            if np.sum(s > RANK_TOL * s[0]) == len(keep) + 1:
-                keep.append(i)
-        if len(keep) < R.shape[0]:
-            warnings.warn(
-                f"dropped {R.shape[0] - len(keep)} linearly dependent restriction rows",
-                stacklevel=2,
-            )
-            R, c = R[keep], c[keep]
-    return RestrictionSet(R=R, c=c, kind=sets[0].kind, label=label or "+".join(s.label for s in sets))
+def _flat_points(points, axes, shape) -> np.ndarray:
+    """Flat C-order indices of grid index tuples over ``axes``; an index off
+    its axis raises ``IndexError`` (numpy would wrap a negative one)."""
+    pts = np.asarray(points, dtype=int).reshape(len(points), len(axes))
+    for axis, n, col in zip(axes, shape, pts.T):
+        bad = col[(col < 0) | (col >= n)]
+        if bad.size:
+            raise IndexError(f"axis {axis!r} index {bad[0]} out of range")
+    return np.ravel_multi_index(tuple(pts.T), shape)
 
 
-def _other_axes(fs: FactoredStates, *used):
-    return tuple(a for a in fs.axes if a not in used)
+def _ray(fs: FactoredStates, axis: str, base: float, lambdas):
+    """Grid indices on ``axis`` of ``base`` and of each ``lam * base``, all of which must be on it."""
+    return fs.find_on_grid(axis, base), [fs.find_on_grid(axis, lam * base) for lam in lambdas]
 
 
 def homogeneity_known_nu(fs: FactoredStates, action: int, base: float, lambdas, nu: float,
@@ -194,16 +182,10 @@ def homogeneity_known_nu(fs: FactoredStates, action: int, base: float, lambdas, 
     """Rows ``u(base*lam, z) - lam**nu * u(base, z) = 0`` for each multiplier and
     each combination of the remaining axes.  Every ray point must be on the grid."""
     lambdas = [float(l) for l in lambdas]
-    i_base = fs.find_on_grid(axis, base)
-    i_ray = [fs.find_on_grid(axis, l * base) for l in lambdas]
-    rows = []
-    for other in fs.iter_coords(_other_axes(fs, axis)):
-        for lam, i_l in zip(lambdas, i_ray):
-            row = np.zeros(fs.n_columns)
-            row[fs.column(action, {**other, axis: i_l})] += 1.0
-            row[fs.column(action, {**other, axis: i_base})] -= lam ** nu
-            rows.append(row)
-    return RestrictionSet(np.array(rows), 0.0, "eq", label=f"homogeneity(nu={nu})")
+    i_base, i_ray = _ray(fs, axis, base, lambdas)
+    u = fs.cells(action, axis)
+    return _stencil_rows(fs, "eq", f"homogeneity(nu={nu})", (np.take(u, i_ray, axis=-1), 1.0),
+                         (u[..., [i_base]], [-(lam ** nu) for lam in lambdas]))
 
 
 def log_homogeneity(fs: FactoredStates, action: int, base: float, lambdas,
@@ -216,18 +198,12 @@ def log_homogeneity(fs: FactoredStates, action: int, base: float, lambdas,
     lambdas = [float(l) for l in lambdas]
     if len(lambdas) < 2:
         raise ValueError("insufficient ray points: need at least two multipliers besides 1")
-    i_base = fs.find_on_grid(axis, base)
-    i_ray = [fs.find_on_grid(axis, l * base) for l in lambdas]
-    lam2, i2 = lambdas[0], i_ray[0]
-    rows = []
-    for other in fs.iter_coords(_other_axes(fs, axis)):
-        for lam, i_l in zip(lambdas[1:], i_ray[1:]):
-            row = np.zeros(fs.n_columns)
-            row[fs.column(action, {**other, axis: i_l})] += 1.0 / np.log(lam)
-            row[fs.column(action, {**other, axis: i2})] -= 1.0 / np.log(lam2)
-            row[fs.column(action, {**other, axis: i_base})] += 1.0 / np.log(lam2) - 1.0 / np.log(lam)
-            rows.append(row)
-    return RestrictionSet(np.array(rows), 0.0, "eq", label="log_homogeneity")
+    i_base, i_ray = _ray(fs, axis, base, lambdas)
+    inv = [1.0 / np.log(lam) for lam in lambdas]
+    u = fs.cells(action, axis)
+    return _stencil_rows(fs, "eq", "log_homogeneity", (u[..., i_ray[1:]], inv[1:]),
+                         (u[..., [i_ray[0]]], -inv[0]),
+                         (u[..., [i_base]], [inv[0] - w for w in inv[1:]]))
 
 
 def additive_homogeneous(fs: FactoredStates, action: int, nu: float = 1.0,
@@ -242,31 +218,23 @@ def additive_homogeneous(fs: FactoredStates, action: int, nu: float = 1.0,
     g = fs.grid(axis)
     if len(g) < 3:
         raise ValueError(f"axis {axis!r} needs at least 3 grid points, has {len(g)}")
-    rows = []
-    for other in fs.iter_coords(_other_axes(fs, axis)):
-        for l in range(len(g) - 2):
-            row = np.zeros(fs.n_columns)
-            c0 = fs.column(action, {**other, axis: l})
-            c1 = fs.column(action, {**other, axis: l + 1})
-            c2 = fs.column(action, {**other, axis: l + 2})
-            if nu == 1.0:
-                d1, d2 = g[l + 1] - g[l], g[l + 2] - g[l + 1]
-                row[c2] += 1.0 / d2
-                row[c1] -= 1.0 / d2 + 1.0 / d1
-                row[c0] += 1.0 / d1
-            else:
-                if g[l] == 0.0 or g[l] * g[l + 1] <= 0.0 or g[l] * g[l + 2] <= 0.0:
-                    raise ValueError(
-                        f"axis {axis!r} grid is not a ray away from zero; "
-                        f"degree-{nu} homogeneity rows are not available"
-                    )
-                a2 = (g[l + 2] / g[l]) ** nu - 1.0
-                a1 = (g[l + 1] / g[l]) ** nu - 1.0
-                row[c2] += 1.0 / a2
-                row[c1] -= 1.0 / a1
-                row[c0] += 1.0 / a1 - 1.0 / a2
-            rows.append(row)
-    return RestrictionSet(np.array(rows), 0.0, "eq", label=f"additive_homogeneous(nu={nu})")
+    g0, g1, g2 = g[:-2], g[1:-1], g[2:]
+    if nu == 1.0:
+        w2, w0 = 1.0 / (g2 - g1), 1.0 / (g1 - g0)
+        w1 = -(w2 + w0)
+    else:
+        if np.any((g0 == 0.0) | (g0 * g1 <= 0.0) | (g0 * g2 <= 0.0)):
+            raise ValueError(
+                f"axis {axis!r} grid is not a ray away from zero; "
+                f"degree-{nu} homogeneity rows are not available"
+            )
+        # scalar powers: numpy's vectorized power may round differently
+        a2 = np.array([x ** nu for x in g2 / g0]) - 1.0
+        a1 = np.array([x ** nu for x in g1 / g0]) - 1.0
+        w2, w1, w0 = 1.0 / a2, -1.0 / a1, 1.0 / a1 - 1.0 / a2
+    u = fs.cells(action, axis)
+    return _stencil_rows(fs, "eq", f"additive_homogeneous(nu={nu})",
+                         (u[..., 2:], w2), (u[..., 1:-1], w1), (u[..., :-2], w0))
 
 
 def zero_cross_difference(fs: FactoredStates, action: int, diff_axis: str,
@@ -277,29 +245,25 @@ def zero_cross_difference(fs: FactoredStates, action: int, diff_axis: str,
     Rows anchor at the first listed point of each set:
     ``[u(d_i, a_j) - u(d_0, a_j)] - [u(d_i, a_0) - u(d_0, a_0)] = 0`` giving
     ``(n_diff - 1) * (n_invariant - 1)`` rows (per combination of any axes not
-    named, if the two sets do not exhaust the state space).
+    named, if the two sets do not exhaust the state space).  Invariant points
+    are index tuples over ``invariant_axes``; by default every combination,
+    last axis fastest.
     """
     if invariant_axes is None:
-        invariant_axes = _other_axes(fs, diff_axis)
+        invariant_axes = tuple(a for a in fs.axes if a != diff_axis)
     invariant_axes = tuple(invariant_axes)
-    d_pts = list(range(len(fs.grid(diff_axis)))) if diff_points is None else list(diff_points)
-    a_pts = list(invariant_points) if invariant_points is not None else \
-        [tuple(c[a] for a in invariant_axes) for c in fs.iter_coords(invariant_axes)]
+    u = fs.cells(action, diff_axis, *invariant_axes)
+    k = len(invariant_axes)
+    n_d, inv_shape = u.shape[-1 - k], u.shape[u.ndim - k:]
+    d_pts = range(n_d) if diff_points is None else list(diff_points)
+    a_pts = list(np.ndindex(inv_shape)) if invariant_points is None else list(invariant_points)
     if len(d_pts) < 2 or len(a_pts) < 2:
         raise ValueError("need at least two points along the difference axis and two across")
-    rest = _other_axes(fs, diff_axis, *invariant_axes)
-    rows = []
-    for other in fs.iter_coords(rest):
-        for d in d_pts[1:]:
-            for a in a_pts[1:]:
-                row = np.zeros(fs.n_columns)
-                for sign_d, dd in ((1.0, d), (-1.0, d_pts[0])):
-                    for sign_a, aa in ((1.0, a), (-1.0, a_pts[0])):
-                        coords = {**other, diff_axis: dd,
-                                  **dict(zip(invariant_axes, aa))}
-                        row[fs.column(action, coords)] += sign_d * sign_a
-                rows.append(row)
-    return RestrictionSet(np.array(rows), 0.0, "eq", label=f"zero_cross({diff_axis})")
+    u = u.reshape(u.shape[:u.ndim - k] + (-1,))  # invariant points flattened in C order
+    v = u[..., _flat_points(d_pts, (diff_axis,), (n_d,))[:, None],
+          _flat_points(a_pts, invariant_axes, inv_shape)]
+    return _stencil_rows(fs, "eq", f"zero_cross({diff_axis})", (v[..., 1:, 1:], 1.0),
+                         (v[..., 1:, :1], -1.0), (v[..., :1, 1:], -1.0), (v[..., :1, :1], 1.0))
 
 
 def exclusion(fs: FactoredStates, pair_a, pair_b) -> RestrictionSet:
@@ -311,9 +275,7 @@ def exclusion(fs: FactoredStates, pair_a, pair_b) -> RestrictionSet:
     (ka, ca), (kb, cb) = pair_a, pair_b
     row = np.zeros(fs.n_columns)
     row[fs.column(ka, ca)] += 1.0
-    if kb == fs.n_actions - 1:
-        pass  # normalized action contributes nothing
-    else:
+    if kb != fs.n_actions - 1:  # the normalized action contributes nothing
         col_b = fs.column(kb, cb)
         if row[col_b] != 0.0:
             raise ValueError("exclusion must reference two distinct action-state pairs")
@@ -329,14 +291,9 @@ def monotonicity(fs: FactoredStates, action: int, axis: str,
     if np.any(np.diff(g) <= 0):
         raise ValueError(f"axis {axis!r} grid must be strictly ascending")
     sgn = {"increasing": 1.0, "decreasing": -1.0}[direction]
-    rows = []
-    for other in fs.iter_coords(_other_axes(fs, axis)):
-        for l in range(len(g) - 1):
-            row = np.zeros(fs.n_columns)
-            row[fs.column(action, {**other, axis: l + 1})] += sgn
-            row[fs.column(action, {**other, axis: l})] -= sgn
-            rows.append(row)
-    return RestrictionSet(np.array(rows), 0.0, "ge", label=f"monotonicity({axis},{direction})")
+    u = fs.cells(action, axis)
+    return _stencil_rows(fs, "ge", f"monotonicity({axis},{direction})",
+                         (u[..., 1:], sgn), (u[..., :-1], -sgn))
 
 
 def concavity(fs: FactoredStates, action: int, axis: str, *, convex: bool = False) -> RestrictionSet:
@@ -352,17 +309,11 @@ def concavity(fs: FactoredStates, action: int, axis: str, *, convex: bool = Fals
         raise ValueError(f"axis {axis!r} needs at least 3 grid points, has {len(g)}")
     # divided second difference: nonnegative for convex u, nonpositive for concave u
     sgn = 1.0 if convex else -1.0
-    rows = []
-    for other in fs.iter_coords(_other_axes(fs, axis)):
-        for l in range(len(g) - 2):
-            d1, d2 = g[l + 1] - g[l], g[l + 2] - g[l + 1]
-            row = np.zeros(fs.n_columns)
-            row[fs.column(action, {**other, axis: l})] += sgn / d1
-            row[fs.column(action, {**other, axis: l + 1})] -= sgn * (1.0 / d1 + 1.0 / d2)
-            row[fs.column(action, {**other, axis: l + 2})] += sgn / d2
-            rows.append(row)
-    return RestrictionSet(np.array(rows), 0.0, "ge",
-                          label=f"{'convexity' if convex else 'concavity'}({axis})")
+    d1, d2 = g[1:-1] - g[:-2], g[2:] - g[1:-1]
+    u = fs.cells(action, axis)
+    return _stencil_rows(fs, "ge", f"{'convexity' if convex else 'concavity'}({axis})",
+                         (u[..., :-2], sgn / d1), (u[..., 1:-1], -(sgn * (1.0 / d1 + 1.0 / d2))),
+                         (u[..., 2:], sgn / d2))
 
 
 def complementarity(fs: FactoredStates, action: int, axes=("w", "z"),
@@ -374,19 +325,11 @@ def complementarity(fs: FactoredStates, action: int, axes=("w", "z"),
     axes); ``substitutes`` reverses the sign.
     """
     ax_w, ax_z = axes
-    gw, gz = fs.grid(ax_w), fs.grid(ax_z)
+    u = fs.cells(action, ax_w, ax_z)
     sgn = {"complements": 1.0, "substitutes": -1.0}[direction]
-    rows = []
-    for other in fs.iter_coords(_other_axes(fs, ax_w, ax_z)):
-        for l in range(len(gw) - 1):
-            for m in range(len(gz) - 1):
-                row = np.zeros(fs.n_columns)
-                row[fs.column(action, {**other, ax_w: l + 1, ax_z: m + 1})] += sgn
-                row[fs.column(action, {**other, ax_w: l + 1, ax_z: m})] -= sgn
-                row[fs.column(action, {**other, ax_w: l, ax_z: m + 1})] -= sgn
-                row[fs.column(action, {**other, ax_w: l, ax_z: m})] += sgn
-                rows.append(row)
-    return RestrictionSet(np.array(rows), 0.0, "ge", label=f"complementarity({ax_w},{ax_z})")
+    return _stencil_rows(fs, "ge", f"complementarity({ax_w},{ax_z})",
+                         (u[..., 1:, 1:], sgn), (u[..., 1:, :-1], -sgn),
+                         (u[..., :-1, 1:], -sgn), (u[..., :-1, :-1], sgn))
 
 
 def linear_in_parameters(H, label: str = "linearity") -> RestrictionSet:
@@ -411,7 +354,7 @@ def linear_in_parameters(H, label: str = "linearity") -> RestrictionSet:
 def log_diff_restriction(fs: FactoredStates, action: int, base: float, lambdas,
                          nu: float | None = None, axis: str = "w") -> tuple[np.ndarray, float]:
     """Weight vector ``r`` with ``sum(r) = 0`` for a restriction on log payoffs,
-    ``r @ log(U) = 0``.
+    ``r @ log(U) = 0``, on the first cell of the axes other than ``axis``.
 
     With ``nu=None`` the payoff is homogeneous of unknown degree along the ray
     (weights ``1/log(lambda)``); with a known ``nu`` the payoff is the
@@ -421,19 +364,16 @@ def log_diff_restriction(fs: FactoredStates, action: int, base: float, lambdas,
     lambdas = [float(l) for l in lambdas]
     if len(lambdas) < 2:
         raise ValueError("insufficient ray points: need at least two multipliers besides 1")
-    i_base = fs.find_on_grid(axis, base)
-    i_ray = [fs.find_on_grid(axis, l * base) for l in lambdas]
+    i_base, i_ray = _ray(fs, axis, base, lambdas)
 
     def weight(lam):
         return 1.0 / np.log(lam) if nu is None else 1.0 / (lam ** nu - 1.0)
 
-    other = next(fs.iter_coords(_other_axes(fs, axis)))
-    lam2, i2 = lambdas[0], i_ray[0]
-    lam3, i3 = lambdas[1], i_ray[1]
+    col = fs.cells(action, axis)[(0,) * (len(fs.axes) - 1)]
     r = np.zeros(fs.n_columns)
-    r[fs.column(action, {**other, axis: i3})] += weight(lam3)
-    r[fs.column(action, {**other, axis: i2})] -= weight(lam2)
-    r[fs.column(action, {**other, axis: i_base})] += weight(lam2) - weight(lam3)
+    r[col[i_ray[1]]] += weight(lambdas[1])
+    r[col[i_ray[0]]] -= weight(lambdas[0])
+    r[col[i_base]] += weight(lambdas[0]) - weight(lambdas[1])
     if abs(r.sum()) > 1e-12:
         raise ValueError("log-difference weights failed to sum to zero")
     return r, 0.0

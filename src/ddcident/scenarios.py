@@ -4,7 +4,7 @@ three-firm entry game, at fixed documented parameterizations."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -125,7 +125,6 @@ class EntryModelBundle:
     H: np.ndarray
     u_true: np.ndarray
     config: EntryModelConfig
-    grids: dict = field(default_factory=dict)
 
 
 def _entry_state_space(cfg: EntryModelConfig):
@@ -157,11 +156,8 @@ def build_entry_model(cfg: EntryModelConfig | None = None) -> EntryModelBundle:
     J = fs.n_states
     n_wz = cfg.J_w * cfg.J_z
 
-    W, Z, Y = np.meshgrid(w_grid, z_grid, [0.0, 1.0], indexing="ij")
-    # flatten in state-index order: w fastest, then z, then y
-    wv = W.reshape(-1, order="F")
-    zv = Z.reshape(-1, order="F")
-    yv = Y.reshape(-1, order="F")
+    # grid values in state-index order: w fastest, then z, then y
+    wv, zv, yv = (v.ravel(order="F") for v in np.meshgrid(*fs.grids, indexing="ij"))
     u1 = th1 + np.exp(zv) * (th2 + th3 * wv) + (1.0 - yv) * th4
     u = np.stack([u1, np.zeros(J)])
 
@@ -183,8 +179,7 @@ def build_entry_model(cfg: EntryModelConfig | None = None) -> EntryModelBundle:
         "linearity": linear_in_parameters(H),
     }
     return EntryModelBundle(model=model, states=fs, restrictions=restr, H=H,
-                            u_true=u1.copy(), config=cfg,
-                            grids={"w": w_grid, "z": z_grid, "y": np.array([0.0, 1.0])})
+                            u_true=u1.copy(), config=cfg)
 
 
 def build_entry_model_fd(cfg: EntryModelConfig | None = None) -> EntryModelBundle:

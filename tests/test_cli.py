@@ -395,6 +395,21 @@ class TestParameterizedRestrictions:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("spec,axis", [
+        ("complementarity(axes=ww)", "'w'"),
+        ("zero-cross(diff_axis=y,invariant_axes=yw)", "'y'"),
+    ])
+    def test_repeated_axis_is_invalid_config(self, tmp_path, capsys, spec, axis):
+        out = tmp_path / "o"
+        rc = main(["run", "--scenario", "entry", "--restrictions", spec, "--out-dir", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid_config"
+        assert "cannot build" in err["issues"][0]["message"]
+        assert f"axis {axis} is named more than once" in err["issues"][0]["message"]
+        assert not out.exists()
+
+
 class TestCliEdges:
     def test_bad_beta_grid(self, tmp_path, capsys):
         rc = main(["run", "--scenario", "entry", "--restrictions", "homogeneity",

@@ -101,6 +101,15 @@ class TestEqualitySets:
         assert s.diagnostics.get("no_identifying_content")
         assert s.equality_roots == []
 
+    def test_zero_row_sets(self, entry):
+        # what the game path returns for a system without rows
+        _, _, ms = entry
+        eq = equality_identified_set(ms, RestrictionSet(np.zeros((0, ms.n_rows)), 0.0, "eq"))
+        assert eq.diagnostics.get("no_identifying_content")
+        assert eq.equality_roots == []
+        ge = inequality_region(ms, RestrictionSet(np.zeros((0, ms.n_rows)), 0.0, "ge"))
+        assert ge.inequality_intervals == [(0.0, 1.0)]
+
     def test_wrong_kind_rejected(self, entry):
         bundle, _, ms = entry
         with pytest.raises(ValueError):

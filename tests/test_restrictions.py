@@ -1,7 +1,12 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
+from ddcident.ddc import master_system
 from ddcident.errors import RankDeficiencyError
+from ddcident.identify import inequality_region
 from ddcident.restrictions import (
     FactoredStates,
     RestrictionSet,
@@ -14,7 +19,6 @@ from ddcident.restrictions import (
     log_diff_restriction,
     log_homogeneity,
     monotonicity,
-    stack_restrictions,
     zero_cross_difference,
 )
 
@@ -37,9 +41,7 @@ def entry_states():
 def payoff_on(fs, fn):
     """Evaluate fn over the grid in stacked order for action 0."""
     out = np.zeros(fs.n_columns)
-    for coords in fs.iter_coords():
-        vals = {a: fs.grid(a)[coords[a]] for a in fs.axes}
-        out[fs.column(0, coords)] = fn(**vals)
+    out[fs.cells(0)] = fn(**dict(zip(fs.axes, np.meshgrid(*fs.grids, indexing="ij"))))
     return out
 
 
@@ -276,22 +278,10 @@ class TestLogDiff:
 class TestSetPlumbing:
     def test_json_round_trip(self, entry_states):
         rs = monotonicity(entry_states, 0, "z")
-        back = RestrictionSet.from_json(rs.to_json())
+        back = RestrictionSet.from_json_dict(json.loads(json.dumps(rs.to_json_dict())))
         assert np.allclose(back.R, rs.R)
         assert np.allclose(back.c, rs.c)
         assert back.kind == rs.kind and back.label == rs.label
-
-    def test_stack_drops_dependent_rows(self, entry_states):
-        rs = monotonicity(entry_states, 0, "z")
-        with pytest.warns(UserWarning, match="dependent"):
-            both = stack_restrictions([rs, rs])
-        assert both.n_rows == rs.n_rows
-
-    def test_stack_rejects_mixed_kinds(self, entry_states):
-        a = monotonicity(entry_states, 0, "z")
-        b = additive_homogeneous(entry_states, 0)
-        with pytest.raises(ValueError):
-            stack_restrictions([a, b])
 
     def test_full_row_rank_of_builders(self, entry_states):
         for rs in (additive_homogeneous(entry_states, 0),
@@ -299,7 +289,8 @@ class TestSetPlumbing:
                    monotonicity(entry_states, 0, "z"),
                    concavity(entry_states, 0, "z"),
                    complementarity(entry_states, 0, ("w", "z"))):
-            assert rs.row_rank() == rs.n_rows
+            s0 = np.linalg.norm(rs.R, 2)
+            assert np.linalg.matrix_rank(rs.R, tol=1e-10 * s0) == rs.n_rows
 
 
 class TestGridAudits:
@@ -309,3 +300,164 @@ class TestGridAudits:
         # the w grid passes through zero, so no multiplicative ray exists
         with pytest.raises(ValueError, match="not on the"):
             homogeneity_known_nu(fs, 0, base=-0.5, lambdas=[2.0], nu=1.0)
+
+
+# Three actions (the last normalized) on four axes with uneven spacing; the d
+# axis is also a geometric ray from 0.5, so the multiplicative builders apply.
+GRID4 = FactoredStates(axes=("a", "b", "c", "d"),
+                       grids=(np.array([-1.0, -0.2, 0.5, 2.0]), np.array([0.1, 0.35, 1.2]),
+                              np.array([-3.0, 1.5]), np.array([0.5, 1.0, 2.0, 4.0])), n_actions=3)
+PAIRS4 = list(itertools.permutations(GRID4.axes, 2))
+
+
+def payoff_along(fs, action, axes, fn):
+    """Stacked payoffs: ``fn(*x, o)`` on ``action``'s cells, where ``x`` are
+    the grid values on ``axes`` and ``o`` is a positive function of the other
+    axes; seeded noise on every other action's cells."""
+    u = np.random.default_rng(7).normal(size=fs.n_columns)
+    vals = dict(zip(fs.axes, np.meshgrid(*fs.grids, indexing="ij")))
+    o = 1.5 + np.sin(sum((i + 1.3) * vals[a] for i, a in enumerate(fs.axes) if a not in axes))
+    u[fs.cells(action)] = fn(*(vals[a] for a in axes), o)
+    return u
+
+
+def holds(rs, u, tol=1e-12):
+    g = rs.R @ u - rs.c
+    return bool(np.max(np.abs(g)) <= tol) if rs.kind == "eq" else bool(np.min(g) >= -tol)
+
+
+# one-axis builders: (build, a payoff with the property, one without it)
+ONE_AXIS = {
+    "increasing": (lambda fs, k, ax: monotonicity(fs, k, ax),
+                   lambda x, o: o * np.exp(x) + o ** 2, lambda x, o: -o * x),
+    "decreasing": (lambda fs, k, ax: monotonicity(fs, k, ax, direction="decreasing"),
+                   lambda x, o: o ** 2 - o * x, lambda x, o: o * x),
+    "concave": (lambda fs, k, ax: concavity(fs, k, ax),
+                lambda x, o: o ** 3 - o * x ** 2, lambda x, o: o * x ** 2),
+    "convex": (lambda fs, k, ax: concavity(fs, k, ax, convex=True),
+               lambda x, o: o * np.exp(x), lambda x, o: -o * x ** 2),
+    "additive_hom": (lambda fs, k, ax: additive_homogeneous(fs, k, axis=ax),
+                     lambda x, o: o + o ** 2 * x, lambda x, o: o * x ** 2),
+    "zero_cross_rest": (lambda fs, k, ax: zero_cross_difference(fs, k, ax),
+                        lambda x, o: np.exp(x) + o, lambda x, o: o * x),
+}
+
+# two-axis builders on an ordered pair (p, q)
+TWO_AXES = {
+    "complements": (lambda fs, k, p, q: complementarity(fs, k, (p, q)),
+                    lambda xp, xq, o: o * xp * xq + np.sin(xp), lambda xp, xq, o: -o * xp * xq),
+    "substitutes": (lambda fs, k, p, q: complementarity(fs, k, (p, q), direction="substitutes"),
+                    lambda xp, xq, o: np.cos(xq) - o * xp * xq, lambda xp, xq, o: o * xp * xq),
+    "zero_cross": (lambda fs, k, p, q: zero_cross_difference(fs, k, p, invariant_axes=(q,)),
+                   lambda xp, xq, o: o * np.exp(xp) + o ** 2 * np.sin(xq),
+                   lambda xp, xq, o: o * xp * xq),
+}
+
+# builders along the ray axis d
+RAY = {
+    "homogeneity_nu2": (lambda fs, k: homogeneity_known_nu(fs, k, 0.5, [2.0, 4.0, 8.0], 2.0, axis="d"),
+                        lambda x, o: o * x ** 2, lambda x, o: o * x ** 2 + 1.0),
+    "log_homogeneity": (lambda fs, k: log_homogeneity(fs, k, 0.5, [2.0, 4.0, 8.0], axis="d"),
+                        lambda x, o: np.log(o * x ** 1.7), lambda x, o: o * x),
+    "additive_hom_nu2": (lambda fs, k: additive_homogeneous(fs, k, nu=2.0, axis="d"),
+                         lambda x, o: o + o ** 2 * x ** 2, lambda x, o: o * x ** 3),
+}
+
+
+class TestBuildersOnFourAxes:
+    @pytest.mark.parametrize("action", [0, 1])
+    @pytest.mark.parametrize("axes", [(), ("b",), ("d", "a"), ("c", "a", "d"), ("d", "c", "b", "a")])
+    def test_cells_order_is_the_row_order(self, action, axes):
+        fs = GRID4
+        rest = [a for a in fs.axes if a not in axes]
+        expected = [fs.column(action, dict(zip(rest + list(axes), combo)))
+                    for combo in itertools.product(*(range(len(fs.grid(a))) for a in rest + list(axes)))]
+        assert fs.cells(action, *axes).ravel().tolist() == expected
+
+    @pytest.mark.parametrize("action", [0, 1])
+    @pytest.mark.parametrize("axis", GRID4.axes)
+    @pytest.mark.parametrize("name", sorted(ONE_AXIS))
+    def test_one_axis_rows(self, action, axis, name):
+        build, good, bad = ONE_AXIS[name]
+        fs = GRID4
+        if name in ("concave", "convex", "additive_hom") and len(fs.grid(axis)) < 3:
+            with pytest.raises(ValueError, match="at least 3"):
+                build(fs, action, axis)
+            return
+        rs = build(fs, action, axis)
+        assert rs.R.shape[1] == fs.n_columns and rs.n_rows > 0
+        assert holds(rs, payoff_along(fs, action, (axis,), good))
+        assert not holds(rs, payoff_along(fs, action, (axis,), bad))
+        # rows only touch the requested action's columns
+        assert not rs.R[:, np.setdiff1d(np.arange(fs.n_columns), fs.cells(action))].any()
+
+    @pytest.mark.parametrize("action", [0, 1])
+    @pytest.mark.parametrize("pair", PAIRS4)
+    @pytest.mark.parametrize("name", sorted(TWO_AXES))
+    def test_two_axis_rows(self, action, pair, name):
+        build, good, bad = TWO_AXES[name]
+        fs = GRID4
+        rs = build(fs, action, *pair)
+        assert rs.n_rows > 0
+        assert holds(rs, payoff_along(fs, action, pair, good))
+        assert not holds(rs, payoff_along(fs, action, pair, bad))
+
+    @pytest.mark.parametrize("action", [0, 1])
+    @pytest.mark.parametrize("name", sorted(RAY))
+    def test_ray_rows(self, action, name):
+        build, good, bad = RAY[name]
+        rs = build(GRID4, action)
+        assert rs.n_rows > 0
+        assert holds(rs, payoff_along(GRID4, action, ("d",), good))
+        assert not holds(rs, payoff_along(GRID4, action, ("d",), bad))
+
+    @pytest.mark.parametrize("action", [0, 1])
+    def test_log_diff_weights(self, action):
+        r, c = log_diff_restriction(GRID4, action, 0.5, [4.0, 8.0], axis="d")
+        # squared, so the noise on the other cells has a logarithm too
+        assert abs(r @ np.log(payoff_along(GRID4, action, ("d",), lambda x, o: o * x ** 1.3) ** 2) - c) \
+            < 1e-12
+        assert abs(r @ np.log(payoff_along(GRID4, action, ("d",), lambda x, o: o * np.exp(x)) ** 2) - c) \
+            > 1e-3
+        # every ray point is checked, the third and later ones included
+        with pytest.raises(ValueError, match="not on the"):
+            log_diff_restriction(GRID4, action, 0.5, [4.0, 8.0, 16.0], axis="d")
+
+    @pytest.mark.parametrize("action", [0, 1])
+    @pytest.mark.parametrize("pair", PAIRS4)
+    def test_bad_coordinates_raise_index_error(self, action, pair):
+        fs = GRID4
+        p, q = pair
+        n_p, n_q = len(fs.grid(p)), len(fs.grid(q))
+        for pts in ([0, -1], [0, n_p], [-n_p, 0]):
+            with pytest.raises(IndexError):
+                zero_cross_difference(fs, action, p, invariant_axes=(q,), diff_points=pts)
+        for pts in ([(0,), (-1,)], [(0,), (n_q,)], [(n_q,), (0,)]):
+            with pytest.raises(IndexError):
+                zero_cross_difference(fs, action, p, invariant_axes=(q,), invariant_points=pts)
+        corner = {a: 0 for a in fs.axes}
+        for i in (-1, n_p):
+            with pytest.raises(IndexError):
+                exclusion(fs, (action, {**corner, p: i}), (action, corner))
+            with pytest.raises(IndexError):
+                exclusion(fs, (action, corner), (1 - action, {**corner, p: i}))
+
+
+class TestEmptyAndRepeatedAxes:
+    def test_one_point_axis_gives_zero_rows(self):
+        fs = FactoredStates(axes=("w", "z"), grids=(np.array([0.0]), np.array([0.0, 1.0])),
+                            n_actions=2)
+        Q = np.array([[[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]])
+        ms = master_system(np.array([[0.3, -0.2], [0.1, 0.4]]), Q)
+        for rs in (monotonicity(fs, 0, "w"), complementarity(fs, 0, ("w", "z")),
+                   complementarity(fs, 0, ("z", "w"))):
+            assert rs.R.shape == (0, fs.n_columns)
+            assert inequality_region(ms, rs).inequality_intervals == [(0.0, 1.0)]
+
+    def test_repeated_axis_is_named(self, entry_states):
+        with pytest.raises(ValueError, match="'w'"):
+            complementarity(entry_states, 0, ("w", "w"))
+        with pytest.raises(ValueError, match="'y'"):
+            zero_cross_difference(entry_states, 0, "y", invariant_axes=("y", "w"))
+        with pytest.raises(ValueError, match="'z'"):
+            zero_cross_difference(entry_states, 0, "y", invariant_axes=("z", "w", "z"))

@@ -96,11 +96,11 @@ class TestEntryModel:
         assert bundle.model.n_states == 18
 
     def test_z_grid_centered_at_long_run_mean(self, bundle):
-        assert bundle.grids["z"][1] == pytest.approx(1.0)
+        assert bundle.states.grid("z")[1] == pytest.approx(1.0)
 
     def test_w_grid_binds_marginal_profit(self, bundle):
         th = bundle.config.theta
-        assert th[1] + th[2] * bundle.grids["w"][0] == pytest.approx(0.0, abs=1e-12)
+        assert th[1] + th[2] * bundle.states.grid("w")[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_transitions_are_stochastic(self, bundle):
         assert bundle.model.Q.sum(axis=2) == pytest.approx(1.0, abs=1e-12)
@@ -156,7 +156,7 @@ class TestEntryModelFd:
         assert cert.max_violation <= 1e-10
 
     def test_z_grid_centered_at_zero(self, bundle):
-        assert bundle.grids["z"][1] == pytest.approx(0.0)
+        assert bundle.states.grid("z")[1] == pytest.approx(0.0)
 
     def test_config_override_possible(self):
         fd = build_entry_model_fd(EntryModelConfig(beta=0.9))

@@ -39,6 +39,9 @@ run entry-zc-mono --scenario entry --restrictions zero-cross,monotonicity --beta
 run entry-five --scenario entry --restrictions "$ENTRY_ALL"
 run entry-six --scenario entry --restrictions "$ENTRY_ALL,linearity"
 run entry-mono-w --scenario entry --restrictions "monotonicity(axis=w),homogeneity"
+# every entry builder rebuilt from arguments, on non-default axes and orders
+run entry-rebuilt --scenario entry --restrictions \
+    "monotonicity(axis=w,direction=decreasing),concavity(axis=w),complementarity(direction=substitutes),zero-cross(diff_axis=z),homogeneity(axis=z)"
 run fd-six --scenario entry-fd --restrictions "$ENTRY_ALL,linearity"
 run fd-zc-mono --scenario entry-fd --restrictions zero-cross,monotonicity
 run game-firm1 --scenario entry-game --firm 1 --restrictions "$GAME_ALL"
