@@ -11,7 +11,6 @@ discount factor.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ from .betapoly import ROOT_RESIDUAL_TOL, check_stochastic
 from .ddc import EULER_GAMMA, master_system, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, identified_set
-from .restrictions import linear_in_parameters
+from .restrictions import _flat_points, _stencil_rows, linear_in_parameters
 
 
 @dataclass(frozen=True)
@@ -33,6 +32,15 @@ class GameModel:
     state index is ``s * K**N + lag`` where ``lag`` encodes the previous action
     profile in mixed radix with firm 0 varying fastest.  Rival profiles are
     indexed with the lowest-numbered rival varying fastest.
+
+    Firm ``i``'s unknown payoffs (actions ``0..K-2``) are stacked with
+    column ``(k * m_x + x) * K**(N-1) + o``.  :func:`payoff_cells` returns those
+    columns as an array of shape ``(K-1, K**(N-1), m_s, K, K**(N-1))``, whose
+    axes are the action, the current rival profile, the exogenous state, the
+    own lagged action and the rivals' lagged profile (indexed like a rival
+    profile).  Its ``[..., 0]`` slice, rivals' lags all zero, holds the cells
+    left free once rivals' lagged actions are irrelevant; its C order is the
+    row order of a :func:`r3_linear` design.
 
     ``last_action_known`` declares that the payoff of the last action
     (``a_i = K-1``) is known to the analyst; identification requires it.
@@ -52,6 +60,8 @@ class GameModel:
         payoffs = np.asarray(self.payoffs, dtype=float)
         betas = np.asarray(self.betas, dtype=float)
         N, K = self.n_firms, self.n_actions
+        if N < 1 or K < 2:
+            raise ValueError(f"need at least one firm and two actions, got {N} and {K}")
         m_s = len(s_values)
         if T.shape != (m_s, m_s):
             raise ValueError("exogenous transition must be square and match the state values")
@@ -86,50 +96,31 @@ class GameModel:
     def m_pi(self) -> int:
         return (self.n_actions - 1) * self.n_rival_profiles * self.m_x
 
-    # ---- state and profile indexing -------------------------------------
-
-    def lag_index(self, profile) -> int:
-        K = self.n_actions
-        return sum(int(a) * K ** i for i, a in enumerate(profile))
-
-    def x_index(self, s: int, profile) -> int:
-        return s * self.n_actions ** self.n_firms + self.lag_index(profile)
-
-    def rivals(self, i: int) -> tuple:
-        return tuple(j for j in range(self.n_firms) if j != i)
-
-    def rival_index(self, i: int, actions) -> int:
-        K = self.n_actions
-        return sum(int(a) * K ** t for t, a in enumerate(actions))
-
-    def rival_profiles(self, i: int):
-        K, N = self.n_actions, self.n_firms
-        for o in range(K ** (N - 1)):
-            yield o, tuple((o // K ** t) % K for t in range(N - 1))
-
-    def joint_from(self, i: int, a_i: int, rival_actions) -> tuple:
-        prof = [0] * self.n_firms
-        prof[i] = a_i
-        for t, j in enumerate(self.rivals(i)):
-            prof[j] = rival_actions[t]
-        return tuple(prof)
-
-    def pi_position(self, i: int, k: int, x: int, o: int) -> int:
-        """Column of ``(action k, state x, rival profile o)`` in the stacked
-        unknown payoff vector (actions ``0..K-2`` only, rival profile fastest)."""
-        if not 0 <= k < self.n_actions - 1:
-            raise IndexError("the last action's payoff is known, not stacked")
-        return (k * self.m_x + x) * self.n_rival_profiles + o
-
     def pi_stack(self, i: int) -> np.ndarray:
         """True stacked payoff vector of firm ``i`` (for tests and diagnostics)."""
-        K = self.n_actions
-        out = np.empty(self.m_pi)
-        for k in range(K - 1):
-            for x in range(self.m_x):
-                for o in range(self.n_rival_profiles):
-                    out[self.pi_position(i, k, x, o)] = self.payoffs[i, k, o, x]
-        return out
+        return self.payoffs[i, :-1].transpose(0, 2, 1).ravel()
+
+
+def payoff_cells(model: GameModel, i: int) -> np.ndarray:
+    """Stacked-payoff columns of firm ``i``, one dimension per cell coordinate
+    (see the :class:`GameModel` docstring for the axes)."""
+    N, K, n_o = model.n_firms, model.n_actions, model.n_rival_profiles
+    if not 0 <= i < N:
+        raise IndexError(f"firm {i} out of range 0..{N - 1}")
+    # column (k * m_x + x) * n_o + o, with the lag digits of x from firm N-1
+    # (slowest) to firm 0; moving firm i's digit out leaves the rivals' lags in
+    # the order of a rival profile index, lowest rival fastest
+    u = np.arange(model.m_pi).reshape((K - 1, model.m_s) + (K,) * N + (n_o,))
+    own = 2 + N - 1 - i
+    lags = [own] + [ax for ax in range(2, 2 + N) if ax != own]
+    return u.transpose([0, 2 + N, 1] + lags).reshape(K - 1, n_o, model.m_s, K, n_o)
+
+
+def _rival_actions(model: GameModel) -> np.ndarray:
+    """Action of each rival (row, lowest-numbered first) in each rival
+    profile (column), shape ``(N-1, K**(N-1))``."""
+    K = model.n_actions
+    return np.arange(model.n_rival_profiles) // K ** np.arange(model.n_firms - 1)[:, None] % K
 
 
 def game_to_dict(model: GameModel) -> dict:
@@ -180,10 +171,9 @@ def rival_probabilities(model: GameModel, P, i: int) -> np.ndarray:
     """Joint probability of each rival action profile by state, shape
     ``(m_x, K**(N-1))``; rows sum to one."""
     out = np.ones((model.m_x, model.n_rival_profiles))
-    rivals = model.rivals(i)
-    for o, actions in model.rival_profiles(i):
-        for t, j in enumerate(rivals):
-            out[:, o] *= P[j, actions[t], :]
+    acts = _rival_actions(model)
+    for t, j in enumerate(np.delete(np.arange(model.n_firms), i)):
+        out *= P[j, acts[t]].T
     return out
 
 
@@ -195,17 +185,16 @@ def expected_objects(model: GameModel, P, i: int):
     """
     P_minus = rival_probabilities(model, P, i)
     pi_star = np.einsum("xo,kox->kx", P_minus, model.payoffs[i])
-    K = model.n_actions
-    base = K ** model.n_firms
-    Q_star = np.zeros((K, model.m_x, model.m_x))
-    s_of_x = np.arange(model.m_x) // base
+    K, m_x, base = model.n_actions, model.m_x, model.n_actions ** model.n_firms
+    # today's joint action profile is tomorrow's lag profile; the (own lag,
+    # rivals' lags) cells of action 0, profile 0, state 0 sit at column
+    # lag * n_o, so this is the lag index of (own action k, rival profile o)
+    lag = payoff_cells(model, i)[0, 0, 0] // model.n_rival_profiles
+    # next state = (s', joint action profile); lag part deterministic
+    block = (P_minus[:, :, None] * model.s_transition[np.arange(m_x) // base, None, :]).reshape(m_x, -1)
+    Q_star = np.zeros((K, m_x, m_x))
     for k in range(K):
-        for o, actions in model.rival_profiles(i):
-            lag = model.lag_index(model.joint_from(i, k, actions))
-            # next state = (s', joint action profile); lag part deterministic
-            block = P_minus[:, o, None] * model.s_transition[s_of_x, :]
-            cols = np.arange(model.m_s) * base + lag
-            Q_star[k][:, cols] += block
+        Q_star[k][:, (lag[k][:, None] + np.arange(model.m_s) * base).ravel()] += block
     return pi_star, Q_star, P_minus
 
 
@@ -355,34 +344,21 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> GameIdentSystem:
     ms = master_system(psi, Q_star)
     rhs = ms.m_psi - np.outer(ms.psi_stack, ms.det)
     q1 = (K - 1) * m_x
-    n_o = model.n_rival_profiles
-    Pbar = np.zeros((q1, model.m_pi))
-    for k in range(K - 1):
-        for x in range(m_x):
-            cols = (k * m_x + x) * n_o + np.arange(n_o)
-            Pbar[k * m_x + x, cols] = P_minus[x]
-    R2 = r2_irrelevance(model, i)
-    return GameIdentSystem(firm=i, Pbar=Pbar, rhs_coeffs=rhs, det=ms.det, R2=R2,
-                           m_pi=model.m_pi, equilibrium_residual=mpe.residual)
+    Pbar = np.zeros((q1, q1, model.n_rival_profiles))  # row k*m_x + x weighs its n_o cells
+    Pbar[np.arange(q1), np.arange(q1)] = np.tile(P_minus, (K - 1, 1))
+    return GameIdentSystem(firm=i, Pbar=Pbar.reshape(q1, model.m_pi), rhs_coeffs=rhs, det=ms.det,
+                           R2=r2_irrelevance(model, i), m_pi=model.m_pi,
+                           equilibrium_residual=mpe.residual)
 
 
 # ---- restriction rows on the stacked game payoff -------------------------
 
 
-def _rows(model: GameModel, terms) -> np.ndarray:
-    """Restriction rows on the stacked payoff, one per list of ``(position,
-    weight)`` terms; shape ``(n, m_pi)``, also when there are no rows."""
-    terms = list(terms)
-    R = np.zeros((len(terms), model.m_pi))
-    for row, row_terms in zip(R, terms):
-        for pos, w in row_terms:
-            row[pos] += w
-    return R
-
-
-def _baseline_x(model: GameModel, i: int, s: int, own: int) -> int:
-    """State with the given exogenous index and own lag, rivals' lags zeroed."""
-    return model.x_index(s, model.joint_from(i, own, (0,) * (model.n_firms - 1)))
+def _baseline(model: GameModel, i: int, actions) -> np.ndarray:
+    """Cells of the listed actions at rivals' lags zero, axes (action, state,
+    own lag, rival profile); an action outside ``0..K-2`` raises ``IndexError``."""
+    b = payoff_cells(model, i)[..., 0]
+    return np.moveaxis(b[_flat_points(actions, ("action",), b.shape[:1])], 1, -1)
 
 
 def r2_irrelevance(model: GameModel, i: int) -> np.ndarray:
@@ -392,50 +368,25 @@ def r2_irrelevance(model: GameModel, i: int) -> np.ndarray:
     action, the payoff at each rivals'-lag variant equals the payoff at the
     all-zeros rivals'-lag baseline: ``(K-1)(K^(N-1)-1)m_x`` rows.
     """
-    K, pos = model.n_actions, model.pi_position
-    return _rows(model, (
-        ((pos(i, k, model.x_index(s, model.joint_from(i, own, lags)), o), 1.0),
-         (pos(i, k, _baseline_x(model, i, s, own), o), -1.0))
-        for k in range(K - 1) for o in range(model.n_rival_profiles)
-        for s in range(model.m_s) for own in range(K)
-        for _, lags in model.rival_profiles(i) if any(lags)))
-
-
-def reduced_cells(model: GameModel, i: int, actions=None):
-    """Payoff cells that remain free once rivals' lagged actions are irrelevant.
-
-    Yields ``(position, k, o, s, own_lag)`` at the zero rivals'-lag baseline,
-    enumerated own-lag fastest, then ``s``, then rival profile, then action.
-    """
-    acts = range(model.n_actions - 1) if actions is None else actions
-    for k in acts:
-        for o in range(model.n_rival_profiles):
-            for s in range(model.m_s):
-                for own in range(model.n_actions):
-                    x = _baseline_x(model, i, s, own)
-                    yield model.pi_position(i, k, x, o), k, o, s, own
+    u = payoff_cells(model, i)
+    return _stencil_rows(model.m_pi, (u[..., 1:], 1.0), (u[..., :1], -1.0))
 
 
 def r3_exchangeability(model: GameModel, i: int, actions=(0,)) -> np.ndarray:
     """Rows equating payoffs across permutations of the current rival profile.
 
     For each restricted action, exogenous state, and own lagged action, rival
-    profiles with the same action multiset are equated to a representative.
+    profiles with the same action multiset are equated to a representative
+    (classes in order of first appearance, each class's first profile).
     """
-    classes = {}
-    for o, acts in model.rival_profiles(i):
-        classes.setdefault(tuple(sorted(acts)), []).append(o)
-    pos = model.pi_position
-
-    def terms():
-        for k in actions:
-            for s in range(model.m_s):
-                for own in range(model.n_actions):
-                    x = _baseline_x(model, i, s, own)
-                    for members in classes.values():
-                        for o in members[1:]:
-                            yield (pos(i, k, x, members[0]), 1.0), (pos(i, k, x, o), -1.0)
-    return _rows(model, terms())
+    acts = np.sort(_rival_actions(model), axis=0)
+    key = (acts * model.n_actions ** np.arange(len(acts))[:, None]).sum(axis=0)
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    rep = first[cls]
+    others = np.flatnonzero(rep != np.arange(len(rep)))
+    others = others[np.argsort(rep[others], kind="stable")]
+    v = _baseline(model, i, actions)
+    return _stencil_rows(model.m_pi, (v[..., rep[others]], 1.0), (v[..., others], -1.0))
 
 
 def r3_adjustment_cost(model: GameModel, i: int, actions=(0,), lag_pair=(0,)) -> np.ndarray:
@@ -443,31 +394,24 @@ def r3_adjustment_cost(model: GameModel, i: int, actions=(0,), lag_pair=(0,)) ->
 
     For each restricted action and exogenous state, the difference between own
     lagged actions ``l`` and ``l+1`` under rival profile ``o`` equals the same
-    difference under the first profile.
+    difference under the first profile.  ``l`` must lie in ``0..K-2``.
     """
-    pos = model.pi_position
-
-    def terms():
-        for k in actions:
-            for s in range(model.m_s):
-                for lag in lag_pair:
-                    x_hi = _baseline_x(model, i, s, lag)
-                    x_lo = _baseline_x(model, i, s, lag + 1)
-                    for o in range(1, model.n_rival_profiles):
-                        yield ((pos(i, k, x_hi, o), 1.0), (pos(i, k, x_lo, o), -1.0),
-                               (pos(i, k, x_hi, 0), -1.0), (pos(i, k, x_lo, 0), 1.0))
-    return _rows(model, terms())
+    v = _baseline(model, i, actions)
+    lags = _flat_points(lag_pair, ("own lag",), (model.n_actions - 1,))
+    hi, lo = v[:, :, lags], v[:, :, lags + 1]
+    return _stencil_rows(model.m_pi, (hi[..., 1:], 1.0), (lo[..., 1:], -1.0),
+                         (hi[..., :1], -1.0), (lo[..., :1], 1.0))
 
 
 def r3_linear(model: GameModel, i: int, design: np.ndarray) -> np.ndarray:
     """Kernel rows for a payoff linear in parameters on the reduced cells.
 
-    ``design`` has one row per cell from :func:`reduced_cells` (same order) and
-    one column per parameter.  Returns the rows of
+    ``design`` has one row per cell of ``payoff_cells(model, i)[..., 0]`` (in
+    C order) and one column per parameter.  Returns the rows of
     :func:`restrictions.linear_in_parameters` (an orthonormal basis of the
     left null space), scattered to the stacked payoff coordinates.
     """
-    cells = [pos for pos, *_ in reduced_cells(model, i)]
+    cells = payoff_cells(model, i)[..., 0].ravel()
     design = np.asarray(design, dtype=float)
     if design.shape[0] != len(cells):
         raise ValueError(f"design must have {len(cells)} rows (one per reduced cell)")
@@ -484,12 +428,8 @@ def r4_monotone_own_lag(model: GameModel, i: int, actions=(0,)) -> tuple[np.ndar
     each rival profile, state, and restricted action the payoff at own lag
     ``l`` is at least the payoff at own lag ``l+1``.
     """
-    pos = model.pi_position
-    R = _rows(model, (
-        ((pos(i, k, _baseline_x(model, i, s, lag), o), 1.0),
-         (pos(i, k, _baseline_x(model, i, s, lag + 1), o), -1.0))
-        for k in actions for o in range(model.n_rival_profiles)
-        for s in range(model.m_s) for lag in range(model.n_actions - 1)))
+    v = np.moveaxis(_baseline(model, i, actions), -1, 1)  # rows by action, profile, state, own lag
+    R = _stencil_rows(model.m_pi, (v[..., :-1], 1.0), (v[..., 1:], -1.0))
     return R, np.zeros(R.shape[0])
 
 
@@ -498,20 +438,16 @@ def r4_monotone_rivals(model: GameModel, i: int, actions=(0,)) -> tuple[np.ndarr
 
     For each pair of rival profiles ordered componentwise (every rival's action
     at least as large, one strictly), the weaker-rival payoff is at least the
-    stronger-rival payoff.
+    stronger-rival payoff.  Pairs come in ``itertools.combinations`` order.
     """
-    ordered = []  # (weaker-rival profile, stronger-rival profile)
-    for (oa, aa), (ob, ab) in itertools.combinations(model.rival_profiles(i), 2):
-        if aa != ab and all(p >= q for p, q in zip(aa, ab)):
-            ordered.append((oa, ob))
-        elif aa != ab and all(q >= p for p, q in zip(aa, ab)):
-            ordered.append((ob, oa))
-    pos = model.pi_position
-    R = _rows(model, (
-        ((pos(i, k, _baseline_x(model, i, s, own), hi), 1.0),
-         (pos(i, k, _baseline_x(model, i, s, own), lo), -1.0))
-        for k in actions for s in range(model.m_s) for own in range(model.n_actions)
-        for hi, lo in ordered))
+    acts = _rival_actions(model)
+    oa, ob = np.triu_indices(acts.shape[1], 1)
+    ge = np.all(acts[:, oa] >= acts[:, ob], axis=0)
+    le = np.all(acts[:, oa] <= acts[:, ob], axis=0)
+    keep = (ge | le) & np.any(acts[:, oa] != acts[:, ob], axis=0)
+    hi, lo = np.where(ge, oa, ob)[keep], np.where(ge, ob, oa)[keep]  # weaker, stronger rivals
+    v = _baseline(model, i, actions)
+    R = _stencil_rows(model.m_pi, (v[..., hi], 1.0), (v[..., lo], -1.0))
     return R, np.zeros(R.shape[0])
 
 

@@ -8,7 +8,9 @@ inequalities as ``R @ U >= c``.
 
 Each shape restriction is a stencil along one or two grid axes: its builder
 slices the index array of ``FactoredStates.cells`` (``u[..., 1:]`` against
-``u[..., :-1]``, say) and passes the weighted slices to one assembler.
+``u[..., :-1]``, say) and passes the weighted slices to one assembler,
+``_stencil_rows``.  The game row builders in ``games`` slice the index array
+of ``games.payoff_cells`` and use the same assembler.
 """
 
 from __future__ import annotations
@@ -149,22 +151,26 @@ class RestrictionSet:
         return cls(R=R, c=np.asarray(d["c"], dtype=float), kind=kind, label=d.get("label", ""))
 
 
-def _stencil_rows(fs: FactoredStates, kind: str, label: str, *terms) -> RestrictionSet:
-    """Rows ``R U (=|>=) 0``, one per cell of the common shape of the
+def _stencil_rows(n_columns: int, *terms) -> np.ndarray:
+    """Rows of width ``n_columns``, one per cell of the common shape of the
     ``(columns, weights)`` terms: term by term, in the order given, row ``i``
     adds the ``i``-th weight at the ``i``-th column (both in C order)."""
     shape = np.broadcast_shapes(*(np.shape(x) for term in terms for x in term))
     n = math.prod(shape)
-    R = np.zeros((n, fs.n_columns))
+    R = np.zeros((n, n_columns))
     for cols, weights in terms:
         R[np.arange(n), np.broadcast_to(cols, shape).ravel()] += np.broadcast_to(weights, shape).ravel()
-    return RestrictionSet(R, np.zeros(n), kind, label)
+    return R
 
 
 def _flat_points(points, axes, shape) -> np.ndarray:
     """Flat C-order indices of grid index tuples over ``axes``; an index off
-    its axis raises ``IndexError`` (numpy would wrap a negative one)."""
-    pts = np.asarray(points, dtype=int).reshape(len(points), len(axes))
+    its axis, or not an integer, raises ``IndexError`` (numpy would wrap a
+    negative one, and a cast would truncate a fraction)."""
+    pts = np.asarray(points)
+    if pts.dtype.kind == "f" and np.any(pts != np.trunc(pts)):
+        raise IndexError(f"index {pts[pts != np.trunc(pts)][0]} on axes {axes} is not an integer")
+    pts = pts.astype(int).reshape(len(points), len(axes))
     for axis, n, col in zip(axes, shape, pts.T):
         bad = col[(col < 0) | (col >= n)]
         if bad.size:
@@ -173,7 +179,11 @@ def _flat_points(points, axes, shape) -> np.ndarray:
 
 
 def _ray(fs: FactoredStates, axis: str, base: float, lambdas):
-    """Grid indices on ``axis`` of ``base`` and of each ``lam * base``, all of which must be on it."""
+    """Grid indices on ``axis`` of ``base`` and of each ``lam * base``, all of which must be on it.
+    A multiplier that is not positive, or is 1, raises ``ValueError``."""
+    for lam in lambdas:
+        if not (lam > 0.0 and lam != 1.0):
+            raise ValueError(f"ray multiplier {lam} must be positive and other than 1")
     return fs.find_on_grid(axis, base), [fs.find_on_grid(axis, lam * base) for lam in lambdas]
 
 
@@ -184,8 +194,9 @@ def homogeneity_known_nu(fs: FactoredStates, action: int, base: float, lambdas, 
     lambdas = [float(l) for l in lambdas]
     i_base, i_ray = _ray(fs, axis, base, lambdas)
     u = fs.cells(action, axis)
-    return _stencil_rows(fs, "eq", f"homogeneity(nu={nu})", (np.take(u, i_ray, axis=-1), 1.0),
-                         (u[..., [i_base]], [-(lam ** nu) for lam in lambdas]))
+    R = _stencil_rows(fs.n_columns, (np.take(u, i_ray, axis=-1), 1.0),
+                      (u[..., [i_base]], [-(lam ** nu) for lam in lambdas]))
+    return RestrictionSet(R, 0.0, "eq", f"homogeneity(nu={nu})")
 
 
 def log_homogeneity(fs: FactoredStates, action: int, base: float, lambdas,
@@ -201,9 +212,9 @@ def log_homogeneity(fs: FactoredStates, action: int, base: float, lambdas,
     i_base, i_ray = _ray(fs, axis, base, lambdas)
     inv = [1.0 / np.log(lam) for lam in lambdas]
     u = fs.cells(action, axis)
-    return _stencil_rows(fs, "eq", "log_homogeneity", (u[..., i_ray[1:]], inv[1:]),
-                         (u[..., [i_ray[0]]], -inv[0]),
-                         (u[..., [i_base]], [inv[0] - w for w in inv[1:]]))
+    R = _stencil_rows(fs.n_columns, (u[..., i_ray[1:]], inv[1:]), (u[..., [i_ray[0]]], -inv[0]),
+                      (u[..., [i_base]], [inv[0] - w for w in inv[1:]]))
+    return RestrictionSet(R, 0.0, "eq", "log_homogeneity")
 
 
 def additive_homogeneous(fs: FactoredStates, action: int, nu: float = 1.0,
@@ -233,8 +244,8 @@ def additive_homogeneous(fs: FactoredStates, action: int, nu: float = 1.0,
         a1 = np.array([x ** nu for x in g1 / g0]) - 1.0
         w2, w1, w0 = 1.0 / a2, -1.0 / a1, 1.0 / a1 - 1.0 / a2
     u = fs.cells(action, axis)
-    return _stencil_rows(fs, "eq", f"additive_homogeneous(nu={nu})",
-                         (u[..., 2:], w2), (u[..., 1:-1], w1), (u[..., :-2], w0))
+    R = _stencil_rows(fs.n_columns, (u[..., 2:], w2), (u[..., 1:-1], w1), (u[..., :-2], w0))
+    return RestrictionSet(R, 0.0, "eq", f"additive_homogeneous(nu={nu})")
 
 
 def zero_cross_difference(fs: FactoredStates, action: int, diff_axis: str,
@@ -262,8 +273,9 @@ def zero_cross_difference(fs: FactoredStates, action: int, diff_axis: str,
     u = u.reshape(u.shape[:u.ndim - k] + (-1,))  # invariant points flattened in C order
     v = u[..., _flat_points(d_pts, (diff_axis,), (n_d,))[:, None],
           _flat_points(a_pts, invariant_axes, inv_shape)]
-    return _stencil_rows(fs, "eq", f"zero_cross({diff_axis})", (v[..., 1:, 1:], 1.0),
-                         (v[..., 1:, :1], -1.0), (v[..., :1, 1:], -1.0), (v[..., :1, :1], 1.0))
+    R = _stencil_rows(fs.n_columns, (v[..., 1:, 1:], 1.0), (v[..., 1:, :1], -1.0),
+                      (v[..., :1, 1:], -1.0), (v[..., :1, :1], 1.0))
+    return RestrictionSet(R, 0.0, "eq", f"zero_cross({diff_axis})")
 
 
 def exclusion(fs: FactoredStates, pair_a, pair_b) -> RestrictionSet:
@@ -292,8 +304,8 @@ def monotonicity(fs: FactoredStates, action: int, axis: str,
         raise ValueError(f"axis {axis!r} grid must be strictly ascending")
     sgn = {"increasing": 1.0, "decreasing": -1.0}[direction]
     u = fs.cells(action, axis)
-    return _stencil_rows(fs, "ge", f"monotonicity({axis},{direction})",
-                         (u[..., 1:], sgn), (u[..., :-1], -sgn))
+    R = _stencil_rows(fs.n_columns, (u[..., 1:], sgn), (u[..., :-1], -sgn))
+    return RestrictionSet(R, 0.0, "ge", f"monotonicity({axis},{direction})")
 
 
 def concavity(fs: FactoredStates, action: int, axis: str, *, convex: bool = False) -> RestrictionSet:
@@ -311,9 +323,9 @@ def concavity(fs: FactoredStates, action: int, axis: str, *, convex: bool = Fals
     sgn = 1.0 if convex else -1.0
     d1, d2 = g[1:-1] - g[:-2], g[2:] - g[1:-1]
     u = fs.cells(action, axis)
-    return _stencil_rows(fs, "ge", f"{'convexity' if convex else 'concavity'}({axis})",
-                         (u[..., :-2], sgn / d1), (u[..., 1:-1], -(sgn * (1.0 / d1 + 1.0 / d2))),
-                         (u[..., 2:], sgn / d2))
+    R = _stencil_rows(fs.n_columns, (u[..., :-2], sgn / d1),
+                      (u[..., 1:-1], -(sgn * (1.0 / d1 + 1.0 / d2))), (u[..., 2:], sgn / d2))
+    return RestrictionSet(R, 0.0, "ge", f"{'convexity' if convex else 'concavity'}({axis})")
 
 
 def complementarity(fs: FactoredStates, action: int, axes=("w", "z"),
@@ -327,9 +339,9 @@ def complementarity(fs: FactoredStates, action: int, axes=("w", "z"),
     ax_w, ax_z = axes
     u = fs.cells(action, ax_w, ax_z)
     sgn = {"complements": 1.0, "substitutes": -1.0}[direction]
-    return _stencil_rows(fs, "ge", f"complementarity({ax_w},{ax_z})",
-                         (u[..., 1:, 1:], sgn), (u[..., 1:, :-1], -sgn),
-                         (u[..., :-1, 1:], -sgn), (u[..., :-1, :-1], sgn))
+    R = _stencil_rows(fs.n_columns, (u[..., 1:, 1:], sgn), (u[..., 1:, :-1], -sgn),
+                      (u[..., :-1, 1:], -sgn), (u[..., :-1, :-1], sgn))
+    return RestrictionSet(R, 0.0, "ge", f"complementarity({ax_w},{ax_z})")
 
 
 def linear_in_parameters(H, label: str = "linearity") -> RestrictionSet:
@@ -365,6 +377,9 @@ def log_diff_restriction(fs: FactoredStates, action: int, base: float, lambdas,
     if len(lambdas) < 2:
         raise ValueError("insufficient ray points: need at least two multipliers besides 1")
     i_base, i_ray = _ray(fs, axis, base, lambdas)
+    for lam in lambdas:
+        if nu is not None and lam ** nu == 1.0:
+            raise ValueError(f"ray multiplier {lam} has lam**nu == 1 at nu={nu}: its weight is undefined")
 
     def weight(lam):
         return 1.0 / np.log(lam) if nu is None else 1.0 / (lam ** nu - 1.0)

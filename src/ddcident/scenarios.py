@@ -10,7 +10,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .ddc import SingleAgentModel
-from .games import GameModel, reduced_cells
+from .games import GameModel, payoff_cells
 from .restrictions import (
     FactoredStates,
     additive_homogeneous,
@@ -231,32 +231,30 @@ def build_entry_game(cfg: EntryGameConfig | None = None) -> EntryGameBundle:
     cfg = cfg or EntryGameConfig()
     N, K = cfg.n_firms, 2
     s_values = np.asarray(cfg.s_values, dtype=float)
-    m_s = len(s_values)
-    m_x = m_s * K ** N
-    n_o = K ** (N - 1)
+    # scalar logs: numpy's vectorized log may round differently
+    log_s = np.array([np.log(v) for v in s_values])
+    log_1n = np.array([np.log(1.0 + n) for n in range(N)])
+
+    def n_in(o):  # rivals operating in rival profile o (mixed radix, lowest rival fastest)
+        return (o[..., None] // K ** np.arange(N - 1) % K == 0).sum(axis=-1)
+
+    n_o, m_x = K ** (N - 1), len(s_values) * K ** N
+    o, x = np.ogrid[:n_o, :m_x]
+    s_idx, lag = divmod(x, K ** N)
     payoffs = np.zeros((N, K, n_o, m_x))
     for i in range(N):
-        for o in range(n_o):
-            n_in = sum(1 for t in range(N - 1) if (o // K ** t) % K == 0)
-            for x in range(m_x):
-                s_idx, lag = divmod(x, K ** N)
-                own_out = 1.0 if (lag // K ** i) % K == 1 else 0.0
-                payoffs[i, 0, o, x] = (cfg.theta_rs * np.log(s_values[s_idx])
-                                       - cfg.theta_rn * np.log(1.0 + n_in)
-                                       - cfg.theta_fc[i] - cfg.theta_ec * own_out)
+        own_out = np.where(lag // K ** i % K == 1, 1.0, 0.0)
+        payoffs[i, 0] = (cfg.theta_rs * log_s[s_idx] - cfg.theta_rn * log_1n[n_in(o)]
+                         - cfg.theta_fc[i] - cfg.theta_ec * own_out)
     model = GameModel(n_firms=N, n_actions=K, s_values=s_values,
                       s_transition=np.asarray(cfg.s_transition, dtype=float),
                       payoffs=payoffs, betas=np.asarray(cfg.betas, dtype=float),
                       last_action_known=True)
 
-    designs = []
-    for i in range(N):
-        rows = []
-        for _pos, _k, o, s, own in reduced_cells(model, i):
-            # rival-profile index decodes with the same mixed radix as lags
-            n_in = sum(1 for t in range(N - 1) if (o // K ** t) % K == 0)
-            rows.append([np.log(s_values[s]), -np.log(1.0 + n_in), -1.0,
-                         -1.0 if own == 1 else 0.0])
-        # a lone firm has no rivals to count: that column would be all zero
-        designs.append(np.asarray(rows)[:, [0, 2, 3] if N == 1 else [0, 1, 2, 3]])
-    return EntryGameBundle(model=model, designs=tuple(designs), config=cfg)
+    # every firm's baseline cells have the same (action, o, s, own lag) layout
+    _, o, s, own = (a.ravel() for a in np.indices(payoff_cells(model, 0)[..., 0].shape))
+    design = np.column_stack([log_s[s], -log_1n[n_in(o)], np.full(len(s), -1.0),
+                              np.where(own == 1, -1.0, 0.0)])
+    # a lone firm has no rivals to count: that column would be all zero
+    design = design[:, [0, 2, 3] if N == 1 else [0, 1, 2, 3]]
+    return EntryGameBundle(model=model, designs=tuple(design.copy() for _ in range(N)), config=cfg)

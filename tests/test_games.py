@@ -9,10 +9,12 @@ from ddcident.ddc import EULER_GAMMA, SingleAgentModel, solve_bellman, solve_log
 from ddcident.errors import ConvergenceError, RankDeficiencyError
 from ddcident.games import (
     GameModel,
+    MpeSolution,
     build_system,
     expected_objects,
     identified_set_game,
     inequality_region_game,
+    payoff_cells,
     r2_irrelevance,
     r3_adjustment_cost,
     r3_exchangeability,
@@ -199,21 +201,23 @@ class TestExpectedObjects:
         bundle, mpe = game
         m = bundle.model
         pi_star, _, _ = expected_objects(m, mpe.P, 1)
-        rivals = m.rivals(1)
+        rivals = (0, 2)
         for k in range(2):
             for x in range(m.m_x):
                 total = 0.0
                 for acts in itertools.product(range(2), repeat=2):
                     prob = np.prod([mpe.P[j, acts[t], x] for t, j in enumerate(rivals)])
-                    total += prob * m.payoffs[1, k, m.rival_index(1, acts), x]
+                    o = sum(a * 2 ** t for t, a in enumerate(acts))  # lowest rival fastest
+                    total += prob * m.payoffs[1, k, o, x]
                 assert pi_star[k, x] == pytest.approx(total, abs=1e-12)
 
     def test_rival_profile_product_property(self, game):
         bundle, mpe = game
         m = bundle.model
         pm = rival_probabilities(m, mpe.P, 0)
-        rivals = m.rivals(0)
-        for o, acts in m.rival_profiles(0):
+        rivals = (1, 2)
+        for o, acts in enumerate(itertools.product(range(2), repeat=2)):
+            acts = acts[::-1]  # profile index o, lowest rival fastest
             expected = np.prod([mpe.P[j, acts[t], :] for t, j in enumerate(rivals)], axis=0)
             assert pm[:, o] == pytest.approx(expected, abs=1e-14)
 
@@ -321,6 +325,30 @@ class TestRestrictionRows:
         assert abs(lin.equality_roots[0] - 0.9) <= 1e-6
         assert np.max(np.abs(R @ system.solve_payoffs(0.9))) <= 1e-8
 
+    def test_out_of_range_action_or_lag_raises(self, game):
+        # own lag 2 of a two-action game used to wrap into firm 1's lag digit,
+        # and lag -1 or action -1 into the last cell, giving rows on wrong
+        # cells; a fraction is not truncated to a cell
+        m = game[0].model
+        for lag_pair in ((1,), (-1,), (0, 1), (0.5,)):
+            with pytest.raises(IndexError, match="own lag"):
+                r3_adjustment_cost(m, 0, lag_pair=lag_pair)
+        for actions in ((1,), (-1,), (0, 5), (0.5,)):
+            for build in (r3_exchangeability, r3_adjustment_cost, r4_monotone_own_lag,
+                          r4_monotone_rivals):
+                with pytest.raises(IndexError, match="action"):
+                    build(m, 0, actions=actions)
+        for i in (-1, 3):
+            with pytest.raises(IndexError, match="firm"):
+                payoff_cells(m, i)
+
+    def test_one_firm_lag_pair_checked(self):
+        # one firm has no rival profiles, so there are no rows, but the lag is still checked
+        gm = build_entry_game(EntryGameConfig(n_firms=1, theta_fc=(1.0,), betas=(0.9,))).model
+        assert r3_adjustment_cost(gm, 0).shape == (0, gm.m_pi)
+        with pytest.raises(IndexError):
+            r3_adjustment_cost(gm, 0, lag_pair=(1,))
+
     def test_linear_design_rank_guard(self, game):
         # a design column that is zero in every cell cannot be identified
         bundle, _ = game
@@ -370,8 +398,8 @@ class TestIdentifiedSets:
             # linear-in-parameters content pins the truth for this game
             cells = 2 * 2 * 2  # o, s, own
             design = []
-            from ddcident.games import reduced_cells
-            for _pos, _k, o, s_idx, own in reduced_cells(gm, i):
+            cells = payoff_cells(gm, i)[..., 0]
+            for _k, o, s_idx, own in zip(*(a.ravel() for a in np.indices(cells.shape))):
                 n_in = 1 - o
                 design.append([gm.s_values[s_idx], n_in, 1.0, float(own)])
             s2 = identified_set_game(sys_i, r3_linear(gm, i, np.asarray(design)))
@@ -496,6 +524,18 @@ class TestGameSerialization:
         assert mpe.P.shape == (3, 2, 24)
 
 
+class TestGameModelSizes:
+    @pytest.mark.parametrize("n_firms,n_actions", [(0, 2), (1, 1), (1, 0), (2, 1), (-1, 2)])
+    def test_too_few_firms_or_actions(self, n_firms, n_actions):
+        # one action used to give m_pi = 0; none a ZeroDivisionError in solve_mpe
+        from ddcident.games import game_from_dict
+        doc = {"n_firms": n_firms, "n_actions": n_actions, "s_values": [1.0],
+               "s_transition": [[1.0]], "payoffs": np.zeros((1, 1, 1, 1)).tolist(),
+               "betas": [0.5]}
+        with pytest.raises(ValueError, match="at least one firm and two actions"):
+            game_from_dict(doc)
+
+
 class TestSolverEdges:
     def test_nonconvergence_carries_history(self, game):
         bundle, _ = game
@@ -535,3 +575,188 @@ class TestSolverEdges:
         (lo, hi), = both.inequality_intervals
         assert lo <= 1e-9 and hi >= 0.99
         assert both.combined == pytest.approx([0.8], abs=1e-3)
+
+
+# ---- loop reference ---------------------------------------------------------
+# The per-term loops the index-array builders replaced, kept as an oracle: one
+# (position, weight) list per row, positions from the mixed-radix formulas.
+
+
+def _loop_profiles(m):
+    K = m.n_actions
+    return [(o, tuple((o // K ** t) % K for t in range(m.n_firms - 1)))
+            for o in range(m.n_rival_profiles)]
+
+
+def _loop_x(m, i, s, own, rival_lags):
+    prof = [0] * m.n_firms
+    prof[i] = own
+    for t, j in enumerate(j for j in range(m.n_firms) if j != i):
+        prof[j] = rival_lags[t]
+    return s * m.n_actions ** m.n_firms + sum(a * m.n_actions ** j for j, a in enumerate(prof))
+
+
+def _loop_pos(m, k, x, o):
+    return (k * m.m_x + x) * m.n_rival_profiles + o
+
+
+def _loop_base(m, i, s, own):
+    return _loop_x(m, i, s, own, (0,) * (m.n_firms - 1))
+
+
+def _loop_rows(m, terms):
+    terms = list(terms)
+    R = np.zeros((len(terms), m.m_pi))
+    for row, row_terms in zip(R, terms):
+        for pos, w in row_terms:
+            row[pos] += w
+    return R
+
+
+def loop_cells(m, i):
+    return [[[[[_loop_pos(m, k, _loop_x(m, i, s, own, lags), o) for _, lags in _loop_profiles(m)]
+               for own in range(m.n_actions)] for s in range(m.m_s)]
+             for o in range(m.n_rival_profiles)] for k in range(m.n_actions - 1)]
+
+
+def loop_pi_stack(m, i):
+    out = np.empty(m.m_pi)
+    for k in range(m.n_actions - 1):
+        for x in range(m.m_x):
+            for o in range(m.n_rival_profiles):
+                out[_loop_pos(m, k, x, o)] = m.payoffs[i, k, o, x]
+    return out
+
+
+def loop_r2(m, i):
+    K = m.n_actions
+    return _loop_rows(m, (
+        ((_loop_pos(m, k, _loop_x(m, i, s, own, lags), o), 1.0),
+         (_loop_pos(m, k, _loop_base(m, i, s, own), o), -1.0))
+        for k in range(K - 1) for o in range(m.n_rival_profiles)
+        for s in range(m.m_s) for own in range(K)
+        for _, lags in _loop_profiles(m) if any(lags)))
+
+
+def loop_exchangeability(m, i, actions):
+    classes = {}
+    for o, acts in _loop_profiles(m):
+        classes.setdefault(tuple(sorted(acts)), []).append(o)
+    return _loop_rows(m, (
+        ((_loop_pos(m, k, _loop_base(m, i, s, own), members[0]), 1.0),
+         (_loop_pos(m, k, _loop_base(m, i, s, own), o), -1.0))
+        for k in actions for s in range(m.m_s) for own in range(m.n_actions)
+        for members in classes.values() for o in members[1:]))
+
+
+def loop_adjustment_cost(m, i, actions, lag_pair):
+    def terms():
+        for k in actions:
+            for s in range(m.m_s):
+                for lag in lag_pair:
+                    x_hi, x_lo = _loop_base(m, i, s, lag), _loop_base(m, i, s, lag + 1)
+                    for o in range(1, m.n_rival_profiles):
+                        yield ((_loop_pos(m, k, x_hi, o), 1.0), (_loop_pos(m, k, x_lo, o), -1.0),
+                               (_loop_pos(m, k, x_hi, 0), -1.0), (_loop_pos(m, k, x_lo, 0), 1.0))
+    return _loop_rows(m, terms())
+
+
+def loop_monotone_own_lag(m, i, actions):
+    return _loop_rows(m, (
+        ((_loop_pos(m, k, _loop_base(m, i, s, lag), o), 1.0),
+         (_loop_pos(m, k, _loop_base(m, i, s, lag + 1), o), -1.0))
+        for k in actions for o in range(m.n_rival_profiles)
+        for s in range(m.m_s) for lag in range(m.n_actions - 1)))
+
+
+def loop_monotone_rivals(m, i, actions):
+    ordered = []
+    for (oa, aa), (ob, ab) in itertools.combinations(_loop_profiles(m), 2):
+        if aa != ab and all(p >= q for p, q in zip(aa, ab)):
+            ordered.append((oa, ob))
+        elif aa != ab and all(q >= p for p, q in zip(aa, ab)):
+            ordered.append((ob, oa))
+    return _loop_rows(m, (
+        ((_loop_pos(m, k, _loop_base(m, i, s, own), hi), 1.0),
+         (_loop_pos(m, k, _loop_base(m, i, s, own), lo), -1.0))
+        for k in actions for s in range(m.m_s) for own in range(m.n_actions)
+        for hi, lo in ordered))
+
+
+def loop_expected_objects(m, P, i):
+    rivals = [j for j in range(m.n_firms) if j != i]
+    P_minus = np.ones((m.m_x, m.n_rival_profiles))
+    for o, acts in _loop_profiles(m):
+        for t, j in enumerate(rivals):
+            P_minus[:, o] *= P[j, acts[t], :]
+    pi_star = np.einsum("xo,kox->kx", P_minus, m.payoffs[i])
+    K, base = m.n_actions, m.n_actions ** m.n_firms
+    Q_star = np.zeros((K, m.m_x, m.m_x))
+    s_of_x = np.arange(m.m_x) // base
+    for k in range(K):
+        for o, acts in _loop_profiles(m):
+            lag = _loop_x(m, i, 0, k, acts)
+            cols = np.arange(m.m_s) * base + lag
+            Q_star[k][:, cols] += P_minus[:, o, None] * m.s_transition[s_of_x, :]
+    return pi_star, Q_star, P_minus
+
+
+def loop_pbar(m, P_minus):
+    Pbar = np.zeros(((m.n_actions - 1) * m.m_x, m.m_pi))
+    for k in range(m.n_actions - 1):
+        for x in range(m.m_x):
+            Pbar[k * m.m_x + x, _loop_pos(m, k, x, np.arange(m.n_rival_profiles))] = P_minus[x]
+    return Pbar
+
+
+def random_game(n_firms, n_actions, m_s):
+    rng = np.random.default_rng([n_firms, n_actions, m_s])
+    T = rng.random((m_s, m_s)) + 0.1
+    T /= T.sum(axis=1, keepdims=True)
+    m_x = m_s * n_actions ** n_firms
+    payoffs = rng.normal(size=(n_firms, n_actions, n_actions ** (n_firms - 1), m_x))
+    payoffs[:, -1] = 0.0
+    return GameModel(n_firms=n_firms, n_actions=n_actions, s_values=np.arange(1.0, m_s + 1.0),
+                     s_transition=T, payoffs=payoffs, betas=rng.uniform(0.5, 0.9, n_firms),
+                     last_action_known=True)
+
+
+# four three-action firms make r2 rows of 4,212 x 4,374 or more: left out
+ORACLE_GAMES = [(N, K, m_s) for N in (1, 2, 3, 4) for K in (2, 3) for m_s in (1, 2, 3)
+                if not (N == 4 and K == 3)]
+
+
+class TestLoopOracle:
+    """The index-array builders equal the per-term loops bit for bit."""
+
+    @pytest.mark.parametrize("N,K,m_s", ORACLE_GAMES)
+    def test_builders_and_expected_objects(self, N, K, m_s):
+        m = random_game(N, K, m_s)
+        rng = np.random.default_rng(0)
+        P = rng.random((N, K, m.m_x)) + 0.05
+        P /= P.sum(axis=1, keepdims=True)
+        acts_all = tuple(range(K - 1))
+        for i in range(N):
+            cells = payoff_cells(m, i)
+            assert np.array_equal(cells, loop_cells(m, i))
+            assert np.array_equal(m.pi_stack(i), loop_pi_stack(m, i))
+            assert np.array_equal(r2_irrelevance(m, i), loop_r2(m, i))
+            for acts in ((0,), (), (0, 0), acts_all, acts_all[::-1]):
+                assert np.array_equal(r3_exchangeability(m, i, acts), loop_exchangeability(m, i, acts))
+                R, c = r4_monotone_own_lag(m, i, acts)
+                assert np.array_equal(R, loop_monotone_own_lag(m, i, acts))
+                assert np.array_equal(c, np.zeros(len(R)))
+                R, c = r4_monotone_rivals(m, i, acts)
+                assert np.array_equal(R, loop_monotone_rivals(m, i, acts))
+                assert np.array_equal(c, np.zeros(len(R)))
+                for lags in ((0,), acts_all, (0, 0), (K - 2, 0)):
+                    assert np.array_equal(r3_adjustment_cost(m, i, acts, lags),
+                                          loop_adjustment_cost(m, i, acts, lags))
+            got = expected_objects(m, P, i)
+            for new, old in zip(got, loop_expected_objects(m, P, i)):
+                assert np.array_equal(new, old) and np.array_equal(np.signbit(new), np.signbit(old))
+            assert np.array_equal(rival_probabilities(m, P, i), got[2])
+            if m.m_pi <= 1500:
+                mpe = MpeSolution(P=P, V=None, v=None, psi=EULER_GAMMA - np.log(P),
+                                  residual=0.0, n_iter=0)
+                assert np.array_equal(build_system(m, mpe, i).Pbar, loop_pbar(m, got[2]))

@@ -109,6 +109,30 @@ class TestLogHomogeneity:
             log_homogeneity(ray_states, 0, base=1.0, lambdas=[2.0])
 
 
+class TestRayMultipliers:
+    """A multiplier of 1 (or one that is not positive) has no ray increment:
+    the log weights divide by zero.  Every ray builder rejects it by name."""
+
+    @pytest.mark.parametrize("lambdas", [[1.0, 2.0], [2.0, 1.0], [-1.0, 2.0], [0.0, 2.0]])
+    def test_builders_reject(self, ray_states, lambdas):
+        bad = next(lam for lam in lambdas if lam <= 0.0 or lam == 1.0)
+        for build in (lambda: log_homogeneity(ray_states, 0, 1.0, lambdas),
+                      lambda: log_diff_restriction(ray_states, 0, 1.0, lambdas),
+                      lambda: log_diff_restriction(ray_states, 0, 1.0, lambdas, nu=2.0),
+                      lambda: homogeneity_known_nu(ray_states, 0, 1.0, lambdas, nu=2.0)):
+            with pytest.raises(ValueError, match=f"ray multiplier {bad}"):
+                build()
+
+    def test_known_degree_with_unit_power(self, ray_states):
+        # lam**nu == 1 leaves the weight 1/(lam**nu - 1) undefined
+        with pytest.raises(ValueError, match=r"ray multiplier 2.0 has lam\*\*nu == 1"):
+            log_diff_restriction(ray_states, 0, 1.0, [2.0, 4.0], nu=0.0)
+
+    def test_valid_multipliers_unchanged(self, ray_states):
+        r, _ = log_diff_restriction(ray_states, 0, 1.0, [2.0, 4.0], nu=2.0)
+        assert np.all(np.isfinite(r)) and abs(r.sum()) <= 1e-12
+
+
 class TestAdditiveHomogeneous:
     def test_entry_model_row_count(self, entry_states):
         rs = additive_homogeneous(entry_states, 0, nu=1.0)
@@ -429,10 +453,10 @@ class TestBuildersOnFourAxes:
         fs = GRID4
         p, q = pair
         n_p, n_q = len(fs.grid(p)), len(fs.grid(q))
-        for pts in ([0, -1], [0, n_p], [-n_p, 0]):
+        for pts in ([0, -1], [0, n_p], [-n_p, 0], [0, 0.5]):
             with pytest.raises(IndexError):
                 zero_cross_difference(fs, action, p, invariant_axes=(q,), diff_points=pts)
-        for pts in ([(0,), (-1,)], [(0,), (n_q,)], [(n_q,), (0,)]):
+        for pts in ([(0,), (-1,)], [(0,), (n_q,)], [(n_q,), (0,)], [(0,), (0.5,)]):
             with pytest.raises(IndexError):
                 zero_cross_difference(fs, action, p, invariant_axes=(q,), invariant_points=pts)
         corner = {a: 0 for a in fs.axes}

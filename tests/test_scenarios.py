@@ -186,14 +186,14 @@ class TestEntryGame:
 
     def test_payoff_ignores_rival_lags(self, bundle):
         m = bundle.model
-        x_a = m.x_index(1, (0, 0, 1))
-        x_b = m.x_index(1, (0, 1, 0))
+        x_a = 1 * 8 + 4  # s = 1, lags (0, 0, 1), firm 0 fastest
+        x_b = 1 * 8 + 2  # s = 1, lags (0, 1, 0)
         assert np.allclose(m.payoffs[0, 0, :, x_a], m.payoffs[0, 0, :, x_b])
 
     def test_entry_cost_independent_of_rivals(self, bundle):
         m = bundle.model
-        x_in = m.x_index(0, (0, 0, 0))
-        x_out = m.x_index(0, (1, 0, 0))
+        x_in = 0  # s = 0, lags (0, 0, 0)
+        x_out = 1  # s = 0, lags (1, 0, 0)
         diffs = m.payoffs[0, 0, :, x_in] - m.payoffs[0, 0, :, x_out]
         assert diffs == pytest.approx(bundle.config.theta_ec)
 
