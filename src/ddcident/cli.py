@@ -506,7 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tol-fixedpoint", type=float, default=1e-12,
                      help="fixed-point tolerance: Newton steps of the logit solver stop at "
                           "tol * max(1, ||V||inf); game best responses at max(tol, 1e-13)")
-    run.add_argument("--damping", type=float, default=0.5, help="best-response damping (games)")
+    run.add_argument("--damping", type=float, default=0.5,
+                     help="games: weight of each firm's best response in a sweep of the "
+                          "accelerated equilibrium solver")
     run.set_defaults(func=cmd_run)
 
     val = sub.add_parser("validate", help="validate a model JSON config")

@@ -2,15 +2,19 @@
 discount-factor identification.
 
 States are pairs of an exogenous component and the lagged action profile.
-Solving proceeds by damped best-response iteration on conditional choice
-probabilities, each firm's logit best response computed by
-``ddc.solve_logit``; identification stacks the model's expected-payoff equations
-with cross-firm payoff restrictions into polynomial systems in each firm's
-discount factor.
+Solving proceeds by damped sequential best-response sweeps on conditional
+choice probabilities, each firm's logit best response computed by
+``ddc.solve_logit``, with Anderson extrapolation between sweeps; it falls back
+to the plain sweep where extrapolation leaves ``(0, 1)`` or the sweep change
+rises, and on the games tested it selects the equilibrium the plain sweeps
+select.  Identification stacks the model's expected-payoff equations with
+cross-firm payoff restrictions into polynomial systems in each firm's discount
+factor.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +25,9 @@ from .ddc import EULER_GAMMA, master_system, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, identified_set
 from .restrictions import _flat_points, _stencil_rows, linear_in_parameters
+
+# sweeps the equilibrium solver extrapolates from (see solve_mpe)
+ANDERSON_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,8 @@ class MpeSolution:
 
     ``P[i, k, x]`` is firm ``i``'s probability of action ``k`` in state ``x``;
     ``residual`` is the sup-norm distance between the final profile and every
-    firm's exact best response to it.
+    firm's exact best response to it; ``n_iter`` counts the best-response
+    sweeps evaluated.
     """
 
     P: np.ndarray
@@ -200,13 +208,31 @@ def expected_objects(model: GameModel, P, i: int):
 
 def solve_mpe(model: GameModel, damping: float = 0.5, start=None,
               tol: float = 1e-10, max_iter: int = 100_000) -> MpeSolution:
-    """Equilibrium choice probabilities by damped best-response iteration.
+    """Equilibrium choice probabilities by Anderson-accelerated damped
+    best-response sweeps.
 
-    Firms are updated sequentially from a uniform start (or ``start``); each
-    update mixes the exact logit best response into the current profile with
-    weight ``damping``.  Deterministic given the model, start, and damping.
-    The iteration order is part of the equilibrium selection: other equilibria
-    may exist and are not searched for.
+    A sweep ``G(P)`` updates the firms sequentially, each mixing its exact
+    logit best response into the current profile with weight ``damping``.
+    Iteration starts from a uniform profile (or ``start``) and stops after a
+    sweep in which no best response differs from the profile by more than
+    ``tol``.  After each other sweep the next profile is ``G(P) - dG gamma``,
+    with ``gamma`` the least-squares fit of ``F = G(P) - P`` by its last
+    ``ANDERSON_DEPTH`` differences ``dF`` and ``dG`` the matching differences
+    of ``G`` (``dG = dP + dF``): Anderson acceleration, type II, mixing 1
+    (Walker and Ni 2011).  The plain sweep ``G(P)`` is kept instead, and the
+    differences dropped, when that profile leaves ``(0, 1)`` or the sweep's
+    largest change rose.
+
+    Extrapolation combines sweeps, so the fixed points are those of the plain
+    sweeps.  Which equilibrium is found depends on the sweep order, damping
+    and start; on the shipped and benchmark games, and on entry games with
+    several equilibria, it is the one the plain sweeps find.  Other equilibria
+    are not searched for.  Deterministic given the model, start, and damping.
+
+    Raises
+    ------
+    ConvergenceError
+        If no sweep reaches ``tol`` within ``max_iter`` sweeps.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -220,7 +246,10 @@ def solve_mpe(model: GameModel, damping: float = 0.5, start=None,
         check_stochastic(P, "start choice distribution", ("firm", "state"), axis=1)
     V_cache = np.zeros((N, m_x))
     history = []
+    diffs = deque(maxlen=ANDERSON_DEPTH)  # (dG, dF) of the last sweeps
+    g_prev = f_prev = None
     for it in range(max_iter):
+        x = P.flatten()
         worst = 0.0
         for i in range(N):
             pi_star, Q_star, _ = expected_objects(model, P, i)
@@ -236,6 +265,20 @@ def solve_mpe(model: GameModel, damping: float = 0.5, start=None,
                 f"best-response iteration did not reach {tol} in {max_iter} sweeps",
                 residual=worst, history=history[-20:],
             )
+        g = P.flatten()  # the sweep G(x) and its change F = G(x) - x
+        f = g - x
+        if len(history) > 1 and worst > history[-2]:
+            diffs.clear()
+        elif g_prev is not None:
+            diffs.append((g - g_prev, f - f_prev))
+            dG, dF = np.transpose(diffs, (1, 2, 0))
+            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+            step = g - dG @ gamma
+            if np.all((step > 0.0) & (step < 1.0)):
+                P = step.reshape(P.shape)
+            else:
+                diffs.clear()
+        g_prev, f_prev = g, f
     # evaluate the profile: exact best responses and values at the fixed point
     v = np.zeros((N, K, m_x))
     V = np.zeros((N, m_x))

@@ -74,15 +74,10 @@ class FactoredStates:
         return self.grids[self.axis_pos(axis)]
 
     def state_index(self, coords) -> int:
-        """Flat state index from per-axis grid indices (first axis fastest)."""
-        idx, stride = 0, 1
-        for pos, n in enumerate(self.shape):
-            i = int(coords[self.axes[pos]])
-            if not 0 <= i < n:
-                raise IndexError(f"axis {self.axes[pos]!r} index {i} out of range")
-            idx += i * stride
-            stride *= n
-        return idx
+        """Flat state index from per-axis grid indices (first axis fastest); an
+        index off its axis, or not an integer, raises ``IndexError``."""
+        axes = self.axes[::-1]
+        return int(_flat_points([[coords[a] for a in axes]], axes, self.shape[::-1])[0])
 
     def column(self, action: int, coords) -> int:
         if not 0 <= action < self.n_actions - 1:

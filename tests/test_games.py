@@ -5,6 +5,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
+from ddcident import games
 from ddcident.ddc import EULER_GAMMA, SingleAgentModel, solve_bellman, solve_logit
 from ddcident.errors import ConvergenceError, RankDeficiencyError
 from ddcident.games import (
@@ -175,11 +176,6 @@ class TestFirmDp:
             assert np.max(np.abs(sol.V - V_ref)) <= 1e-12
             assert np.max(np.abs(sol.v - v_ref)) <= 1e-12
             assert np.max(np.abs(sol.p - P_ref)) <= 1e-12
-
-    def test_reference_game_sweep_count(self):
-        # the outer damped best-response loop, and with it the equilibrium
-        # selection, is unchanged by the firm-level solver
-        assert solve_mpe(build_entry_game().model).n_iter == 39
 
 
 class TestExpectedObjects:
@@ -411,7 +407,7 @@ class TestIdentifiedSets:
         # informative rows without roots
         bundle = build_entry_game()
         m = bundle.model
-        mpe = solve_mpe(m, tol=1e-8)
+        mpe = solve_mpe(m, tol=1e-7)
         assert mpe.residual > 1e-9
         for i, truth in enumerate((0.8, 0.9, 0.95)):
             sys_i = build_system(m, mpe, i)
@@ -760,3 +756,93 @@ class TestLoopOracle:
                 mpe = MpeSolution(P=P, V=None, v=None, psi=EULER_GAMMA - np.log(P),
                                   residual=0.0, n_iter=0)
                 assert np.array_equal(build_system(m, mpe, i).Pbar, loop_pbar(m, got[2]))
+
+
+# ---- equilibrium-selection oracle -------------------------------------------
+# The damped sequential best-response sweeps the accelerated solver
+# extrapolates, kept as an oracle: the accelerated solve must find the
+# equilibrium these plain sweeps select, not just some equilibrium.
+
+
+def loop_solve_mpe(m, damping=0.5, start=None, tol=1e-10, max_iter=10_000):
+    N, K = m.n_firms, m.n_actions
+    P = np.full((N, K, m.m_x), 1.0 / K) if start is None else np.array(start, dtype=float)
+    V_cache = np.zeros((N, m.m_x))
+    for _ in range(max_iter):
+        worst = 0.0
+        for i in range(N):
+            pi_star, Q_star, _ = expected_objects(m, P, i)
+            BR, V_cache[i], _ = solve_logit(pi_star, Q_star, m.betas[i], V0=V_cache[i])
+            worst = max(worst, float(np.max(np.abs(BR - P[i]))))
+            P[i] = damping * BR + (1.0 - damping) * P[i]
+        if worst <= tol:
+            return P
+    raise AssertionError("oracle sweeps did not converge")
+
+
+def draw_configs():
+    """The recipe of perfbench.inputs.game_draws(0): betas and fixed costs drawn."""
+    rng = np.random.default_rng([0, 4])
+    out = []
+    for _ in range(5):
+        betas = tuple(float(b + rng.uniform(-0.01, 0.01)) for b in (0.8, 0.9, 0.95))
+        fc = tuple(float(f) for f in rng.uniform(0.7, 1.1, 3))
+        out.append(EntryGameConfig(betas=betas, theta_fc=fc))
+    return out
+
+
+# four firms on six market sizes (m_x = 96), a tridiagonal market-size chain
+FOUR_FIRMS = EntryGameConfig(
+    n_firms=4, theta_fc=(1.0, 0.9, 0.8, 0.85), betas=(0.8, 0.9, 0.95, 0.85),
+    s_values=tuple(np.linspace(2.0, 10.0, 6)),
+    s_transition=tuple(tuple(row / row.sum()) for row in
+                       0.6 * np.eye(6) + 0.2 * np.eye(6, k=1) + 0.2 * np.eye(6, k=-1)))
+# strong interactions (theta_rn 6 and 10) give games with several equilibria
+SELECTION_CASES = (
+    [pytest.param(EntryGameConfig(), tol, id=f"reference-tol{tol:g}") for tol in (1e-10, 1e-12)]
+    + [pytest.param(cfg, 1e-10, id=f"draw{d}") for d, cfg in enumerate(draw_configs())]
+    + [pytest.param(EntryGameConfig(theta_rn=r, theta_rs=s, theta_ec=e), 1e-10, id=f"rn{r}-rs{s}-ec{e}")
+       for r in (1, 3, 6, 10) for s, e in ((1, 1), (3, 1), (3, 4), (6, 6))]
+    + [pytest.param(FOUR_FIRMS, 1e-10, id="four-firms-mx96")])
+
+
+def corner_start(m, p0):
+    start = np.empty((m.n_firms, m.n_actions, m.m_x))
+    start[:, 0], start[:, 1] = p0, 1.0 - p0
+    return start
+
+
+class TestEquilibriumSelection:
+    @pytest.mark.parametrize("cfg,tol", SELECTION_CASES)
+    def test_accelerated_solve_selects_the_sweep_equilibrium(self, cfg, tol):
+        m = build_entry_game(cfg).model
+        mpe = solve_mpe(m, tol=tol)
+        assert np.max(np.abs(mpe.P - loop_solve_mpe(m, tol=tol))) <= 1e-8
+        assert mpe.residual <= tol
+
+    def test_reference_game_is_accelerated(self):
+        # the plain sweeps take 39; a silent return to them fails here
+        assert solve_mpe(build_entry_game().model).n_iter <= 20
+
+    @pytest.mark.parametrize("rn", [1, 6])
+    def test_fallback_games_from_near_a_corner(self, rn, monkeypatch):
+        # extrapolation leaves (0, 1) on both games, and with theta_rn = 6 the
+        # sweep change also rises: the plain sweep is taken there, so every
+        # profile a sweep starts from is interior
+        m = build_entry_game(EntryGameConfig(theta_rn=rn, theta_rs=6, theta_ec=6)).model
+        P_ref = loop_solve_mpe(m)
+        seen = []
+
+        def spy(model, P, i):
+            seen.append((float(np.min(P)), float(np.max(P))))
+            return expected_objects(model, P, i)
+
+        monkeypatch.setattr(games, "expected_objects", spy)
+        assert np.max(np.abs(solve_mpe(m).P - P_ref)) <= 1e-8
+        for p0 in (1e-3, 1.0 - 1e-3):
+            mpe = solve_mpe(m, start=corner_start(m, p0))
+            assert mpe.residual <= 1e-10
+            assert np.max(np.abs(mpe.P - P_ref)) <= 1e-8
+            assert np.max(np.abs(mpe.P - loop_solve_mpe(m, start=corner_start(m, p0)))) <= 1e-8
+        lo, hi = np.array(seen).T
+        assert np.all(lo > 0.0) and np.all(hi < 1.0)

@@ -53,6 +53,17 @@ class TestIndexing:
         assert fs.state_index({"w": 0, "z": 0, "y": 1}) == 9
         assert fs.n_states == 18
 
+    @pytest.mark.parametrize("coords", [{"w": 0.7, "z": 0, "y": 0}, {"w": 0, "z": 2.5, "y": 0},
+                                        {"w": -1, "z": 0, "y": 0}, {"w": 0, "z": 0, "y": 2}])
+    def test_fractional_or_off_axis_index_rejected(self, entry_states, coords):
+        with pytest.raises(IndexError):
+            entry_states.state_index(coords)
+        with pytest.raises(IndexError):  # not the row of the truncated index
+            exclusion(entry_states, (0, coords), (0, {"w": 1, "z": 1, "y": 1}))
+
+    def test_integral_float_index_accepted(self, entry_states):
+        assert entry_states.state_index({"w": 1.0, "z": 2.0, "y": np.int64(1)}) == 16
+
     def test_column_bounds(self, entry_states):
         with pytest.raises(IndexError):
             entry_states.column(1, {"w": 0, "z": 0, "y": 0})  # normalized action

@@ -9,6 +9,7 @@
 #   parent/tools/reference_runs.sh /tmp/ref_parent
 #   change/tools/reference_runs.sh /tmp/ref_change
 #   diff -r /tmp/ref_parent /tmp/ref_change
+#   change/tools/compare_runs.py /tmp/ref_parent /tmp/ref_change
 set -eu
 
 if [ "$#" -ne 1 ]; then
