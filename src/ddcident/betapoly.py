@@ -61,10 +61,6 @@ class MatrixPoly:
         self.coeff_mats = mats
         self.coeff_mats.setflags(write=False)
 
-    def __call__(self, beta: float) -> np.ndarray:
-        powers = float(beta) ** np.arange(self.coeff_mats.shape[0])
-        return np.tensordot(powers, self.coeff_mats, axes=1)
-
     def apply(self, vec) -> np.ndarray:
         """Right-multiply by a constant vector; rows of the result are
         polynomial coefficient vectors, shape ``(nrows, degree + 1)``."""

@@ -28,8 +28,6 @@ from .ddc import SingleAgentModel, master_system, psi_from_ccps, solve_bellman
 from .errors import ConvergenceError
 from .games import (
     build_system,
-    identified_set_game,
-    inequality_region_game,
     r3_adjustment_cost,
     r3_exchangeability,
     r3_linear,
@@ -38,13 +36,10 @@ from .games import (
     solve_mpe,
 )
 from .identify import (
-    IdentifiedSet,
     check_finite_dependence,
     combine,
-    equality_identified_set,
     finite_restriction_poly,
     identified_set,
-    inequality_region,
 )
 from .restrictions import (
     RestrictionSet,
@@ -71,27 +66,7 @@ class ConfigError(ValueError):
         super().__init__("; ".join(str(i.get("message", i)) for i in self.issues))
 
 
-# ---- model config (de)serialization ---------------------------------------
-
-
-def model_to_dict(model: SingleAgentModel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "single",
-        "n_actions": model.n_actions,
-        "n_states": model.n_states,
-        "payoffs": model.u.tolist(),
-        "Q": model.Q.tolist(),
-        "beta": model.beta,
-    }
-
-
-def model_from_dict(d: dict) -> SingleAgentModel:
-    return SingleAgentModel(
-        u=np.asarray(d["payoffs"], dtype=float),
-        Q=np.asarray(d["Q"], dtype=float),
-        beta=float(d["beta"]),
-    )
+# ---- model config ------------------------------------------------------------
 
 
 def validate_config(cfg: dict) -> list:
@@ -304,16 +279,10 @@ def _read_config(path):
             raise ConfigError([{"field": "config", "message": f"not valid JSON: {err}"}])
 
 
-def _master_set(ms, rs, tol_root) -> IdentifiedSet:
-    if rs.kind == "eq":
-        return equality_identified_set(ms, rs, residual_tol=tol_root)
-    return inequality_region(ms, rs)
-
-
 # Each source does its one-time setup and returns its restriction builders
-# (result key -> builder called with the requested arguments), the function
-# from a built RestrictionSet to its identified set, and the fields added to
-# every per-restriction result.
+# (result key -> builder called with the requested arguments), its row
+# function (a restriction's R and c -> the coefficient rows of its identifying
+# polynomials) and the diagnostics it adds to every per-restriction set.
 
 
 def _no_arguments(rs):
@@ -347,7 +316,7 @@ def _build_restriction(builders, name, kwargs):
                             f"this run offers {', '.join(sorted(builders))}"}])
     try:
         return key, builders[key](**kwargs)
-    except (TypeError, ValueError, KeyError) as err:
+    except (TypeError, ValueError, KeyError, IndexError) as err:
         raise ConfigError([{"field": "--restrictions",
                             "message": f"cannot build {name!r} with {kwargs}: {err}"}])
 
@@ -360,14 +329,13 @@ def _config_source(args):
     psi = (psi_from_ccps(np.asarray(cfg["ccps"], dtype=float)) if "ccps" in cfg
            else solve_bellman(model, tol=args.tol_fixedpoint).psi)
     ms = master_system(psi, model.Q)
-    builders = {label: _no_arguments(rs) for label, rs in inline.items()}
-    return builders, lambda rs: _master_set(ms, rs, args.tol_root), {}
+    return {label: _no_arguments(rs) for label, rs in inline.items()}, ms.payoff_polys, {}
 
 
 def _entry_source(args):
     bundle = build_entry_model()
     ms = master_system(solve_bellman(bundle.model, tol=args.tol_fixedpoint).psi, bundle.model.Q)
-    return _entry_builders(bundle), lambda rs: _master_set(ms, rs, args.tol_root), {}
+    return _entry_builders(bundle), ms.payoff_polys, {}
 
 
 def _fd_source(args):
@@ -379,11 +347,10 @@ def _fd_source(args):
         raise ConfigError([{"field": "scenario",
                             "message": "scenario is not finitely dependent; use mode 'single'"}])
 
-    def identify(rs):
-        rows = np.reshape([finite_restriction_poly(psi, model.Q, row, c, cert.rho)
-                           for row, c in zip(rs.R, rs.c)], (-1, cert.rho + 1))
-        return identified_set(rows, rs.kind, {}, residual_tol=args.tol_root)
-    return _entry_builders(bundle), identify, {"rho": cert.rho}
+    def rows(R, c):
+        return np.reshape([finite_restriction_poly(psi, model.Q, row, ci, cert.rho)
+                           for row, ci in zip(R, c)], (-1, cert.rho + 1))
+    return _entry_builders(bundle), rows, {"rho": cert.rho}
 
 
 def _game_source(args):
@@ -397,19 +364,21 @@ def _game_source(args):
     i = args.firm - 1
     mpe = solve_mpe(model, damping=args.damping, tol=max(args.tol_fixedpoint, 1e-13))
     system = build_system(model, mpe, i)
-    builders = {
-        "exchangeability": lambda **kw: RestrictionSet(r3_exchangeability(model, i, **kw), 0.0, "eq"),
-        "adjustment_cost": lambda **kw: RestrictionSet(r3_adjustment_cost(model, i, **kw), 0.0, "eq"),
-        "linearity": lambda **kw: RestrictionSet(r3_linear(model, i, bundle.designs[i], **kw), 0.0, "eq"),
-        "mono_own_lag": lambda **kw: RestrictionSet(*r4_monotone_own_lag(model, i, **kw), "ge"),
-        "mono_rivals": lambda **kw: RestrictionSet(*r4_monotone_rivals(model, i, **kw), "ge"),
+    builders = {  # each set is labelled with its result key
+        "exchangeability": lambda **kw: RestrictionSet(
+            r3_exchangeability(model, i, **kw), 0.0, "eq", "exchangeability"),
+        "adjustment_cost": lambda **kw: RestrictionSet(
+            r3_adjustment_cost(model, i, **kw), 0.0, "eq", "adjustment_cost"),
+        "linearity": lambda **kw: RestrictionSet(
+            r3_linear(model, i, bundle.designs[i], **kw), 0.0, "eq", "linearity"),
+        "mono_own_lag": lambda **kw: RestrictionSet(
+            *r4_monotone_own_lag(model, i, **kw), "ge", "mono_own_lag"),
+        "mono_rivals": lambda **kw: RestrictionSet(
+            *r4_monotone_rivals(model, i, **kw), "ge", "mono_rivals"),
     }
-
-    def identify(rs):
-        if rs.kind == "eq":
-            return identified_set_game(system, rs.R, rs.c, residual_tol=args.tol_root)
-        return inequality_region_game(system, rs.R, rs.c)
-    return builders, identify, {"firm": args.firm}  # firms are reported 1-based on the CLI surface
+    # firms are reported 1-based on the CLI surface
+    return builders, system.payoff_polys, {"firm": args.firm,
+                                           "condition_estimate": system.condition_estimate}
 
 
 _SOURCES = {"entry": _entry_source, "entry-fd": _fd_source, "entry-game": _game_source}
@@ -421,6 +390,9 @@ def cmd_run(args) -> int:
     specs = parse_restriction_specs(args.restrictions) if args.restrictions else []
     if not specs:
         raise ConfigError([{"field": "--restrictions", "message": "at least one restriction is required"}])
+    if args.firm is not None and (args.config or args.scenario != "entry-game"):
+        raise ConfigError([{"field": "--firm", "message": "--firm applies to --scenario entry-game "
+                            "only, and not with --config"}])
     config_echo = {"scenario": args.scenario, "config": args.config, "firm": args.firm,
                    "restrictions": args.restrictions, "beta_grid": args.beta_grid,
                    "tol_root": args.tol_root, "tol_fixedpoint": args.tol_fixedpoint,
@@ -439,7 +411,7 @@ def cmd_run(args) -> int:
     if not os.path.isdir(existing):
         raise NotADirectoryError(f"cannot create the output directory {args.out_dir!r}: "
                                  f"{existing!r} is not a directory")
-    builders, identify, extra = source(args)
+    builders, payoff_rows, info = source(args)
 
     results, curves, sets = {}, {}, []
     for name, kwargs in specs:
@@ -447,8 +419,9 @@ def cmd_run(args) -> int:
         if key in results:
             raise ConfigError([{"field": "--restrictions",
                                 "message": f"{name!r} asks again for the result {key!r}"}])
-        ident = identify(rs)
-        results[key] = {**ident.to_json_dict(), **extra}
+        ident = identified_set(payoff_rows(rs.R, rs.c), rs.kind, {"label": rs.label, **info},
+                               residual_tol=args.tol_root)
+        results[key] = ident.to_json_dict()
         curves.update(_normalized_curves(grid, ident.rows, key))
         sets.append(ident)
 
@@ -474,12 +447,11 @@ def cmd_run(args) -> int:
 
 
 def _model_from_config(cfg) -> SingleAgentModel:
-    if "payoffs" in cfg:
-        return model_from_dict(cfg)
-    # CCP-only configs still need transitions and a placeholder payoff
+    """The model of a config; a CCP-only config (no payoffs, maybe no beta)
+    still needs transitions and gets a placeholder payoff."""
     K, J = int(cfg["n_actions"]), int(cfg["n_states"])
-    return SingleAgentModel(u=np.zeros((K, J)), Q=np.asarray(cfg["Q"], dtype=float),
-                            beta=float(cfg.get("beta", 0.0)))
+    return SingleAgentModel(u=np.asarray(cfg.get("payoffs", np.zeros((K, J))), dtype=float),
+                            Q=np.asarray(cfg["Q"], dtype=float), beta=float(cfg.get("beta", 0.0)))
 
 
 def cmd_validate(args) -> int:

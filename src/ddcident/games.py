@@ -130,33 +130,6 @@ def _rival_actions(model: GameModel) -> np.ndarray:
     return np.arange(model.n_rival_profiles) // K ** np.arange(model.n_firms - 1)[:, None] % K
 
 
-def game_to_dict(model: GameModel) -> dict:
-    """JSON-ready form of the game primitives (see the CLI schema)."""
-    return {
-        "schema_version": 1,
-        "mode": "game",
-        "n_firms": model.n_firms,
-        "n_actions": model.n_actions,
-        "s_values": model.s_values.tolist(),
-        "s_transition": model.s_transition.tolist(),
-        "payoffs": model.payoffs.tolist(),
-        "betas": model.betas.tolist(),
-        "last_action_known": model.last_action_known,
-    }
-
-
-def game_from_dict(d: dict) -> GameModel:
-    return GameModel(
-        n_firms=int(d["n_firms"]),
-        n_actions=int(d["n_actions"]),
-        s_values=np.asarray(d["s_values"], dtype=float),
-        s_transition=np.asarray(d["s_transition"], dtype=float),
-        payoffs=np.asarray(d["payoffs"], dtype=float),
-        betas=np.asarray(d["betas"], dtype=float),
-        last_action_known=bool(d.get("last_action_known", False)),
-    )
-
-
 @dataclass(frozen=True)
 class MpeSolution:
     """Equilibrium choice probabilities and values, one block per firm.
@@ -506,12 +479,8 @@ def identified_set_game(system: GameIdentSystem, R3, c3=0.0, *,
     square block (see :meth:`GameIdentSystem.payoff_polys`).
     Identically-zero polynomials (redundant rows) are flagged and excluded.
     """
-    rows = system.payoff_polys(R3, c3)
     diagnostics = {"firm": system.firm, "condition_estimate": system.condition_estimate}
-    if rows.any():
-        sv = np.linalg.svd(rows, compute_uv=False)
-        diagnostics["independent_polynomials"] = int(np.sum(sv > 1e-10 * sv[0]))
-    return identified_set(rows, "eq", diagnostics, residual_tol=residual_tol)
+    return identified_set(system.payoff_polys(R3, c3), "eq", diagnostics, residual_tol=residual_tol)
 
 
 def inequality_region_game(system: GameIdentSystem, R4, c4=0.0) -> IdentifiedSet:

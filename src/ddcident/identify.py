@@ -129,7 +129,9 @@ def identified_set(rows, kind: str, diagnostics: dict, *,
     are flagged uninformative and excluded, and if every row is, the set
     carries ``no_identifying_content`` and an empty root list.  Inequality
     rows give the subintervals of ``[0, 1)`` where all are nonnegative.  The
-    caller's ``diagnostics`` (a label, a firm) are merged into the set's.
+    caller's ``diagnostics`` (a label, a firm) are merged into the set's; an
+    equality system with a nonzero row also reports
+    ``independent_polynomials``, its numerical rank.
     """
     rows = np.asarray(rows, dtype=float)
     diag = _poly_diagnostics(rows)
@@ -142,8 +144,10 @@ def identified_set(rows, kind: str, diagnostics: dict, *,
     if roots is None:
         return IdentifiedSet(equality_roots=[], rows=rows, diagnostics={
             **diagnostics, "polynomials": diag, "no_identifying_content": True})
+    sv = np.linalg.svd(rows, compute_uv=False)
     return IdentifiedSet(equality_roots=list(roots.points), rows=rows, diagnostics={
-        **diagnostics, "polynomials": diag, "root_residuals": list(roots.residuals)})
+        **diagnostics, "polynomials": diag, "root_residuals": list(roots.residuals),
+        "independent_polynomials": int(np.sum(sv > 1e-10 * sv[0]))})
 
 
 def equality_identified_set(master: MasterSystem, rs: RestrictionSet, *,
@@ -274,8 +278,7 @@ def check_finite_dependence(Q, pairs, rho_max: int = 5,
     return FiniteDependenceCert(rho=None, pairs=pairs, tol=tol, max_violation=min(gaps, default=np.inf))
 
 
-def finite_restriction_poly(psi, Q, row, c: float, rho: int, *,
-                            cert_tol: float = FD_CERT_TOL) -> np.ndarray:
+def finite_restriction_poly(psi, Q, row, c: float, rho: int) -> np.ndarray:
     """Coefficients (length ``rho + 1``) of the identifying polynomial
     ``r U(beta) - c`` of one restriction row under ``rho``-dependence.
 
@@ -283,7 +286,7 @@ def finite_restriction_poly(psi, Q, row, c: float, rho: int, *,
     beta (Q_last(x) - Q_k(x)) V(beta)`` with ``V = (I - beta Q_last)^-1
     psi_last = sum_s beta^s Q_last^s psi_last``.  With the row's bracket
     ``d = sum_kx r_kx (Q_last(x) - Q_k(x))``, the row is certified when
-    ``max |d Q_last^rho| <= cert_tol * max(1, sum |r|)``; the series then stops
+    ``max |d Q_last^rho| <= FD_CERT_TOL * max(1, sum |r|)``; the series then stops
     and the coefficients are ``a_0 = sum_kx r_kx (psi_last(x) - psi_k(x)) - c``
     and ``a_(s+1) = d Q_last^s psi_last`` for ``s < rho``.
     """
@@ -297,7 +300,7 @@ def finite_restriction_poly(psi, Q, row, c: float, rho: int, *,
     d = r.sum(axis=0) @ Q[K - 1] - np.einsum("kx,kxy->y", r, Q[: K - 1])
     powers = _dependence_powers(d, Q[K - 1], rho)
     gap = float(np.max(np.abs(powers[-1])))
-    if gap > cert_tol * weight:
+    if gap > FD_CERT_TOL * weight:
         raise ValueError(f"restriction row lacks {rho}-dependence (max violation {gap:.3e})")
     coeffs = np.array([float(np.sum(r * (psi[K - 1] - psi[: K - 1]))) - c]
                       + [float(w @ psi[K - 1]) for w in powers[:-1]])

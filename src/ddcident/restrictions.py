@@ -159,13 +159,18 @@ def _stencil_rows(n_columns: int, *terms) -> np.ndarray:
 
 
 def _flat_points(points, axes, shape) -> np.ndarray:
-    """Flat C-order indices of grid index tuples over ``axes``; an index off
-    its axis, or not an integer, raises ``IndexError`` (numpy would wrap a
-    negative one, and a cast would truncate a fraction)."""
+    """Flat C-order indices of grid index tuples over ``axes``, a single
+    index standing for a one-element list (the command line gives one as a
+    scalar); an index off its axis, or not an integer, raises ``IndexError``
+    (numpy would wrap a negative one, and a cast would truncate a fraction)."""
     pts = np.asarray(points)
+    if pts.ndim == 0:
+        pts = pts[None]
+    if pts.dtype.kind == "b":
+        raise IndexError(f"index {pts.flat[0]} on axes {axes} is not an integer")
     if pts.dtype.kind == "f" and np.any(pts != np.trunc(pts)):
         raise IndexError(f"index {pts[pts != np.trunc(pts)][0]} on axes {axes} is not an integer")
-    pts = pts.astype(int).reshape(len(points), len(axes))
+    pts = pts.astype(int).reshape(len(pts), len(axes))
     for axis, n, col in zip(axes, shape, pts.T):
         bad = col[(col < 0) | (col >= n)]
         if bad.size:
@@ -339,7 +344,7 @@ def complementarity(fs: FactoredStates, action: int, axes=("w", "z"),
     return RestrictionSet(R, 0.0, "ge", f"complementarity({ax_w},{ax_z})")
 
 
-def linear_in_parameters(H, label: str = "linearity") -> RestrictionSet:
+def linear_in_parameters(H) -> RestrictionSet:
     """Kernel restrictions for a payoff that is linear in parameters, ``U = H theta``.
 
     Returns an orthonormal basis of the left null space of ``H`` as equality
@@ -355,7 +360,7 @@ def linear_in_parameters(H, label: str = "linearity") -> RestrictionSet:
             rank=rank, required=d,
         )
     R = Umat[:, rank:].T
-    return RestrictionSet(R, np.zeros(p - rank), "eq", label=label)
+    return RestrictionSet(R, np.zeros(p - rank), "eq", "linearity")
 
 
 def log_diff_restriction(fs: FactoredStates, action: int, base: float, lambdas,

@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 import ddcident
 from ddcident.cli import (
     main,
-    model_from_dict,
-    model_to_dict,
     parse_restriction_specs,
     validate_config,
 )
+from ddcident.identify import IdentifiedSet
 from ddcident.scenarios import build_entry_model
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def read_curves(path):
@@ -36,7 +37,8 @@ def read_curves(path):
 def entry_config(tmp_path_factory):
     bundle = build_entry_model()
     m = bundle.model
-    cfg = model_to_dict(m)
+    cfg = {"schema_version": 1, "mode": "single", "n_actions": m.n_actions, "n_states": m.n_states,
+           "payoffs": m.u.tolist(), "Q": m.Q.tolist(), "beta": m.beta}
     zc = bundle.restrictions["zero_cross"].to_json_dict()
     zc["label"] = "zero-cross"
     cfg["restrictions"] = [zc]
@@ -141,17 +143,6 @@ class TestValidate:
         assert json.loads(capsys.readouterr().err)["error"] == "invalid_config"
 
 
-class TestModelRoundTrip:
-    def test_value_identical(self):
-        bundle = build_entry_model()
-        d = model_to_dict(bundle.model)
-        back = model_from_dict(d)
-        assert np.array_equal(back.u, bundle.model.u)
-        assert np.array_equal(back.Q, bundle.model.Q)
-        assert back.beta == bundle.model.beta
-        assert json.dumps(model_to_dict(back), sort_keys=True) == json.dumps(d, sort_keys=True)
-
-
 class TestRun:
     def test_entry_homogeneity_run(self, tmp_path):
         out = tmp_path / "run1"
@@ -183,7 +174,7 @@ class TestRun:
         assert rc == 0
         header, data = read_curves(out / "curves.csv")
         ident = json.loads((out / "identified_set.json").read_text())
-        assert ident["restrictions"]["homogeneity"]["rho"] == 1
+        assert ident["restrictions"]["homogeneity"]["diagnostics"]["rho"] == 1
         assert ident["restrictions"]["homogeneity"]["equality_roots"] == pytest.approx([0.95], abs=1e-6)
         # linear normalized curves: second differences vanish on the grid
         for col in range(1, data.shape[1]):
@@ -199,7 +190,7 @@ class TestRun:
         ident = json.loads((out / "identified_set.json").read_text())
         roots = ident["restrictions"]["exchangeability"]["equality_roots"]
         assert roots == pytest.approx([0.8], abs=1e-3)
-        assert ident["restrictions"]["exchangeability"]["firm"] == 1
+        assert ident["restrictions"]["exchangeability"]["diagnostics"]["firm"] == 1
         header, _ = read_curves(out / "curves.csv")
         assert len(header) == 7  # beta + 6 exchangeability polynomials
 
@@ -247,17 +238,17 @@ class TestRun:
         assert err["error"] == "invalid_config"
         assert err["issues"][0]["field"] == "--firm"
 
-    @pytest.mark.parametrize("scenario,restrictions", [
-        ("entry", "monotonicity,monotonicity(axis=w)"),
-        ("entry", "zero-cross,zero_cross"),
-        ("entry-fd", "homogeneity,homogeneity"),
-        ("entry-game", "adjustment-cost,adjustment_cost"),
+    @pytest.mark.parametrize("source,restrictions", [
+        (["--scenario", "entry"], "monotonicity,monotonicity(axis=w)"),
+        (["--scenario", "entry"], "zero-cross,zero_cross"),
+        (["--scenario", "entry-fd"], "homogeneity,homogeneity"),
+        (["--scenario", "entry-game", "--firm", "1"], "adjustment-cost,adjustment_cost"),
     ])
-    def test_repeated_result_key_rejected(self, tmp_path, capsys, scenario, restrictions):
+    def test_repeated_result_key_rejected(self, tmp_path, capsys, source, restrictions):
         # artifacts keep one result per key, so a second request for the same
         # key would be dropped from them while still entering the combined set
         out = tmp_path / "o"
-        rc = main(["run", "--scenario", scenario, "--firm", "1", "--restrictions", restrictions,
+        rc = main(["run", *source, "--restrictions", restrictions,
                    "--beta-grid", "0:1:11", "--out-dir", str(out)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
@@ -288,13 +279,60 @@ class TestReferenceConfigs:
         ident = json.loads((out / "identified_set.json").read_text())
         assert ident["restrictions"]["homogeneity"]["equality_roots"] == pytest.approx([0.95], abs=1e-4)
 
-    def test_game_reference_config_round_trips(self):
-        import pathlib
-        from ddcident.games import game_from_dict, game_to_dict
-        cfg_path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "entry_game.json"
-        doc = json.loads(cfg_path.read_text())
-        model = game_from_dict(doc)
-        assert json.dumps(game_to_dict(model), sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+class TestOnePipeline:
+    """Every source hands the run the same kind of set, with the same fields."""
+
+    SOURCES = {
+        "entry": (["--scenario", "entry"], "homogeneity,zero-cross,monotonicity"),
+        "entry-fd": (["--scenario", "entry-fd"], "homogeneity,zero-cross,monotonicity"),
+        "entry-game": (["--scenario", "entry-game", "--firm", "2"],
+                       "exchangeability,adjustment-cost,mono-rivals"),
+        "config": (["--config", str(REPO / "configs" / "entry_model.json")],
+                   "homogeneity,zero_cross,monotonicity"),
+    }
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_every_set_has_the_same_fields(self, tmp_path, source):
+        args, restrictions = self.SOURCES[source]
+        out = tmp_path / source
+        assert main(["run", *args, "--restrictions", restrictions, "--beta-grid", "0:1:21",
+                     "--out-dir", str(out)]) == 0
+        results = json.loads((out / "identified_set.json").read_text())["restrictions"]
+        assert len(results) == 3
+        kinds = set()
+        for key, doc in results.items():
+            assert doc.keys() == IdentifiedSet().to_json_dict().keys()
+            diag = doc["diagnostics"]
+            assert isinstance(diag["label"], str) and diag["label"]
+            assert diag.get("firm") == (2 if source == "entry-game" else None)
+            assert diag.get("rho") == (1 if source == "entry-fd" else None)
+            if source == "entry-game":
+                assert diag["label"] == key and diag["condition_estimate"] > 1.0
+            if doc["equality_roots"] is not None:
+                kinds.add("eq")
+                # an equality set flagged as holding everywhere has no nonzero row to count
+                assert diag.get("no_identifying_content") or diag["independent_polynomials"] >= 1
+            else:
+                kinds.add("ge")
+        assert kinds == {"eq", "ge"}
+
+    @pytest.mark.parametrize("spec,bare", [
+        ("exchangeability(actions=0)", "exchangeability"),
+        ("adjustment-cost(lag_pair=0)", "adjustment-cost"),
+        ("adjustment-cost(actions=0,lag_pair=0)", "adjustment-cost"),
+        ("mono-own-lag(actions=0)", "mono-own-lag"),
+        ("mono-rivals(actions=0)", "mono-rivals"),
+    ])
+    def test_game_single_index_argument(self, tmp_path, spec, bare):
+        # the spec parser gives one index as a scalar; it reads as a one-element list
+        docs = []
+        for name, restrictions in (("arg", spec), ("bare", bare)):
+            out = tmp_path / name
+            assert main(["run", "--scenario", "entry-game", "--firm", "2", "--restrictions",
+                         restrictions, "--beta-grid", "0:1:21", "--out-dir", str(out)]) == 0
+            docs.append((out / "identified_set.json").read_bytes())
+        assert docs[0] == docs[1]
 
 
 class TestGameCliBranches:
@@ -380,6 +418,11 @@ class TestParameterizedRestrictions:
 
     @pytest.mark.parametrize("source,spec", [
         (["--scenario", "entry-game", "--firm", "1"], "exchangeability(actions=1)"),
+        # a single index off its range, not an integer, or a flag
+        (["--scenario", "entry-game", "--firm", "2"], "adjustment-cost(lag_pair=1)"),
+        (["--scenario", "entry-game", "--firm", "2"], "mono-own-lag(actions=-1)"),
+        (["--scenario", "entry-game", "--firm", "2"], "exchangeability(actions=0.5)"),
+        (["--scenario", "entry-game", "--firm", "2"], "mono-rivals(actions=true)"),
         (["--config", str(pathlib.Path(__file__).resolve().parents[1] / "configs" / "entry_model.json")],
          "homogeneity(bogus=3)"),
         (["--scenario", "entry"], "linearity(nu=2)"),
@@ -505,6 +548,18 @@ class TestCliEdges:
         self.assert_flag_rejected(tmp_path, capsys, [
             "--scenario", "entry", "--restrictions", "homogeneity", "--tol-fixedpoint", value],
             "--tol-fixedpoint")
+
+    @pytest.mark.parametrize("source", [
+        ["--scenario", "entry", "--firm", "3"],
+        ["--scenario", "entry-fd", "--firm", "1"],
+        ["--config", str(REPO / "configs" / "entry_model.json"), "--firm", "1"],
+        ["--config", str(REPO / "configs" / "entry_model.json"), "--scenario", "entry-game",
+         "--firm", "1"],
+    ])
+    def test_firm_outside_the_game_rejected(self, tmp_path, capsys, source):
+        # --firm selects a firm of the game scenario; anywhere else it would do nothing
+        self.assert_flag_rejected(tmp_path, capsys, [*source, "--restrictions", "homogeneity"],
+                                  "--firm")
 
     def test_infinite_beta_grid_rejected(self, tmp_path, capsys):
         self.assert_flag_rejected(tmp_path, capsys, [

@@ -338,6 +338,24 @@ class TestRestrictionRows:
             with pytest.raises(IndexError, match="firm"):
                 payoff_cells(m, i)
 
+    def test_single_index_reads_as_one_element_list(self, game):
+        # the command line gives a single index as a scalar
+        m = game[0].model
+        assert np.array_equal(r3_exchangeability(m, 0, actions=0), r3_exchangeability(m, 0))
+        for build in (r4_monotone_own_lag, r4_monotone_rivals):
+            assert np.array_equal(build(m, 0, actions=0)[0], build(m, 0)[0])
+        assert np.array_equal(r3_adjustment_cost(m, 0, actions=0, lag_pair=0),
+                              r3_adjustment_cost(m, 0))
+        for bad in (1, 0.5):
+            with pytest.raises(IndexError):
+                r3_exchangeability(m, 0, actions=bad)
+        # with three actions, 1 is a valid action but a flag is not an index
+        m3 = random_game(2, 3, 1)
+        assert np.array_equal(r3_adjustment_cost(m3, 0, actions=1, lag_pair=1),
+                              r3_adjustment_cost(m3, 0, actions=(1,), lag_pair=(1,)))
+        with pytest.raises(IndexError, match="not an integer"):
+            r3_exchangeability(m3, 0, actions=True)
+
     def test_one_firm_lag_pair_checked(self):
         # one firm has no rival profiles, so there are no rows, but the lag is still checked
         gm = build_entry_game(EntryGameConfig(n_firms=1, theta_fc=(1.0,), betas=(0.9,))).model
@@ -502,18 +520,7 @@ class TestRecoveryAndInequalities:
             sys0.solve_payoffs(1.0)
 
 
-class TestGameSerialization:
-    def test_round_trip_value_identical(self, game):
-        import json
-        from ddcident.games import game_from_dict, game_to_dict
-        bundle, mpe = game
-        doc = json.loads(json.dumps(game_to_dict(bundle.model), sort_keys=True))
-        back = game_from_dict(doc)
-        assert np.array_equal(back.payoffs, bundle.model.payoffs)
-        assert np.array_equal(back.s_transition, bundle.model.s_transition)
-        assert np.array_equal(back.betas, bundle.model.betas)
-        assert back.last_action_known
-
+class TestMpeSolution:
     def test_mpe_solution_residual_and_shape(self, game):
         _, mpe = game
         assert mpe.residual <= 1e-10
@@ -524,12 +531,9 @@ class TestGameModelSizes:
     @pytest.mark.parametrize("n_firms,n_actions", [(0, 2), (1, 1), (1, 0), (2, 1), (-1, 2)])
     def test_too_few_firms_or_actions(self, n_firms, n_actions):
         # one action used to give m_pi = 0; none a ZeroDivisionError in solve_mpe
-        from ddcident.games import game_from_dict
-        doc = {"n_firms": n_firms, "n_actions": n_actions, "s_values": [1.0],
-               "s_transition": [[1.0]], "payoffs": np.zeros((1, 1, 1, 1)).tolist(),
-               "betas": [0.5]}
         with pytest.raises(ValueError, match="at least one firm and two actions"):
-            game_from_dict(doc)
+            GameModel(n_firms=n_firms, n_actions=n_actions, s_values=[1.0], s_transition=[[1.0]],
+                      payoffs=np.zeros((1, 1, 1, 1)), betas=[0.5])
 
 
 class TestSolverEdges:

@@ -470,6 +470,10 @@ class TestBuildersOnFourAxes:
         for pts in ([(0,), (-1,)], [(0,), (n_q,)], [(n_q,), (0,)], [(0,), (0.5,)]):
             with pytest.raises(IndexError):
                 zero_cross_difference(fs, action, p, invariant_axes=(q,), invariant_points=pts)
+        # a flat list over two axes is not regrouped into index pairs
+        with pytest.raises(ValueError):
+            zero_cross_difference(fs, action, p, invariant_axes=tuple(a for a in fs.axes if a != p),
+                                  invariant_points=[0, 0, 1, 0, 0, 1])
         corner = {a: 0 for a in fs.axes}
         for i in (-1, n_p):
             with pytest.raises(IndexError):
