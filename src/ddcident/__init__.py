@@ -20,7 +20,6 @@ from .ddc import (
 )
 from .errors import ConvergenceError, RankDeficiencyError, UninformativeRestrictionError
 from .games import (
-    GameIdentSystem,
     GameModel,
     MpeSolution,
     build_system,

@@ -131,6 +131,8 @@ def _check_config(cfg) -> tuple:
     if not isinstance(rdicts, list):
         issue("restrictions", "restrictions must be a list")
         rdicts = []
+    elif not rdicts:
+        issue("restrictions", "config defines no restrictions; run needs at least one")
     inline = {}
     for r, rd in enumerate(rdicts):
         field = f"restrictions[{r}]"
@@ -329,13 +331,13 @@ def _config_source(args):
     psi = (psi_from_ccps(np.asarray(cfg["ccps"], dtype=float)) if "ccps" in cfg
            else solve_bellman(model, tol=args.tol_fixedpoint).psi)
     ms = master_system(psi, model.Q)
-    return {label: _no_arguments(rs) for label, rs in inline.items()}, ms.payoff_polys, {}
+    return {label: _no_arguments(rs) for label, rs in inline.items()}, ms.payoff_polys, ms.info
 
 
 def _entry_source(args):
     bundle = build_entry_model()
     ms = master_system(solve_bellman(bundle.model, tol=args.tol_fixedpoint).psi, bundle.model.Q)
-    return _entry_builders(bundle), ms.payoff_polys, {}
+    return _entry_builders(bundle), ms.payoff_polys, ms.info
 
 
 def _fd_source(args):
@@ -377,8 +379,7 @@ def _game_source(args):
             *r4_monotone_rivals(model, i, **kw), "ge", "mono_rivals"),
     }
     # firms are reported 1-based on the CLI surface
-    return builders, system.payoff_polys, {"firm": args.firm,
-                                           "condition_estimate": system.condition_estimate}
+    return builders, system.payoff_polys, {**system.info, "firm": args.firm}
 
 
 _SOURCES = {"entry": _entry_source, "entry-fd": _fd_source, "entry-game": _game_source}

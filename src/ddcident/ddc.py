@@ -12,7 +12,7 @@ all states of action 0 first, then action 1, and so on, covering actions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -213,12 +213,21 @@ class MasterSystem:
     over ``k = 0..K-2``, and ``Psi`` stacks the inversion vectors of those
     actions; ``G(beta) = det(beta) * U`` at the true discount factor.
     ``det`` holds the ``J + 1`` coefficients of the determinant.
+
+    A game firm's system (``games.build_system``) is this system mapped
+    through the firm's square block: ``m_psi`` holds the whole of ``G``, its
+    ``psi_stack`` is zero and ``m`` is the single-agent stack it came from.
+    ``noise`` is the coefficient size at or below which a row of unit weight
+    is noise (see :meth:`payoff_polys`); ``info`` holds the diagnostics every
+    set built from the system carries.
     """
 
     det: np.ndarray
     m: MatrixPoly
     psi_stack: np.ndarray
     m_psi: np.ndarray  # (J*(K-1), J+1): coefficient rows of M(beta) @ psi_last
+    noise: float
+    info: dict = field(default_factory=dict)
 
     @property
     def n_rows(self) -> int:
@@ -227,14 +236,13 @@ class MasterSystem:
     def payoff_polys(self, R, c=0.0) -> np.ndarray:
         """Coefficient rows of ``R G(beta) - c det(beta)``, shape
         ``(rows, J + 1)``: since ``det > 0`` on ``[0, 1)``, a row is ``>= 0``
-        where the payoffs recovered at beta satisfy ``R U >= c``.  Rows at
-        rounding level of the system inputs hold at every discount factor and
-        are set to zero."""
+        where the payoffs recovered at beta satisfy ``R U >= c``.  A row no
+        larger than ``noise * max(1, max|R|)`` holds at every discount factor
+        and is set to zero."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
         c = np.broadcast_to(np.asarray(c, dtype=float), (R.shape[0],))
         rows = R @ self.m_psi - np.outer(c + R @ self.psi_stack, self.det)
-        input_scale = max(1.0, float(np.max(np.abs(self.m_psi)))) * max(1.0, float(np.abs(R).max(initial=0.0)))
-        rows[np.max(np.abs(rows), axis=1) <= 1e-12 * input_scale] = 0.0
+        rows[np.max(np.abs(rows), axis=1) <= self.noise * max(1.0, np.abs(R).max(initial=0.0))] = 0.0
         return rows
 
 
@@ -258,9 +266,6 @@ def master_system(psi, Q) -> MasterSystem:
     blocks = [adj.premultiply_i_minus_beta(Q[k]) for k in range(K - 1)]
     m = MatrixPoly(np.concatenate([b.coeff_mats for b in blocks], axis=1))
     m_psi = m.apply(psi[K - 1])
-    return MasterSystem(
-        det=det.coef,
-        m=m,
-        psi_stack=stack_actions(psi),
-        m_psi=m_psi,
-    )
+    # rows at rounding level of the system inputs
+    noise = 1e-12 * max(1.0, float(np.max(np.abs(m_psi))))
+    return MasterSystem(det=det.coef, m=m, psi_stack=stack_actions(psi), m_psi=m_psi, noise=noise)

@@ -7,21 +7,21 @@ choice probabilities, each firm's logit best response computed by
 ``ddc.solve_logit``, with Anderson extrapolation between sweeps; it falls back
 to the plain sweep where extrapolation leaves ``(0, 1)`` or the sweep change
 rises, and on the games tested it selects the equilibrium the plain sweeps
-select.  Identification stacks the model's expected-payoff equations with
-cross-firm payoff restrictions into polynomial systems in each firm's discount
-factor.
+select.  Identification maps each firm's single-agent system of its
+equilibrium objects through the square block of its expected-payoff and
+lagged-action-irrelevance equations; cross-firm payoff restrictions are then
+polynomial rows in the firm's discount factor.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .betapoly import ROOT_RESIDUAL_TOL, check_stochastic
-from .ddc import EULER_GAMMA, master_system, solve_logit
+from .ddc import EULER_GAMMA, MasterSystem, master_system, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, identified_set
 from .restrictions import _flat_points, _stencil_rows, linear_in_parameters
@@ -267,89 +267,26 @@ def solve_mpe(model: GameModel, damping: float = 0.5, start=None,
     return MpeSolution(P=P, V=V, v=v, psi=psi, residual=residual, n_iter=len(history))
 
 
-@dataclass(frozen=True)
-class GameIdentSystem:
-    """Stacked linear-in-payoff system of one firm, polynomial in its discount factor.
+def build_system(model: GameModel, mpe: MpeSolution, i: int) -> MasterSystem:
+    """Firm ``i``'s identification system: the single-agent system of its
+    equilibrium objects mapped through its square block.
 
-    The model equations read ``d(beta) * Pbar @ Pi = rhs(beta)`` where ``Pbar``
-    is the block-diagonal expected-rival-probability matrix and each entry of
-    ``rhs`` is a polynomial of degree ``m_x``; ``det`` holds the ``m_x + 1``
-    coefficients of ``d``.  ``R2`` stacks the
-    lagged-action-irrelevance rows (``R2 @ Pi = 0``), completing a square
-    system ``X_a``; additional equality rows test candidate discount factors
-    and inequality rows bound them.  ``equilibrium_residual`` is the
-    :class:`MpeSolution` residual the system was built from; it sets the noise
-    level below which an identifying polynomial counts as zero.
-
-    On construction the square system is inverted once: ``W`` holds the
-    coefficient rows of the determinant-scaled payoffs ``X_a^{-1} Y_a``
-    recovered from it and ``condition_estimate`` is ``cond(X_a)``.
+    Requires the model to declare the last action's payoff as known; its
+    expected-rival average joins ``psi_last`` of ``master_system(psi,
+    Q_star)``, whose recovered payoffs ``rhs(beta)`` are the expected ones.
+    The square block ``X`` stacks ``Pbar``, the block-diagonal
+    expected-rival-probability matrix (``Pbar Pi`` is the expected payoff),
+    over the lagged-action-irrelevance rows (``R2 Pi = 0``).  The system's
+    ``m_psi`` is ``X^{-1} [rhs; 0]``, its ``psi_stack`` is zero and its ``m``
+    is the source stack.  Its noise level is the equilibrium residual
+    (rounding at least) relative to ``rhs``: a beta-free row's coefficients
+    sit at a few times that residual, informative rows at 1e-4 or more.
+    ``info`` holds the firm and ``cond(X)``.
 
     Raises
     ------
     RankDeficiencyError
-        If ``X_a`` does not have full column rank.
-    """
-
-    firm: int
-    Pbar: np.ndarray
-    rhs_coeffs: np.ndarray  # (q1, m_x + 1)
-    det: np.ndarray
-    R2: np.ndarray
-    m_pi: int
-    equilibrium_residual: float
-    W: np.ndarray = field(init=False, repr=False)  # (m_pi, m_x + 1)
-    condition_estimate: float = field(init=False)
-
-    def __post_init__(self):
-        X = self.X_a
-        n = X.shape[1]
-        s = np.linalg.svd(X, compute_uv=False)  # rank, norm and condition from one factorization
-        if np.sum(s > 1e-10 * max(1.0, s[0])) < n:
-            raise RankDeficiencyError(
-                "square model block of the stacked system is singular; "
-                "the stacked matrix must have full column rank",
-                rank=int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps)), required=n,
-            )
-        Y = np.zeros((self.m_pi, self.rhs_coeffs.shape[1]))
-        Y[: self.rhs_coeffs.shape[0]] = self.rhs_coeffs
-        object.__setattr__(self, "W", np.linalg.solve(X, Y))
-        object.__setattr__(self, "condition_estimate", float(s[0] / s[-1]))
-
-    @property
-    def X_a(self) -> np.ndarray:
-        return np.vstack([self.Pbar, self.R2])
-
-    def solve_payoffs(self, beta: float) -> np.ndarray:
-        """Stacked payoff vector implied by the system at a candidate discount
-        factor in ``[0, 1)``."""
-        if not 0.0 <= beta < 1.0:
-            raise ValueError("beta must lie in [0, 1)")
-        return self.W @ beta ** np.arange(self.W.shape[1]) / npoly.polyval(beta, self.det)
-
-    def payoff_polys(self, R, c=0.0) -> np.ndarray:
-        """Coefficient rows of ``R W(beta) - c det(beta)``, shape
-        ``(rows, m_x + 1)``: a row is ``>= 0`` where the payoffs recovered at
-        beta satisfy ``R Pi >= c``.  A row at noise level relative to the
-        right-hand side holds at every discount factor and is set to zero.
-        The noise is rounding or the equilibrium residual: a beta-free row's
-        coefficients sit at a few times that residual, informative rows at
-        1e-4 or more."""
-        R = np.atleast_2d(np.asarray(R, dtype=float))
-        c = np.broadcast_to(np.asarray(c, dtype=float), (R.shape[0],))
-        rows = R @ self.W - np.outer(c, self.det)
-        floor = max(1e-9, 100.0 * self.equilibrium_residual) * float(np.max(np.abs(self.rhs_coeffs)))
-        rows[np.max(np.abs(rows), axis=1) <= floor] = 0.0
-        return rows
-
-
-def build_system(model: GameModel, mpe: MpeSolution, i: int) -> GameIdentSystem:
-    """Assemble firm ``i``'s identification system from equilibrium objects.
-
-    Requires the model to declare the last action's payoff as known; the known
-    payoff enters the right-hand side through the expected-rival average.  The
-    right-hand side is the single-agent system ``master_system(psi, Q_star)``
-    with that payoff added to ``psi_last``: ``M(beta) psi_last - det(beta) Psi``.
+        If ``X`` does not have full column rank.
     """
     if not model.last_action_known:
         raise ValueError("identification requires declaring the last action's payoff as known")
@@ -362,9 +299,19 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> GameIdentSystem:
     q1 = (K - 1) * m_x
     Pbar = np.zeros((q1, q1, model.n_rival_profiles))  # row k*m_x + x weighs its n_o cells
     Pbar[np.arange(q1), np.arange(q1)] = np.tile(P_minus, (K - 1, 1))
-    return GameIdentSystem(firm=i, Pbar=Pbar.reshape(q1, model.m_pi), rhs_coeffs=rhs, det=ms.det,
-                           R2=r2_irrelevance(model, i), m_pi=model.m_pi,
-                           equilibrium_residual=mpe.residual)
+    X = np.vstack([Pbar.reshape(q1, model.m_pi), r2_irrelevance(model, i)])
+    s = np.linalg.svd(X, compute_uv=False)  # rank, norm and condition from one factorization
+    if np.sum(s > 1e-10 * max(1.0, s[0])) < model.m_pi:
+        raise RankDeficiencyError(
+            "square model block of the stacked system is singular; "
+            "the stacked matrix must have full column rank",
+            rank=int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps)), required=model.m_pi,
+        )
+    Y = np.zeros((model.m_pi, rhs.shape[1]))
+    Y[:q1] = rhs
+    return replace(ms, m_psi=np.linalg.solve(X, Y), psi_stack=np.zeros(model.m_pi),
+                   noise=max(1e-9, 100.0 * mpe.residual) * float(np.max(np.abs(rhs))),
+                   info={"firm": i, "condition_estimate": float(s[0] / s[-1])})
 
 
 # ---- restriction rows on the stacked game payoff -------------------------
@@ -470,20 +417,19 @@ def r4_monotone_rivals(model: GameModel, i: int, actions=(0,)) -> tuple[np.ndarr
 # ---- identified sets ------------------------------------------------------
 
 
-def identified_set_game(system: GameIdentSystem, R3, c3=0.0, *,
+def identified_set_game(system: MasterSystem, R3, c3=0.0, *,
                         residual_tol: float = ROOT_RESIDUAL_TOL) -> IdentifiedSet:
     """Common roots on ``[0, 1)`` of the firm's equality identification system.
 
     Intersects the roots of the extra equality rows ``R3 Pi = c3``, each a
     polynomial of degree at most ``m_x`` in the payoffs recovered from the
-    square block (see :meth:`GameIdentSystem.payoff_polys`).
+    square block (see :func:`build_system`).
     Identically-zero polynomials (redundant rows) are flagged and excluded.
     """
-    diagnostics = {"firm": system.firm, "condition_estimate": system.condition_estimate}
-    return identified_set(system.payoff_polys(R3, c3), "eq", diagnostics, residual_tol=residual_tol)
+    return identified_set(system.payoff_polys(R3, c3), "eq", system.info, residual_tol=residual_tol)
 
 
-def inequality_region_game(system: GameIdentSystem, R4, c4=0.0) -> IdentifiedSet:
+def inequality_region_game(system: MasterSystem, R4, c4=0.0) -> IdentifiedSet:
     """Subset of ``[0, 1)`` where the payoffs recovered from the firm's square
     system satisfy ``R4 @ Pi(beta) >= c4``."""
-    return identified_set(system.payoff_polys(R4, c4), "ge", {"firm": system.firm})
+    return identified_set(system.payoff_polys(R4, c4), "ge", system.info)

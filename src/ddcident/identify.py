@@ -156,7 +156,7 @@ def equality_identified_set(master: MasterSystem, rs: RestrictionSet, *,
     :func:`identified_set`)."""
     if rs.kind != "eq":
         raise ValueError("restriction set must be of equality kind")
-    return identified_set(master.payoff_polys(rs.R, rs.c), "eq", {"label": rs.label},
+    return identified_set(master.payoff_polys(rs.R, rs.c), "eq", {"label": rs.label, **master.info},
                           residual_tol=residual_tol)
 
 
@@ -165,7 +165,7 @@ def inequality_region(master: MasterSystem, rs: RestrictionSet) -> IdentifiedSet
     factor satisfy the inequality restriction ``R U >= c``."""
     if rs.kind != "ge":
         raise ValueError("restriction set must be of inequality kind")
-    return identified_set(master.payoff_polys(rs.R, rs.c), "ge", {"label": rs.label})
+    return identified_set(master.payoff_polys(rs.R, rs.c), "ge", {"label": rs.label, **master.info})
 
 
 def combine(*sets: IdentifiedSet, tol: float = COMBINE_TOL) -> IdentifiedSet:

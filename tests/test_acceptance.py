@@ -21,11 +21,13 @@ from ddcident.games import (
     expected_objects,
     identified_set_game,
     inequality_region_game,
+    r2_irrelevance,
     r3_adjustment_cost,
     r3_exchangeability,
     r3_linear,
     r4_monotone_own_lag,
     r4_monotone_rivals,
+    rival_probabilities,
     solve_mpe,
 )
 from ddcident.identify import (
@@ -222,18 +224,24 @@ def test_criterion_5_payoff_recovery(entry):
         assert np.max(np.abs(rec - stack_actions(u))) <= 1e-8
 
 
-def direct_game_payoffs(model, mpe, system, i, beta):
+def direct_game_payoffs(model, mpe, i, beta):
     """Firm ``i``'s stacked payoff at ``beta`` by linear solves on the
-    equilibrium objects (no adjugate or determinant polynomials)."""
-    K = model.n_actions
+    equilibrium objects (no adjugate or determinant polynomials).  The square
+    block is built here: expected-payoff row ``k * m_x + x`` weighs the cells
+    ``(k * m_x + x) * n_o + o`` by the rival-profile probabilities, over the
+    rows of rivals' lagged-action irrelevance."""
+    K, q1 = model.n_actions, (model.n_actions - 1) * model.m_x
     pi_star, Q_star, _ = expected_objects(model, mpe.P, i)
     psi = mpe.psi[i]
     V = np.linalg.solve(np.eye(model.m_x) - beta * Q_star[K - 1],
                         psi[K - 1] + pi_star[K - 1])
     expected_payoff = np.concatenate([-psi[k] + V - beta * Q_star[k] @ V
                                       for k in range(K - 1)])
-    y = np.concatenate([expected_payoff, np.zeros(system.R2.shape[0])])
-    return np.linalg.solve(system.X_a, y)
+    Pbar = np.zeros((q1, model.m_pi))
+    Pbar[np.arange(q1)[:, None], np.arange(model.m_pi).reshape(q1, -1)] = np.tile(
+        rival_probabilities(model, mpe.P, i), (K - 1, 1))
+    R2 = r2_irrelevance(model, i)
+    return np.linalg.solve(np.vstack([Pbar, R2]), np.r_[expected_payoff, np.zeros(len(R2))])
 
 
 def test_criterion_6_game_identification(game):
@@ -265,9 +273,9 @@ def test_criterion_6_game_identification(game):
         if ident.equality_roots or not ident.diagnostics.get("no_identifying_content"):
             failures.append(f"firm {i} adjustment_cost not flagged: {ident.equality_roots}")
         grid = np.linspace(0.1, 0.99, 12)
-        adj_gap = [np.max(np.abs(adj @ direct_game_payoffs(model, mpe, system, i, b)))
+        adj_gap = [np.max(np.abs(adj @ direct_game_payoffs(model, mpe, i, b)))
                    for b in grid]
-        off_truth = [np.max(np.abs(exch @ direct_game_payoffs(model, mpe, system, i, b)))
+        off_truth = [np.max(np.abs(exch @ direct_game_payoffs(model, mpe, i, b)))
                      for b in (truth[i] - 0.01, truth[i] + 0.01)]
         if max(adj_gap) > 1e-9 or min(off_truth) < 1e-6:
             failures.append(f"firm {i} direct recovery: adjustment-cost gap "

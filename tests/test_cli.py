@@ -136,6 +136,25 @@ class TestValidate:
         issues = validate_config(bad)
         assert any("duplicate label 'zero-cross'" in i["message"] for i in issues)
 
+    @pytest.mark.parametrize("restrictions", [[], None])
+    def test_config_without_restrictions_rejected(self, entry_config, tmp_path, capsys, restrictions):
+        # run offers only a config's own restrictions, so without any it cannot run
+        _, cfg = entry_config
+        bad = json.loads(json.dumps(cfg))
+        if restrictions is None:
+            del bad["restrictions"]
+        else:
+            bad["restrictions"] = restrictions
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(bad))
+        expected = {"field": "restrictions",
+                    "message": "config defines no restrictions; run needs at least one"}
+        assert main(["validate", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["issues"] == [expected]
+        assert main(["run", "--config", str(path), "--restrictions", "zero-cross",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "invalid_config", "issues": [expected]}
+
     def test_malformed_json_is_structured_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"schema_version": 1,')

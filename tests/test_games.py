@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +5,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from ddcident import games
-from ddcident.ddc import EULER_GAMMA, SingleAgentModel, solve_bellman, solve_logit
+from ddcident.ddc import EULER_GAMMA, SingleAgentModel, master_system, solve_bellman, solve_logit
 from ddcident.errors import ConvergenceError, RankDeficiencyError
 from ddcident.games import (
     GameModel,
@@ -25,7 +24,8 @@ from ddcident.games import (
     rival_probabilities,
     solve_mpe,
 )
-from ddcident.identify import combine
+from ddcident.identify import combine, equality_identified_set, inequality_region
+from ddcident.restrictions import RestrictionSet
 from ddcident.scenarios import EntryGameConfig, build_entry_game
 
 
@@ -56,6 +56,20 @@ def small_game(rng, n_firms=2, betas=(0.6, 0.85), interaction=-0.4):
     return GameModel(n_firms=n_firms, n_actions=K, s_values=s_values, s_transition=T,
                      payoffs=payoffs, betas=np.asarray(betas, dtype=float),
                      last_action_known=True)
+
+
+def square_block(m, P, i):
+    """Firm ``i``'s square block, built here: each expected-payoff row weighs
+    its rival-profile cells by their probabilities, over the rows of rivals'
+    lagged-action irrelevance."""
+    return np.vstack([loop_pbar(m, rival_probabilities(m, P, i)), r2_irrelevance(m, i)])
+
+
+def recovered_payoffs(system, beta):
+    """Stacked payoffs a system recovers at ``beta``, from its identifying
+    polynomials of the unit rows."""
+    rows = system.payoff_polys(np.eye(system.n_rows))
+    return npoly.polyval(beta, rows.T) / npoly.polyval(beta, system.det)
 
 
 class TestMpe:
@@ -225,10 +239,10 @@ class TestBuildSystem:
         sys0 = build_system(m, mpe, 0)
         pi_star, _, _ = expected_objects(m, mpe.P, 0)
         # at beta = 0 the equations reduce to Pbar pi = -psi_0 + psi_last + pi*_last
-        lhs = sys0.Pbar @ m.pi_stack(0)
+        X = square_block(m, mpe.P, 0)
         rhs = -mpe.psi[0, 0] + mpe.psi[0, 1] + pi_star[1]
-        assert lhs == pytest.approx(rhs + (lhs - sys0.rhs_coeffs[:, 0]), abs=1e-9)
-        assert sys0.rhs_coeffs[:, 0] == pytest.approx(rhs, abs=1e-9)
+        assert sys0.det[0] == 1.0
+        assert X @ sys0.m_psi[:, 0] == pytest.approx(np.r_[rhs, np.zeros(len(X) - len(rhs))], abs=1e-9)
 
     def test_residual_vanishes_at_true_beta_only(self, game):
         bundle, mpe = game
@@ -236,11 +250,12 @@ class TestBuildSystem:
         for i in range(3):
             sys_i = build_system(m, mpe, i)
             pi_true = m.pi_stack(i)
-            scale = np.max(np.abs(sys_i.rhs_coeffs))
-            # Pbar (W(beta) - det(beta) pi) = rhs(beta) - det(beta) Pbar pi
+            X = square_block(m, mpe.P, i)
+            scale = np.max(np.abs(X @ sys_i.m_psi))  # the expected payoffs' coefficients
+            # X (G(beta) - det(beta) pi) = [rhs(beta) - det(beta) Pbar pi; 0]
             rows = sys_i.payoff_polys(np.eye(m.m_pi), pi_true)
-            good = np.max(np.abs(sys_i.Pbar @ npoly.polyval(m.betas[i], rows.T)))
-            bad = np.max(np.abs(sys_i.Pbar @ npoly.polyval(0.5, rows.T)))
+            good = np.max(np.abs(X @ npoly.polyval(m.betas[i], rows.T)))
+            bad = np.max(np.abs(X @ npoly.polyval(0.5, rows.T)))
             assert good <= 1e-8 * scale
             assert bad > 1e-4 * scale
 
@@ -307,8 +322,8 @@ class TestRestrictionRows:
         bundle = build_entry_game(EntryGameConfig(n_firms=1, theta_fc=(1.0,), betas=(0.9,)))
         gm = bundle.model
         system = build_system(gm, solve_mpe(gm), 0)
-        assert system.R2.shape == (0, gm.m_pi)
-        assert np.max(np.abs(system.solve_payoffs(0.9) - gm.pi_stack(0))) <= 1e-8
+        assert r2_irrelevance(gm, 0).shape == (0, gm.m_pi)
+        assert np.max(np.abs(recovered_payoffs(system, 0.9) - gm.pi_stack(0))) <= 1e-8
         ex = identified_set_game(system, r3_exchangeability(gm, 0))
         assert ex.diagnostics["no_identifying_content"] and ex.equality_roots == []
         region = inequality_region_game(system, *r4_monotone_own_lag(gm, 0))
@@ -319,7 +334,7 @@ class TestRestrictionRows:
         lin = identified_set_game(system, R)
         assert len(lin.equality_roots) == 1
         assert abs(lin.equality_roots[0] - 0.9) <= 1e-6
-        assert np.max(np.abs(R @ system.solve_payoffs(0.9))) <= 1e-8
+        assert np.max(np.abs(R @ recovered_payoffs(system, 0.9))) <= 1e-8
 
     def test_out_of_range_action_or_lag_raises(self, game):
         # own lag 2 of a two-action game used to wrap into firm 1's lag digit,
@@ -436,6 +451,33 @@ class TestIdentifiedSets:
             both = identified_set_game(sys_i, np.vstack([adj, r3_exchangeability(m, i)]))
             assert both.equality_roots == pytest.approx([truth], abs=1e-3)
 
+    @pytest.mark.parametrize("k", [1.0, 10.0, 1e3])
+    def test_scaled_adjustment_cost_stays_flagged(self, k):
+        # the noise floor scales with the rows: scaled beta-free rows are
+        # still noise, so they must not empty the set combined with
+        # exchangeability
+        m = build_entry_game().model
+        mpe = solve_mpe(m)
+        for i, truth in enumerate((0.8, 0.9, 0.95)):
+            system = build_system(m, mpe, i)
+            adj = identified_set_game(system, k * r3_adjustment_cost(m, i))
+            assert adj.diagnostics.get("no_identifying_content") and adj.equality_roots == []
+            both = combine(adj, identified_set_game(system, r3_exchangeability(m, i)))
+            assert both.combined == pytest.approx([truth], abs=1e-3)
+
+    def test_every_set_carries_the_system_diagnostics(self, game):
+        bundle, mpe = game
+        m = bundle.model
+        for i in range(3):
+            system = build_system(m, mpe, i)
+            eq = RestrictionSet(r3_exchangeability(m, i), 0.0, "eq", "exchangeability")
+            ge = RestrictionSet(*r4_monotone_rivals(m, i), "ge", "mono_rivals")
+            sets = (identified_set_game(system, eq.R), inequality_region_game(system, ge.R, ge.c),
+                    equality_identified_set(system, eq), inequality_region(system, ge))
+            info = [{k: s.diagnostics.get(k) for k in ("firm", "condition_estimate")} for s in sets]
+            assert info[0]["firm"] == i and info[0]["condition_estimate"] > 1.0
+            assert all(d == info[0] for d in info)
+
     def test_pooled_mode_intersects(self, game):
         bundle, mpe = game
         m = bundle.model
@@ -447,19 +489,17 @@ class TestIdentifiedSets:
         assert pooled.equality_roots == []  # betas differ across firms
         assert combine(sets[0], sets[0]).equality_roots == pytest.approx([0.8], abs=1e-3)
 
-    def test_rank_deficiency_detected(self, game):
-        bundle, mpe = game
-        sys0 = build_system(bundle.model, mpe, 0)
-        # a duplicated expectation row makes the stacked system rank deficient
-        Pbar = sys0.Pbar.copy()
-        Pbar[1] = Pbar[0]
-        rhs = sys0.rhs_coeffs.copy()
-        rhs[1] = rhs[0]
+    def test_rank_deficiency_detected(self):
+        # without an entry cost no payoff, and so no firm's play, depends on
+        # lags: the rivals'-lag variants of a state repeat one equation, and
+        # each of the 6 (state, own lag) groups loses 3 of its 4 (rank 78 of 96)
+        m = build_entry_game(EntryGameConfig(theta_ec=0.0)).model
+        mpe = solve_mpe(m)
         with pytest.raises(RankDeficiencyError) as err:
-            dataclasses.replace(sys0, Pbar=Pbar, rhs_coeffs=rhs)
+            build_system(m, mpe, 0)
         # the reported rank is numpy's at its default tolerance
-        assert err.value.rank == np.linalg.matrix_rank(np.vstack([Pbar, sys0.R2]))
-        assert err.value.required == sys0.m_pi
+        assert err.value.rank == np.linalg.matrix_rank(square_block(m, mpe.P, 0)) == 78
+        assert err.value.required == m.m_pi == 96
 
 
 class TestRecoveryAndInequalities:
@@ -468,23 +508,25 @@ class TestRecoveryAndInequalities:
         m = bundle.model
         for i in range(3):
             sys_i = build_system(m, mpe, i)
-            rec = sys_i.solve_payoffs(m.betas[i])
+            rec = recovered_payoffs(sys_i, m.betas[i])
             assert np.max(np.abs(rec - m.pi_stack(i))) <= 1e-7
 
     def test_recovery_at_zero_matches_static_slice(self, game):
         bundle, mpe = game
         m = bundle.model
         sys0 = build_system(m, mpe, 0)
-        rec = sys0.solve_payoffs(0.0)
-        assert sys0.Pbar @ rec == pytest.approx(sys0.rhs_coeffs[:, 0], abs=1e-8)
+        pi_star, _, _ = expected_objects(m, mpe.P, 0)
+        X = square_block(m, mpe.P, 0)
+        static = np.r_[-mpe.psi[0, 0] + mpe.psi[0, 1] + pi_star[1], np.zeros(len(X) - m.m_x)]
+        assert X @ recovered_payoffs(sys0, 0.0) == pytest.approx(static, abs=1e-8)
 
     def test_wrong_beta_violates_held_out_row(self, game):
         bundle, mpe = game
         m = bundle.model
         sys0 = build_system(m, mpe, 0)
         rows = r3_exchangeability(m, 0)
-        good = np.max(np.abs(rows @ sys0.solve_payoffs(m.betas[0])))
-        bad = np.max(np.abs(rows @ sys0.solve_payoffs(0.4)))
+        good = np.max(np.abs(rows @ recovered_payoffs(sys0, m.betas[0])))
+        bad = np.max(np.abs(rows @ recovered_payoffs(sys0, 0.4)))
         assert good < 1e-6
         assert bad > 100.0 * good and bad > 1e-4
 
@@ -510,14 +552,14 @@ class TestRecoveryAndInequalities:
     def test_vacuous_inequality(self, game):
         bundle, mpe = game
         sys0 = build_system(bundle.model, mpe, 0)
-        region = inequality_region_game(sys0, np.zeros((1, sys0.m_pi)))
+        region = inequality_region_game(sys0, np.zeros((1, sys0.n_rows)))
         assert region.inequality_intervals == [(0.0, 1.0)]
 
-    def test_recover_rejects_bad_beta(self, game):
+    def test_no_recovery_at_one(self, game):
+        # det(I - Q_last) = 0: no payoff is recovered at beta = 1
         bundle, mpe = game
         sys0 = build_system(bundle.model, mpe, 0)
-        with pytest.raises(ValueError):
-            sys0.solve_payoffs(1.0)
+        assert abs(npoly.polyval(1.0, sys0.det)) <= 1e-12 * np.max(np.abs(sys0.det))
 
 
 class TestMpeSolution:
@@ -759,7 +801,13 @@ class TestLoopOracle:
             if m.m_pi <= 1500:
                 mpe = MpeSolution(P=P, V=None, v=None, psi=EULER_GAMMA - np.log(P),
                                   residual=0.0, n_iter=0)
-                assert np.array_equal(build_system(m, mpe, i).Pbar, loop_pbar(m, got[2]))
+                psi = mpe.psi[i].copy()
+                psi[K - 1] += got[0][K - 1]
+                ms = master_system(psi, got[1])
+                Y = np.zeros((m.m_pi, ms.det.size))
+                Y[: ms.n_rows] = ms.m_psi - np.outer(ms.psi_stack, ms.det)
+                X = np.vstack([loop_pbar(m, got[2]), loop_r2(m, i)])
+                assert np.array_equal(build_system(m, mpe, i).m_psi, np.linalg.solve(X, Y))
 
 
 # ---- equilibrium-selection oracle -------------------------------------------
