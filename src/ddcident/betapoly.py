@@ -26,6 +26,7 @@ ROOT_CLUSTER_TOL = 1e-7
 LEADING_COEFF_TOL = 1e-12
 SIGN_GRID_POINTS = 2001
 SIGN_REFINE_TOL = 1e-10
+_CROSSING_LEVELS = 6  # bisection levels per call of ``crossing``'s ``f``
 
 
 def polyval_rows(C, x) -> np.ndarray:
@@ -68,12 +69,14 @@ class MatrixPoly:
         return np.einsum("dij,j->id", self.coeff_mats, v)
 
     def premultiply_i_minus_beta(self, Q) -> "MatrixPoly":
-        """Return ``(I - beta*Q)`` times this polynomial (degree rises by one)."""
+        """Return ``(I - beta*Q)`` times this polynomial (degree rises by one),
+        built in place: ``-(Q A_{j-1}) + A_j`` rounds as ``A_j - Q A_{j-1}``."""
         Q = np.asarray(Q, dtype=float)
-        d, n, m = self.coeff_mats.shape
-        out = np.zeros((d + 1, n, m))
-        out[:d] = self.coeff_mats
-        out[1:] -= np.matmul(Q, self.coeff_mats)
+        A = self.coeff_mats
+        out = np.empty((len(A) + 1,) + A.shape[1:])
+        np.negative(np.matmul(Q, A, out=out[1:]), out=out[1:])
+        out[0] = A[0]
+        out[1:-1] += A[1:]
         return MatrixPoly(out)
 
 
@@ -169,23 +172,37 @@ def faddeev_adj_det(Q) -> tuple[MatrixPoly, npoly.Polynomial]:
     return MatrixPoly(adj), npoly.Polynomial(det)
 
 
+def require_finite(C) -> None:
+    """Raise a ValueError naming the first row of ``C`` with a NaN or inf."""
+    C = np.atleast_2d(C)
+    bad = np.argwhere(~np.isfinite(C))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"coefficient row {i} is not finite: {C[i, j]} multiplies beta**{j}")
+
+
 def roots_in_interval(p, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
     """All real roots in ``[0, 1)`` of the polynomial with coefficient vector
     ``p`` (``p[j]`` multiplies ``beta**j``).
 
     Companion-matrix eigenvalues of the max-abs-scaled polynomial, its
-    leading coefficients up to ``LEADING_COEFF_TOL`` dropped, followed by
-    Newton refinement.  A candidate is accepted when its imaginary part is
-    within ``ROOT_IMAG_TOL`` and its relative residual within
-    ``residual_tol``; accepted roots are deduplicated within
+    leading coefficients up to ``LEADING_COEFF_TOL`` dropped, then eight
+    Newton steps on ``p`` and ``p'`` from one :func:`polyval_rows` pass.  No
+    step is taken where both are within the rounding bounds of their
+    evaluation, as at an exact double root.  A candidate is accepted when its
+    imaginary part is within ``ROOT_IMAG_TOL`` and its relative residual
+    within ``residual_tol``; accepted roots are deduplicated within
     ``ROOT_CLUSTER_TOL``.
 
     Raises
     ------
     UninformativeRestrictionError
         If ``p`` is identically zero (distinct from an empty root set).
+    ValueError
+        If a coefficient is NaN or infinite.
     """
     p = np.asarray(p, dtype=float)
+    require_finite(p)
     scale = np.max(np.abs(p))
     if scale == 0.0:
         raise UninformativeRestrictionError(
@@ -198,11 +215,13 @@ def roots_in_interval(p, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
 
     cand = npoly.polyroots(c)
     dc = npoly.polyder(c)
+    rows = np.vstack([c, np.append(dc, 0.0)])
+    # p and p' at x, and at |x| the rounding bounds of their evaluation
+    rows = np.vstack([rows, 4 * len(c) * np.finfo(float).eps * np.abs(rows)])
     for _ in range(8):
-        val = npoly.polyval(cand, c)
-        der = npoly.polyval(cand, dc)
-        step = np.where(der != 0.0, val / np.where(der == 0.0, 1.0, der), 0.0)
-        cand = cand - step
+        vals = polyval_rows(rows, np.stack([cand, np.abs(cand)]))
+        move = np.any(np.abs(vals[:2, 0]) > np.abs(vals[2:, 1]), axis=0)
+        cand = cand - np.where(move, vals[0, 0] / np.where(move, vals[1, 0], 1.0), 0.0)
 
     real = cand[np.abs(cand.imag) <= ROOT_IMAG_TOL].real
     # half-open interval: points indistinguishable from 1 (within the cluster
@@ -228,16 +247,29 @@ def roots_in_interval(p, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
 def crossing(f, a: float, b: float) -> float:
     """Bisect ``[a, b]`` down to ``SIGN_REFINE_TOL`` for the point where
     ``f >= 0`` flips; ``f(a)`` and ``f(b)`` must lie on opposite sides.  A NaN
-    value counts as negative."""
-    fa = f(a) >= 0.0
-    for _ in range(200):
+    value counts as negative.
+
+    ``f`` takes an array, and a point's value must not depend on the others.
+    One call covers every branch's midpoint ``0.5 * (lo + hi)`` over the next
+    ``_CROSSING_LEVELS`` levels, which are then walked: the same float as one
+    call per level.
+    """
+    for level in range(200):
         if b - a <= SIGN_REFINE_TOL:
             break
-        m = 0.5 * (a + b)
-        if (f(m) >= 0.0) == fa:
-            a = m
+        if level % _CROSSING_LEVELS == 0:
+            ends, pts = np.array([a, b]), [np.array([a])]
+            for _ in range(_CROSSING_LEVELS):  # each level's branches, left to right
+                pts.append(0.5 * (ends[:-1] + ends[1:]))
+                ends = np.repeat(ends, 2)[:-1]
+                ends[1::2] = pts[-1]
+            pts = np.concatenate(pts)  # for k >= 1 pts[k]'s halves have midpoints pts[2k], pts[2k + 1]
+            above = f(pts) >= 0.0
+            fa, node = above[0], 1  # a only ever moves to points on its side
+        if above[node] == fa:
+            a, node = pts[node], 2 * node + 1
         else:
-            b = m
+            b, node = pts[node], 2 * node
     return 0.5 * (a + b)
 
 
@@ -246,12 +278,16 @@ def sign_region(C) -> SignRegion:
     ``C`` is nonnegative as a polynomial.
 
     Every row, scaled by its max-abs coefficient, is evaluated on an
-    equispaced grid of ``SIGN_GRID_POINTS`` points, and each flip of the
-    feasibility mask is refined by :func:`crossing`.  An interval narrower
-    than one grid step (``1 / SIGN_GRID_POINTS``), or a tangent point, can
-    fall between grid points and be missed.
+    equispaced grid of ``SIGN_GRID_POINTS`` points by one product with the
+    grid's Vandermonde matrix (only signs are read, and they are Horner's
+    rule's wherever a row is above rounding noise), and each flip of the mask
+    is refined by :func:`crossing` on :func:`polyval_rows` values.  An
+    interval narrower than one grid step (``1 / SIGN_GRID_POINTS``), or a
+    tangent point, can fall between grid points and be missed.  A NaN or
+    infinite coefficient raises a ValueError.
     """
     C = np.asarray(C, dtype=float)
+    require_finite(C)
     scale = np.max(np.abs(C), axis=1)
     keep = scale != 0.0
     C = C[keep] / scale[keep, None]
@@ -264,7 +300,7 @@ def sign_region(C) -> SignRegion:
 
     n = SIGN_GRID_POINTS
     xs = np.arange(n) / n
-    feas = slack(xs) >= 0.0
+    feas = np.min(C @ np.vander(xs, C.shape[1], increasing=True).T, axis=0) >= 0.0
     flips = np.flatnonzero(feas[1:] != feas[:-1])  # the mask flips between i and i + 1
     ends = [crossing(slack, xs[i], xs[i + 1]) for i in flips]
     if feas[0]:

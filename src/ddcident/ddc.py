@@ -264,7 +264,7 @@ def master_system(psi, Q) -> MasterSystem:
         raise ValueError(f"Q must have shape {(K, J, J)} to match psi, got {Q.shape}")
     adj, det = faddeev_adj_det(Q[K - 1])
     blocks = [adj.premultiply_i_minus_beta(Q[k]) for k in range(K - 1)]
-    m = MatrixPoly(np.concatenate([b.coeff_mats for b in blocks], axis=1))
+    m = blocks[0] if K == 2 else MatrixPoly(np.concatenate([b.coeff_mats for b in blocks], axis=1))
     m_psi = m.apply(psi[K - 1])
     # rows at rounding level of the system inputs
     noise = 1e-12 * max(1.0, float(np.max(np.abs(m_psi))))

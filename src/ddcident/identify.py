@@ -20,6 +20,7 @@ from .betapoly import (
     SignRegion,
     crossing,
     polyval_rows,
+    require_finite,
     roots_in_interval,
     sign_region,
 )
@@ -131,9 +132,11 @@ def identified_set(rows, kind: str, diagnostics: dict, *,
     rows give the subintervals of ``[0, 1)`` where all are nonnegative.  The
     caller's ``diagnostics`` (a label, a firm) are merged into the set's; an
     equality system with a nonzero row also reports
-    ``independent_polynomials``, its numerical rank.
+    ``independent_polynomials``, its numerical rank.  A NaN or infinite
+    coefficient raises a ValueError that names its row.
     """
     rows = np.asarray(rows, dtype=float)
+    require_finite(rows)
     diag = _poly_diagnostics(rows)
     if kind == "ge":
         return IdentifiedSet(inequality_intervals=list(sign_region(rows).intervals), rows=rows,
@@ -224,9 +227,10 @@ def solve_log_diff(master: MasterSystem, r, c: float) -> RootSet:
 
     def h(x):
         # c - sum_k r_k log G_k(x), NaN where an active G_k <= 0; the scale
-        # cancels because sum(r) = 0
+        # cancels because sum(r) = 0.  Summed term by term, not by a BLAS
+        # product, so a point's value does not depend on the points beside it
         vals = polyval_rows(ga, x)
-        return c - ra @ np.log(np.where(vals > 0.0, vals / scale, np.nan))
+        return c - sum(w * v for w, v in zip(ra, np.log(np.where(vals > 0.0, vals / scale, np.nan))))
 
     xs = np.arange(LOG_DIFF_GRID_POINTS) / LOG_DIFF_GRID_POINTS
     fs = h(xs)

@@ -110,6 +110,11 @@ class TestEqualitySets:
         ge = inequality_region(ms, RestrictionSet(np.zeros((0, ms.n_rows)), 0.0, "ge"))
         assert ge.inequality_intervals == [(0.0, 1.0)]
 
+    @pytest.mark.parametrize("kind", ["eq", "ge"])
+    def test_non_finite_row_rejected(self, kind):
+        with pytest.raises(ValueError, match="row 0 is not finite"):
+            identified_set(np.array([[np.nan, 1.0]]), kind, {})
+
     def test_wrong_kind_rejected(self, entry):
         bundle, _, ms = entry
         with pytest.raises(ValueError):
