@@ -26,7 +26,6 @@ from .games import (
     expected_objects,
     identified_set_game,
     inequality_region_game,
-    r2_irrelevance,
     r3_adjustment_cost,
     r3_exchangeability,
     r3_linear,

@@ -215,8 +215,9 @@ class MasterSystem:
     ``det`` holds the ``J + 1`` coefficients of the determinant.
 
     A game firm's system (``games.build_system``) is this system mapped
-    through the firm's square block: ``m_psi`` holds the whole of ``G``, its
-    ``psi_stack`` is zero and ``m`` is the single-agent stack it came from.
+    through the firm's square blocks, one per exogenous state and own lag:
+    ``m_psi`` holds the whole of ``G``, its ``psi_stack`` is zero and ``m`` is
+    the single-agent stack it came from.
     ``noise`` is the coefficient size at or below which a row of unit weight
     is noise (see :meth:`payoff_polys`); ``info`` holds the diagnostics every
     set built from the system carries.

@@ -8,9 +8,9 @@ choice probabilities, each firm's logit best response computed by
 to the plain sweep where extrapolation leaves ``(0, 1)`` or the sweep change
 rises, and on the games tested it selects the equilibrium the plain sweeps
 select.  Identification maps each firm's single-agent system of its
-equilibrium objects through the square block of its expected-payoff and
-lagged-action-irrelevance equations; cross-firm payoff restrictions are then
-polynomial rows in the firm's discount factor.
+equilibrium objects through one small square block per exogenous state and
+own lagged action, rivals' lagged actions being irrelevant; cross-firm payoff
+restrictions are then polynomial rows in the firm's discount factor.
 """
 
 from __future__ import annotations
@@ -269,49 +269,55 @@ def solve_mpe(model: GameModel, damping: float = 0.5, start=None,
 
 def build_system(model: GameModel, mpe: MpeSolution, i: int) -> MasterSystem:
     """Firm ``i``'s identification system: the single-agent system of its
-    equilibrium objects mapped through its square block.
+    equilibrium objects mapped through its square blocks.
 
     Requires the model to declare the last action's payoff as known; its
     expected-rival average joins ``psi_last`` of ``master_system(psi,
     Q_star)``, whose recovered payoffs ``rhs(beta)`` are the expected ones.
-    The square block ``X`` stacks ``Pbar``, the block-diagonal
-    expected-rival-probability matrix (``Pbar Pi`` is the expected payoff),
-    over the lagged-action-irrelevance rows (``R2 Pi = 0``).  The system's
-    ``m_psi`` is ``X^{-1} [rhs; 0]``, its ``psi_stack`` is zero and its ``m``
-    is the source stack.  Its noise level is the equilibrium residual
+    Rivals' lagged actions being irrelevant, the unknowns are the cells
+    ``payoff_cells(model, i)[..., 0]``: each exogenous state ``s`` and own lag
+    ``l`` has one square block whose row for a rivals' lag profile is
+    ``P_minus`` at that state.  The ``m_s * K`` blocks are solved in one batch
+    into every rivals'-lag cell of ``m_psi``; ``psi_stack`` is zero and ``m``
+    is the source stack.  The noise level is the equilibrium residual
     (rounding at least) relative to ``rhs``: a beta-free row's coefficients
     sit at a few times that residual, informative rows at 1e-4 or more.
-    ``info`` holds the firm and ``cond(X)``.
+    ``info`` holds the firm, the worst block's ``condition_estimate`` and its
+    ``condition_block``, ``[s, l]``.
 
     Raises
     ------
     RankDeficiencyError
-        If ``X`` does not have full column rank.
+        If a block is singular; ``rank`` (``K-1`` times ``(n_o-1) m_x`` plus the
+        blocks' ranks) is that of the payoff rows over the rivals'-lag equalities.
     """
     if not model.last_action_known:
         raise ValueError("identification requires declaring the last action's payoff as known")
-    K, m_x = model.n_actions, model.m_x
+    K, m_x, n_o = model.n_actions, model.m_x, model.n_rival_profiles
     pi_star, Q_star, P_minus = expected_objects(model, mpe.P, i)
     psi = mpe.psi[i].copy()
     psi[K - 1] += pi_star[K - 1]  # the known-action expected payoff joins psi_last
     ms = master_system(psi, Q_star)
     rhs = ms.m_psi - np.outer(ms.psi_stack, ms.det)
-    q1 = (K - 1) * m_x
-    Pbar = np.zeros((q1, q1, model.n_rival_profiles))  # row k*m_x + x weighs its n_o cells
-    Pbar[np.arange(q1), np.arange(q1)] = np.tile(P_minus, (K - 1, 1))
-    X = np.vstack([Pbar.reshape(q1, model.m_pi), r2_irrelevance(model, i)])
-    s = np.linalg.svd(X, compute_uv=False)  # rank, norm and condition from one factorization
-    if np.sum(s > 1e-10 * max(1.0, s[0])) < model.m_pi:
-        raise RankDeficiencyError(
-            "square model block of the stacked system is singular; "
-            "the stacked matrix must have full column rank",
-            rank=int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps)), required=model.m_pi,
-        )
-    Y = np.zeros((model.m_pi, rhs.shape[1]))
-    Y[:q1] = rhs
-    return replace(ms, m_psi=np.linalg.solve(X, Y), psi_stack=np.zeros(model.m_pi),
+    cells = payoff_cells(model, i)
+    x = cells[0, 0] // n_o  # state of each (s, own lag, rivals' lag)
+    A = P_minus[x]  # (s, own lag, rivals' lag, current rival profile)
+    sv = np.linalg.svd(A, compute_uv=False)  # rank and condition of every block
+    singular = np.argwhere(sv[..., -1] <= 1e-10 * np.maximum(1.0, sv[..., 0]))
+    if len(singular):
+        s, lag = singular[0]
+        rank = (K - 1) * ((n_o - 1) * m_x + np.sum(sv > sv[..., :1] * n_o * np.finfo(float).eps))
+        raise RankDeficiencyError(f"square model block of exogenous state {s}, own lag {lag} is singular",
+                                  rank=int(rank), required=model.m_pi)
+    theta = np.linalg.solve(A, rhs.reshape(K - 1, m_x, -1)[:, x])  # (k, s, own lag, profile, coef)
+    m_psi = np.empty((model.m_pi, rhs.shape[1]))
+    m_psi[cells] = theta.transpose(0, 3, 1, 2, 4)[..., None, :]  # every rivals' lag alike
+    cond = sv[..., 0] / sv[..., -1]
+    worst = np.unravel_index(np.argmax(cond), cond.shape)
+    return replace(ms, m_psi=m_psi, psi_stack=np.zeros(model.m_pi),
                    noise=max(1e-9, 100.0 * mpe.residual) * float(np.max(np.abs(rhs))),
-                   info={"firm": i, "condition_estimate": float(s[0] / s[-1])})
+                   info={"firm": i, "condition_estimate": float(cond[worst]),
+                         "condition_block": [int(v) for v in worst]})
 
 
 # ---- restriction rows on the stacked game payoff -------------------------
@@ -322,17 +328,6 @@ def _baseline(model: GameModel, i: int, actions) -> np.ndarray:
     own lag, rival profile); an action outside ``0..K-2`` raises ``IndexError``."""
     b = payoff_cells(model, i)[..., 0]
     return np.moveaxis(b[_flat_points(actions, ("action",), b.shape[:1])], 1, -1)
-
-
-def r2_irrelevance(model: GameModel, i: int) -> np.ndarray:
-    """Rows equating firm ``i``'s payoff across rivals' lagged actions.
-
-    For every action, current rival profile, exogenous state, and own lagged
-    action, the payoff at each rivals'-lag variant equals the payoff at the
-    all-zeros rivals'-lag baseline: ``(K-1)(K^(N-1)-1)m_x`` rows.
-    """
-    u = payoff_cells(model, i)
-    return _stencil_rows(model.m_pi, (u[..., 1:], 1.0), (u[..., :1], -1.0))
 
 
 def r3_exchangeability(model: GameModel, i: int, actions=(0,)) -> np.ndarray:
@@ -423,7 +418,7 @@ def identified_set_game(system: MasterSystem, R3, c3=0.0, *,
 
     Intersects the roots of the extra equality rows ``R3 Pi = c3``, each a
     polynomial of degree at most ``m_x`` in the payoffs recovered from the
-    square block (see :func:`build_system`).
+    square blocks (see :func:`build_system`).
     Identically-zero polynomials (redundant rows) are flagged and excluded.
     """
     return identified_set(system.payoff_polys(R3, c3), "eq", system.info, residual_tol=residual_tol)
@@ -431,5 +426,5 @@ def identified_set_game(system: MasterSystem, R3, c3=0.0, *,
 
 def inequality_region_game(system: MasterSystem, R4, c4=0.0) -> IdentifiedSet:
     """Subset of ``[0, 1)`` where the payoffs recovered from the firm's square
-    system satisfy ``R4 @ Pi(beta) >= c4``."""
+    blocks satisfy ``R4 @ Pi(beta) >= c4``."""
     return identified_set(system.payoff_polys(R4, c4), "ge", system.info)

@@ -25,7 +25,7 @@ from .betapoly import (
     sign_region,
 )
 from .ddc import MasterSystem
-from .restrictions import RestrictionSet
+from .restrictions import RestrictionSet, _flat_points
 
 ZERO_POLY_TOL = 1e-12
 COMMON_ROOT_TOL = 1e-6
@@ -216,6 +216,8 @@ def solve_log_diff(master: MasterSystem, r, c: float) -> RootSet:
     identically and the result is flagged uninformative.
     """
     r = np.asarray(r, dtype=float)
+    if r.shape != (master.n_rows,):
+        raise ValueError(f"log-difference weights have length {r.size}; the system has {master.n_rows} rows")
     if abs(r.sum()) > 1e-10:
         raise ValueError("log-difference weights must sum to zero")
     active = np.nonzero(r)[0]
@@ -259,20 +261,21 @@ def check_finite_dependence(Q, pairs, rho_max: int = 5,
                             tol: float = FD_CERT_TOL) -> FiniteDependenceCert:
     """Find the smallest order at which paired action-state transitions coincide.
 
-    Each pair is ``((k_a, x_a), (k_b, x_b))`` with actions different from the
-    last one.  The pair brackets
+    Each pair is ``((k_a, x_a), (k_b, x_b))`` with actions in ``0..K-2`` and
+    states in ``0..J-1``, checked, not wrapped.  The pair brackets
     ``Q_ka(x_a) - Q_kb(x_b) - Q_last(x_a) + Q_last(x_b)`` are stacked as the
     rows of one matrix ``D``; the certificate verifies
     ``max |D Q_last^rho| <= tol``, returning the smallest such
     ``rho <= rho_max`` or an unsatisfied certificate.
     """
     Q = np.asarray(Q, dtype=float)
-    K = Q.shape[0]
+    K, J = Q.shape[:2]
     pairs = tuple((tuple(a), tuple(b)) for a, b in pairs)
     if not pairs:
         raise ValueError("finite dependence needs at least one pair")
-    if any(ka == K - 1 or kb == K - 1 for (ka, _), (kb, _) in pairs):
+    if any(k not in range(K - 1) for pair in pairs for k, _ in pair):
         raise ValueError("finite-dependence pairs must use actions other than the last")
+    _flat_points([x for pair in pairs for _, x in pair], ("state",), (J,))
     QK = Q[K - 1]
     D = np.array([Q[ka][xa] - Q[kb][xb] - QK[xa] + QK[xb] for (ka, xa), (kb, xb) in pairs])
     gaps = [float(np.max(np.abs(W))) for W in _dependence_powers(D, QK, rho_max)[1:]]

@@ -21,7 +21,6 @@ from ddcident.games import (
     expected_objects,
     identified_set_game,
     inequality_region_game,
-    r2_irrelevance,
     r3_adjustment_cost,
     r3_exchangeability,
     r3_linear,
@@ -39,6 +38,7 @@ from ddcident.identify import (
     inequality_region,
 )
 from ddcident.scenarios import build_entry_game, build_entry_model, build_entry_model_fd
+from test_games import loop_r2
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +229,7 @@ def direct_game_payoffs(model, mpe, i, beta):
     equilibrium objects (no adjugate or determinant polynomials).  The square
     block is built here: expected-payoff row ``k * m_x + x`` weighs the cells
     ``(k * m_x + x) * n_o + o`` by the rival-profile probabilities, over the
-    rows of rivals' lagged-action irrelevance."""
+    rows of rivals' lagged-action irrelevance from the loop oracle."""
     K, q1 = model.n_actions, (model.n_actions - 1) * model.m_x
     pi_star, Q_star, _ = expected_objects(model, mpe.P, i)
     psi = mpe.psi[i]
@@ -240,7 +240,7 @@ def direct_game_payoffs(model, mpe, i, beta):
     Pbar = np.zeros((q1, model.m_pi))
     Pbar[np.arange(q1)[:, None], np.arange(model.m_pi).reshape(q1, -1)] = np.tile(
         rival_probabilities(model, mpe.P, i), (K - 1, 1))
-    R2 = r2_irrelevance(model, i)
+    R2 = loop_r2(model, i)
     return np.linalg.solve(np.vstack([Pbar, R2]), np.r_[expected_payoff, np.zeros(len(R2))])
 
 

@@ -38,10 +38,22 @@ def test_identical_and_float_drift(tool, tmp_path, capsys):
     assert tool.main([str(a), str(b)]) == 0
     out = capsys.readouterr().out
     assert "byte-identical (1): same" in out
-    assert "identified_set.json  combined.equality_roots[]  2e-09" in out
-    assert "curves.csv  exchangeability_*  0.25" in out
+    assert "identified_set.json  combined.equality_roots[]  2e-09  rel 2.5e-09" in out
+    assert "curves.csv  exchangeability_*  0.25  rel 0.0588" in out
     assert "identified_set.json  1 numeric fields unchanged" in out
     assert "structural changes (0)" in out
+
+
+def test_relative_gap_separates_drift_from_a_drop(tool, tmp_path, capsys):
+    # a root drifting by 1e-11 and a condition estimate falling 122 -> 30
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_run(a, "run", {"roots": [0.8, 0.9], "cond": 122.0, "nan": float("nan")})
+    write_run(b, "run", {"roots": [0.8 + 1e-11, 0.9], "cond": 30.5, "nan": 1.0})
+    assert tool.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "identified_set.json  roots[]  1e-11  rel 1.25e-11" in out
+    assert "identified_set.json  cond  91.5  rel 0.75" in out
+    assert "identified_set.json  nan  inf  rel inf" in out
 
 
 @pytest.mark.parametrize("doc,curves,message", [

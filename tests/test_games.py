@@ -15,7 +15,6 @@ from ddcident.games import (
     identified_set_game,
     inequality_region_game,
     payoff_cells,
-    r2_irrelevance,
     r3_adjustment_cost,
     r3_exchangeability,
     r3_linear,
@@ -62,7 +61,25 @@ def square_block(m, P, i):
     """Firm ``i``'s square block, built here: each expected-payoff row weighs
     its rival-profile cells by their probabilities, over the rows of rivals'
     lagged-action irrelevance."""
-    return np.vstack([loop_pbar(m, rival_probabilities(m, P, i)), r2_irrelevance(m, i)])
+    return np.vstack([loop_pbar(m, rival_probabilities(m, P, i)), loop_r2(m, i)])
+
+
+def play(P):
+    """Choice probabilities ``P`` and their inversion as an ``MpeSolution``,
+    for identification tests that need no equilibrium."""
+    return MpeSolution(P=P, V=None, v=None, psi=EULER_GAMMA - np.log(P), residual=0.0, n_iter=0)
+
+
+def padded_rhs(m, mpe, i):
+    """Right-hand side ``[rhs; 0]`` of firm ``i``'s square block: the expected
+    payoffs' coefficients over zeros for the rivals'-lag rows."""
+    pi_star, Q_star, _ = expected_objects(m, mpe.P, i)
+    psi = mpe.psi[i].copy()
+    psi[-1] += pi_star[-1]
+    ms = master_system(psi, Q_star)
+    Y = np.zeros((m.m_pi, ms.det.size))
+    Y[: ms.n_rows] = ms.m_psi - np.outer(ms.psi_stack, ms.det)
+    return Y
 
 
 def recovered_payoffs(system, beta):
@@ -276,11 +293,45 @@ class TestBuildSystem:
             assert np.all(npoly.polyval(grid, sys_i.det) > 0.0)
 
 
+def repeat_group(m, P, s, own, delta):
+    """Choice probabilities with every firm's play at the second rivals'-lag
+    state of firm 0's group (``s``, ``own``) copied from the first, moved by
+    ``delta``; two-action games."""
+    xs = [_loop_x(m, 0, s, own, lags) for _, lags in _loop_profiles(m)]
+    P = np.array(P)
+    P[:, :, xs[1]] = P[:, :, xs[0]]
+    P[:, 0, xs[1]] += delta
+    P[:, 1, xs[1]] -= delta
+    return play(P), xs
+
+
+class TestSquareBlocks:
+    def test_near_singular_block_is_named(self, game):
+        bundle, mpe = game
+        m = bundle.model
+        assert build_system(m, mpe, 0).info["condition_block"] != [1, 0]
+        near, xs = repeat_group(m, mpe.P, 1, 0, 1e-6)
+        info = build_system(m, near, 0).info
+        assert info["condition_block"] == [1, 0]
+        block = rival_probabilities(m, near.P, 0)[xs]
+        assert info["condition_estimate"] == pytest.approx(np.linalg.cond(block), rel=1e-8)
+        assert info["condition_estimate"] > 1e5
+
+    def test_singular_block_raises_naming_it(self, game):
+        bundle, mpe = game
+        m = bundle.model
+        exact, _ = repeat_group(m, mpe.P, 1, 0, 0.0)
+        with pytest.raises(RankDeficiencyError, match="exogenous state 1, own lag 0") as err:
+            build_system(m, exact, 0)
+        # one of the group's 4 rivals'-lag rows repeats another: rank 96 - 1
+        assert err.value.rank == np.linalg.matrix_rank(square_block(m, exact.P, 0)) == 95
+        assert err.value.required == m.m_pi
+
+
 class TestRestrictionRows:
     def test_row_counts(self, game):
         bundle, _ = game
         m = bundle.model
-        assert r2_irrelevance(m, 0).shape[0] == 72
         assert r3_exchangeability(m, 0).shape[0] == 6
         assert r3_adjustment_cost(m, 0).shape[0] == 9
         assert r3_linear(m, 0, bundle.designs[0]).shape[0] == 20
@@ -290,9 +341,18 @@ class TestRestrictionRows:
         m = bundle.model
         for i in range(3):
             pi = m.pi_stack(i)
-            for rows in (r2_irrelevance(m, i), r3_exchangeability(m, i),
-                         r3_adjustment_cost(m, i), r3_linear(m, i, bundle.designs[i])):
+            for rows in (r3_exchangeability(m, i), r3_adjustment_cost(m, i),
+                         r3_linear(m, i, bundle.designs[i])):
                 assert np.max(np.abs(rows @ pi)) < 1e-10
+
+    def test_recovered_payoffs_ignore_rivals_lags(self, game):
+        # rivals' lagged actions are irrelevant by construction: the m_psi rows
+        # of each (action, profile, state, own lag) repeat over the rivals' lags
+        bundle, mpe = game
+        m = bundle.model
+        for i in range(3):
+            rows = build_system(m, mpe, i).m_psi[payoff_cells(m, i)]
+            assert np.array_equal(rows, np.broadcast_to(rows[..., :1, :], rows.shape))
 
     def test_adjustment_cost_detects_interaction(self):
         # an entry cost that scales with rival entrants violates the restriction
@@ -317,12 +377,11 @@ class TestRestrictionRows:
         assert r3_exchangeability(gm, 0).shape == (0, gm.m_pi)
 
     def test_one_firm_game_identifies(self):
-        # one firm: no rival lags and no rival profiles to permute, so R2 and
-        # the exchangeability rows are empty but keep their (0, m_pi) shape
+        # one firm: no rival lags and no rival profiles to permute, so the
+        # exchangeability rows are empty but keep their (0, m_pi) shape
         bundle = build_entry_game(EntryGameConfig(n_firms=1, theta_fc=(1.0,), betas=(0.9,)))
         gm = bundle.model
         system = build_system(gm, solve_mpe(gm), 0)
-        assert r2_irrelevance(gm, 0).shape == (0, gm.m_pi)
         assert np.max(np.abs(recovered_payoffs(system, 0.9) - gm.pi_stack(0))) <= 1e-8
         ex = identified_set_game(system, r3_exchangeability(gm, 0))
         assert ex.diagnostics["no_identifying_content"] and ex.equality_roots == []
@@ -763,26 +822,30 @@ def random_game(n_firms, n_actions, m_s):
                      last_action_known=True)
 
 
+def random_play(m):
+    rng = np.random.default_rng(0)
+    P = rng.random((m.n_firms, m.n_actions, m.m_x)) + 0.05
+    return P / P.sum(axis=1, keepdims=True)
+
+
 # four three-action firms make r2 rows of 4,212 x 4,374 or more: left out
 ORACLE_GAMES = [(N, K, m_s) for N in (1, 2, 3, 4) for K in (2, 3) for m_s in (1, 2, 3)
                 if not (N == 4 and K == 3)]
 
 
 class TestLoopOracle:
-    """The index-array builders equal the per-term loops bit for bit."""
+    """The index-array builders equal the per-term loops bit for bit, and the
+    blocked solve of build_system agrees with the dense square block."""
 
     @pytest.mark.parametrize("N,K,m_s", ORACLE_GAMES)
     def test_builders_and_expected_objects(self, N, K, m_s):
         m = random_game(N, K, m_s)
-        rng = np.random.default_rng(0)
-        P = rng.random((N, K, m.m_x)) + 0.05
-        P /= P.sum(axis=1, keepdims=True)
+        P = random_play(m)
         acts_all = tuple(range(K - 1))
         for i in range(N):
             cells = payoff_cells(m, i)
             assert np.array_equal(cells, loop_cells(m, i))
             assert np.array_equal(m.pi_stack(i), loop_pi_stack(m, i))
-            assert np.array_equal(r2_irrelevance(m, i), loop_r2(m, i))
             for acts in ((0,), (), (0, 0), acts_all, acts_all[::-1]):
                 assert np.array_equal(r3_exchangeability(m, i, acts), loop_exchangeability(m, i, acts))
                 R, c = r4_monotone_own_lag(m, i, acts)
@@ -799,15 +862,21 @@ class TestLoopOracle:
                 assert np.array_equal(new, old) and np.array_equal(np.signbit(new), np.signbit(old))
             assert np.array_equal(rival_probabilities(m, P, i), got[2])
             if m.m_pi <= 1500:
-                mpe = MpeSolution(P=P, V=None, v=None, psi=EULER_GAMMA - np.log(P),
-                                  residual=0.0, n_iter=0)
-                psi = mpe.psi[i].copy()
-                psi[K - 1] += got[0][K - 1]
-                ms = master_system(psi, got[1])
-                Y = np.zeros((m.m_pi, ms.det.size))
-                Y[: ms.n_rows] = ms.m_psi - np.outer(ms.psi_stack, ms.det)
+                mpe = play(P)
                 X = np.vstack([loop_pbar(m, got[2]), loop_r2(m, i)])
-                assert np.array_equal(build_system(m, mpe, i).m_psi, np.linalg.solve(X, Y))
+                dense = np.linalg.solve(X, padded_rhs(m, mpe, i))  # the one solve the blocks replaced
+                gap = np.max(np.abs(build_system(m, mpe, i).m_psi - dense))
+                assert gap <= 1e-12 * np.max(np.abs(dense))
+
+    def test_five_firm_blocks_solve_the_square_block(self):
+        # m_pi = 1,536: the loop-built square block times the blocked solution
+        # gives back the expected payoffs over zero rivals'-lag differences
+        m = random_game(5, 2, 3)
+        assert m.m_pi == 1536
+        mpe = play(random_play(m))
+        Y = padded_rhs(m, mpe, 0)
+        resid = square_block(m, mpe.P, 0) @ build_system(m, mpe, 0).m_psi - Y
+        assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(Y))
 
 
 # ---- equilibrium-selection oracle -------------------------------------------

@@ -219,6 +219,19 @@ class TestLogDiff:
         with pytest.raises(ValueError):
             solve_log_diff(ms, bad, 0.0)
 
+    @pytest.mark.parametrize("r", [[1.0, -1.0, 0.0], [1.0, -1.0, 0.0, 0.0, 0.0]])
+    def test_weights_need_one_per_row(self, r):
+        # a 4-row system: a short or long weight vector used to be read as if
+        # it had one weight per row
+        u = np.stack([np.array([1.0, 1.5, 2.0, 2.5]), np.zeros(4)])
+        Q = np.random.default_rng(5).random((2, 4, 4)) + 0.2
+        Q /= Q.sum(axis=2, keepdims=True)
+        m = SingleAgentModel(u=u, Q=Q, beta=0.9)
+        ms = master_system(solve_bellman(m).psi, m.Q)
+        assert ms.n_rows == 4
+        with pytest.raises(ValueError, match=f"length {len(r)}; the system has 4 rows"):
+            solve_log_diff(ms, np.array(r), 0.0)
+
 
 class TestFiniteDependence:
     def test_renewal_model_is_one_dependent(self):
@@ -255,6 +268,18 @@ class TestFiniteDependence:
         bundle, _, _ = entry
         with pytest.raises(ValueError):
             check_finite_dependence(bundle.model.Q, [((1, 0), (0, 1))], rho_max=2)
+
+    @pytest.mark.parametrize("pair,error,message", [
+        (((-1, 0), (0, 9)), ValueError, "other than the last"),  # action -1 is the last
+        (((-2, 0), (0, 9)), ValueError, "other than the last"),  # would wrap to action 0
+        (((0, -1), (0, 9)), IndexError, "'state' index -1 out of range"),  # would wrap to J-1
+        (((0, 0), (0, 18)), IndexError, "'state' index 18 out of range"),
+    ])
+    def test_pair_indices_checked(self, entry_fd, pair, error, message):
+        # negative indices used to wrap and return a rho = 1 certificate
+        bundle, _ = entry_fd
+        with pytest.raises(error, match=message):
+            check_finite_dependence(bundle.model.Q, [pair], rho_max=3)
 
 
 class TestFiniteDependencePolys:

@@ -4,13 +4,16 @@
     python3 tools/compare_runs.py PARENT_DIR CHANGE_DIR
 
 Lists the runs whose files are byte-identical.  For every other run it prints,
-per file and per numeric field that moved, the largest absolute difference: a
-JSON field is its key path with list positions written ``[]``, a CSV field is
-its column with a trailing row number written ``*`` (``exchangeability_*``
-covers the curves of every exchangeability row).  A structural change is
-printed too and makes the exit status 1 (otherwise it is 0): a run or file on
-one side only, different keys, list lengths, strings, CSV headers or row
-counts, or a differing file that is neither JSON nor CSV.
+per file and per numeric field that moved, the largest absolute difference
+|a - b| and beside it the largest relative difference |a - b| / max(|a|, |b|),
+so a rounding-level drift of a root reads apart from a diagnostic that fell
+by a factor of four.  A JSON field is its key path with list positions
+written ``[]``, a CSV field is its column with a trailing row number written
+``*`` (``exchangeability_*`` covers the curves of every exchangeability
+row).  A structural change is printed too and makes the exit status 1
+(otherwise it is 0): a run or file on one side only, different keys, list
+lengths, strings, CSV headers or row counts, or a differing file that is
+neither JSON nor CSV.
 """
 
 from __future__ import annotations
@@ -28,15 +31,18 @@ def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _gap(a: float, b: float) -> float:
+def _gap(a: float, b: float) -> tuple[float, float]:
+    """Absolute and relative difference; both infinite where one side is not finite."""
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
+        return 0.0, 0.0
     d = abs(a - b)
-    return math.inf if math.isnan(d) else d
+    if not math.isfinite(d):
+        return math.inf, math.inf
+    return d, d / max(abs(a), abs(b))
 
 
-def _record(gaps: dict, field: str, d: float) -> None:
-    gaps[field] = max(gaps.get(field, 0.0), d)
+def _record(gaps: dict, field: str, d: tuple[float, float]) -> None:
+    gaps[field] = tuple(map(max, gaps.get(field, (0.0, 0.0)), d))
 
 
 def _walk(a, b, path: str, gaps: dict, changes: list) -> None:
@@ -81,8 +87,8 @@ def _csv_gaps(a: pathlib.Path, b: pathlib.Path, gaps: dict, changes: list) -> No
 
 
 def compare_file(a: pathlib.Path, b: pathlib.Path) -> tuple[dict, list]:
-    """Largest absolute difference per numeric field, and the structural
-    changes, between two versions of one artifact."""
+    """Largest absolute and relative difference per numeric field, and the
+    structural changes, between two versions of one artifact."""
     gaps, changes = {}, []
     if a.suffix == ".json":
         _walk(json.loads(a.read_text()), json.loads(b.read_text()), "", gaps, changes)
@@ -115,8 +121,9 @@ def compare(parent: pathlib.Path, change: pathlib.Path) -> int:
         for f in differ:
             gaps, changes = compare_file(parent / run / f, change / run / f)
             structural += [f"{run}/{f}: {c}" for c in changes]
-            moved = sorted(field for field, d in gaps.items() if d > 0.0)
-            report += [f"  {f}  {field}  {gaps[field]:.3g}" for field in moved]
+            moved = sorted(field for field, (d, _) in gaps.items() if d > 0.0)
+            report += [f"  {f}  {field}  {gaps[field][0]:.3g}  rel {gaps[field][1]:.3g}"
+                       for field in moved]
             report.append(f"  {f}  {len(gaps) - len(moved)} numeric fields unchanged")
     print(f"byte-identical ({len(identical)}): {', '.join(identical)}")
     print(f"differing ({sum(not line.startswith(' ') for line in report)}):")
