@@ -16,7 +16,6 @@ from .ddc import (
     psi_from_ccps,
     recover_payoffs,
     solve_bellman,
-    stack_actions,
 )
 from .errors import ConvergenceError, RankDeficiencyError, UninformativeRestrictionError
 from .games import (

@@ -68,17 +68,6 @@ class MatrixPoly:
         v = np.asarray(vec, dtype=float)
         return np.einsum("dij,j->id", self.coeff_mats, v)
 
-    def premultiply_i_minus_beta(self, Q) -> "MatrixPoly":
-        """Return ``(I - beta*Q)`` times this polynomial (degree rises by one),
-        built in place: ``-(Q A_{j-1}) + A_j`` rounds as ``A_j - Q A_{j-1}``."""
-        Q = np.asarray(Q, dtype=float)
-        A = self.coeff_mats
-        out = np.empty((len(A) + 1,) + A.shape[1:])
-        np.negative(np.matmul(Q, A, out=out[1:]), out=out[1:])
-        out[0] = A[0]
-        out[1:-1] += A[1:]
-        return MatrixPoly(out)
-
 
 @dataclass(frozen=True)
 class RootSet:

@@ -174,12 +174,6 @@ def psi_from_ccps(p) -> np.ndarray:
     return EULER_GAMMA - np.log(p)
 
 
-def stack_actions(x) -> np.ndarray:
-    """Stack the first ``K-1`` action rows of a (K, J) array into one vector."""
-    x = np.asarray(x, dtype=float)
-    return x[:-1].reshape(-1)
-
-
 def recover_payoffs(psi, Q, beta_hat: float) -> np.ndarray:
     """Per-period payoffs implied by the inversion vectors at a candidate discount factor.
 
@@ -206,18 +200,18 @@ class MasterSystem:
 
     The determinant-scaled payoffs recovered at a discount factor are
 
-        G(beta) = M(beta) @ psi_last - det(beta) * Psi
+        G_k(beta) = (I - beta*Q_k) adj(beta) psi_last - det(beta) psi_k
 
-    where ``det`` is the determinant of ``I - beta*Q[K-1]``, ``M`` is the
-    degree-J matrix polynomial stacking ``(I - beta*Q_k) adj(I - beta*Q[K-1])``
-    over ``k = 0..K-2``, and ``Psi`` stacks the inversion vectors of those
-    actions; ``G(beta) = det(beta) * U`` at the true discount factor.
-    ``det`` holds the ``J + 1`` coefficients of the determinant.
+    for ``k = 0..K-2``, where ``det`` and ``adj`` are the determinant and
+    adjugate of ``I - beta*Q[K-1]``; ``G(beta) = det(beta) * U`` at the true
+    discount factor.  ``g`` holds the coefficient rows of ``G``, action-major,
+    shape ``(J*(K-1), J+1)``; ``det`` holds the ``J + 1`` coefficients of the
+    determinant and ``m`` the adjugate.
 
     A game firm's system (``games.build_system``) is this system mapped
     through the firm's square blocks, one per exogenous state and own lag:
-    ``m_psi`` holds the whole of ``G``, its ``psi_stack`` is zero and ``m`` is
-    the single-agent stack it came from.
+    its ``g`` holds the firm's payoff rows and ``m`` is the adjugate of the
+    single-agent system it came from.
     ``noise`` is the coefficient size at or below which a row of unit weight
     is noise (see :meth:`payoff_polys`); ``info`` holds the diagnostics every
     set built from the system carries.
@@ -225,14 +219,13 @@ class MasterSystem:
 
     det: np.ndarray
     m: MatrixPoly
-    psi_stack: np.ndarray
-    m_psi: np.ndarray  # (J*(K-1), J+1): coefficient rows of M(beta) @ psi_last
+    g: np.ndarray
     noise: float
     info: dict = field(default_factory=dict)
 
     @property
     def n_rows(self) -> int:
-        return self.psi_stack.shape[0]
+        return self.g.shape[0]
 
     def payoff_polys(self, R, c=0.0) -> np.ndarray:
         """Coefficient rows of ``R G(beta) - c det(beta)``, shape
@@ -242,13 +235,17 @@ class MasterSystem:
         and is set to zero."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
         c = np.broadcast_to(np.asarray(c, dtype=float), (R.shape[0],))
-        rows = R @ self.m_psi - np.outer(c + R @ self.psi_stack, self.det)
+        rows = R @ self.g - np.outer(c, self.det)
         rows[np.max(np.abs(rows), axis=1) <= self.noise * max(1.0, np.abs(R).max(initial=0.0))] = 0.0
         return rows
 
 
 def master_system(psi, Q) -> MasterSystem:
     """Build the determinant/adjugate form of the model's restriction system.
+
+    ``a = adj(beta) psi_last`` is formed first, so ``(I - beta*Q_k) a`` is one
+    batched product over the actions, the coefficients of ``a`` minus those of
+    ``Q_k a`` one degree up.
 
     Parameters
     ----------
@@ -264,9 +261,11 @@ def master_system(psi, Q) -> MasterSystem:
     if Q.shape != (K, J, J):
         raise ValueError(f"Q must have shape {(K, J, J)} to match psi, got {Q.shape}")
     adj, det = faddeev_adj_det(Q[K - 1])
-    blocks = [adj.premultiply_i_minus_beta(Q[k]) for k in range(K - 1)]
-    m = blocks[0] if K == 2 else MatrixPoly(np.concatenate([b.coeff_mats for b in blocks], axis=1))
-    m_psi = m.apply(psi[K - 1])
+    a = adj.apply(psi[K - 1])  # (J, J): coefficient rows of adj(beta) @ psi_last
+    g = np.zeros((K - 1, J, J + 1))
+    g[..., :-1] = a
+    g[..., 1:] -= Q[: K - 1] @ a
     # rows at rounding level of the system inputs
-    noise = 1e-12 * max(1.0, float(np.max(np.abs(m_psi))))
-    return MasterSystem(det=det.coef, m=m, psi_stack=stack_actions(psi), m_psi=m_psi, noise=noise)
+    noise = 1e-12 * max(1.0, float(np.max(np.abs(g))))
+    g -= psi[: K - 1, :, None] * det.coef
+    return MasterSystem(det=det.coef, m=adj, g=g.reshape(-1, J + 1), noise=noise)

@@ -278,8 +278,8 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> MasterSystem:
     ``payoff_cells(model, i)[..., 0]``: each exogenous state ``s`` and own lag
     ``l`` has one square block whose row for a rivals' lag profile is
     ``P_minus`` at that state.  The ``m_s * K`` blocks are solved in one batch
-    into every rivals'-lag cell of ``m_psi``; ``psi_stack`` is zero and ``m``
-    is the source stack.  The noise level is the equilibrium residual
+    into every rivals'-lag cell of ``g``; ``m`` is the source system's
+    adjugate.  The noise level is the equilibrium residual
     (rounding at least) relative to ``rhs``: a beta-free row's coefficients
     sit at a few times that residual, informative rows at 1e-4 or more.
     ``info`` holds the firm, the worst block's ``condition_estimate`` and its
@@ -298,7 +298,7 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> MasterSystem:
     psi = mpe.psi[i].copy()
     psi[K - 1] += pi_star[K - 1]  # the known-action expected payoff joins psi_last
     ms = master_system(psi, Q_star)
-    rhs = ms.m_psi - np.outer(ms.psi_stack, ms.det)
+    rhs = ms.g
     cells = payoff_cells(model, i)
     x = cells[0, 0] // n_o  # state of each (s, own lag, rivals' lag)
     A = P_minus[x]  # (s, own lag, rivals' lag, current rival profile)
@@ -310,12 +310,11 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> MasterSystem:
         raise RankDeficiencyError(f"square model block of exogenous state {s}, own lag {lag} is singular",
                                   rank=int(rank), required=model.m_pi)
     theta = np.linalg.solve(A, rhs.reshape(K - 1, m_x, -1)[:, x])  # (k, s, own lag, profile, coef)
-    m_psi = np.empty((model.m_pi, rhs.shape[1]))
-    m_psi[cells] = theta.transpose(0, 3, 1, 2, 4)[..., None, :]  # every rivals' lag alike
+    g = np.empty((model.m_pi, rhs.shape[1]))
+    g[cells] = theta.transpose(0, 3, 1, 2, 4)[..., None, :]  # every rivals' lag alike
     cond = sv[..., 0] / sv[..., -1]
     worst = np.unravel_index(np.argmax(cond), cond.shape)
-    return replace(ms, m_psi=m_psi, psi_stack=np.zeros(model.m_pi),
-                   noise=max(1e-9, 100.0 * mpe.residual) * float(np.max(np.abs(rhs))),
+    return replace(ms, g=g, noise=max(1e-9, 100.0 * mpe.residual) * float(np.max(np.abs(rhs))),
                    info={"firm": i, "condition_estimate": float(cond[worst]),
                          "condition_block": [int(v) for v in worst]})
 

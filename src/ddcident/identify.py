@@ -262,7 +262,8 @@ def check_finite_dependence(Q, pairs, rho_max: int = 5,
     """Find the smallest order at which paired action-state transitions coincide.
 
     Each pair is ``((k_a, x_a), (k_b, x_b))`` with actions in ``0..K-2`` and
-    states in ``0..J-1``, checked, not wrapped.  The pair brackets
+    states in ``0..J-1``, checked, not wrapped; a bool or a fraction is an
+    ``IndexError``.  The pair brackets
     ``Q_ka(x_a) - Q_kb(x_b) - Q_last(x_a) + Q_last(x_b)`` are stacked as the
     rows of one matrix ``D``; the certificate verifies
     ``max |D Q_last^rho| <= tol``, returning the smallest such
@@ -273,11 +274,12 @@ def check_finite_dependence(Q, pairs, rho_max: int = 5,
     pairs = tuple((tuple(a), tuple(b)) for a, b in pairs)
     if not pairs:
         raise ValueError("finite dependence needs at least one pair")
-    if any(k not in range(K - 1) for pair in pairs for k, _ in pair):
-        raise ValueError("finite-dependence pairs must use actions other than the last")
-    _flat_points([x for pair in pairs for _, x in pair], ("state",), (J,))
+    if any(a not in range(K - 1) for pair in pairs for a, _ in pair):
+        raise ValueError(f"finite-dependence pairs must use actions other than the last, 0..{K - 2}")
+    k = _flat_points([a for pair in pairs for a, _ in pair], ("action",), (K - 1,)).reshape(-1, 2)
+    x = _flat_points([s for pair in pairs for _, s in pair], ("state",), (J,)).reshape(-1, 2)
     QK = Q[K - 1]
-    D = np.array([Q[ka][xa] - Q[kb][xb] - QK[xa] + QK[xb] for (ka, xa), (kb, xb) in pairs])
+    D = Q[k[:, 0], x[:, 0]] - Q[k[:, 1], x[:, 1]] - QK[x[:, 0]] + QK[x[:, 1]]
     gaps = [float(np.max(np.abs(W))) for W in _dependence_powers(D, QK, rho_max)[1:]]
     for rho, gap in enumerate(gaps, start=1):
         if gap <= tol:

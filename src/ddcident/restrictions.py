@@ -162,12 +162,14 @@ def _flat_points(points, axes, shape) -> np.ndarray:
     """Flat C-order indices of grid index tuples over ``axes``, a single
     index standing for a one-element list (the command line gives one as a
     scalar); an index off its axis, or not an integer, raises ``IndexError``
-    (numpy would wrap a negative one, and a cast would truncate a fraction)."""
+    (numpy would wrap a negative one, a cast would truncate a fraction, and a
+    bool in a list of ints would read as 0 or 1)."""
+    flags = [v for v in np.asarray(points, dtype=object).flat if isinstance(v, (bool, np.bool_))]
+    if flags:
+        raise IndexError(f"index {flags[0]} on axes {axes} is not an integer")
     pts = np.asarray(points)
     if pts.ndim == 0:
         pts = pts[None]
-    if pts.dtype.kind == "b":
-        raise IndexError(f"index {pts.flat[0]} on axes {axes} is not an integer")
     if pts.dtype.kind == "f" and np.any(pts != np.trunc(pts)):
         raise IndexError(f"index {pts[pts != np.trunc(pts)][0]} on axes {axes} is not an integer")
     pts = pts.astype(int).reshape(len(pts), len(axes))

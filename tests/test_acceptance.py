@@ -14,7 +14,6 @@ from ddcident.ddc import (
     master_system,
     recover_payoffs,
     solve_bellman,
-    stack_actions,
 )
 from ddcident.games import (
     build_system,
@@ -221,7 +220,7 @@ def test_criterion_5_payoff_recovery(entry):
         m = SingleAgentModel(u=u, Q=Q, beta=float(rng.uniform(0.0, 0.97)))
         s = solve_bellman(m)
         rec = recover_payoffs(s.psi, m.Q, m.beta)
-        assert np.max(np.abs(rec - stack_actions(u))) <= 1e-8
+        assert np.max(np.abs(rec - u[:-1].ravel())) <= 1e-8
 
 
 def direct_game_payoffs(model, mpe, i, beta):

@@ -222,14 +222,6 @@ class TestPolyTypes:
         rows = mp.apply([1.0, 2.0])
         assert np.allclose(rows, [[1.0, 2.0], [2.0, 1.0]])
 
-    def test_premultiply_i_minus_beta(self):
-        rng = np.random.default_rng(9)
-        Q = random_stochastic(rng, 3)
-        mp = MatrixPoly(rng.normal(size=(3, 3, 3)))
-        out = mp.premultiply_i_minus_beta(Q)
-        for beta in (0.0, 0.4, 0.9):
-            assert np.allclose(at(out, beta), (np.eye(3) - beta * Q) @ at(mp, beta))
-
 
 class TestScenarioDeterminant:
     def test_entry_transition_det_matches_lu(self):
@@ -359,8 +351,7 @@ class TestReplacedArithmetic:
         # the log objective solve_log_diff bisects, NaN where a component is
         # nonpositive, on G's rows as the determinant-scaled payoffs
         r = np.append(w[: len(G) - 1], -sum(w[: len(G) - 1]))
-        ms = MasterSystem(det=np.zeros(G.shape[1]), m=MatrixPoly(np.zeros((1, 1, 1))),
-                          psi_stack=np.zeros(len(G)), m_psi=G, noise=0.0)
+        ms = MasterSystem(det=np.zeros(G.shape[1]), m=MatrixPoly(np.zeros((1, 1, 1))), g=G, noise=0.0)
 
         def run():
             try:
@@ -390,14 +381,3 @@ class TestReplacedArithmetic:
         rs = roots_in_interval(p)
         assert rs.points.tobytes() == pts.tobytes()
         assert rs.residuals.tobytes() == res.tobytes()
-
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), J=st.integers(1, 12), d=st.integers(1, 6), m=st.integers(1, 4))
-    def test_premultiply_matches_subtracted_product(self, seed, J, d, m):
-        rng = np.random.default_rng(seed)
-        Q = random_stochastic(rng, J)
-        A = rng.normal(size=(d, J, m))
-        old = np.zeros((d + 1, J, m))
-        old[:d] = A
-        old[1:] -= np.matmul(Q, A)
-        assert np.array_equal(MatrixPoly(A).premultiply_i_minus_beta(Q).coeff_mats, old)

@@ -51,9 +51,19 @@ def test_relative_gap_separates_drift_from_a_drop(tool, tmp_path, capsys):
     write_run(b, "run", {"roots": [0.8 + 1e-11, 0.9], "cond": 30.5, "nan": 1.0})
     assert tool.main([str(a), str(b)]) == 0
     out = capsys.readouterr().out
-    assert "identified_set.json  roots[]  1e-11  rel 1.25e-11" in out
+    assert "identified_set.json  roots[]  1e-11  rel 1.11e-11" in out
     assert "identified_set.json  cond  91.5  rel 0.75" in out
     assert "identified_set.json  nan  inf  rel inf" in out
+
+
+def test_relative_gap_of_a_zero_crossing_curve(tool, tmp_path, capsys):
+    # a curve through zero drifting by rounding reads relative to the
+    # column's largest magnitude, not its value at the crossing
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_run(a, "run", curves="beta,linearity_0\n0,-2\n0.5,1e-13\n1,4\n")
+    write_run(b, "run", curves="beta,linearity_0\n0,-2\n0.5,-1e-13\n1,4\n")
+    assert tool.main([str(a), str(b)]) == 0
+    assert "curves.csv  linearity_*  2e-13  rel 5e-14" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("doc,curves,message", [

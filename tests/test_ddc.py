@@ -9,7 +9,6 @@ from ddcident.ddc import (
     psi_from_ccps,
     recover_payoffs,
     solve_bellman,
-    stack_actions,
 )
 from ddcident.errors import ConvergenceError
 
@@ -161,7 +160,7 @@ class TestRecoverPayoffs:
             m = random_model(rng, K=K, J=J)
             sol = solve_bellman(m)
             U = recover_payoffs(sol.psi, m.Q, m.beta)
-            assert np.max(np.abs(U - stack_actions(m.u))) <= 1e-8
+            assert np.max(np.abs(U - m.u[:-1].ravel())) <= 1e-8
 
     def test_rejects_bad_beta(self):
         rng = np.random.default_rng(9)
@@ -179,7 +178,7 @@ class TestMasterSystem:
         sol = solve_bellman(m)
         ms = master_system(sol.psi, m.Q)
         assert ms.det == pytest.approx([1.0, -2.0, 1.0])
-        assert np.max(np.abs(master_residual(ms, stack_actions(u), 0.7))) < 1e-10
+        assert np.max(np.abs(master_residual(ms, u[:-1].ravel(), 0.7))) < 1e-10
 
     def test_residual_vanishes_at_true_beta(self):
         rng = np.random.default_rng(10)
@@ -187,8 +186,8 @@ class TestMasterSystem:
             m = random_model(rng, K=3, J=5)
             sol = solve_bellman(m)
             ms = master_system(sol.psi, m.Q)
-            scale = max(1.0, np.max(np.abs(ms.m_psi)))
-            res = master_residual(ms, stack_actions(m.u), m.beta)
+            scale = max(1.0, np.max(np.abs(ms.g)))
+            res = master_residual(ms, m.u[:-1].ravel(), m.beta)
             assert np.max(np.abs(res)) <= 1e-8 * scale
 
     def test_residual_vanishes_at_one_for_any_payoff(self):
@@ -196,7 +195,7 @@ class TestMasterSystem:
         m = random_model(rng, K=2, J=6)
         sol = solve_bellman(m)
         ms = master_system(sol.psi, m.Q)
-        scale = max(1.0, np.max(np.abs(ms.m_psi)))
+        scale = max(1.0, np.max(np.abs(ms.g)))
         for _ in range(5):
             U = rng.normal(scale=10.0, size=ms.n_rows)
             assert np.max(np.abs(master_residual(ms, U, 1.0))) <= 1e-8 * scale
@@ -209,14 +208,15 @@ class TestMasterSystem:
         for p in ms.payoff_polys(np.eye(ms.n_rows)):
             assert np.flatnonzero(p).max(initial=0) <= 7
 
-    def test_recovered_payoff_matches_direct_recovery(self):
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_recovered_payoff_matches_direct_recovery(self, K):
         rng = np.random.default_rng(13)
-        m = random_model(rng, K=2, J=5)
+        m = random_model(rng, K=K, J=5)
         sol = solve_bellman(m)
         ms = master_system(sol.psi, m.Q)
-        G = ms.payoff_polys(np.eye(ms.n_rows))
+        assert ms.g.shape == (5 * (K - 1), 6)
         for beta in (0.0, 0.3, 0.9):
-            assert npoly.polyval(beta, G.T) / npoly.polyval(beta, ms.det) == pytest.approx(
+            assert npoly.polyval(beta, ms.g.T) / npoly.polyval(beta, ms.det) == pytest.approx(
                 recover_payoffs(sol.psi, m.Q, beta), abs=1e-9)
 
     def test_dimension_mismatch(self):
@@ -240,6 +240,6 @@ class TestEntryModelCrossChecks:
         bundle = build_entry_model()
         sol = solve_bellman(bundle.model)
         ms = master_system(sol.psi, bundle.model.Q)
-        scale = max(1.0, np.max(np.abs(ms.m_psi)))
-        res = master_residual(ms, stack_actions(bundle.model.u), 0.95)
+        scale = max(1.0, np.max(np.abs(ms.g)))
+        res = master_residual(ms, bundle.model.u[:-1].ravel(), 0.95)
         assert np.max(np.abs(res)) <= 1e-8 * scale

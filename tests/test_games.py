@@ -78,7 +78,7 @@ def padded_rhs(m, mpe, i):
     psi[-1] += pi_star[-1]
     ms = master_system(psi, Q_star)
     Y = np.zeros((m.m_pi, ms.det.size))
-    Y[: ms.n_rows] = ms.m_psi - np.outer(ms.psi_stack, ms.det)
+    Y[: ms.n_rows] = ms.g
     return Y
 
 
@@ -259,7 +259,7 @@ class TestBuildSystem:
         X = square_block(m, mpe.P, 0)
         rhs = -mpe.psi[0, 0] + mpe.psi[0, 1] + pi_star[1]
         assert sys0.det[0] == 1.0
-        assert X @ sys0.m_psi[:, 0] == pytest.approx(np.r_[rhs, np.zeros(len(X) - len(rhs))], abs=1e-9)
+        assert X @ sys0.g[:, 0] == pytest.approx(np.r_[rhs, np.zeros(len(X) - len(rhs))], abs=1e-9)
 
     def test_residual_vanishes_at_true_beta_only(self, game):
         bundle, mpe = game
@@ -268,7 +268,7 @@ class TestBuildSystem:
             sys_i = build_system(m, mpe, i)
             pi_true = m.pi_stack(i)
             X = square_block(m, mpe.P, i)
-            scale = np.max(np.abs(X @ sys_i.m_psi))  # the expected payoffs' coefficients
+            scale = np.max(np.abs(X @ sys_i.g))  # the expected payoffs' coefficients
             # X (G(beta) - det(beta) pi) = [rhs(beta) - det(beta) Pbar pi; 0]
             rows = sys_i.payoff_polys(np.eye(m.m_pi), pi_true)
             good = np.max(np.abs(X @ npoly.polyval(m.betas[i], rows.T)))
@@ -346,12 +346,12 @@ class TestRestrictionRows:
                 assert np.max(np.abs(rows @ pi)) < 1e-10
 
     def test_recovered_payoffs_ignore_rivals_lags(self, game):
-        # rivals' lagged actions are irrelevant by construction: the m_psi rows
+        # rivals' lagged actions are irrelevant by construction: the g rows
         # of each (action, profile, state, own lag) repeat over the rivals' lags
         bundle, mpe = game
         m = bundle.model
         for i in range(3):
-            rows = build_system(m, mpe, i).m_psi[payoff_cells(m, i)]
+            rows = build_system(m, mpe, i).g[payoff_cells(m, i)]
             assert np.array_equal(rows, np.broadcast_to(rows[..., :1, :], rows.shape))
 
     def test_adjustment_cost_detects_interaction(self):
@@ -427,8 +427,9 @@ class TestRestrictionRows:
         m3 = random_game(2, 3, 1)
         assert np.array_equal(r3_adjustment_cost(m3, 0, actions=1, lag_pair=1),
                               r3_adjustment_cost(m3, 0, actions=(1,), lag_pair=(1,)))
-        with pytest.raises(IndexError, match="not an integer"):
-            r3_exchangeability(m3, 0, actions=True)
+        for flag in (True, [1, True]):  # numpy reads [1, True] as ints
+            with pytest.raises(IndexError, match="not an integer"):
+                r3_exchangeability(m3, 0, actions=flag)
 
     def test_one_firm_lag_pair_checked(self):
         # one firm has no rival profiles, so there are no rows, but the lag is still checked
@@ -865,7 +866,7 @@ class TestLoopOracle:
                 mpe = play(P)
                 X = np.vstack([loop_pbar(m, got[2]), loop_r2(m, i)])
                 dense = np.linalg.solve(X, padded_rhs(m, mpe, i))  # the one solve the blocks replaced
-                gap = np.max(np.abs(build_system(m, mpe, i).m_psi - dense))
+                gap = np.max(np.abs(build_system(m, mpe, i).g - dense))
                 assert gap <= 1e-12 * np.max(np.abs(dense))
 
     def test_five_firm_blocks_solve_the_square_block(self):
@@ -875,7 +876,7 @@ class TestLoopOracle:
         assert m.m_pi == 1536
         mpe = play(random_play(m))
         Y = padded_rhs(m, mpe, 0)
-        resid = square_block(m, mpe.P, 0) @ build_system(m, mpe, 0).m_psi - Y
+        resid = square_block(m, mpe.P, 0) @ build_system(m, mpe, 0).g - Y
         assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(Y))
 
 

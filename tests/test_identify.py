@@ -281,6 +281,26 @@ class TestFiniteDependence:
         with pytest.raises(error, match=message):
             check_finite_dependence(bundle.model.Q, [pair], rho_max=3)
 
+    @pytest.mark.parametrize("pair,same_as,message", [
+        (((True, 0), (0, 1)), None, "index True on axes \\('action',\\)"),  # was a numpy mask
+        (((0, True), (0, 1)), None, "index True on axes \\('state',\\)"),  # was read as 1
+        (((0, 0), (0, np.True_)), None, "index True on axes \\('state',\\)"),
+        (((0, 0.5), (0, 1)), None, "index 0.5 on axes \\('state',\\)"),
+        (((0.5, 0), (0, 1)), None, "actions other than the last, 0..1"),
+        (((1.0, 0), (0, 1)), ((1, 0), (0, 1)), None),  # integral floats index as ints
+        (((0, 1.0), (0, 2)), ((0, 1), (0, 2)), None),
+    ])
+    def test_pair_index_types(self, pair, same_as, message):
+        rng = np.random.default_rng(0)
+        Q = rng.random((3, 4, 4))
+        Q /= Q.sum(axis=2, keepdims=True)
+        if same_as is None:
+            with pytest.raises(IndexError if "axes" in message else ValueError, match=message):
+                check_finite_dependence(Q, [pair])
+        else:
+            got = check_finite_dependence(Q, [pair]).max_violation
+            assert got == check_finite_dependence(Q, [same_as]).max_violation
+
 
 class TestFiniteDependencePolys:
     def test_pair_poly_matches_master_recovery(self, entry_fd):

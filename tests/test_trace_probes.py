@@ -38,7 +38,7 @@ def test_result_probes_read_their_results():
     model = build_entry_model().model
     sol = ddc.solve_bellman(model)
     ms = ddc.master_system(sol.psi, model.Q)
-    assert ms.m.coeff_mats.shape == (19, 18, 18)
+    assert ms.m.coeff_mats.shape == (18, 18, 18)
     game = build_entry_game().model
     results = {"ddc.solve_bellman": sol, "ddc.master_system": ms,
                "betapoly.faddeev_adj_det": betapoly.faddeev_adj_det(model.Q[-1]),

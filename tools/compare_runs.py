@@ -5,9 +5,10 @@
 
 Lists the runs whose files are byte-identical.  For every other run it prints,
 per file and per numeric field that moved, the largest absolute difference
-|a - b| and beside it the largest relative difference |a - b| / max(|a|, |b|),
-so a rounding-level drift of a root reads apart from a diagnostic that fell
-by a factor of four.  A JSON field is its key path with list positions
+|a - b| and beside it that difference relative to the field's largest finite
+magnitude on either side, so a rounding-level drift of a root, or of a curve
+that crosses zero, reads apart from a diagnostic that fell by a factor of
+four.  A JSON field is its key path with list positions
 written ``[]``, a CSV field is its column with a trailing row number written
 ``*`` (``exchangeability_*`` covers the curves of every exchangeability
 row).  A structural change is printed too and makes the exit status 1
@@ -31,25 +32,20 @@ def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _gap(a: float, b: float) -> tuple[float, float]:
-    """Absolute and relative difference; both infinite where one side is not finite."""
-    if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0, 0.0
-    d = abs(a - b)
-    if not math.isfinite(d):
-        return math.inf, math.inf
-    return d, d / max(abs(a), abs(b))
-
-
-def _record(gaps: dict, field: str, d: tuple[float, float]) -> None:
-    gaps[field] = tuple(map(max, gaps.get(field, (0.0, 0.0)), d))
+def _record(gaps: dict, field: str, a: float, b: float) -> None:
+    """Fold one pair of values into the field's largest |a - b| (infinite
+    where one side is not finite) and its largest finite magnitude."""
+    d = 0.0 if a == b or (math.isnan(a) and math.isnan(b)) else abs(a - b)
+    d = d if math.isfinite(d) else math.inf
+    d0, m0 = gaps.get(field, (0.0, 0.0))
+    gaps[field] = (max(d0, d), max([m0] + [abs(v) for v in (a, b) if math.isfinite(v)]))
 
 
 def _walk(a, b, path: str, gaps: dict, changes: list) -> None:
     """Fold the numeric gaps between two parsed JSON values into ``gaps``;
     append every structural difference to ``changes``."""
     if _number(a) and _number(b):
-        _record(gaps, path or ".", _gap(float(a), float(b)))
+        _record(gaps, path or ".", float(a), float(b))
     elif isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             changes.append(f"{path or '.'}: keys {sorted(a.keys() ^ b.keys())} on one side only")
@@ -80,15 +76,15 @@ def _csv_gaps(a: pathlib.Path, b: pathlib.Path, gaps: dict, changes: list) -> No
             continue
         for col, x, y in zip(fields, ra, rb):
             try:
-                _record(gaps, col, _gap(float(x), float(y)))
+                _record(gaps, col, float(x), float(y))
             except ValueError:
                 if x != y:
                     changes.append(f"row {n}, {col}: {x!r} -> {y!r}")
 
 
 def compare_file(a: pathlib.Path, b: pathlib.Path) -> tuple[dict, list]:
-    """Largest absolute and relative difference per numeric field, and the
-    structural changes, between two versions of one artifact."""
+    """Largest absolute difference and largest finite magnitude per numeric
+    field, and the structural changes, between two versions of one artifact."""
     gaps, changes = {}, []
     if a.suffix == ".json":
         _walk(json.loads(a.read_text()), json.loads(b.read_text()), "", gaps, changes)
@@ -121,9 +117,9 @@ def compare(parent: pathlib.Path, change: pathlib.Path) -> int:
         for f in differ:
             gaps, changes = compare_file(parent / run / f, change / run / f)
             structural += [f"{run}/{f}: {c}" for c in changes]
-            moved = sorted(field for field, (d, _) in gaps.items() if d > 0.0)
-            report += [f"  {f}  {field}  {gaps[field][0]:.3g}  rel {gaps[field][1]:.3g}"
-                       for field in moved]
+            moved = sorted((field, d, m) for field, (d, m) in gaps.items() if d > 0.0)
+            report += [f"  {f}  {field}  {d:.3g}  rel {d / m if m > 0.0 else math.inf:.3g}"
+                       for field, d, m in moved]
             report.append(f"  {f}  {len(gaps) - len(moved)} numeric fields unchanged")
     print(f"byte-identical ({len(identical)}): {', '.join(identical)}")
     print(f"differing ({sum(not line.startswith(' ') for line in report)}):")
