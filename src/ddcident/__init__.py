@@ -3,7 +3,6 @@
 from .betapoly import (
     MatrixPoly,
     RootSet,
-    SignRegion,
     faddeev_adj_det,
     roots_in_interval,
     sign_region,
@@ -17,7 +16,7 @@ from .ddc import (
     recover_payoffs,
     solve_bellman,
 )
-from .errors import ConvergenceError, RankDeficiencyError, UninformativeRestrictionError
+from .errors import ConvergenceError, RankDeficiencyError
 from .games import (
     GameModel,
     MpeSolution,

@@ -11,12 +11,10 @@ zero row is the zero polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-
-from .errors import UninformativeRestrictionError
 
 # Default numerical policy.  Coefficients are always normalized by their
 # max-abs value before root or sign work, so these are relative tolerances.
@@ -87,27 +85,6 @@ class RootSet:
 
     def __len__(self):
         return len(self.points)
-
-
-@dataclass(frozen=True)
-class SignRegion:
-    """Disjoint sorted subintervals of ``[0, 1)`` where a polynomial system
-    satisfies a sign condition.
-
-    An upper endpoint equal to ``1.0`` denotes the open right edge of the
-    domain (the point ``1`` itself is always excluded).
-    """
-
-    intervals: list = field(default_factory=list)
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return any(lo - tol <= x <= hi + tol for lo, hi in self.intervals)
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def __len__(self):
-        return len(self.intervals)
 
 
 _STOCH_TOL = 1e-10
@@ -181,22 +158,15 @@ def roots_in_interval(p, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
     evaluation, as at an exact double root.  A candidate is accepted when its
     imaginary part is within ``ROOT_IMAG_TOL`` and its relative residual
     within ``residual_tol``; accepted roots are deduplicated within
-    ``ROOT_CLUSTER_TOL``.
-
-    Raises
-    ------
-    UninformativeRestrictionError
-        If ``p`` is identically zero (distinct from an empty root set).
-    ValueError
-        If a coefficient is NaN or infinite.
+    ``ROOT_CLUSTER_TOL``.  The zero polynomial holds at every point: its root
+    set is empty and flagged ``uninformative``.  A NaN or infinite coefficient
+    raises a ValueError.
     """
     p = np.asarray(p, dtype=float)
     require_finite(p)
     scale = np.max(np.abs(p))
     if scale == 0.0:
-        raise UninformativeRestrictionError(
-            "polynomial is identically zero; the restriction is uninformative"
-        )
+        return RootSet(np.empty(0), np.empty(0), uninformative=True)
     c = p / scale
     c = c[: np.flatnonzero(np.abs(c) > LEADING_COEFF_TOL)[-1] + 1]
     if len(c) == 1:
@@ -262,9 +232,10 @@ def crossing(f, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def sign_region(C) -> SignRegion:
-    """Subintervals of ``[0, 1)`` where every row of the coefficient matrix
-    ``C`` is nonnegative as a polynomial.
+def sign_region(C) -> list:
+    """Disjoint sorted subintervals ``(lo, hi)`` of ``[0, 1)`` where every row
+    of the coefficient matrix ``C`` is nonnegative as a polynomial.  An upper
+    endpoint of ``1.0`` is the open right edge of the domain.
 
     Every row, scaled by its max-abs coefficient, is evaluated on an
     equispaced grid of ``SIGN_GRID_POINTS`` points by one product with the
@@ -282,7 +253,7 @@ def sign_region(C) -> SignRegion:
     C = C[keep] / scale[keep, None]
     if not C.size:
         # no row, or only zero ones: the condition holds everywhere
-        return SignRegion([(0.0, 1.0)])
+        return [(0.0, 1.0)]
 
     def slack(x):
         return np.min(polyval_rows(C, x), axis=0)
@@ -296,4 +267,4 @@ def sign_region(C) -> SignRegion:
         ends.insert(0, 0.0)
     if feas[-1]:
         ends.append(1.0)
-    return SignRegion([(float(lo), float(hi)) for lo, hi in zip(ends[::2], ends[1::2])])
+    return [(float(lo), float(hi)) for lo, hi in zip(ends[::2], ends[1::2])]

@@ -151,18 +151,10 @@ def _check_config(cfg) -> tuple:
         if not isinstance(rd.get("rows"), list) or not rd["rows"]:
             issue(f"{field}.rows", "rows must be a nonempty list")
             continue
-        for i, row in enumerate(rd["rows"]):
-            cols = row.get("cols") if isinstance(row, dict) else None
-            if not (isinstance(cols, list) and all(type(c) is int for c in cols)):
-                issue(f"{field}.rows[{i}]", "cols must be a list of integers")
-                continue
-            for c in cols:
-                if not 0 <= c < p_cols:
-                    issue(f"{field}.rows[{i}]", f"column {c} out of range for {p_cols} stacked payoff cells")
         try:
             rs = RestrictionSet.from_json_dict(rd)
         except (KeyError, TypeError, ValueError, IndexError) as err:
-            issue(field, f"cannot build the restriction: {err!r}")
+            issue(field, f"cannot build the restriction: {type(err).__name__}: {err}")
             continue
         if not (np.all(np.isfinite(rs.R)) and np.all(np.isfinite(rs.c))):
             issue(field, "restriction values must be finite")
@@ -461,9 +453,17 @@ def cmd_validate(args) -> int:
     return 0 if not issues else 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose errors are ``ConfigError``s, so a bad command line gets
+    the JSON error (its subparsers are of this class too)."""
+
+    def error(self, message):
+        raise ConfigError([{"field": "arguments", "message": f"{self.prog}: {message}"}])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ddcident",
-                                 description="Identified sets for discount factors in dynamic discrete choice models")
+    ap = _ArgumentParser(prog="ddcident",
+                         description="Identified sets for discount factors in dynamic discrete choice models")
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an identification pipeline and write artifacts")
@@ -491,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as err:
         error, issues = "invalid_config", err.issues

@@ -1,9 +1,5 @@
-"""Exception types shared across the package."""
-
-
-class UninformativeRestrictionError(ValueError):
-    """Raised when a polynomial restriction is identically zero and therefore
-    carries no information about the discount factor."""
+"""Exception types shared across the package.  A restriction that holds at
+every discount factor raises nothing: its set is flagged ``uninformative``."""
 
 
 class ConvergenceError(RuntimeError):

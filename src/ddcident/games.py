@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .betapoly import ROOT_RESIDUAL_TOL, check_stochastic
+from .betapoly import check_stochastic
 from .ddc import EULER_GAMMA, MasterSystem, master_system, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, identified_set
@@ -411,8 +411,7 @@ def r4_monotone_rivals(model: GameModel, i: int, actions=(0,)) -> tuple[np.ndarr
 # ---- identified sets ------------------------------------------------------
 
 
-def identified_set_game(system: MasterSystem, R3, c3=0.0, *,
-                        residual_tol: float = ROOT_RESIDUAL_TOL) -> IdentifiedSet:
+def identified_set_game(system: MasterSystem, R3, c3=0.0) -> IdentifiedSet:
     """Common roots on ``[0, 1)`` of the firm's equality identification system.
 
     Intersects the roots of the extra equality rows ``R3 Pi = c3``, each a
@@ -420,7 +419,7 @@ def identified_set_game(system: MasterSystem, R3, c3=0.0, *,
     square blocks (see :func:`build_system`).
     Identically-zero polynomials (redundant rows) are flagged and excluded.
     """
-    return identified_set(system.payoff_polys(R3, c3), "eq", system.info, residual_tol=residual_tol)
+    return identified_set(system.payoff_polys(R3, c3), "eq", system.info)
 
 
 def inequality_region_game(system: MasterSystem, R4, c4=0.0) -> IdentifiedSet:

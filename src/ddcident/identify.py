@@ -17,7 +17,6 @@ import numpy as np
 from .betapoly import (
     ROOT_RESIDUAL_TOL,
     RootSet,
-    SignRegion,
     crossing,
     polyval_rows,
     require_finite,
@@ -27,7 +26,6 @@ from .betapoly import (
 from .ddc import MasterSystem
 from .restrictions import RestrictionSet, _flat_points
 
-ZERO_POLY_TOL = 1e-12
 COMMON_ROOT_TOL = 1e-6
 COMBINE_TOL = 1e-6
 FD_CERT_TOL = 1e-10
@@ -82,7 +80,6 @@ class FiniteDependenceCert:
 
     rho: int | None
     pairs: tuple
-    tol: float
     max_violation: float
 
     @property
@@ -92,11 +89,11 @@ class FiniteDependenceCert:
 
 def _poly_diagnostics(rows):
     """Per row: degree (index of the last nonzero coefficient), max-abs
-    coefficient, and whether that scale is negligible against the system's."""
+    coefficient, and whether the row is zero, so holds at every discount factor."""
     scale = np.max(np.abs(rows), axis=1)
     last_nonzero = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] != 0.0, axis=1)
     degree = np.where(scale > 0.0, last_nonzero, 0)
-    uninformative = scale <= ZERO_POLY_TOL * scale.max(initial=0.0)
+    uninformative = scale == 0.0
     return [{"degree": int(d), "scale": float(s), "uninformative": bool(u)}
             for d, s, u in zip(degree, scale, uninformative)]
 
@@ -139,7 +136,7 @@ def identified_set(rows, kind: str, diagnostics: dict, *,
     require_finite(rows)
     diag = _poly_diagnostics(rows)
     if kind == "ge":
-        return IdentifiedSet(inequality_intervals=list(sign_region(rows).intervals), rows=rows,
+        return IdentifiedSet(inequality_intervals=sign_region(rows), rows=rows,
                              diagnostics={**diagnostics, "polynomials": diag})
     if kind != "eq":
         raise ValueError("kind must be 'eq' or 'ge'")
@@ -153,14 +150,12 @@ def identified_set(rows, kind: str, diagnostics: dict, *,
         "independent_polynomials": int(np.sum(sv > 1e-10 * sv[0]))})
 
 
-def equality_identified_set(master: MasterSystem, rs: RestrictionSet, *,
-                            residual_tol: float = ROOT_RESIDUAL_TOL) -> IdentifiedSet:
+def equality_identified_set(master: MasterSystem, rs: RestrictionSet) -> IdentifiedSet:
     """Common roots on ``[0, 1)`` of the equality restriction's rows (see
     :func:`identified_set`)."""
     if rs.kind != "eq":
         raise ValueError("restriction set must be of equality kind")
-    return identified_set(master.payoff_polys(rs.R, rs.c), "eq", {"label": rs.label, **master.info},
-                          residual_tol=residual_tol)
+    return identified_set(master.payoff_polys(rs.R, rs.c), "eq", {"label": rs.label, **master.info})
 
 
 def inequality_region(master: MasterSystem, rs: RestrictionSet) -> IdentifiedSet:
@@ -171,15 +166,15 @@ def inequality_region(master: MasterSystem, rs: RestrictionSet) -> IdentifiedSet
     return identified_set(master.payoff_polys(rs.R, rs.c), "ge", {"label": rs.label, **master.info})
 
 
-def combine(*sets: IdentifiedSet, tol: float = COMBINE_TOL) -> IdentifiedSet:
+def combine(*sets: IdentifiedSet) -> IdentifiedSet:
     """Intersect any number of equality root sets and inequality regions.
 
-    Roots of different equality sets match within ``tol``, and a root is kept
-    if it lies within ``tol`` of the intersected region.  An equality set
-    flagged ``no_identifying_content`` holds at every discount factor, so it
-    constrains nothing; if every equality set is flagged, the roots and the
-    combined set are ``None`` and the result carries the flag instead of an
-    empty intersection.
+    Roots of different equality sets match within ``COMBINE_TOL``, and a root
+    is kept if it lies within ``COMBINE_TOL`` of the intersected region.  An
+    equality set flagged ``no_identifying_content`` holds at every discount
+    factor, so it constrains nothing; if every equality set is flagged, the
+    roots and the combined set are ``None`` and the result carries the flag
+    instead of an empty intersection.
     """
     roots, region, flagged = None, None, False
     for s in sets:
@@ -187,14 +182,15 @@ def combine(*sets: IdentifiedSet, tol: float = COMBINE_TOL) -> IdentifiedSet:
             flagged = True
         elif s.equality_roots is not None:
             roots = list(s.equality_roots) if roots is None else [
-                r for r in roots if any(abs(r - q) <= tol for q in s.equality_roots)]
+                r for r in roots if any(abs(r - q) <= COMBINE_TOL for q in s.equality_roots)]
         if s.inequality_intervals is not None:
             region = list(s.inequality_intervals) if region is None else [
                 (max(lo1, lo2), min(hi1, hi2)) for lo1, hi1 in region
                 for lo2, hi2 in s.inequality_intervals if max(lo1, lo2) <= min(hi1, hi2)]
     combined = roots
     if roots is not None and region is not None:
-        combined = [r for r in roots if SignRegion(region).contains(r, tol=tol)]
+        combined = [r for r in roots
+                    if any(lo - COMBINE_TOL <= r <= hi + COMBINE_TOL for lo, hi in region)]
     return IdentifiedSet(
         equality_roots=roots,
         inequality_intervals=region,
@@ -257,8 +253,7 @@ def _dependence_powers(D, QK, rho: int) -> list:
     return out
 
 
-def check_finite_dependence(Q, pairs, rho_max: int = 5,
-                            tol: float = FD_CERT_TOL) -> FiniteDependenceCert:
+def check_finite_dependence(Q, pairs, rho_max: int = 5) -> FiniteDependenceCert:
     """Find the smallest order at which paired action-state transitions coincide.
 
     Each pair is ``((k_a, x_a), (k_b, x_b))`` with actions in ``0..K-2`` and
@@ -266,7 +261,7 @@ def check_finite_dependence(Q, pairs, rho_max: int = 5,
     ``IndexError``.  The pair brackets
     ``Q_ka(x_a) - Q_kb(x_b) - Q_last(x_a) + Q_last(x_b)`` are stacked as the
     rows of one matrix ``D``; the certificate verifies
-    ``max |D Q_last^rho| <= tol``, returning the smallest such
+    ``max |D Q_last^rho| <= FD_CERT_TOL``, returning the smallest such
     ``rho <= rho_max`` or an unsatisfied certificate.
     """
     Q = np.asarray(Q, dtype=float)
@@ -282,9 +277,9 @@ def check_finite_dependence(Q, pairs, rho_max: int = 5,
     D = Q[k[:, 0], x[:, 0]] - Q[k[:, 1], x[:, 1]] - QK[x[:, 0]] + QK[x[:, 1]]
     gaps = [float(np.max(np.abs(W))) for W in _dependence_powers(D, QK, rho_max)[1:]]
     for rho, gap in enumerate(gaps, start=1):
-        if gap <= tol:
-            return FiniteDependenceCert(rho=rho, pairs=pairs, tol=tol, max_violation=gap)
-    return FiniteDependenceCert(rho=None, pairs=pairs, tol=tol, max_violation=min(gaps, default=np.inf))
+        if gap <= FD_CERT_TOL:
+            return FiniteDependenceCert(rho=rho, pairs=pairs, max_violation=gap)
+    return FiniteDependenceCert(rho=None, pairs=pairs, max_violation=min(gaps, default=np.inf))
 
 
 def finite_restriction_poly(psi, Q, row, c: float, rho: int) -> np.ndarray:
@@ -321,9 +316,9 @@ def finite_restriction_poly(psi, Q, row, c: float, rho: int) -> np.ndarray:
     return coeffs
 
 
-def finite_equality_set(polys, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> IdentifiedSet:
+def finite_equality_set(polys) -> IdentifiedSet:
     """Common roots on ``[0, 1)`` of a list of degree-``rho`` equality rows."""
-    return identified_set(np.vstack(polys), "eq", {}, residual_tol=residual_tol)
+    return identified_set(np.vstack(polys), "eq", {})
 
 
 def finite_inequality_region(polys) -> IdentifiedSet:

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import RankDeficiencyError
 
 RANK_TOL = 1e-10
+GRID_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,11 +96,12 @@ class FactoredStates:
         flat = action * self.n_states + np.arange(self.n_states).reshape(self.shape, order="F")
         return np.moveaxis(flat, pos, range(len(self.axes) - len(pos), len(self.axes)))
 
-    def find_on_grid(self, axis: str, value: float, tol: float = 1e-9) -> int:
-        """Grid index of a value on an axis; errors if the point is absent."""
+    def find_on_grid(self, axis: str, value: float) -> int:
+        """Grid index of a value on an axis, matched within ``GRID_MATCH_TOL``
+        relative to ``max(1, max|grid|)``; errors if the point is absent."""
         g = self.grid(axis)
         scale = max(1.0, float(np.max(np.abs(g))))
-        hits = np.where(np.abs(g - value) <= tol * scale)[0]
+        hits = np.where(np.abs(g - value) <= GRID_MATCH_TOL * scale)[0]
         if hits.size == 0:
             raise ValueError(f"value {value} is not on the {axis!r} grid {g}")
         return int(hits[0])
@@ -139,10 +141,19 @@ class RestrictionSet:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RestrictionSet":
+        """Decode :meth:`to_json_dict`; a column that is not an int (a bool
+        included) or is off ``0..n_columns-1`` is an ``IndexError``."""
         kind = {"equality": "eq", "inequality_ge": "ge"}[d["kind"]]
-        R = np.zeros((len(d["rows"]), d["n_columns"]))
+        n = d["n_columns"]
+        R = np.zeros((len(d["rows"]), n))
         for i, row in enumerate(d["rows"]):
-            R[i, row["cols"]] = row["vals"]
+            cols = row["cols"]
+            if not (isinstance(cols, list) and all(type(c) is int for c in cols)):
+                raise IndexError(f"rows[{i}]: cols must be a list of integers")
+            bad = [c for c in cols if not 0 <= c < n]
+            if bad:
+                raise IndexError(f"rows[{i}]: column {bad[0]} out of range for {n} stacked payoff cells")
+            R[i, cols] = row["vals"]
         return cls(R=R, c=np.asarray(d["c"], dtype=float), kind=kind, label=d.get("label", ""))
 
 

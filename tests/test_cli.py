@@ -585,6 +585,31 @@ class TestCliEdges:
             "--scenario", "entry", "--restrictions", "homogeneity", "--beta-grid", "0:inf:5"],
             "--beta-grid")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--scenario", "nope", "--restrictions", "homogeneity"], "invalid choice: 'nope'"),
+        (["run", "--scenario", "entry", "--restrictions", "homogeneity", "--tol-root", "abc"],
+         "invalid float value: 'abc'"),
+        (["run", "--scenario", "entry-game", "--restrictions", "exchangeability", "--firm", "1.5"],
+         "invalid int value: '1.5'"),
+        (["run", "--scenario", "entry"], "required: --restrictions"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ])
+    def test_argument_errors_are_json_errors(self, tmp_path, capsys, argv, message):
+        # argparse would print usage text; every failure is the JSON error instead
+        assert main([*argv, "--out-dir", str(tmp_path / "o")] if argv[0] == "run" else argv) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "invalid_config"
+        assert [i["field"] for i in err["issues"]] == ["arguments"]
+        assert message in err["issues"][0]["message"]
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "-h"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ddcident run")
+
 
 class TestFdZeroCross:
     def test_fd_zero_cross_reports_no_content(self, tmp_path):

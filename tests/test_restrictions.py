@@ -318,6 +318,18 @@ class TestSetPlumbing:
         assert np.allclose(back.c, rs.c)
         assert back.kind == rs.kind and back.label == rs.label
 
+    @pytest.mark.parametrize("col,message", [
+        (-1, "column -1 out of range for 18"),   # numpy would set column 17
+        (18, "column 18 out of range for 18"),
+        (True, "cols must be a list of integers"),
+        (1.5, "cols must be a list of integers"),
+    ])
+    def test_decoder_rejects_bad_columns(self, entry_states, col, message):
+        d = monotonicity(entry_states, 0, "z").to_json_dict()
+        d["rows"][0]["cols"][0] = col
+        with pytest.raises(IndexError, match=f"rows\\[0\\]: {message}"):
+            RestrictionSet.from_json_dict(d)
+
     def test_full_row_rank_of_builders(self, entry_states):
         for rs in (additive_homogeneous(entry_states, 0),
                    zero_cross_difference(entry_states, 0, "y", ("w", "z")),
