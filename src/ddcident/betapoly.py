@@ -11,6 +11,7 @@ zero row is the zero polynomial.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +61,6 @@ class MatrixPoly:
         self.coeff_mats = mats
         self.coeff_mats.setflags(write=False)
 
-    def apply(self, vec) -> np.ndarray:
-        """Right-multiply by a constant vector; rows of the result are
-        polynomial coefficient vectors, shape ``(nrows, degree + 1)``."""
-        v = np.asarray(vec, dtype=float)
-        return np.einsum("dij,j->id", self.coeff_mats, v)
-
 
 @dataclass(frozen=True)
 class RootSet:
@@ -105,36 +100,53 @@ def check_stochastic(M, name: str, labels, axis: int = -1) -> None:
         raise ValueError(f"{name} ({where}) {problem}")
 
 
-def faddeev_adj_det(Q) -> tuple[MatrixPoly, npoly.Polynomial]:
-    """Adjugate and determinant of ``I - beta*Q`` as explicit polynomials.
+def faddeev_terms(Q) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The trace recursion for ``I - beta*Q``, one adjugate coefficient at a time.
 
-    Uses the trace recursion obtained by matching powers of beta in
-    ``(I - beta*Q) adj(I - beta*Q) = det(I - beta*Q) I`` together with the
-    derivative identity ``d/dbeta det(I - beta*Q) = -tr(Q adj(I - beta*Q))``:
+    Matching powers of beta in ``(I - beta*Q) adj(I - beta*Q) = det(I - beta*Q) I``
+    together with the derivative identity ``d/dbeta det(I - beta*Q) =
+    -tr(Q adj(I - beta*Q))`` gives
 
         A_0 = I,  d_0 = 1,
         d_j = -tr(Q A_{j-1}) / j,
         A_j = Q A_{j-1} + d_j I.
 
-    Returns the degree ``J - 1`` adjugate and the degree ``J`` determinant,
-    whose ``coef`` holds all ``J + 1`` coefficients, trailing zeros included.
+    Returns ``(det, terms)``: ``terms`` yields ``A_0, ..., A_{J-1}``, the
+    adjugate's coefficient matrices, holding only the current one, and fills
+    ``det`` with the ``J + 1`` determinant coefficients as it goes; ``det`` is
+    complete once ``terms`` is exhausted.  ``Q`` is checked (square,
+    row-stochastic) before this returns.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"transition matrix must be square, got shape {Q.shape}")
     check_stochastic(Q, "transition row", ("state",))
     J = Q.shape[0]
-    adj = np.zeros((J, J, J))
     det = np.zeros(J + 1)
-    adj[0] = np.eye(J)
     det[0] = 1.0
-    work = np.eye(J)
-    for j in range(1, J + 1):
-        work = Q @ work
-        det[j] = -np.trace(work) / j
-        if j < J:
-            work = work + det[j] * np.eye(J)
-            adj[j] = work
+
+    def terms():
+        work = np.eye(J)
+        yield work
+        for j in range(1, J + 1):
+            work = Q @ work
+            det[j] = -np.trace(work) / j
+            if j < J:
+                work = work + det[j] * np.eye(J)
+                yield work
+
+    return det, terms()
+
+
+def faddeev_adj_det(Q) -> tuple[MatrixPoly, npoly.Polynomial]:
+    """Adjugate and determinant of ``I - beta*Q`` as explicit polynomials: the
+    degree ``J - 1`` adjugate stacks every term of :func:`faddeev_terms`, and
+    the degree ``J`` determinant's ``coef`` holds all ``J + 1`` coefficients,
+    trailing zeros included."""
+    det, terms = faddeev_terms(Q)
+    adj = np.empty((det.size - 1,) * 3)
+    for j, A in enumerate(terms):
+        adj[j] = A
     return MatrixPoly(adj), npoly.Polynomial(det)
 
 

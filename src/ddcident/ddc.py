@@ -13,10 +13,11 @@ all states of action 0 first, then action 1, and so on, covering actions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .betapoly import MatrixPoly, check_stochastic, faddeev_adj_det
+from .betapoly import MatrixPoly, check_stochastic, faddeev_adj_det, faddeev_terms
 from .errors import ConvergenceError
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -206,11 +207,11 @@ class MasterSystem:
     adjugate of ``I - beta*Q[K-1]``; ``G(beta) = det(beta) * U`` at the true
     discount factor.  ``g`` holds the coefficient rows of ``G``, action-major,
     shape ``(J*(K-1), J+1)``; ``det`` holds the ``J + 1`` coefficients of the
-    determinant and ``m`` the adjugate.
+    determinant and ``q_last`` is ``Q[K-1]``.
 
     A game firm's system (``games.build_system``) is this system mapped
     through the firm's square blocks, one per exogenous state and own lag:
-    its ``g`` holds the firm's payoff rows and ``m`` is the adjugate of the
+    its ``g`` holds the firm's payoff rows and ``q_last`` is that of the
     single-agent system it came from.
     ``noise`` is the coefficient size at or below which a row of unit weight
     is noise (see :meth:`payoff_polys`); ``info`` holds the diagnostics every
@@ -218,10 +219,16 @@ class MasterSystem:
     """
 
     det: np.ndarray
-    m: MatrixPoly
+    q_last: np.ndarray
     g: np.ndarray
     noise: float
     info: dict = field(default_factory=dict)
+
+    @cached_property
+    def m(self) -> MatrixPoly:
+        """The adjugate of ``I - beta*q_last``, ``J`` coefficient matrices of
+        ``J x J``, formed on first read; nothing in the package reads it."""
+        return faddeev_adj_det(self.q_last)[0]
 
     @property
     def n_rows(self) -> int:
@@ -243,9 +250,12 @@ class MasterSystem:
 def master_system(psi, Q) -> MasterSystem:
     """Build the determinant/adjugate form of the model's restriction system.
 
-    ``a = adj(beta) psi_last`` is formed first, so ``(I - beta*Q_k) a`` is one
-    batched product over the actions, the coefficients of ``a`` minus those of
-    ``Q_k a`` one degree up.
+    One pass of the trace recursion (:func:`betapoly.faddeev_terms`) on
+    ``Q[K-1]`` gives the determinant and, term by term, the coefficient rows
+    of ``a = adj(beta) psi_last``; each adjugate term is dropped once applied,
+    so memory stays O(J^2).  ``(I - beta*Q_k) a`` is then one batched product
+    over the actions, the coefficients of ``a`` minus those of ``Q_k a`` one
+    degree up.
 
     Parameters
     ----------
@@ -260,12 +270,18 @@ def master_system(psi, Q) -> MasterSystem:
     K, J = psi.shape
     if Q.shape != (K, J, J):
         raise ValueError(f"Q must have shape {(K, J, J)} to match psi, got {Q.shape}")
-    adj, det = faddeev_adj_det(Q[K - 1])
-    a = adj.apply(psi[K - 1])  # (J, J): coefficient rows of adj(beta) @ psi_last
+    det, terms = faddeev_terms(Q[K - 1])
+    # column j: coefficient j of adj(beta) @ psi_last, in Fortran order as the
+    # whole adjugate's einsum laid it out, so the batched product rounds alike
+    a = np.empty((J, J), order="F")
+    for j, A in enumerate(terms):
+        a[:, j] = np.einsum("ij,j->i", A, psi[K - 1])
     g = np.zeros((K - 1, J, J + 1))
     g[..., :-1] = a
     g[..., 1:] -= Q[: K - 1] @ a
     # rows at rounding level of the system inputs
     noise = 1e-12 * max(1.0, float(np.max(np.abs(g))))
-    g -= psi[: K - 1, :, None] * det.coef
-    return MasterSystem(det=det.coef, m=adj, g=g.reshape(-1, J + 1), noise=noise)
+    g -= psi[: K - 1, :, None] * det
+    q_last = Q[K - 1].copy()
+    q_last.setflags(write=False)
+    return MasterSystem(det=det, q_last=q_last, g=g.reshape(-1, J + 1), noise=noise)

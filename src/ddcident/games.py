@@ -278,8 +278,8 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> MasterSystem:
     ``payoff_cells(model, i)[..., 0]``: each exogenous state ``s`` and own lag
     ``l`` has one square block whose row for a rivals' lag profile is
     ``P_minus`` at that state.  The ``m_s * K`` blocks are solved in one batch
-    into every rivals'-lag cell of ``g``; ``m`` is the source system's
-    adjugate.  The noise level is the equilibrium residual
+    into every rivals'-lag cell of ``g``; ``q_last`` is the source system's
+    ``Q_star`` of the last action.  The noise level is the equilibrium residual
     (rounding at least) relative to ``rhs``: a beta-free row's coefficients
     sit at a few times that residual, informative rows at 1e-4 or more.
     ``info`` holds the firm, the worst block's ``condition_estimate`` and its

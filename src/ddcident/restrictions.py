@@ -142,18 +142,29 @@ class RestrictionSet:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RestrictionSet":
         """Decode :meth:`to_json_dict`; a column that is not an int (a bool
-        included) or is off ``0..n_columns-1`` is an ``IndexError``."""
+        included) or is off ``0..n_columns-1`` is an ``IndexError``, and a
+        column given twice, a value that is not a number (a bool included) or
+        a ``vals`` list whose length is not that of ``cols`` is a
+        ``ValueError``."""
         kind = {"equality": "eq", "inequality_ge": "ge"}[d["kind"]]
         n = d["n_columns"]
         R = np.zeros((len(d["rows"]), n))
         for i, row in enumerate(d["rows"]):
-            cols = row["cols"]
+            cols, vals = row["cols"], row["vals"]
             if not (isinstance(cols, list) and all(type(c) is int for c in cols)):
                 raise IndexError(f"rows[{i}]: cols must be a list of integers")
             bad = [c for c in cols if not 0 <= c < n]
             if bad:
                 raise IndexError(f"rows[{i}]: column {bad[0]} out of range for {n} stacked payoff cells")
-            R[i, cols] = row["vals"]
+            if len(set(cols)) < len(cols):
+                twice = next(c for c in cols if cols.count(c) > 1)
+                raise ValueError(f"rows[{i}]: column {twice} is given more than once")
+            if not (isinstance(vals, list)
+                    and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals)):
+                raise ValueError(f"rows[{i}]: vals must be a list of numbers")
+            if len(vals) != len(cols):
+                raise ValueError(f"rows[{i}]: {len(vals)} vals for {len(cols)} cols")
+            R[i, cols] = vals
         return cls(R=R, c=np.asarray(d["c"], dtype=float), kind=kind, label=d.get("label", ""))
 
 

@@ -13,9 +13,9 @@ from ddcident.betapoly import (
     ROOT_RESIDUAL_TOL,
     SIGN_GRID_POINTS,
     SIGN_REFINE_TOL,
-    MatrixPoly,
     crossing,
     faddeev_adj_det,
+    faddeev_terms,
     polyval_rows,
     roots_in_interval,
     sign_region,
@@ -105,6 +105,21 @@ class TestFaddeev:
             faddeev_adj_det(np.ones((2, 3)))
         with pytest.raises(ValueError, match="sum"):
             faddeev_adj_det(np.full((2, 2), 0.4))
+
+    def test_terms_stream_the_stack(self):
+        Q = random_stochastic(np.random.default_rng(5), 6)
+        adj, det = faddeev_adj_det(Q)
+        d, terms = faddeev_terms(Q)
+        assert d[0] == 1.0 and not d[1:].any()  # filled as the terms are drawn
+        assert np.array_equal(np.stack(list(terms)), adj.coeff_mats)
+        assert np.array_equal(d, det.coef)
+
+    def test_terms_check_before_the_first_term(self):
+        # the checks run when the recursion is set up, not when it is first drawn
+        with pytest.raises(ValueError, match="square"):
+            faddeev_terms(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="state 1"):
+            faddeev_terms([[1.0, 0.0], [0.4, 0.4]])
 
 
 class TestRoots:
@@ -215,11 +230,6 @@ class TestPolyTypes:
         xs = np.arange(2001) / 2001
         assert np.array_equal(polyval_rows(C, xs), np.stack([npoly.polyval(xs, c) for c in C]))
         assert np.array_equal(polyval_rows(C, xs[7]), [npoly.polyval(xs[7], c) for c in C])
-
-    def test_matrix_poly_apply(self):
-        mp = MatrixPoly([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
-        rows = mp.apply([1.0, 2.0])
-        assert np.allclose(rows, [[1.0, 2.0], [2.0, 1.0]])
 
 
 class TestScenarioDeterminant:
@@ -350,7 +360,7 @@ class TestReplacedArithmetic:
         # the log objective solve_log_diff bisects, NaN where a component is
         # nonpositive, on G's rows as the determinant-scaled payoffs
         r = np.append(w[: len(G) - 1], -sum(w[: len(G) - 1]))
-        ms = MasterSystem(det=np.zeros(G.shape[1]), m=MatrixPoly(np.zeros((1, 1, 1))), g=G, noise=0.0)
+        ms = MasterSystem(det=np.zeros(G.shape[1]), q_last=np.eye(1), g=G, noise=0.0)
 
         def run():
             try:

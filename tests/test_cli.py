@@ -129,6 +129,23 @@ class TestValidate:
         assert err["error"] == "invalid_config"
         assert any(message in i["message"] for i in err["issues"])
 
+    def test_malformed_vals_rejected(self, entry_config, tmp_path, capsys):
+        # the decoder's length check reaches validate and run as invalid_config
+        _, cfg = entry_config
+        bad = json.loads(json.dumps(cfg))
+        bad["restrictions"][0]["rows"][0].update(cols=[0, 1], vals=[2.0])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        message = "cannot build the restriction: ValueError: rows[0]: 1 vals for 2 cols"
+        assert main(["validate", "--config", str(path)]) == 2
+        issues = json.loads(capsys.readouterr().out)["issues"]
+        assert issues == [{"field": "restrictions[0]", "message": message}]
+        rc = main(["run", "--config", str(path), "--restrictions", "zero-cross",
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "invalid_config", "issues": issues}
+
     def test_duplicate_labels_reported(self, entry_config):
         _, cfg = entry_config
         bad = json.loads(json.dumps(cfg))

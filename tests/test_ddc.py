@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
+from ddcident.betapoly import faddeev_adj_det
 from ddcident.ddc import (
     EULER_GAMMA,
     SingleAgentModel,
@@ -225,6 +228,105 @@ class TestMasterSystem:
         sol = solve_bellman(m)
         with pytest.raises(ValueError):
             master_system(sol.psi, m.Q[:, :3, :3])
+
+
+def banded_transitions(J, seed, band=3):
+    """Two actions of banded random transitions, action 0 drifting up the
+    state grid and action 1 down (the recipe of the benchmark's large models)."""
+    rng = np.random.default_rng([seed, J, 3])
+    Q = np.zeros((2, J, J))
+    for a, drift in ((0, 1), (1, -1)):
+        for i in range(J):
+            lo, hi = max(0, i - band), min(J, i + band + 1)
+            w = rng.uniform(0.5, 1.5, hi - lo)
+            w[min(max(i + drift, lo), hi - 1) - lo] += 2.0
+            Q[a, i, lo:hi] = w / w.sum()
+    return Q
+
+
+def stacked_master_rows(psi, Q):
+    """``g`` and ``det`` built the way the J x J x J adjugate stack gave them:
+    the whole stack contracted with ``psi_last`` at once, then the same
+    padding and batched product as ``master_system``."""
+    K, J = psi.shape
+    adj, det = faddeev_adj_det(Q[K - 1])
+    a = np.einsum("dij,j->id", adj.coeff_mats, psi[K - 1])
+    g = np.zeros((K - 1, J, J + 1))
+    g[..., :-1] = a
+    g[..., 1:] -= Q[: K - 1] @ a
+    g -= psi[: K - 1, :, None] * det.coef
+    return g.reshape(-1, J + 1), det.coef
+
+
+def entry_inputs():
+    from ddcident.scenarios import build_entry_model
+    model = build_entry_model().model
+    return solve_bellman(model).psi, model.Q
+
+
+def seeded_three_action_inputs():
+    m = random_model(np.random.default_rng(15), K=3, J=6)
+    return solve_bellman(m).psi, m.Q
+
+
+def banded_inputs(J=72):
+    return np.random.default_rng(J).normal(size=(2, J)), banded_transitions(J, 0)
+
+
+def game_source_inputs():
+    from ddcident.games import expected_objects, solve_mpe
+    from ddcident.scenarios import build_entry_game
+    model = build_entry_game().model
+    mpe = solve_mpe(model)
+    pi_star, Q_star, _ = expected_objects(model, mpe.P, 1)
+    psi = mpe.psi[1].copy()
+    psi[-1] += pi_star[-1]
+    return psi, Q_star
+
+
+class TestStreamedAdjugate:
+    @pytest.mark.parametrize("inputs", [entry_inputs, seeded_three_action_inputs, banded_inputs,
+                                        game_source_inputs])
+    def test_same_bits_as_the_stacked_adjugate(self, inputs):
+        psi, Q = inputs()
+        ms = master_system(psi, Q)
+        g, det = stacked_master_rows(psi, Q)
+        assert np.array_equal(ms.g, g)
+        assert np.array_equal(ms.det, det)
+
+    def test_memory_is_quadratic_and_the_adjugate_lazy(self):
+        J = 144
+        psi, Q = banded_inputs(J)
+        tracemalloc.start()
+        try:
+            ms = master_system(psi, Q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6  # the J x J x J adjugate alone is 23.9 MB
+        assert "m" not in vars(ms)  # not formed until read
+        adj = ms.m
+        assert np.array_equal(adj.coeff_mats, faddeev_adj_det(Q[-1])[0].coeff_mats)
+        assert ms.m is adj
+        q_last = Q[-1].copy()
+        Q[-1] = 0.0  # the system keeps its own copy of Q_last
+        assert np.array_equal(ms.q_last, q_last)
+
+    def test_game_firm_keeps_its_source_q_last(self):
+        from ddcident.games import build_system, expected_objects, solve_mpe
+        from ddcident.scenarios import build_entry_game
+        model = build_entry_game().model
+        mpe = solve_mpe(model)
+        Q_last = expected_objects(model, mpe.P, 1)[1][-1]
+        system = build_system(model, mpe, 1)
+        assert np.array_equal(system.q_last, Q_last)
+        assert np.array_equal(system.m.coeff_mats, faddeev_adj_det(Q_last)[0].coeff_mats)
+
+    def test_non_stochastic_last_action_named(self):
+        psi, Q = banded_inputs(18)
+        Q[-1, 3, 3] += 0.1
+        with pytest.raises(ValueError, match=r"transition row \(state 3\) sums to 1.1"):
+            master_system(psi, Q)
 
 
 class TestEntryModelCrossChecks:

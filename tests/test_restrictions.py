@@ -330,6 +330,19 @@ class TestSetPlumbing:
         with pytest.raises(IndexError, match=f"rows\\[0\\]: {message}"):
             RestrictionSet.from_json_dict(d)
 
+    @pytest.mark.parametrize("cols,vals,message", [
+        ([0, 1], [2.0], "1 vals for 2 cols"),                 # numpy would set both columns
+        ([0, 0], [1.0, -1.0], "column 0 is given more than once"),  # the last write would win
+        ([0], ["3"], "vals must be a list of numbers"),       # numpy would read 3.0
+        ([0], [True], "vals must be a list of numbers"),      # and 1.0
+        ([0], 2.0, "vals must be a list of numbers"),
+    ])
+    def test_decoder_rejects_bad_values(self, entry_states, cols, vals, message):
+        d = monotonicity(entry_states, 0, "z").to_json_dict()
+        d["rows"][0].update(cols=cols, vals=vals)
+        with pytest.raises(ValueError, match=f"rows\\[0\\]: {message}"):
+            RestrictionSet.from_json_dict(d)
+
     def test_full_row_rank_of_builders(self, entry_states):
         for rs in (additive_homogeneous(entry_states, 0),
                    zero_cross_difference(entry_states, 0, "y", ("w", "z")),
