@@ -11,7 +11,7 @@ zero row is the zero polynomial.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,54 +100,52 @@ def check_stochastic(M, name: str, labels, axis: int = -1) -> None:
         raise ValueError(f"{name} ({where}) {problem}")
 
 
-def faddeev_terms(Q) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """The trace recursion for ``I - beta*Q``, one adjugate coefficient at a time.
-
-    Matching powers of beta in ``(I - beta*Q) adj(I - beta*Q) = det(I - beta*Q) I``
-    together with the derivative identity ``d/dbeta det(I - beta*Q) =
-    -tr(Q adj(I - beta*Q))`` gives
-
-        A_0 = I,  d_0 = 1,
-        d_j = -tr(Q A_{j-1}) / j,
-        A_j = Q A_{j-1} + d_j I.
-
-    Returns ``(det, terms)``: ``terms`` yields ``A_0, ..., A_{J-1}``, the
-    adjugate's coefficient matrices, holding only the current one, and fills
-    ``det`` with the ``J + 1`` determinant coefficients as it goes; ``det`` is
-    complete once ``terms`` is exhausted.  ``Q`` is checked (square,
-    row-stochastic) before this returns.
-    """
+def det_coeffs(Q) -> np.ndarray:
+    """The ``J + 1`` coefficients of ``det(I - beta*Q)``, ``d[j]`` multiplying
+    ``beta**j``, by Newton's identities ``d_0 = 1``, ``j d_j = -sum_{i<j} d_i
+    tr(Q^(j-i))``: the ``d_j`` of the Faddeev-LeVerrier recursion from about
+    ``2 sqrt(J)`` matrix products, not ``J`` (Paterson and Stockmeyer, SIAM J.
+    Comput. 1973).  The baby steps ``Q^1..Q^m``, ``m = ceil(sqrt(J))``, are
+    held transposed in one ``(m, J, J)`` array; each giant step ``Q^s``, ``s =
+    m, 2m, ...``, formed one at a time, gives ``tr(Q^(s+b)) = sum_ij (Q^s)_ij
+    (Q^b)_ji`` for every ``b`` in one product.  ``(m + 2) J^2`` floats in all;
+    ``Q`` is checked (square, nonempty, row-stochastic) before any product."""
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError(f"transition matrix must be square, got shape {Q.shape}")
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or not Q.size:
+        raise ValueError(f"transition matrix must be square with at least one state, got shape {Q.shape}")
     check_stochastic(Q, "transition row", ("state",))
     J = Q.shape[0]
-    det = np.zeros(J + 1)
-    det[0] = 1.0
-
-    def terms():
-        work = np.eye(J)
-        yield work
-        for j in range(1, J + 1):
-            work = Q @ work
-            det[j] = -np.trace(work) / j
-            if j < J:
-                work = work + det[j] * np.eye(J)
-                yield work
-
-    return det, terms()
+    m = math.isqrt(J - 1) + 1
+    baby = np.empty((m, J, J))  # baby[b - 1] = (Q^b)^T
+    baby[0] = Q.T
+    for b in range(1, m):
+        np.matmul(Q.T, baby[b - 1], out=baby[b])
+    flat, step = baby.reshape(m, J * J), np.ascontiguousarray(baby[-1].T)  # step = Q^m
+    t = np.empty(-(-J // m) * m + 1)  # t[k] = tr(Q^k), k up to the last giant step's
+    t[1 : m + 1] = np.trace(baby, axis1=1, axis2=2)
+    for s in range(m, J, m):
+        giant = step if s == m else giant @ step
+        t[s + 1 : s + m + 1] = flat @ giant.ravel()
+    d = np.ones(J + 1)
+    for j in range(1, J + 1):
+        d[j] = -np.dot(d[:j], t[j:0:-1]) / j
+    return d
 
 
 def faddeev_adj_det(Q) -> tuple[MatrixPoly, npoly.Polynomial]:
     """Adjugate and determinant of ``I - beta*Q`` as explicit polynomials: the
-    degree ``J - 1`` adjugate stacks every term of :func:`faddeev_terms`, and
-    the degree ``J`` determinant's ``coef`` holds all ``J + 1`` coefficients,
-    trailing zeros included."""
-    det, terms = faddeev_terms(Q)
-    adj = np.empty((det.size - 1,) * 3)
-    for j, A in enumerate(terms):
-        adj[j] = A
-    return MatrixPoly(adj), npoly.Polynomial(det)
+    determinant's ``coef`` is :func:`det_coeffs`, and the degree ``J - 1``
+    adjugate stacks ``A_0 = I``, ``A_j = Q A_{j-1} + d_j I`` (powers of beta
+    matched in ``(I - beta*Q) adj = det I``), ``J`` products and ``J^3`` floats."""
+    Q = np.asarray(Q, dtype=float)
+    d = det_coeffs(Q)
+    J = Q.shape[0]
+    adj = np.empty((J, J, J))
+    adj[0] = np.eye(J)
+    for j in range(1, J):
+        np.matmul(Q, adj[j - 1], out=adj[j])
+        adj[j].flat[:: J + 1] += d[j]
+    return MatrixPoly(adj), npoly.Polynomial(d)
 
 
 def require_finite(C) -> None:

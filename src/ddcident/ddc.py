@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .betapoly import MatrixPoly, check_stochastic, faddeev_adj_det, faddeev_terms
+from .betapoly import MatrixPoly, check_stochastic, det_coeffs, faddeev_adj_det
 from .errors import ConvergenceError
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -207,7 +207,8 @@ class MasterSystem:
     adjugate of ``I - beta*Q[K-1]``; ``G(beta) = det(beta) * U`` at the true
     discount factor.  ``g`` holds the coefficient rows of ``G``, action-major,
     shape ``(J*(K-1), J+1)``; ``det`` holds the ``J + 1`` coefficients of the
-    determinant and ``q_last`` is ``Q[K-1]``.
+    determinant, from :func:`betapoly.det_coeffs` (about ``2 sqrt(J)`` matrix
+    products, ``sqrt(J) J^2`` floats), and ``q_last`` is ``Q[K-1]``.
 
     A game firm's system (``games.build_system``) is this system mapped
     through the firm's square blocks, one per exogenous state and own lag:
@@ -250,12 +251,12 @@ class MasterSystem:
 def master_system(psi, Q) -> MasterSystem:
     """Build the determinant/adjugate form of the model's restriction system.
 
-    One pass of the trace recursion (:func:`betapoly.faddeev_terms`) on
-    ``Q[K-1]`` gives the determinant and, term by term, the coefficient rows
-    of ``a = adj(beta) psi_last``; each adjugate term is dropped once applied,
-    so memory stays O(J^2).  ``(I - beta*Q_k) a`` is then one batched product
-    over the actions, the coefficients of ``a`` minus those of ``Q_k a`` one
-    degree up.
+    ``det`` is :func:`betapoly.det_coeffs` of ``Q[K-1]`` (about ``2 sqrt(J)``
+    matrix products, ``sqrt(J) J^2`` floats), and ``a = adj(beta) psi_last``
+    comes from ``a_0 = psi_last``, ``a_j = Q_last a_{j-1} + d_j psi_last``:
+    ``J`` matrix-vector products, the adjugate never formed.  ``(I - beta*Q_k)
+    a`` is then one batched product over the actions, the coefficients of
+    ``a`` minus those of ``Q_k a`` one degree up.
 
     Parameters
     ----------
@@ -268,14 +269,15 @@ def master_system(psi, Q) -> MasterSystem:
     psi = np.asarray(psi, dtype=float)
     Q = np.asarray(Q, dtype=float)
     K, J = psi.shape
+    if K < 2 or J < 1:
+        raise ValueError("need at least two actions and one state")
     if Q.shape != (K, J, J):
         raise ValueError(f"Q must have shape {(K, J, J)} to match psi, got {Q.shape}")
-    det, terms = faddeev_terms(Q[K - 1])
-    # column j: coefficient j of adj(beta) @ psi_last, in Fortran order as the
-    # whole adjugate's einsum laid it out, so the batched product rounds alike
-    a = np.empty((J, J), order="F")
-    for j, A in enumerate(terms):
-        a[:, j] = np.einsum("ij,j->i", A, psi[K - 1])
+    det = det_coeffs(Q[K - 1])
+    a = np.empty((J, J), order="F")  # column j: coefficient j of adj(beta) @ psi_last
+    a[:, 0] = psi[K - 1]
+    for j in range(1, J):
+        a[:, j] = Q[K - 1] @ a[:, j - 1] + det[j] * psi[K - 1]
     g = np.zeros((K - 1, J, J + 1))
     g[..., :-1] = a
     g[..., 1:] -= Q[: K - 1] @ a

@@ -14,8 +14,8 @@ from ddcident.betapoly import (
     SIGN_GRID_POINTS,
     SIGN_REFINE_TOL,
     crossing,
+    det_coeffs,
     faddeev_adj_det,
-    faddeev_terms,
     polyval_rows,
     roots_in_interval,
     sign_region,
@@ -106,20 +106,31 @@ class TestFaddeev:
         with pytest.raises(ValueError, match="sum"):
             faddeev_adj_det(np.full((2, 2), 0.4))
 
-    def test_terms_stream_the_stack(self):
+    def test_adjugate_stack_takes_det_coeffs(self):
         Q = random_stochastic(np.random.default_rng(5), 6)
         adj, det = faddeev_adj_det(Q)
-        d, terms = faddeev_terms(Q)
-        assert d[0] == 1.0 and not d[1:].any()  # filled as the terms are drawn
-        assert np.array_equal(np.stack(list(terms)), adj.coeff_mats)
-        assert np.array_equal(d, det.coef)
+        assert np.array_equal(det.coef, det_coeffs(Q))  # one determinant routine
+        for j in range(1, 6):  # A_j = Q A_{j-1} + d_j I
+            assert np.array_equal(adj.coeff_mats[j], Q @ adj.coeff_mats[j - 1] + det.coef[j] * np.eye(6))
 
-    def test_terms_check_before_the_first_term(self):
-        # the checks run when the recursion is set up, not when it is first drawn
-        with pytest.raises(ValueError, match="square"):
-            faddeev_terms(np.ones((2, 3)))
-        with pytest.raises(ValueError, match="state 1"):
-            faddeev_terms([[1.0, 0.0], [0.4, 0.4]])
+    @pytest.mark.parametrize("J", [1, 2, 3, 4, 5, 9, 10, 17, 30])
+    def test_det_coeffs_at_every_giant_step_count(self, J):
+        # J around the squares covers a last giant step that is full, one
+        # short, and one with a single trace
+        Q = random_stochastic(np.random.default_rng(J), J)
+        d = det_coeffs(Q)
+        assert d.shape == (J + 1,) and d[0] == 1.0
+        expected = np.poly(Q)  # det(x I - Q), highest power first, is det(I - beta*Q) ascending
+        assert np.max(np.abs(d - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_det_coeffs_check_before_any_product(self):
+        with mock.patch("numpy.matmul", side_effect=AssertionError("product before the checks")):
+            with pytest.raises(ValueError, match="square"):
+                det_coeffs(np.ones((2, 3)))
+            with pytest.raises(ValueError, match="state 1"):
+                det_coeffs([[1.0, 0.0], [0.4, 0.4]])
+            with pytest.raises(ValueError, match="square with at least one state"):
+                det_coeffs(np.zeros((0, 0)))
 
 
 class TestRoots:

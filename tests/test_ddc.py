@@ -4,7 +4,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from ddcident.betapoly import faddeev_adj_det
+from ddcident.betapoly import det_coeffs, faddeev_adj_det
 from ddcident.ddc import (
     EULER_GAMMA,
     SingleAgentModel,
@@ -244,18 +244,31 @@ def banded_transitions(J, seed, band=3):
     return Q
 
 
-def stacked_master_rows(psi, Q):
-    """``g`` and ``det`` built the way the J x J x J adjugate stack gave them:
-    the whole stack contracted with ``psi_last`` at once, then the same
-    padding and batched product as ``master_system``."""
-    K, J = psi.shape
-    adj, det = faddeev_adj_det(Q[K - 1])
-    a = np.einsum("dij,j->id", adj.coeff_mats, psi[K - 1])
-    g = np.zeros((K - 1, J, J + 1))
-    g[..., :-1] = a
-    g[..., 1:] -= Q[: K - 1] @ a
-    g -= psi[: K - 1, :, None] * det.coef
-    return g.reshape(-1, J + 1), det.coef
+def mp_faddeev_det(Q, dps=50):
+    """Coefficients of det(I - beta*Q) by the Faddeev-LeVerrier recursion in
+    mpmath at ``dps`` digits, rounded to floats at the end: shares no code or
+    arithmetic with ``det_coeffs``."""
+    import mpmath as mp
+    J = len(Q)
+    with mp.workdps(dps):
+        Qm = [[mp.mpf(x) for x in row] for row in np.asarray(Q).tolist()]
+        A = [[mp.mpf(int(i == j)) for j in range(J)] for i in range(J)]
+        d = [mp.mpf(1)]
+        for j in range(1, J + 1):
+            W = [[mp.fdot(Qm[i], [A[k][c] for k in range(J)]) for c in range(J)] for i in range(J)]
+            d.append(-mp.fsum(W[i][i] for i in range(J)) / j)
+            A = [[W[i][c] + (d[-1] if i == c else 0) for c in range(J)] for i in range(J)]
+        return np.array([float(x) for x in d])
+
+
+def master_system_peak(psi, Q):
+    """``master_system(psi, Q)`` and the tracemalloc peak of the call, bytes."""
+    tracemalloc.start()
+    try:
+        ms = master_system(psi, Q)
+        return ms, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def entry_inputs():
@@ -285,25 +298,47 @@ def game_source_inputs():
 
 
 class TestStreamedAdjugate:
-    @pytest.mark.parametrize("inputs", [entry_inputs, seeded_three_action_inputs, banded_inputs,
-                                        game_source_inputs])
-    def test_same_bits_as_the_stacked_adjugate(self, inputs):
+    @pytest.mark.parametrize("inputs", [entry_inputs, game_source_inputs])
+    def test_det_coeffs_match_mpmath_faddeev(self, inputs):
+        Q_last = inputs()[1][-1]  # J = 18 and J = 24
+        exact = mp_faddeev_det(Q_last)
+        assert np.max(np.abs(det_coeffs(Q_last) - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+    # max|G(beta) - det(beta) u(beta)| / max|det(beta) u(beta)|, the reference
+    # from float64 LU, at beta = 0.3 and 0.6.  Each bound is the figure of
+    # the J-product Faddeev recursion the rows came from before (first
+    # comment pair), unless this code's figure (second pair) is higher: three
+    # cases differ from it in the last digits at the rounding floor.  A
+    # 40-digit mpmath det * u puts both versions at 1.5e-16 for the entry
+    # model at 0.3 (the LU reference itself is 3.0e-16 off), and at 7.2e-12
+    # and 8.6e-12 for the banded model at 0.6 (cancellation in the monomial
+    # rows).
+    @pytest.mark.parametrize("inputs, bounds", [
+        (entry_inputs, (3.9e-16, 9.4e-16)),                # 3.04e-16, 9.43e-16; 3.81e-16, 5.66e-16
+        (seeded_three_action_inputs, (4.46e-16, 4.67e-16)),  # 4.45e-16, 4.67e-16; the same
+        (banded_inputs, (1.26e-14, 8.6e-12)),              # 1.27e-14, 7.18e-12; 1.06e-14, 8.56e-12
+        (game_source_inputs, (9.35e-16, 1.04e-14)),        # 9.35e-16, 9.88e-15; 9.35e-16, 1.04e-14
+    ])
+    def test_rows_match_lu_det_times_payoffs(self, inputs, bounds):
         psi, Q = inputs()
         ms = master_system(psi, Q)
-        g, det = stacked_master_rows(psi, Q)
-        assert np.array_equal(ms.g, g)
-        assert np.array_equal(ms.det, det)
+        J = psi.shape[1]
+        for beta, bound in zip((0.3, 0.6), bounds):
+            ref = np.linalg.det(np.eye(J) - beta * Q[-1]) * recover_payoffs(psi, Q, beta)
+            err = np.max(np.abs(npoly.polyval(beta, ms.g.T) - ref)) / np.max(np.abs(ref))
+            assert err <= bound
 
-    def test_memory_is_quadratic_and_the_adjugate_lazy(self):
+    def test_zero_states_named(self):
+        with pytest.raises(ValueError, match="need at least two actions and one state"):
+            master_system(np.zeros((2, 0)), np.zeros((2, 0, 0)))
+        with pytest.raises(ValueError, match="need at least two actions and one state"):
+            master_system(np.zeros((1, 3)), np.full((1, 3, 3), 1 / 3))
+
+    def test_memory_is_below_the_stack_and_the_adjugate_lazy(self):
         J = 144
         psi, Q = banded_inputs(J)
-        tracemalloc.start()
-        try:
-            ms = master_system(psi, Q)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6  # the J x J x J adjugate alone is 23.9 MB
+        ms, peak = master_system_peak(psi, Q)
+        assert peak < 4e6  # 2.5 MB; the J x J x J adjugate alone is 23.9 MB
         assert "m" not in vars(ms)  # not formed until read
         adj = ms.m
         assert np.array_equal(adj.coeff_mats, faddeev_adj_det(Q[-1])[0].coeff_mats)
@@ -311,6 +346,16 @@ class TestStreamedAdjugate:
         q_last = Q[-1].copy()
         Q[-1] = 0.0  # the system keeps its own copy of Q_last
         assert np.array_equal(ms.q_last, q_last)
+
+    def test_banded_288_memory_and_det(self):
+        J = 288
+        psi, Q = banded_inputs(J)
+        ms, peak = master_system_peak(psi, Q)
+        assert peak < 16e6  # 13.3 MB, 11.3 MB of it baby steps; the J x J x J adjugate is 191 MB
+        sign, logdet = np.linalg.slogdet(np.eye(J) - 0.3 * Q[-1])
+        assert sign == 1.0
+        # relative error 3.9e-9 here and with the J-product recursion
+        assert npoly.polyval(0.3, ms.det) == pytest.approx(np.exp(logdet), rel=1e-8)
 
     def test_game_firm_keeps_its_source_q_last(self):
         from ddcident.games import build_system, expected_objects, solve_mpe
