@@ -100,52 +100,128 @@ def check_stochastic(M, name: str, labels, axis: int = -1) -> None:
         raise ValueError(f"{name} ({where}) {problem}")
 
 
+# Error-free transformations: a pair of floats whose exact sum is the exact
+# result, so that a caller can carry double-double values and round once.
+
+
+def two_sum(a, b):
+    """``a + b = s + e`` exactly (Knuth)."""
+    s = a + b
+    return s, (a - (s - (s - a))) + (b - (s - a))
+
+
+def two_prod(a, b):
+    """``a * b = p + e`` exactly (Dekker, on Veltkamp's 26-bit halves)."""
+    ca, cb = 134217729.0 * a, 134217729.0 * b  # 2**27 + 1
+    a1, b1 = ca - (ca - a), cb - (cb - b)
+    p, a2, b2 = a * b, a - a1, b - b1
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def grid_split(X, n: int, axis=None):
+    """``X = hi + lo`` exactly, ``hi`` a multiple of ``2^(e - p)`` for ``2^e``
+    the power of two above ``max|X|`` along ``axis`` (all of ``X`` by
+    default) and ``p = (51 - bit_length(n)) // 2``, so that a product of such
+    parts with ``n`` terms an entry is exact when the left factor's unit is
+    constant along its rows and the right factor's along its columns."""
+    bits = (51 - n.bit_length()) // 2
+    unit = np.ldexp(1.0, np.frexp(np.max(np.abs(X), axis=axis, keepdims=True))[1] - bits)
+    hi = np.rint(X / unit) * unit
+    return hi, X - hi
+
+
+_BLOCKED_FROM = 64  # the blocked path overtakes the plain one between 64 and 80 states
+
+
 def det_coeffs(Q) -> np.ndarray:
     """The ``J + 1`` coefficients of ``det(I - beta*Q)``, ``d[j]`` multiplying
-    ``beta**j``, by Newton's identities ``d_0 = 1``, ``j d_j = -sum_{i<j} d_i
-    tr(Q^(j-i))``: the ``d_j`` of the Faddeev-LeVerrier recursion from about
-    ``2 sqrt(J)`` matrix products, not ``J`` (Paterson and Stockmeyer, SIAM J.
-    Comput. 1973).  The baby steps ``Q^1..Q^m``, ``m = ceil(sqrt(J))``, are
-    held transposed in one ``(m, J, J)`` array; each giant step ``Q^s``, ``s =
-    m, 2m, ...``, formed one at a time, gives ``tr(Q^(s+b)) = sum_ij (Q^s)_ij
-    (Q^b)_ji`` for every ``b`` in one product.  ``(m + 2) J^2`` floats in all;
-    ``Q`` is checked (square, nonempty, row-stochastic) before any product."""
+    ``beta**j``: those of the Faddeev-LeVerrier recursion ``j d_j = -tr(Q
+    A_{j-1})``, ``A_j = Q A_{j-1} + d_j I``, run as written below
+    ``_BLOCKED_FROM`` states, where its ``J`` products are fastest.
+
+    Above, ``m = ceil(sqrt(J/2))`` coefficients at a time from about ``3m +
+    J/m`` products (Paterson and Stockmeyer's baby and giant steps): with
+    ``Q^1..Q^m`` in one ``(m, J, J)`` array, the block from ``A_s`` solves
+    ``(s + b) d_(s+b) + sum_{i<b} tr(Q^(b-i)) d_(s+i) = -tr(Q^b A_s)``, ``b =
+    1..m``, and ``A_(s+m) = Q^m A_s + sum_i d_(s+i) Q^(m-i)``.  That system
+    cancels, losing up to ten times the recursion's accuracy by ``J = 144`` on
+    float64 traces, so the baby steps are double-double (a part on a fixed
+    grid, whose product with that of ``Q`` is exact, plus a remainder: three
+    products a step) and each solve is refined once on a residual
+    :func:`math.fsum` adds exactly.  About ``(m + 7) J^2`` floats; ``Q`` is
+    checked (square, nonempty, row-stochastic) before any product."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or not Q.size:
         raise ValueError(f"transition matrix must be square with at least one state, got shape {Q.shape}")
     check_stochastic(Q, "transition row", ("state",))
     J = Q.shape[0]
-    m = math.isqrt(J - 1) + 1
-    baby = np.empty((m, J, J))  # baby[b - 1] = (Q^b)^T
-    baby[0] = Q.T
+    d, A = np.ones(J + 1), np.eye(J)
+    if J < _BLOCKED_FROM:  # the plain recursion
+        for j in range(1, J + 1):
+            A = Q @ A
+            d[j] = -np.trace(A) / j
+            A.flat[:: J + 1] += d[j]
+        return d
+    m = math.isqrt((J - 1) // 2) + 1
+    scale = 2.0 ** ((51 - J.bit_length()) // 2 - 1)  # grid parts, all below 2, multiply exactly
+    Q1 = np.rint(Q * scale) / scale
+    Q2 = Q - Q1
+    baby = np.empty((m, J, J))  # baby[b - 1] = Q^b, rounded
+    baby[0] = Q
+    P1, P2, S2, W = Q1.copy(), Q2.copy(), Q2.copy(), np.empty((J, J))  # Q^b = P1 + P2, P1 on the grid
+    t = np.empty((2, m))  # tr(Q^b) = t[0, b - 1] + t[1, b - 1]
+    t[:, 0] = two_sum(np.trace(Q1), np.trace(Q2))
     for b in range(1, m):
-        np.matmul(Q.T, baby[b - 1], out=baby[b])
-    flat, step = baby.reshape(m, J * J), np.ascontiguousarray(baby[-1].T)  # step = Q^m
-    t = np.empty(-(-J // m) * m + 1)  # t[k] = tr(Q^k), k up to the last giant step's
-    t[1 : m + 1] = np.trace(baby, axis1=1, axis2=2)
-    for s in range(m, J, m):
-        giant = step if s == m else giant @ step
-        t[s + 1 : s + m + 1] = flat @ giant.ravel()
-    d = np.ones(J + 1)
-    for j in range(1, J + 1):
-        d[j] = -np.dot(d[:j], t[j:0:-1]) / j
+        S1 = np.matmul(Q1, P1, out=baby[b])  # exact
+        np.matmul(Q2, P1, out=S2)
+        S2 += np.matmul(Q, P2, out=W)
+        t[:, b] = two_sum(np.trace(S1), np.trace(S2))
+        np.add(S1, S2, out=P1)
+        P1 *= scale
+        np.rint(P1, out=P1)
+        P1 /= scale
+        np.subtract(S1, P1, out=P2)
+        P2 += S2
+        S1 += S2
+    lag = np.subtract.outer(np.arange(m), np.arange(m))
+    T, Tlo = np.where(lag > 0, t[:, lag - 1], 0.0)  # T[b, i] = tr(Q^(b-i)) below the diagonal
+    flat, AT, A2 = baby.reshape(m, J * J), P1, P2  # P1 and P2 reused as buffers
+    del Q1, Q2, S2, W
+    for s in range(0, J, m):
+        n = min(m, J - s)
+        np.copyto(AT, A.T)
+        tA = flat[:n] @ AT.ravel()  # tr(Q^b A_s)
+        L = T[:n, :n] + np.diag(np.arange(s + 1.0, s + n + 1.0))
+        Linv = np.linalg.inv(L)
+        x = Linv @ -tA
+        terms = np.hstack([tA[:, None], *two_prod(L, x), Tlo[:n, :n] * x])
+        d[s + 1 : s + n + 1] = x - Linv @ [math.fsum(row) for row in terms]
+        if s + m < J:  # A_(s+m), the sum of the d_(s+i) Q^(m-i) formed in AT
+            np.matmul(baby[-1], A, out=A2)
+            A2 += np.matmul(d[s + m - 1 : s : -1].copy(), flat[: m - 1], out=AT.reshape(-1)).reshape(J, J)
+            A2.flat[:: J + 1] += d[s + m]
+            A, A2 = A2, A
     return d
+
+
+def horner_stack(Q, C) -> np.ndarray:
+    """``Y_0 = C_0``, ``Y_j = Q Y_{j-1} + C_j``, written over the float array
+    ``C`` and returned: with ``C_j = d_j X`` for the :func:`det_coeffs`
+    ``d``, ``Y_j = A_j X``, the adjugate's coefficient matrices ``A_j``
+    (powers of beta matched in ``(I - beta*Q) adj = det I``) times ``X``.
+    ``len(C) - 1`` products."""
+    for j in range(1, len(C)):
+        C[j] += Q @ C[j - 1]
+    return C
 
 
 def faddeev_adj_det(Q) -> tuple[MatrixPoly, npoly.Polynomial]:
     """Adjugate and determinant of ``I - beta*Q`` as explicit polynomials: the
     determinant's ``coef`` is :func:`det_coeffs`, and the degree ``J - 1``
-    adjugate stacks ``A_0 = I``, ``A_j = Q A_{j-1} + d_j I`` (powers of beta
-    matched in ``(I - beta*Q) adj = det I``), ``J`` products and ``J^3`` floats."""
+    adjugate is :func:`horner_stack` of ``d_j I``, ``J^3`` floats."""
     Q = np.asarray(Q, dtype=float)
     d = det_coeffs(Q)
-    J = Q.shape[0]
-    adj = np.empty((J, J, J))
-    adj[0] = np.eye(J)
-    for j in range(1, J):
-        np.matmul(Q, adj[j - 1], out=adj[j])
-        adj[j].flat[:: J + 1] += d[j]
-    return MatrixPoly(adj), npoly.Polynomial(d)
+    return MatrixPoly(horner_stack(Q, d[:-1, None, None] * np.eye(len(Q)))), npoly.Polynomial(d)
 
 
 def require_finite(C) -> None:

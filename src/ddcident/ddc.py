@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .betapoly import MatrixPoly, check_stochastic, det_coeffs, faddeev_adj_det
+from .betapoly import MatrixPoly, check_stochastic, det_coeffs, faddeev_adj_det, grid_split, horner_stack
+from .betapoly import two_prod, two_sum
 from .errors import ConvergenceError
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -207,8 +208,9 @@ class MasterSystem:
     adjugate of ``I - beta*Q[K-1]``; ``G(beta) = det(beta) * U`` at the true
     discount factor.  ``g`` holds the coefficient rows of ``G``, action-major,
     shape ``(J*(K-1), J+1)``; ``det`` holds the ``J + 1`` coefficients of the
-    determinant, from :func:`betapoly.det_coeffs` (about ``2 sqrt(J)`` matrix
-    products, ``sqrt(J) J^2`` floats), and ``q_last`` is ``Q[K-1]``.
+    determinant, from :func:`betapoly.det_coeffs` (about ``3.5 sqrt(J)``
+    matrix products and ``sqrt(J) J^2`` floats from 64 states on), and
+    ``q_last`` is ``Q[K-1]``.
 
     A game firm's system (``games.build_system``) is this system mapped
     through the firm's square blocks, one per exogenous state and own lag:
@@ -251,12 +253,15 @@ class MasterSystem:
 def master_system(psi, Q) -> MasterSystem:
     """Build the determinant/adjugate form of the model's restriction system.
 
-    ``det`` is :func:`betapoly.det_coeffs` of ``Q[K-1]`` (about ``2 sqrt(J)``
-    matrix products, ``sqrt(J) J^2`` floats), and ``a = adj(beta) psi_last``
-    comes from ``a_0 = psi_last``, ``a_j = Q_last a_{j-1} + d_j psi_last``:
-    ``J`` matrix-vector products, the adjugate never formed.  ``(I - beta*Q_k)
-    a`` is then one batched product over the actions, the coefficients of
-    ``a`` minus those of ``Q_k a`` one degree up.
+    ``det`` is :func:`betapoly.det_coeffs` of ``Q[K-1]``, and ``a =
+    adj(beta) psi_last`` comes from ``a_0 = psi_last``, ``a_j = Q_last
+    a_{j-1} + d_j psi_last`` (:func:`betapoly.horner_stack`: ``J``
+    matrix-vector products, the adjugate never formed) in double-double: the
+    recursion's rounding errors, found exactly from :func:`betapoly.grid_split`
+    parts, run through it once more.  The coefficients of ``(I - beta*Q_k) a
+    - det psi_k``, those of ``a`` minus those of ``Q_k a`` one degree up minus
+    ``det psi_k``, cancel, so their three large terms are added exactly and
+    each coefficient rounded once.
 
     Parameters
     ----------
@@ -274,16 +279,42 @@ def master_system(psi, Q) -> MasterSystem:
     if Q.shape != (K, J, J):
         raise ValueError(f"Q must have shape {(K, J, J)} to match psi, got {Q.shape}")
     det = det_coeffs(Q[K - 1])
-    a = np.empty((J, J), order="F")  # column j: coefficient j of adj(beta) @ psi_last
-    a[:, 0] = psi[K - 1]
-    for j in range(1, J):
-        a[:, j] = Q[K - 1] @ a[:, j - 1] + det[j] * psi[K - 1]
-    g = np.zeros((K - 1, J, J + 1))
-    g[..., :-1] = a
-    g[..., 1:] -= Q[: K - 1] @ a
-    # rows at rounding level of the system inputs
-    noise = 1e-12 * max(1.0, float(np.max(np.abs(g))))
-    g -= psi[: K - 1, :, None] * det
+    ah = horner_stack(Q[K - 1], det[:J, None] * psi[K - 1])  # row j: coefficient j of adj psi_last, rounded
+    X1, X2 = grid_split(ah, J, axis=1)
+
+    def times_q(k):  # row j of P1 + P2 is Q_k ah_j, P1 exact
+        H1, H2 = grid_split(Q[k].T, J)
+        return X1 @ H1, X1 @ H2 + X2 @ Q[k].T
+
+    # the recursion's rounding errors, exact to first order, run through it
+    (P1, P2), (p, err) = times_q(K - 1), two_prod(det[:J, None], psi[K - 1])
+    s, e = two_sum(P1[:-1], p[1:])
+    del P1, p
+    s -= ah[1:]  # in place: the temporaries would raise peak memory
+    s += P2[:-1]
+    err[1:] += s
+    err[1:] += e
+    err[0] = 0.0
+    del P2, s, e
+    al = horner_stack(Q[K - 1], err)  # adj psi_last = ah + al
+    # coefficient j of G_k is a_j - Q_k a_(j-1) - d_j psi_k: its three large
+    # terms cancel, so they are added exactly and the sum rounded once
+    g, noise = np.empty((K - 1, J, J + 1)), 1.0
+    for k in range(K - 1):
+        P1, P2 = times_q(k)
+        P2 += al @ Q[k].T  # Q_k a_j = P1 + P2
+        top, lo = np.zeros((J + 1, J)), np.zeros((J + 1, J))
+        top[:-1], lo[:-1] = ah, al
+        top[1:], e = two_sum(top[1:], -P1)
+        lo[1:] += e - P2
+        del P1, P2, e
+        noise = max(noise, float(np.max(np.abs(top))))
+        p, e = two_prod(det[:, None], psi[k])
+        top, e2 = two_sum(top, -p)
+        lo += e2 - e
+        g[k] = (top + lo).T
+        del top, lo, p, e, e2
+    noise *= 1e-12  # rows at rounding level of the system inputs
     q_last = Q[K - 1].copy()
     q_last.setflags(write=False)
     return MasterSystem(det=det, q_last=q_last, g=g.reshape(-1, J + 1), noise=noise)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -16,11 +17,15 @@ from ddcident.betapoly import (
     crossing,
     det_coeffs,
     faddeev_adj_det,
+    grid_split,
+    horner_stack,
     polyval_rows,
     roots_in_interval,
     sign_region,
+    two_prod,
+    two_sum,
 )
-from ddcident import identify
+from ddcident import betapoly, identify
 from ddcident.ddc import MasterSystem
 from ddcident.identify import solve_log_diff
 
@@ -113,15 +118,43 @@ class TestFaddeev:
         for j in range(1, 6):  # A_j = Q A_{j-1} + d_j I
             assert np.array_equal(adj.coeff_mats[j], Q @ adj.coeff_mats[j - 1] + det.coef[j] * np.eye(6))
 
+    @pytest.mark.parametrize("blocked", [False, True])
     @pytest.mark.parametrize("J", [1, 2, 3, 4, 5, 9, 10, 17, 30])
-    def test_det_coeffs_at_every_giant_step_count(self, J):
-        # J around the squares covers a last giant step that is full, one
-        # short, and one with a single trace
+    def test_det_coeffs_at_every_block_count(self, J, blocked, monkeypatch):
+        # blocked, these J have m = 1, 2, 3 and 4 coefficients a block and a
+        # last block that is full, one short, or a single coefficient
+        if blocked:
+            monkeypatch.setattr(betapoly, "_BLOCKED_FROM", 1)
         Q = random_stochastic(np.random.default_rng(J), J)
         d = det_coeffs(Q)
         assert d.shape == (J + 1,) and d[0] == 1.0
         expected = np.poly(Q)  # det(x I - Q), highest power first, is det(I - beta*Q) ascending
         assert np.max(np.abs(d - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_error_free_transformations(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=50) * 10.0 ** rng.integers(-8, 8, 50), rng.normal(size=50)
+        for x, y in zip(a, b):
+            s, e = two_sum(x, y)
+            assert Fraction(s) + Fraction(e) == Fraction(x) + Fraction(y)
+            p, e = two_prod(x, y)
+            assert Fraction(p) + Fraction(e) == Fraction(x) * Fraction(y)
+
+    def test_grid_parts_multiply_exactly(self):
+        J = 40
+        rng = np.random.default_rng(4)
+        L, R = random_stochastic(rng, J), rng.normal(size=(J, J)) * 10.0 ** rng.integers(-5, 5, (1, J))
+        (L1, L2), (R1, R2) = grid_split(L, J), grid_split(R, J, axis=0)  # R's unit per column
+        assert np.array_equal(L1 + L2, L) and np.array_equal(R1 + R2, R)
+        exact = [[sum(Fraction(x) * Fraction(y) for x, y in zip(row, col)) for col in R1.T] for row in L1]
+        assert all(Fraction(v) == e for vs, es in zip((L1 @ R1).tolist(), exact) for v, e in zip(vs, es))
+
+    def test_horner_stack_is_the_adjugate_times_x(self):
+        Q = random_stochastic(np.random.default_rng(6), 5)
+        x = np.arange(5.0)
+        d = det_coeffs(Q)
+        adj = faddeev_adj_det(Q)[0].coeff_mats
+        assert np.allclose(horner_stack(Q, d[:5, None] * x), adj @ x, rtol=0, atol=1e-14)
 
     def test_det_coeffs_check_before_any_product(self):
         with mock.patch("numpy.matmul", side_effect=AssertionError("product before the checks")):

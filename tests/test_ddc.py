@@ -4,6 +4,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
+from ddcident import betapoly
 from ddcident.betapoly import det_coeffs, faddeev_adj_det
 from ddcident.ddc import (
     EULER_GAMMA,
@@ -244,21 +245,40 @@ def banded_transitions(J, seed, band=3):
     return Q
 
 
-def mp_faddeev_det(Q, dps=50):
-    """Coefficients of det(I - beta*Q) by the Faddeev-LeVerrier recursion in
-    mpmath at ``dps`` digits, rounded to floats at the end: shares no code or
-    arithmetic with ``det_coeffs``."""
+def mp_faddeev_error(d, Q, dps=50):
+    """max|d - exact| / max|exact| for the coefficients ``d`` of det(I -
+    beta*Q), the exact ones from the Faddeev-LeVerrier recursion in mpmath at
+    ``dps`` digits, which shares no code or arithmetic with ``det_coeffs``.
+    Its products skip the zeros of ``Q``, so a banded 72-state matrix takes
+    seconds."""
     import mpmath as mp
     J = len(Q)
     with mp.workdps(dps):
-        Qm = [[mp.mpf(x) for x in row] for row in np.asarray(Q).tolist()]
+        rows = [[(k, mp.mpf(x)) for k, x in enumerate(row) if x] for row in np.asarray(Q).tolist()]
         A = [[mp.mpf(int(i == j)) for j in range(J)] for i in range(J)]
-        d = [mp.mpf(1)]
+        exact = [mp.mpf(1)]
         for j in range(1, J + 1):
-            W = [[mp.fdot(Qm[i], [A[k][c] for k in range(J)]) for c in range(J)] for i in range(J)]
-            d.append(-mp.fsum(W[i][i] for i in range(J)) / j)
-            A = [[W[i][c] + (d[-1] if i == c else 0) for c in range(J)] for i in range(J)]
-        return np.array([float(x) for x in d])
+            W = [[mp.fdot((q, A[k][c]) for k, q in row) for c in range(J)] for row in rows]
+            exact.append(-mp.fsum(W[i][i] for i in range(J)) / j)
+            A = [[W[i][c] + (exact[-1] if i == c else 0) for c in range(J)] for i in range(J)]
+        return float(max(abs(x - e) for x, e in zip(np.asarray(d).tolist(), exact)) / max(map(abs, exact)))
+
+
+def mp_rows_error(ms, psi, Q, beta, dps=40):
+    """max|G(beta) - det(beta) u(beta)| / max|det(beta) u(beta)|: the rows'
+    float coefficients evaluated exactly, against det and the payoffs
+    ``u_k = -psi_k + (I - beta Q_k) V``, ``(I - beta Q_last) V = psi_last``,
+    in mpmath at ``dps`` digits."""
+    import mpmath as mp
+    K, J = psi.shape
+    with mp.workdps(dps):
+        b = mp.mpf(beta)
+        M = mp.matrix([[int(i == j) - b * mp.mpf(x) for j, x in enumerate(row)] for i, row in enumerate(Q[-1].tolist())])
+        det, V = mp.det(M), mp.lu_solve(M, mp.matrix(psi[-1].tolist()))
+        ref = [det * (-mp.mpf(psi[k, i]) + V[i] - b * mp.fdot(Q[k, i].tolist(), V))
+               for k in range(K - 1) for i in range(J)]
+        rows = [mp.polyval([mp.mpf(c) for c in row[::-1]], b) for row in ms.g.tolist()]
+        return float(max(abs(r - e) for r, e in zip(rows, ref)) / max(abs(e) for e in ref))
 
 
 def master_system_peak(psi, Q):
@@ -298,35 +318,39 @@ def game_source_inputs():
 
 
 class TestStreamedAdjugate:
-    @pytest.mark.parametrize("inputs", [entry_inputs, game_source_inputs])
-    def test_det_coeffs_match_mpmath_faddeev(self, inputs):
-        Q_last = inputs()[1][-1]  # J = 18 and J = 24
-        exact = mp_faddeev_det(Q_last)
-        assert np.max(np.abs(det_coeffs(Q_last) - exact)) <= 1e-14 * np.max(np.abs(exact))
-
-    # max|G(beta) - det(beta) u(beta)| / max|det(beta) u(beta)|, the reference
-    # from float64 LU, at beta = 0.3 and 0.6.  Each bound is the figure of
-    # the J-product Faddeev recursion the rows came from before (first
-    # comment pair), unless this code's figure (second pair) is higher: three
-    # cases differ from it in the last digits at the rounding floor.  A
-    # 40-digit mpmath det * u puts both versions at 1.5e-16 for the entry
-    # model at 0.3 (the LU reference itself is 3.0e-16 off), and at 7.2e-12
-    # and 8.6e-12 for the banded model at 0.6 (cancellation in the monomial
-    # rows).
-    @pytest.mark.parametrize("inputs, bounds", [
-        (entry_inputs, (3.9e-16, 9.4e-16)),                # 3.04e-16, 9.43e-16; 3.81e-16, 5.66e-16
-        (seeded_three_action_inputs, (4.46e-16, 4.67e-16)),  # 4.45e-16, 4.67e-16; the same
-        (banded_inputs, (1.26e-14, 8.6e-12)),              # 1.27e-14, 7.18e-12; 1.06e-14, 8.56e-12
-        (game_source_inputs, (9.35e-16, 1.04e-14)),        # 9.35e-16, 9.88e-15; 9.35e-16, 1.04e-14
+    @pytest.mark.parametrize("inputs, blocked, bound", [
+        (entry_inputs, False, 1e-14),        # J = 18: 1.6e-16
+        (game_source_inputs, False, 1e-14),  # J = 24: 2.6e-16
+        (entry_inputs, True, 3e-16),         # 1.6e-16
+        (game_source_inputs, True, 3e-16),   # 6.2e-17
     ])
-    def test_rows_match_lu_det_times_payoffs(self, inputs, bounds):
+    def test_det_coeffs_match_mpmath_faddeev(self, inputs, blocked, bound, monkeypatch):
+        if blocked:  # the baby-step/giant-step path from the first state on
+            monkeypatch.setattr(betapoly, "_BLOCKED_FROM", 1)
+        Q_last = inputs()[1][-1]
+        assert mp_faddeev_error(det_coeffs(Q_last), Q_last) <= bound
+
+    def test_det_coeffs_at_72_states_as_accurate_as_the_recursion(self):
+        # 1.3e-16 here and with the J-product recursion; Newton's identities
+        # on float64 power traces give 1.5e-15 on this matrix
+        Q_last = banded_transitions(72, 2)[-1]
+        assert mp_faddeev_error(det_coeffs(Q_last), Q_last) <= 3e-16
+
+    # mp_rows_error at beta = 0.3 and 0.6.  Each bound is, rounded down, the
+    # figure of rows built in float64 throughout (the J-product recursion,
+    # the adjugate's terms times psi_last, a float64 assembly); the figure of
+    # master_system's double-double rows is in the comment.
+    @pytest.mark.parametrize("inputs, bounds", [
+        (entry_inputs, (1.67e-16, 9.95e-16)),                # 1.41e-16, 7.47e-16
+        (seeded_three_action_inputs, (1.15e-16, 3.75e-16)),  # 3.50e-17, 1.10e-16
+        (banded_inputs, (1.07e-14, 7.50e-12)),               # 7.88e-15, 5.79e-12
+        (game_source_inputs, (6.96e-16, 9.36e-15)),          # 2.73e-16, 2.73e-15
+    ])
+    def test_rows_match_mpmath_det_times_payoffs(self, inputs, bounds):
         psi, Q = inputs()
         ms = master_system(psi, Q)
-        J = psi.shape[1]
         for beta, bound in zip((0.3, 0.6), bounds):
-            ref = np.linalg.det(np.eye(J) - beta * Q[-1]) * recover_payoffs(psi, Q, beta)
-            err = np.max(np.abs(npoly.polyval(beta, ms.g.T) - ref)) / np.max(np.abs(ref))
-            assert err <= bound
+            assert mp_rows_error(ms, psi, Q, beta) <= bound
 
     def test_zero_states_named(self):
         with pytest.raises(ValueError, match="need at least two actions and one state"):
@@ -338,7 +362,7 @@ class TestStreamedAdjugate:
         J = 144
         psi, Q = banded_inputs(J)
         ms, peak = master_system_peak(psi, Q)
-        assert peak < 4e6  # 2.5 MB; the J x J x J adjugate alone is 23.9 MB
+        assert peak < 4e6  # 3.0 MB; the J x J x J adjugate alone is 23.9 MB
         assert "m" not in vars(ms)  # not formed until read
         adj = ms.m
         assert np.array_equal(adj.coeff_mats, faddeev_adj_det(Q[-1])[0].coeff_mats)
@@ -351,10 +375,10 @@ class TestStreamedAdjugate:
         J = 288
         psi, Q = banded_inputs(J)
         ms, peak = master_system_peak(psi, Q)
-        assert peak < 16e6  # 13.3 MB, 11.3 MB of it baby steps; the J x J x J adjugate is 191 MB
+        assert peak < 16e6  # 13.9 MB, 8.0 MB of it the 12 baby steps; the J x J x J adjugate is 191 MB
         sign, logdet = np.linalg.slogdet(np.eye(J) - 0.3 * Q[-1])
         assert sign == 1.0
-        # relative error 3.9e-9 here and with the J-product recursion
+        # relative error 3.8e-10 here, 3.9e-9 with the J-product recursion
         assert npoly.polyval(0.3, ms.det) == pytest.approx(np.exp(logdet), rel=1e-8)
 
     def test_game_firm_keeps_its_source_q_last(self):
