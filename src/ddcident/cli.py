@@ -85,7 +85,7 @@ def _check_config(cfg) -> tuple:
     def numbers(name):
         try:
             arr = np.asarray(cfg.get(name, []), dtype=float)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:  # an int beyond float range overflows
             return issue(name, f"{name} must be an array of numbers: {err}")
         if not np.all(np.isfinite(arr)):
             return issue(name, f"{name} must be finite")
@@ -134,31 +134,23 @@ def _check_config(cfg) -> tuple:
     elif not rdicts:
         issue("restrictions", "config defines no restrictions; run needs at least one")
     inline = {}
-    for r, rd in enumerate(rdicts):
+    for r, rd in enumerate(rdicts):  # the format is the decoder's; its size and labels the config's
         field = f"restrictions[{r}]"
-        if not isinstance(rd, dict) or rd.get("kind") not in ("equality", "inequality_ge"):
-            issue(f"{field}.kind", "kind must be 'equality' or 'inequality_ge'")
-            continue
-        label = rd.get("label")
-        if not isinstance(label, str) or not label:
-            issue(f"{field}.label", "label must be a nonempty string")
-            label = None
-        elif label in inline:
-            issue(f"{field}.label", f"duplicate label {label!r}")
-        if rd.get("n_columns") != p_cols:
+        if isinstance(rd, dict) and rd.get("n_columns") != p_cols:
             issue(f"{field}.n_columns", f"n_columns must be {p_cols}, the number of stacked payoff cells")
-            continue
-        if not isinstance(rd.get("rows"), list) or not rd["rows"]:
-            issue(f"{field}.rows", "rows must be a nonempty list")
             continue
         try:
             rs = RestrictionSet.from_json_dict(rd)
-        except (KeyError, TypeError, ValueError, IndexError) as err:
+        except (ValueError, IndexError) as err:
             issue(field, f"cannot build the restriction: {type(err).__name__}: {err}")
             continue
-        if not (np.all(np.isfinite(rs.R)) and np.all(np.isfinite(rs.c))):
-            issue(field, "restriction values must be finite")
-        inline.setdefault(label, rs)
+        if not rs.label:
+            issue(f"{field}.label", "label must be a nonempty string")
+        elif rs.label in inline:
+            issue(f"{field}.label", f"duplicate label {rs.label!r}")
+        if not rs.n_rows:
+            issue(f"{field}.rows", "rows must be a nonempty list")
+        inline.setdefault(rs.label, rs)
     if issues:
         return issues, None, None
     # the model's own checks (sign, beta range, sizes): what validate

@@ -256,12 +256,13 @@ def master_system(psi, Q) -> MasterSystem:
     ``det`` is :func:`betapoly.det_coeffs` of ``Q[K-1]``, and ``a =
     adj(beta) psi_last`` comes from ``a_0 = psi_last``, ``a_j = Q_last
     a_{j-1} + d_j psi_last`` (:func:`betapoly.horner_stack`: ``J``
-    matrix-vector products, the adjugate never formed) in double-double: the
-    recursion's rounding errors, found exactly from :func:`betapoly.grid_split`
-    parts, run through it once more.  The coefficients of ``(I - beta*Q_k) a
-    - det psi_k``, those of ``a`` minus those of ``Q_k a`` one degree up minus
-    ``det psi_k``, cancel, so their three large terms are added exactly and
-    each coefficient rounded once.
+    matrix-vector products, the adjugate never formed) in double-double.  The
+    coefficients of ``(I - beta*Q_k) a - det psi_k``, those of ``a`` minus
+    those of ``Q_k a`` one degree up minus ``det psi_k``, cancel, so one
+    kernel adds their three large terms exactly (:func:`betapoly.grid_split`
+    parts) and rounds each coefficient once.  For ``k = K-1`` they vanish in
+    exact arithmetic: the kernel's values there are minus the recursion's
+    rounding errors, which run through it once more.
 
     Parameters
     ----------
@@ -282,38 +283,32 @@ def master_system(psi, Q) -> MasterSystem:
     ah = horner_stack(Q[K - 1], det[:J, None] * psi[K - 1])  # row j: coefficient j of adj psi_last, rounded
     X1, X2 = grid_split(ah, J, axis=1)
 
-    def times_q(k):  # row j of P1 + P2 is Q_k ah_j, P1 exact
-        H1, H2 = grid_split(Q[k].T, J)
-        return X1 @ H1, X1 @ H2 + X2 @ Q[k].T
-
-    # the recursion's rounding errors, exact to first order, run through it
-    (P1, P2), (p, err) = times_q(K - 1), two_prod(det[:J, None], psi[K - 1])
-    s, e = two_sum(P1[:-1], p[1:])
-    del P1, p
-    s -= ah[1:]  # in place: the temporaries would raise peak memory
-    s += P2[:-1]
-    err[1:] += s
-    err[1:] += e
-    err[0] = 0.0
-    del P2, s, e
-    al = horner_stack(Q[K - 1], err)  # adj psi_last = ah + al
-    # coefficient j of G_k is a_j - Q_k a_(j-1) - d_j psi_k: its three large
-    # terms cancel, so they are added exactly and the sum rounded once
-    g, noise = np.empty((K - 1, J, J + 1)), 1.0
-    for k in range(K - 1):
-        P1, P2 = times_q(k)
-        P2 += al @ Q[k].T  # Q_k a_j = P1 + P2
+    def residual(k, al=None):
+        """Coefficient rows of ``G_k``, ``a_j - Q_k a_(j-1) - d_j psi_k`` with
+        ``a = ah + al`` (``al`` zero if ``None``), and the largest ``|ah_j -
+        Q_k ah_(j-1)|``, the scale of the system's noise."""
+        P1, P2 = (X1 @ H for H in grid_split(Q[k].T, J))  # row j of P1 + P2 is Q_k ah_j, P1 exact
+        P2 += X2 @ Q[k].T
         top, lo = np.zeros((J + 1, J)), np.zeros((J + 1, J))
-        top[:-1], lo[:-1] = ah, al
+        top[:-1] = ah
+        if al is not None:
+            P2 += al @ Q[k].T
+            lo[:-1] = al
         top[1:], e = two_sum(top[1:], -P1)
         lo[1:] += e - P2
         del P1, P2, e
-        noise = max(noise, float(np.max(np.abs(top))))
+        big = float(np.max(np.abs(top)))
         p, e = two_prod(det[:, None], psi[k])
         top, e2 = two_sum(top, -p)
         lo += e2 - e
-        g[k] = (top + lo).T
-        del top, lo, p, e, e2
+        return (top + lo).T, big
+
+    # the recursion's rounding errors, exact to first order, run through it
+    al = horner_stack(Q[K - 1], -residual(K - 1)[0].T[:J])  # adj psi_last = ah + al
+    g, noise = np.empty((K - 1, J, J + 1)), 1.0
+    for k in range(K - 1):
+        g[k], big = residual(k, al)
+        noise = max(noise, big)
     noise *= 1e-12  # rows at rounding level of the system inputs
     q_last = Q[K - 1].copy()
     q_last.setflags(write=False)

@@ -214,6 +214,9 @@ def solve_log_diff(master: MasterSystem, r, c: float) -> RootSet:
     r = np.asarray(r, dtype=float)
     if r.shape != (master.n_rows,):
         raise ValueError(f"log-difference weights have length {r.size}; the system has {master.n_rows} rows")
+    for name, x in (("weights", r), ("target", c)):  # NaN would pass every check below
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"log-difference {name} must be finite, got {x}")
     if abs(r.sum()) > 1e-10:
         raise ValueError("log-difference weights must sum to zero")
     active = np.nonzero(r)[0]

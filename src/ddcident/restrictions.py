@@ -16,6 +16,7 @@ of ``games.payoff_cells`` and use the same assembler.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,26 +75,15 @@ class FactoredStates:
     def grid(self, axis: str) -> np.ndarray:
         return self.grids[self.axis_pos(axis)]
 
-    def state_index(self, coords) -> int:
-        """Flat state index from per-axis grid indices (first axis fastest); an
-        index off its axis, or not an integer, raises ``IndexError``."""
-        axes = self.axes[::-1]
-        return int(_flat_points([[coords[a] for a in axes]], axes, self.shape[::-1])[0])
-
-    def column(self, action: int, coords) -> int:
-        if not 0 <= action < self.n_actions - 1:
-            raise IndexError(f"action {action} has no payoff column (normalized or out of range)")
-        return action * self.n_states + self.state_index(coords)
-
     def cells(self, action: int, *axes: str) -> np.ndarray:
         """Payoff columns of ``action``, one dimension per grid axis, with the
-        named ``axes`` moved last in the order given (see the class docstring)."""
-        if not 0 <= action < self.n_actions - 1:
-            raise IndexError(f"action {action} has no payoff column (normalized or out of range)")
+        named ``axes`` moved last in the order given (see the class docstring);
+        an action outside ``0..K-2``, or not an integer, raises ``IndexError``."""
+        k = _flat_points(action, ("action",), (self.n_actions - 1,))[0]
         pos = [self.axis_pos(a) for a in axes]
         if len(set(axes)) < len(axes):
             raise ValueError(f"axis {max(axes, key=axes.count)!r} is named more than once")
-        flat = action * self.n_states + np.arange(self.n_states).reshape(self.shape, order="F")
+        flat = k * self.n_states + np.arange(self.n_states).reshape(self.shape, order="F")
         return np.moveaxis(flat, pos, range(len(self.axes) - len(pos), len(self.axes)))
 
     def find_on_grid(self, axis: str, value: float) -> int:
@@ -141,16 +131,23 @@ class RestrictionSet:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RestrictionSet":
-        """Decode :meth:`to_json_dict`; a column that is not an int (a bool
-        included) or is off ``0..n_columns-1`` is an ``IndexError``, and a
-        column given twice, a value that is not a number (a bool included) or
-        a ``vals`` list whose length is not that of ``cols`` is a
-        ``ValueError``."""
-        kind = {"equality": "eq", "inequality_ge": "ge"}[d["kind"]]
-        n = d["n_columns"]
-        R = np.zeros((len(d["rows"]), n))
-        for i, row in enumerate(d["rows"]):
-            cols, vals = row["cols"], row["vals"]
+        """Decode :meth:`to_json_dict`, naming what it cannot read: a column
+        that is not an int (a bool included) or is off ``0..n_columns-1`` is
+        an ``IndexError``, and any other departure from the format (an unknown
+        ``kind``, a column given twice, ``vals`` or ``c`` entries that are not
+        finite numbers, bools and strings included, ``vals`` not one per
+        column, ``c`` not one per row) is a ``ValueError``."""
+        def numbers(xs):  # finite as floats, and no bool
+            return isinstance(xs, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                                and abs(v) <= sys.float_info.max for v in xs)
+        if not isinstance(d, dict) or d.get("kind") not in ("equality", "inequality_ge"):
+            raise ValueError("a restriction must be an object whose kind is 'equality' or 'inequality_ge'")
+        n, rows, label = d.get("n_columns"), d.get("rows"), d.get("label", "")
+        if not (type(n) is int and n >= 0 and isinstance(rows, list) and isinstance(label, str)):
+            raise ValueError("n_columns must be an integer of at least 0, rows a list and label a string")
+        R = np.zeros((len(rows), n))
+        for i, row in enumerate(rows):
+            cols, vals = (row.get("cols"), row.get("vals")) if isinstance(row, dict) else (None, None)
             if not (isinstance(cols, list) and all(type(c) is int for c in cols)):
                 raise IndexError(f"rows[{i}]: cols must be a list of integers")
             bad = [c for c in cols if not 0 <= c < n]
@@ -159,13 +156,14 @@ class RestrictionSet:
             if len(set(cols)) < len(cols):
                 twice = next(c for c in cols if cols.count(c) > 1)
                 raise ValueError(f"rows[{i}]: column {twice} is given more than once")
-            if not (isinstance(vals, list)
-                    and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals)):
-                raise ValueError(f"rows[{i}]: vals must be a list of numbers")
+            if not numbers(vals):
+                raise ValueError(f"rows[{i}]: vals must be a list of numbers, all finite")
             if len(vals) != len(cols):
                 raise ValueError(f"rows[{i}]: {len(vals)} vals for {len(cols)} cols")
             R[i, cols] = vals
-        return cls(R=R, c=np.asarray(d["c"], dtype=float), kind=kind, label=d.get("label", ""))
+        if not (numbers(d.get("c")) and len(d["c"]) == len(rows)):
+            raise ValueError(f"c must be a list of numbers, all finite, one per row ({len(rows)})")
+        return cls(R=R, c=d["c"], kind="eq" if d["kind"] == "equality" else "ge", label=label)
 
 
 def _stencil_rows(n_columns: int, *terms) -> np.ndarray:
@@ -184,9 +182,9 @@ def _flat_points(points, axes, shape) -> np.ndarray:
     """Flat C-order indices of grid index tuples over ``axes``, a single
     index standing for a one-element list (the command line gives one as a
     scalar); an index off its axis, or not an integer, raises ``IndexError``
-    (numpy would wrap a negative one, a cast would truncate a fraction, and a
-    bool in a list of ints would read as 0 or 1)."""
-    flags = [v for v in np.asarray(points, dtype=object).flat if isinstance(v, (bool, np.bool_))]
+    (numpy would wrap a negative one, a cast would truncate a fraction, a
+    bool in a list of ints would read as 0 or 1, and a string as its digits)."""
+    flags = [v for v in np.asarray(points, dtype=object).flat if isinstance(v, (bool, np.bool_, str))]
     if flags:
         raise IndexError(f"index {flags[0]} on axes {axes} is not an integer")
     pts = np.asarray(points)
@@ -309,13 +307,14 @@ def exclusion(fs: FactoredStates, pair_a, pair_b) -> RestrictionSet:
     last action, its term is dropped (that payoff is identically zero).
     """
     (ka, ca), (kb, cb) = pair_a, pair_b
+    axes = fs.axes[::-1]  # C order over the reversed axes is the flat state order
+    pairs = [(ka, ca)] if kb == fs.n_actions - 1 else [(ka, ca), (kb, cb)]  # the normalized action has no column
+    cols = [fs.cells(k, *axes).flat[_flat_points([[x[a] for a in axes]], axes, fs.shape[::-1])[0]]
+            for k, x in pairs]
+    if len(set(cols)) < len(cols):
+        raise ValueError("exclusion must reference two distinct action-state pairs")
     row = np.zeros(fs.n_columns)
-    row[fs.column(ka, ca)] += 1.0
-    if kb != fs.n_actions - 1:  # the normalized action contributes nothing
-        col_b = fs.column(kb, cb)
-        if row[col_b] != 0.0:
-            raise ValueError("exclusion must reference two distinct action-state pairs")
-        row[col_b] -= 1.0
+    row[cols] = [1.0, -1.0][: len(cols)]
     return RestrictionSet(row[None, :], 0.0, "eq", label="exclusion")
 
 

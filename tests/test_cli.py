@@ -19,6 +19,7 @@ from ddcident.cli import (
     parse_restriction_specs,
     validate_config,
 )
+from ddcident.ddc import SingleAgentModel, solve_bellman
 from ddcident.identify import IdentifiedSet
 from ddcident.scenarios import build_entry_model
 
@@ -99,6 +100,7 @@ class TestValidate:
         ("restrictions.n_columns", 5, "n_columns must be 18"),
         ("Q", "abc", "Q must be an array of numbers"),
         ("payoffs", [[0.0, 1.0], [0.0]], "payoffs must be an array of numbers"),
+        ("payoffs", [[10 ** 400] * 18, [0] * 18], "payoffs must be an array of numbers"),  # a traceback once
         ("restrictions.cols", ["x"], "cols must be a list of integers"),
     ])
     def test_validate_and_run_agree(self, entry_config, tmp_path, capsys, field, value, message):
@@ -145,6 +147,39 @@ class TestValidate:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "invalid_config", "issues": issues}
+
+    @pytest.mark.parametrize("edit", [
+        {"c": [0.5]},           # once broadcast to every row
+        {"c": "3"},             # once read as 3.0
+        {"c": True},
+        {"c": ["1"] * 8},
+        {"c": [True] + [0] * 7},
+        {"c": [float("nan")] * 8},
+        {"vals": [float("inf")]},
+        {"kind": "inequality"},  # once a KeyError
+    ], ids=["c-one-entry", "c-string", "c-bool", "c-strings", "c-with-bool", "c-nan", "vals-inf", "kind"])
+    def test_decoder_errors_reported_per_restriction(self, entry_config, tmp_path, capsys, edit):
+        # the decoder owns the row format: validate and run report its error
+        # under the restriction's index
+        message = {"c": "c must be a list of numbers, all finite, one per row (8)",
+                   "vals": "rows[0]: vals must be a list of numbers, all finite",
+                   "kind": "a restriction must be an object whose kind is"}[next(iter(edit))]
+        _, cfg = entry_config
+        bad = json.loads(json.dumps(cfg))
+        if "vals" in edit:
+            bad["restrictions"][0]["rows"][0].update(cols=[0], **edit)
+        else:
+            bad["restrictions"][0].update(edit)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["validate", "--config", str(path)]) == 2
+        issues = json.loads(capsys.readouterr().out)["issues"]
+        assert len(issues) == 1 and issues[0]["field"] == "restrictions[0]"
+        assert issues[0]["message"].startswith(f"cannot build the restriction: ValueError: {message}")
+        rc = main(["run", "--config", str(path), "--restrictions", "zero-cross",
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "invalid_config", "issues": issues}
 
     def test_duplicate_labels_reported(self, entry_config):
         _, cfg = entry_config
@@ -314,6 +349,30 @@ class TestReferenceConfigs:
         assert rc == 0
         ident = json.loads((out / "identified_set.json").read_text())
         assert ident["restrictions"]["homogeneity"]["equality_roots"] == pytest.approx([0.95], abs=1e-4)
+
+    def test_ccp_config_sets_match_the_payoff_config(self, tmp_path):
+        # entry_model_ccps.json is entry_model.json with its model's CCPs from
+        # solve_bellman in place of payoffs and beta, so psi_from_ccps gives
+        # the solver's psi to rounding, and the sets agree
+        cfg, ccp_cfg = (json.loads((REPO / "configs" / f"{name}.json").read_text())
+                        for name in ("entry_model", "entry_model_ccps"))
+        assert {k: v for k, v in cfg.items() if k not in ("payoffs", "beta")} \
+            == {k: v for k, v in ccp_cfg.items() if k != "ccps"}
+        p = solve_bellman(SingleAgentModel(np.array(cfg["payoffs"]), np.array(cfg["Q"]), cfg["beta"])).p
+        assert np.allclose(ccp_cfg["ccps"], p, rtol=1e-12, atol=0.0)
+        sets = []
+        for name in ("entry_model", "entry_model_ccps"):
+            assert main(["run", "--config", str(REPO / "configs" / f"{name}.json"), "--restrictions",
+                         ",".join(r["label"] for r in cfg["restrictions"]), "--beta-grid", "0:1:11",
+                         "--out-dir", str(tmp_path / name)]) == 0
+            sets.append(json.loads((tmp_path / name / "identified_set.json").read_text()))
+        six, ccps = sets
+        assert six.keys() == ccps.keys() and six["restrictions"].keys() == ccps["restrictions"].keys()
+        for a, b in [(six["combined"], ccps["combined"])] + [
+                (six["restrictions"][k], ccps["restrictions"][k]) for k in six["restrictions"]]:
+            for key in ("equality_roots", "inequality_intervals", "combined"):
+                assert (a[key] is None) == (b[key] is None)
+                assert np.ravel(a[key] or []) == pytest.approx(np.ravel(b[key] or []), rel=0.0, abs=1e-10)
 
 
 class TestOnePipeline:

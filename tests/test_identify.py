@@ -218,6 +218,19 @@ class TestLogDiff:
         with pytest.raises(ValueError):
             solve_log_diff(ms, bad, 0.0)
 
+    @pytest.mark.parametrize("name, bad", [("weights", np.nan), ("weights", np.inf), ("target", np.nan)])
+    def test_non_finite_weights_or_target_named(self, planted, name, bad):
+        # NaN fails every comparison, so it once passed the sum check and the
+        # solve ended in "undefined everywhere on [0, 1)"
+        ms, r, c = planted
+        r = r.copy()
+        if name == "weights":
+            r[np.flatnonzero(r)[:2]] = bad
+        else:
+            c = bad
+        with pytest.raises(ValueError, match=f"log-difference {name} must be finite"):
+            solve_log_diff(ms, r, c)
+
     @pytest.mark.parametrize("r", [[1.0, -1.0, 0.0], [1.0, -1.0, 0.0, 0.0, 0.0]])
     def test_weights_need_one_per_row(self, r):
         # a 4-row system: a short or long weight vector used to be read as if

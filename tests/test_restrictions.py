@@ -45,28 +45,54 @@ def payoff_on(fs, fn):
     return out
 
 
+def exclusion_column(fs, action, coords):
+    """The one column of the exclusion row of ``(action, coords)`` against
+    the normalized action."""
+    (col,) = np.flatnonzero(exclusion(fs, (action, coords), (fs.n_actions - 1, coords)).R[0])
+    return int(col)
+
+
 class TestIndexing:
+    """Payoff columns, as ``exclusion`` and ``cells`` index them."""
+
     def test_first_axis_fastest(self, entry_states):
         fs = entry_states
-        assert fs.state_index({"w": 1, "z": 0, "y": 0}) == 1
-        assert fs.state_index({"w": 0, "z": 1, "y": 0}) == 3
-        assert fs.state_index({"w": 0, "z": 0, "y": 1}) == 9
+        for coords, col in (({"w": 1, "z": 0, "y": 0}, 1), ({"w": 0, "z": 1, "y": 0}, 3),
+                            ({"w": 0, "z": 0, "y": 1}, 9)):
+            assert exclusion_column(fs, 0, coords) == col
+            assert fs.cells(0)[coords["w"], coords["z"], coords["y"]] == col
         assert fs.n_states == 18
 
     @pytest.mark.parametrize("coords", [{"w": 0.7, "z": 0, "y": 0}, {"w": 0, "z": 2.5, "y": 0},
-                                        {"w": -1, "z": 0, "y": 0}, {"w": 0, "z": 0, "y": 2}])
+                                        {"w": -1, "z": 0, "y": 0}, {"w": 0, "z": 0, "y": 2},
+                                        {"w": 0, "z": True, "y": 0}, {"w": 0, "z": "1", "y": 0}])
     def test_fractional_or_off_axis_index_rejected(self, entry_states, coords):
-        with pytest.raises(IndexError):
-            entry_states.state_index(coords)
+        other = {"w": 1, "z": 1, "y": 1}
         with pytest.raises(IndexError):  # not the row of the truncated index
-            exclusion(entry_states, (0, coords), (0, {"w": 1, "z": 1, "y": 1}))
+            exclusion(entry_states, (0, coords), (0, other))
+        with pytest.raises(IndexError):
+            exclusion(entry_states, (0, other), (0, coords))
 
     def test_integral_float_index_accepted(self, entry_states):
-        assert entry_states.state_index({"w": 1.0, "z": 2.0, "y": np.int64(1)}) == 16
+        assert exclusion_column(entry_states, 0, {"w": 1.0, "z": 2.0, "y": np.int64(1)}) == 16
+        assert exclusion_column(entry_states, 0.0, {"w": 1, "z": 2, "y": 1}) == 16  # a float column once
 
     def test_column_bounds(self, entry_states):
+        coords = {"w": 0, "z": 0, "y": 0}
+        with pytest.raises(IndexError):  # normalized action
+            exclusion(entry_states, (1, coords), (0, {"w": 1, "z": 0, "y": 0}))
         with pytest.raises(IndexError):
-            entry_states.column(1, {"w": 0, "z": 0, "y": 0})  # normalized action
+            entry_states.cells(1)
+
+    @pytest.mark.parametrize("action", [True, False, 0.5, "1", -1, 2])
+    def test_action_that_is_not_an_index_rejected(self, action):
+        # K = 3: a bool read as 0 or 1, a fraction shifted every column, a
+        # string read as its digits
+        fs = FactoredStates(axes=("w",), grids=(np.array([0.0, 1.0]),), n_actions=3)
+        with pytest.raises(IndexError):
+            fs.cells(action)
+        with pytest.raises(IndexError):  # not action 1's rows
+            monotonicity(fs, action, "w")
 
     def test_missing_grid_point(self, entry_states):
         with pytest.raises(ValueError, match="not on the"):
@@ -98,9 +124,7 @@ class TestLogHomogeneity:
         rs = log_homogeneity(ray_states, 0, base=1.0, lambdas=[2.0, 4.0])
         assert rs.n_rows == 2  # J_z * (L-2)
         row = rs.R[0]
-        i4 = ray_states.column(0, {"w": 2, "z": 0})
-        i2 = ray_states.column(0, {"w": 1, "z": 0})
-        i1 = ray_states.column(0, {"w": 0, "z": 0})
+        i1, i2, i4 = ray_states.cells(0)[:, 0]
         assert row[i4] == pytest.approx(1.0 / np.log(4.0))
         assert row[i2] == pytest.approx(-1.0 / np.log(2.0))
         assert row[i1] == pytest.approx(1.0 / np.log(2.0) - 1.0 / np.log(4.0))
@@ -286,9 +310,7 @@ class TestLogDiff:
         r, c = log_diff_restriction(ray_states, 0, base=1.0, lambdas=[2.0, 4.0])
         assert c == 0.0
         assert abs(r.sum()) < 1e-12
-        i1 = ray_states.column(0, {"w": 0, "z": 0})
-        i2 = ray_states.column(0, {"w": 1, "z": 0})
-        i4 = ray_states.column(0, {"w": 2, "z": 0})
+        i1, i2, i4 = ray_states.cells(0)[:, 0]
         assert r[i4] == pytest.approx(1.0 / np.log(4.0))
         assert r[i2] == pytest.approx(-1.0 / np.log(2.0))
         assert r[i1] == pytest.approx(1.0 / np.log(2.0) - 1.0 / np.log(4.0))
@@ -336,11 +358,40 @@ class TestSetPlumbing:
         ([0], ["3"], "vals must be a list of numbers"),       # numpy would read 3.0
         ([0], [True], "vals must be a list of numbers"),      # and 1.0
         ([0], 2.0, "vals must be a list of numbers"),
+        ([0], [float("nan")], "vals must be a list of numbers, all finite"),  # once read as NaN
+        ([0], [float("inf")], "vals must be a list of numbers, all finite"),
+        ([0], [-float("inf")], "vals must be a list of numbers, all finite"),
+        ([0], [10 ** 400], "vals must be a list of numbers, all finite"),     # an OverflowError once
     ])
     def test_decoder_rejects_bad_values(self, entry_states, cols, vals, message):
         d = monotonicity(entry_states, 0, "z").to_json_dict()
         d["rows"][0].update(cols=cols, vals=vals)
         with pytest.raises(ValueError, match=f"rows\\[0\\]: {message}"):
+            RestrictionSet.from_json_dict(d)
+
+    @pytest.mark.parametrize("c", [
+        [0.5],             # once broadcast to every row
+        "3",               # once read as 3.0
+        True,              # and as 1.0
+        ["1", "2", "3"],
+        [True, 1, 2],
+        [0.0, float("nan"), 0.0],
+        [0.0, 0.0, float("inf")],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    def test_decoder_rejects_bad_targets(self, c):
+        d = RestrictionSet(np.eye(3, 18), 0.0, "ge", "r").to_json_dict()
+        d["c"] = c
+        with pytest.raises(ValueError, match=r"c must be a list of numbers, all finite, one per row \(3\)"):
+            RestrictionSet.from_json_dict(d)
+
+    @pytest.mark.parametrize("edit", [
+        {"kind": "inequality"}, {"kind": None}, {"kind": ["equality"]},  # a KeyError or TypeError once
+        {"n_columns": 18.0}, {"n_columns": True}, {"rows": {}}, {"label": 5}, None,
+    ])
+    def test_decoder_rejects_bad_layout(self, entry_states, edit):
+        d = {**monotonicity(entry_states, 0, "z").to_json_dict(), **edit} if edit else []
+        with pytest.raises(ValueError, match="a restriction must be an object|n_columns must be an integer"):
             RestrictionSet.from_json_dict(d)
 
     def test_full_row_rank_of_builders(self, entry_states):
@@ -430,7 +481,8 @@ class TestBuildersOnFourAxes:
     def test_cells_order_is_the_row_order(self, action, axes):
         fs = GRID4
         rest = [a for a in fs.axes if a not in axes]
-        expected = [fs.column(action, dict(zip(rest + list(axes), combo)))
+        stride = dict(zip(fs.axes, np.cumprod((1,) + fs.shape[:-1])))  # first axis fastest
+        expected = [action * fs.n_states + sum(i * stride[a] for a, i in zip(rest + list(axes), combo))
                     for combo in itertools.product(*(range(len(fs.grid(a))) for a in rest + list(axes)))]
         assert fs.cells(action, *axes).ravel().tolist() == expected
 

@@ -50,3 +50,6 @@ run game-firm2 --scenario entry-game --firm 2 --restrictions "$GAME_ALL"
 run game-firm3 --scenario entry-game --firm 3 --restrictions "$GAME_ALL"
 run config-six --config configs/entry_model.json \
     --restrictions homogeneity,zero_cross,monotonicity,concavity,complementarity,linearity
+# the same model given by its CCPs alone (psi_from_ccps in place of the solve)
+run config-ccps --config configs/entry_model_ccps.json \
+    --restrictions homogeneity,zero_cross,monotonicity,concavity,complementarity,linearity
