@@ -324,19 +324,25 @@ def sign_region(C) -> list:
     endpoint of ``1.0`` is the open right edge of the domain.
 
     Every row, scaled by its max-abs coefficient, is evaluated on an
-    equispaced grid of ``SIGN_GRID_POINTS`` points by one product with the
-    grid's Vandermonde matrix (only signs are read, and they are Horner's
-    rule's wherever a row is above rounding noise), and each flip of the mask
-    is refined by :func:`crossing` on :func:`polyval_rows` values.  An
-    interval narrower than one grid step (``1 / SIGN_GRID_POINTS``), or a
-    tangent point, can fall between grid points and be missed.  A NaN or
-    infinite coefficient raises a ValueError.
+    equispaced grid of ``SIGN_GRID_POINTS`` points, one block of consecutive
+    points at a time: each block's Vandermonde matrix times the rows (only
+    signs are read, and they are Horner's rule's wherever a row is above
+    rounding noise).  A block is the largest whole multiple of 256 points
+    whose powers and values, ``points * (rows + columns)`` floats, fit in
+    ``2**17`` (256 points where even those do not fit), so beside the scaled
+    rows the scan holds 1 MB, or one 256-point block of a wider system,
+    whatever the grid; a system of ``rows + columns <= 64`` takes the whole
+    grid in one block.  Each flip of the mask is refined by :func:`crossing`
+    on :func:`polyval_rows` values.  An interval narrower than one grid step
+    (``1 / SIGN_GRID_POINTS``), or a tangent point, can fall between grid
+    points and be missed.  A NaN or infinite coefficient raises a ValueError.
     """
     C = np.asarray(C, dtype=float)
     require_finite(C)
     scale = np.max(np.abs(C), axis=1)
     keep = scale != 0.0
-    C = C[keep] / scale[keep, None]
+    C = C[keep]  # a copy, scaled in place: one copy of the rows at a time
+    C /= scale[keep, None]
     if not C.size:
         # no row, or only zero ones: the condition holds everywhere
         return [(0.0, 1.0)]
@@ -346,7 +352,11 @@ def sign_region(C) -> list:
 
     n = SIGN_GRID_POINTS
     xs = np.arange(n) / n
-    feas = np.min(C @ np.vander(xs, C.shape[1], increasing=True).T, axis=0) >= 0.0
+    # whole multiples of 256 points: with them the blocked products gave the
+    # one-shot product's bits, where other block sizes changed low bits
+    block = 256 * max(1, 2**17 // (256 * sum(C.shape)))
+    feas = np.concatenate([np.min(C @ np.vander(xs[i:i + block], C.shape[1], increasing=True).T, axis=0)
+                           for i in range(0, n, block)]) >= 0.0
     flips = np.flatnonzero(feas[1:] != feas[:-1])  # the mask flips between i and i + 1
     ends = [crossing(slack, xs[i], xs[i + 1]) for i in flips]
     if feas[0]:

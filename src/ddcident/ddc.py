@@ -20,6 +20,7 @@ import numpy as np
 from .betapoly import MatrixPoly, check_stochastic, det_coeffs, faddeev_adj_det, grid_split, horner_stack
 from .betapoly import two_prod, two_sum
 from .errors import ConvergenceError
+from .restrictions import _targets
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -240,12 +241,12 @@ class MasterSystem:
     def payoff_polys(self, R, c=0.0) -> np.ndarray:
         """Coefficient rows of ``R G(beta) - c det(beta)``, shape
         ``(rows, J + 1)``: since ``det > 0`` on ``[0, 1)``, a row is ``>= 0``
-        where the payoffs recovered at beta satisfy ``R U >= c``.  A row no
-        larger than ``noise * max(1, max|R|)`` holds at every discount factor
-        and is set to zero."""
+        where the payoffs recovered at beta satisfy ``R U >= c``.  ``c`` is
+        one finite number per row, or one for every row; anything else is a
+        ``ValueError``.  A row no larger than ``noise * max(1, max|R|)``
+        holds at every discount factor and is set to zero."""
         R = np.atleast_2d(np.asarray(R, dtype=float))
-        c = np.broadcast_to(np.asarray(c, dtype=float), (R.shape[0],))
-        rows = R @ self.g - np.outer(c, self.det)
+        rows = R @ self.g - np.outer(_targets(c, R.shape[0]), self.det)
         rows[np.max(np.abs(rows), axis=1) <= self.noise * max(1.0, np.abs(R).max(initial=0.0))] = 0.0
         return rows
 

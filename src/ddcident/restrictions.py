@@ -97,9 +97,26 @@ class FactoredStates:
         return int(hits[0])
 
 
+def _targets(c, n_rows: int) -> np.ndarray:
+    """The targets of ``n_rows`` restriction rows as a new float vector, by
+    the row format's rule: one finite number per row, or one number for every
+    row (the builders' ``0.0``).  Anything else, a bool or a string included,
+    is a ``ValueError`` that names the shape or the entry."""
+    a = np.asarray(c)
+    if a.dtype.kind not in "iuf" or (a.ndim and a.shape != (n_rows,)):
+        raise ValueError(f"c must be a number or one number per row ({n_rows}), not {a.dtype} of shape {a.shape}")
+    a = a.astype(float)
+    if not np.isfinite(a).all():
+        i = next(i for i, v in np.ndenumerate(a) if not math.isfinite(v))
+        raise ValueError(f"c{list(i) if i else ''} = {a[i]} is not finite")
+    return np.broadcast_to(a, (n_rows,)).copy()
+
+
 @dataclass(frozen=True)
 class RestrictionSet:
-    """A batch of linear restrictions ``R @ U (=|>=) c`` on stacked payoffs."""
+    """A batch of linear restrictions ``R @ U (=|>=) c`` on stacked payoffs.
+    ``c`` is one finite number per row, or one for every row; anything else
+    is a ``ValueError``."""
 
     R: np.ndarray
     c: np.ndarray
@@ -108,7 +125,7 @@ class RestrictionSet:
 
     def __post_init__(self):
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        c = np.broadcast_to(np.asarray(self.c, dtype=float), (R.shape[0],)).copy()
+        c = _targets(self.c, R.shape[0])
         if self.kind not in ("eq", "ge"):
             raise ValueError("kind must be 'eq' or 'ge'")
         R.setflags(write=False)

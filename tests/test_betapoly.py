@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -256,6 +257,17 @@ class TestSignRegion:
         with pytest.raises(ValueError, match="row 1 is not finite: -inf multiplies beta\\*\\*2"):
             sign_region([[1.0, 0.0, 0.0], [1.0, 0.0, -np.inf]])
 
+    def test_scan_memory_does_not_grow_with_the_grid(self):
+        # the powers and values of the whole grid alone would be 9.2 MB here
+        C = np.random.default_rng(287).normal(size=(287, 289))
+        tracemalloc.start()
+        try:
+            sign_region(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
     def test_disjoint_pieces(self):
         # -(b-0.2)(b-0.5)(b-0.8) >= 0 on [0, 0.2] and [0.5, 0.8]
         c = [-1.0]
@@ -379,6 +391,36 @@ def stacked_rows(draw, max_rows=4):
     return np.array([np.pad(r, (0, width - len(r))) for r in rows])
 
 
+def planted_region_rows(seed, n_rows):
+    """``n_rows`` rows, half of them one planted quartic and half another,
+    each times its own cubic with roots below 0 and its own scale: every row
+    of a half has that half's sign on [0, 1], and the region is where both
+    quartics are >= 0, several intervals."""
+    rng = np.random.default_rng(seed)
+    quartics = [npoly.polyfromroots(np.sort(rng.uniform(0.02, 0.98, 4))) for _ in range(2)]
+    return np.array([npoly.polymul(quartics[i % 2], npoly.polyfromroots(rng.uniform(-1.5, -0.05, 3)))
+                     * rng.uniform(1e-3, 1e3) for i in range(n_rows)])
+
+
+def block_edge_rows(n_rows):
+    """``beta >= r`` for ``n_rows`` values of r between grid points 255 and
+    256, and ``beta <= t`` for one t between points 511 and 512: the region's
+    two ends lie where 256-point blocks of the grid meet."""
+    x = np.arange(SIGN_GRID_POINTS) / SIGN_GRID_POINTS
+    r = np.random.default_rng(256).uniform(x[255], x[256], n_rows)
+    return np.vstack([np.column_stack([-r, np.ones(n_rows)]), [0.5 * (x[511] + x[512]), -1.0]])
+
+
+# systems of more than 64 rows plus columns, whose scan takes the grid in
+# blocks: 1,024 points, 256, and wider than 2**17 floats even at 256 points
+MULTI_BLOCK_SYSTEMS = {
+    "planted-100-rows": planted_region_rows(100, 100),
+    "planted-300-rows": planted_region_rows(300, 300),
+    "block-edge-flips": block_edge_rows(300),
+    "planted-600-rows": planted_region_rows(600, 600),
+}
+
+
 class TestReplacedArithmetic:
     """The batched kernels return the bits of the per-point arithmetic they
     replaced."""
@@ -425,6 +467,18 @@ class TestReplacedArithmetic:
         intervals, noisy = horner_sign_region_oracle(C)
         assume(not noisy)
         assert sign_region(C) == intervals
+
+    @pytest.mark.parametrize("name", MULTI_BLOCK_SYSTEMS)
+    def test_blocked_sign_region_matches_horner_scan(self, name):
+        C = MULTI_BLOCK_SYSTEMS[name]
+        assert sum(C.shape) > 64
+        intervals, noisy = horner_sign_region_oracle(C)
+        assert not noisy and len(intervals) >= 1
+        assert sign_region(C) == intervals
+        if name == "block-edge-flips":
+            x = np.arange(SIGN_GRID_POINTS) / SIGN_GRID_POINTS
+            (lo, hi), = intervals
+            assert x[255] < lo < x[256] and x[511] < hi < x[512]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(p=coefficient_rows())

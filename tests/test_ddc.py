@@ -223,6 +223,20 @@ class TestMasterSystem:
             assert npoly.polyval(beta, ms.g.T) / npoly.polyval(beta, ms.det) == pytest.approx(
                 recover_payoffs(sol.psi, m.Q, beta), abs=1e-9)
 
+    @pytest.mark.parametrize("c,message", [
+        ([0.5], r"c must be a number or one number per row \(3\), not float64 of shape \(1,\)"),  # once three rows
+        ([0.5] * 4, r"one number per row \(3\), not float64 of shape \(4,\)"),
+        ("3", r"one number per row \(3\), not <U1"),                          # once read as 3.0
+        ([0.0, float("nan"), 0.0], r"c\[1\] = nan is not finite"),             # once NaN rows
+        (float("inf"), r"c = inf is not finite"),
+    ])
+    def test_payoff_polys_rejects_bad_targets(self, c, message):
+        rng = np.random.default_rng(15)
+        m = random_model(rng, K=2, J=4)
+        ms = master_system(solve_bellman(m).psi, m.Q)
+        with pytest.raises(ValueError, match=message):
+            ms.payoff_polys(np.eye(3, ms.n_rows), c)
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(14)
         m = random_model(rng, K=2, J=4)

@@ -385,6 +385,25 @@ class TestSetPlumbing:
         with pytest.raises(ValueError, match=r"c must be a list of numbers, all finite, one per row \(3\)"):
             RestrictionSet.from_json_dict(d)
 
+    @pytest.mark.parametrize("c,message", [
+        ([0.5], r"c must be a number or one number per row \(3\), not float64 of shape \(1,\)"),  # once broadcast
+        ([0.0] * 4, r"one number per row \(3\), not float64 of shape \(4,\)"),
+        ([[0.0] * 3], r"one number per row \(3\), not float64 of shape \(1, 3\)"),
+        ("3", r"one number per row \(3\), not <U1 of shape \(\)"),            # once read as 3.0
+        ([True, False, True], r"one number per row \(3\), not bool"),           # once 1.0 and 0.0
+        (float("nan"), r"c = nan is not finite"),                              # once accepted
+        ([0.0, float("nan"), 0.0], r"c\[1\] = nan is not finite"),
+        ([0.0, 0.0, -float("inf")], r"c\[2\] = -inf is not finite"),
+    ])
+    def test_constructor_rejects_bad_targets(self, c, message):
+        with pytest.raises(ValueError, match=message):
+            RestrictionSet(np.eye(3), c, "ge")
+
+    @pytest.mark.parametrize("c,expected", [(0.5, [0.5] * 3), (0, [0.0] * 3), ([1, 2, 3], [1.0, 2.0, 3.0])])
+    def test_constructor_keeps_a_scalar_or_one_target_per_row(self, c, expected):
+        rs = RestrictionSet(np.eye(3), c, "ge")
+        assert rs.c.dtype == float and rs.c.tolist() == expected
+
     @pytest.mark.parametrize("edit", [
         {"kind": "inequality"}, {"kind": None}, {"kind": ["equality"]},  # a KeyError or TypeError once
         {"n_columns": 18.0}, {"n_columns": True}, {"rows": {}}, {"label": 5}, None,
