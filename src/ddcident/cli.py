@@ -41,18 +41,12 @@ from .identify import (
     finite_restriction_poly,
     identified_set,
 )
-from .restrictions import (
-    RestrictionSet,
-    additive_homogeneous,
-    complementarity,
-    concavity,
-    monotonicity,
-    zero_cross_difference,
-)
+from .restrictions import RestrictionSet
 from .scenarios import (
     build_entry_game,
     build_entry_model,
     build_entry_model_fd,
+    entry_restrictions,
 )
 
 SCHEMA_VERSION = 1
@@ -163,27 +157,16 @@ def _check_config(cfg) -> tuple:
 
 # ---- restriction spec parsing ----------------------------------------------
 
-_SPEC_RE = re.compile(r"^([a-zA-Z_][\w-]*)(?:\((.*)\))?$")
+_SPEC_RE = re.compile(r"^([a-zA-Z_][\w-]*)(?:\(([^()]*)\))?$")
 
 
 def parse_restriction_specs(text: str) -> list:
-    """Parse ``name(arg=val,...)`` comma-separated restriction requests."""
+    """Parse ``name(arg=val,...)`` comma-separated restriction requests; an
+    empty item, unbalanced parentheses or an argument that is not
+    ``key=value`` is a ``ConfigError``."""
     out = []
-    depth, token, parts = 0, "", []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append(token)
-            token = ""
-            continue
-        depth += ch == "("
-        depth -= ch == ")"
-        token += ch
-    if token:
-        parts.append(token)
-    for part in parts:
+    for part in re.split(r",(?![^()]*\))", text):  # commas outside parentheses
         part = part.strip()
-        if not part:
-            continue
         m = _SPEC_RE.match(part)
         if not m:
             raise ConfigError([{"field": "--restrictions", "message": f"cannot parse {part!r}"}])
@@ -280,19 +263,6 @@ def _no_arguments(rs):
     return build
 
 
-def _entry_builders(bundle) -> dict:
-    """Builders of an entry bundle's restrictions: the prebuilt set without
-    arguments, else the set rebuilt from them on the bundle's grid (action 0)."""
-    makers = {"homogeneity": additive_homogeneous, "zero_cross": zero_cross_difference,
-              "monotonicity": monotonicity, "concavity": concavity,
-              "complementarity": complementarity}
-
-    def rebuild(key):
-        return lambda **kw: makers[key](bundle.states, 0, **kw) if kw else bundle.restrictions[key]
-    return {key: rebuild(key) if key in makers else _no_arguments(rs)
-            for key, rs in bundle.restrictions.items()}
-
-
 def _build_restriction(builders, name, kwargs):
     """Result key and restriction of a request, looked up as written or with
     ``-`` read as ``_``."""
@@ -321,7 +291,7 @@ def _config_source(args):
 def _entry_source(args):
     bundle = build_entry_model()
     ms = master_system(solve_bellman(bundle.model, tol=args.tol_fixedpoint).psi, bundle.model.Q)
-    return _entry_builders(bundle), ms.payoff_polys, ms.info
+    return entry_restrictions(bundle.states, bundle.H), ms.payoff_polys, ms.info
 
 
 def _fd_source(args):
@@ -336,7 +306,7 @@ def _fd_source(args):
     def rows(R, c):
         return np.reshape([finite_restriction_poly(psi, model.Q, row, ci, cert.rho)
                            for row, ci in zip(R, c)], (-1, cert.rho + 1))
-    return _entry_builders(bundle), rows, {"rho": cert.rho}
+    return entry_restrictions(bundle.states, bundle.H), rows, {"rho": cert.rho}
 
 
 def _game_source(args):

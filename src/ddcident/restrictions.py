@@ -115,8 +115,8 @@ def _targets(c, n_rows: int) -> np.ndarray:
 @dataclass(frozen=True)
 class RestrictionSet:
     """A batch of linear restrictions ``R @ U (=|>=) c`` on stacked payoffs.
-    ``c`` is one finite number per row, or one for every row; anything else
-    is a ``ValueError``."""
+    ``R`` is finite and ``c`` is one finite number per row, or one for every
+    row; anything else is a ``ValueError``."""
 
     R: np.ndarray
     c: np.ndarray
@@ -125,6 +125,9 @@ class RestrictionSet:
 
     def __post_init__(self):
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
+        if not np.isfinite(R).all():
+            i, j = np.argwhere(~np.isfinite(R))[0]
+            raise ValueError(f"R row {i} is not finite: R[{i}, {j}] = {R[i, j]}")
         c = _targets(self.c, R.shape[0])
         if self.kind not in ("eq", "ge"):
             raise ValueError("kind must be 'eq' or 'ge'")
@@ -217,6 +220,19 @@ def _flat_points(points, axes, shape) -> np.ndarray:
     return np.ravel_multi_index(tuple(pts.T), shape)
 
 
+def _degree(nu) -> None:
+    """Reject a NaN or infinite homogeneity degree, which makes every row NaN."""
+    if not math.isfinite(nu):
+        raise ValueError(f"homogeneity degree nu = {nu} is not finite")
+
+
+def _orientation(direction, positive: str, negative: str) -> float:
+    """1.0 for ``positive``, -1.0 for ``negative``, else a ``ValueError`` naming both."""
+    if direction not in (positive, negative):
+        raise ValueError(f"direction must be {positive!r} or {negative!r}, not {direction!r}")
+    return 1.0 if direction == positive else -1.0
+
+
 def _ray(fs: FactoredStates, axis: str, base: float, lambdas):
     """Grid indices on ``axis`` of ``base`` and of each ``lam * base``, all of which must be on it.
     A multiplier that is not positive, or is 1, raises ``ValueError``."""
@@ -230,6 +246,7 @@ def homogeneity_known_nu(fs: FactoredStates, action: int, base: float, lambdas, 
                          axis: str = "w") -> RestrictionSet:
     """Rows ``u(base*lam, z) - lam**nu * u(base, z) = 0`` for each multiplier and
     each combination of the remaining axes.  Every ray point must be on the grid."""
+    _degree(nu)
     lambdas = [float(l) for l in lambdas]
     i_base, i_ray = _ray(fs, axis, base, lambdas)
     u = fs.cells(action, axis)
@@ -245,15 +262,27 @@ def log_homogeneity(fs: FactoredStates, action: int, base: float, lambdas,
 
     ``lambdas`` lists the ray multipliers beyond 1; at least two are required.
     """
+    return RestrictionSet(_log_ray_rows(fs, action, base, lambdas, axis), 0.0, "eq", "log_homogeneity")
+
+
+def _log_ray_rows(fs: FactoredStates, action: int, base: float, lambdas, axis: str,
+                  nu: float | None = None) -> np.ndarray:
+    """Rows ``w_j [u(lam_j base) - u(base)] - w_0 [u(lam_0 base) - u(base)]``
+    for ``j >= 1``, one block per cell of the other axes, with the weights
+    ``w = 1/log(lam)`` (``nu=None``) or ``1/(lam**nu - 1)``."""
     lambdas = [float(l) for l in lambdas]
     if len(lambdas) < 2:
         raise ValueError("insufficient ray points: need at least two multipliers besides 1")
     i_base, i_ray = _ray(fs, axis, base, lambdas)
-    inv = [1.0 / np.log(lam) for lam in lambdas]
+    if nu is not None:
+        _degree(nu)
+        for lam in lambdas:
+            if lam ** nu == 1.0:
+                raise ValueError(f"ray multiplier {lam} has lam**nu == 1 at nu={nu}: its weight is undefined")
+    inv = [1.0 / np.log(lam) if nu is None else 1.0 / (lam ** nu - 1.0) for lam in lambdas]
     u = fs.cells(action, axis)
-    R = _stencil_rows(fs.n_columns, (u[..., i_ray[1:]], inv[1:]), (u[..., [i_ray[0]]], -inv[0]),
-                      (u[..., [i_base]], [inv[0] - w for w in inv[1:]]))
-    return RestrictionSet(R, 0.0, "eq", "log_homogeneity")
+    return _stencil_rows(fs.n_columns, (u[..., i_ray[1:]], inv[1:]), (u[..., [i_ray[0]]], -inv[0]),
+                         (u[..., [i_base]], [inv[0] - w for w in inv[1:]]))
 
 
 def additive_homogeneous(fs: FactoredStates, action: int, nu: float = 1.0,
@@ -265,6 +294,7 @@ def additive_homogeneous(fs: FactoredStates, action: int, nu: float = 1.0,
     degrees the grid points of each triplet must be nonzero with a common sign
     and are treated as a ray anchored at the leftmost point.
     """
+    _degree(nu)
     g = fs.grid(axis)
     if len(g) < 3:
         raise ValueError(f"axis {axis!r} needs at least 3 grid points, has {len(g)}")
@@ -342,7 +372,7 @@ def monotonicity(fs: FactoredStates, action: int, axis: str,
     g = fs.grid(axis)
     if np.any(np.diff(g) <= 0):
         raise ValueError(f"axis {axis!r} grid must be strictly ascending")
-    sgn = {"increasing": 1.0, "decreasing": -1.0}[direction]
+    sgn = _orientation(direction, "increasing", "decreasing")
     u = fs.cells(action, axis)
     R = _stencil_rows(fs.n_columns, (u[..., 1:], sgn), (u[..., :-1], -sgn))
     return RestrictionSet(R, 0.0, "ge", f"monotonicity({axis},{direction})")
@@ -378,7 +408,7 @@ def complementarity(fs: FactoredStates, action: int, axes=("w", "z"),
     """
     ax_w, ax_z = axes
     u = fs.cells(action, ax_w, ax_z)
-    sgn = {"complements": 1.0, "substitutes": -1.0}[direction]
+    sgn = _orientation(direction, "complements", "substitutes")
     R = _stencil_rows(fs.n_columns, (u[..., 1:, 1:], sgn), (u[..., 1:, :-1], -sgn),
                       (u[..., :-1, 1:], -sgn), (u[..., :-1, :-1], sgn))
     return RestrictionSet(R, 0.0, "ge", f"complementarity({ax_w},{ax_z})")
@@ -406,29 +436,18 @@ def linear_in_parameters(H) -> RestrictionSet:
 def log_diff_restriction(fs: FactoredStates, action: int, base: float, lambdas,
                          nu: float | None = None, axis: str = "w") -> tuple[np.ndarray, float]:
     """Weight vector ``r`` with ``sum(r) = 0`` for a restriction on log payoffs,
-    ``r @ log(U) = 0``, on the first cell of the axes other than ``axis``.
+    ``r @ log(U) = 0``, on the first cell of the axes other than ``axis``;
+    ``lambdas`` is exactly two ray multipliers.
 
     With ``nu=None`` the payoff is homogeneous of unknown degree along the ray
-    (weights ``1/log(lambda)``); with a known ``nu`` the payoff is the
-    exponential of an additively separable function whose ray component is
-    homogeneous of degree ``nu`` (weights ``1/(lambda**nu - 1)``).
+    (weights ``1/log(lambda)``, the first row of :func:`log_homogeneity`); with
+    a known ``nu`` the payoff is the exponential of an additively separable
+    function whose ray component is homogeneous of degree ``nu`` (weights
+    ``1/(lambda**nu - 1)``).
     """
-    lambdas = [float(l) for l in lambdas]
-    if len(lambdas) < 2:
-        raise ValueError("insufficient ray points: need at least two multipliers besides 1")
-    i_base, i_ray = _ray(fs, axis, base, lambdas)
-    for lam in lambdas:
-        if nu is not None and lam ** nu == 1.0:
-            raise ValueError(f"ray multiplier {lam} has lam**nu == 1 at nu={nu}: its weight is undefined")
-
-    def weight(lam):
-        return 1.0 / np.log(lam) if nu is None else 1.0 / (lam ** nu - 1.0)
-
-    col = fs.cells(action, axis)[(0,) * (len(fs.axes) - 1)]
-    r = np.zeros(fs.n_columns)
-    r[col[i_ray[1]]] += weight(lambdas[1])
-    r[col[i_ray[0]]] -= weight(lambdas[0])
-    r[col[i_base]] += weight(lambdas[0]) - weight(lambdas[1])
+    if len(lambdas) != 2:
+        raise ValueError(f"log-difference weights take exactly two ray multipliers, got {len(lambdas)}")
+    r = _log_ray_rows(fs, action, base, lambdas, axis, nu)[0]
     if abs(r.sum()) > 1e-12:
         raise ValueError("log-difference weights failed to sum to zero")
     return r, 0.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -113,10 +114,9 @@ class EntryModelConfig:
 class EntryModelBundle:
     """The built entry model together with its restriction suite.
 
-    ``restrictions`` maps builder names (``homogeneity``, ``zero_cross``,
-    ``monotonicity``, ``concavity``, ``complementarity``, ``linearity``) to
-    restriction sets on the stacked operating payoff; ``H`` is the
-    linear-in-parameters design matrix and ``u_true`` the stacked true payoff.
+    ``restrictions`` maps the keys of :func:`entry_restrictions` to their sets
+    on the stacked operating payoff; ``H`` is the linear-in-parameters design
+    matrix and ``u_true`` the stacked true payoff.
     """
 
     model: SingleAgentModel
@@ -137,6 +137,21 @@ def _entry_state_space(cfg: EntryModelConfig):
     T_z_by_y = [ar1_transition(z_grid, cfg.gamma_1_z, cfg.sigma_z, shift=cfg.gamma_a_z * y)
                 for y in (0.0, 1.0)]
     return w_grid, T_w, z_grid, T_z_by_y
+
+
+def entry_restrictions(states: FactoredStates, H) -> dict:
+    """The entry model's named restrictions on the operating payoff (action
+    0): each key's builder with the scenario's arguments bound, so a call
+    without arguments gives the scenario's set and keywords override them
+    (``linearity`` takes none)."""
+    return {
+        "homogeneity": partial(additive_homogeneous, states, 0, nu=1.0, axis="w"),
+        "zero_cross": partial(zero_cross_difference, states, 0, diff_axis="y"),
+        "monotonicity": partial(monotonicity, states, 0, axis="z"),
+        "concavity": partial(concavity, states, 0, axis="z", convex=True),
+        "complementarity": partial(complementarity, states, 0, axes=("w", "z")),
+        "linearity": partial(linear_in_parameters, H),
+    }
 
 
 def build_entry_model(cfg: EntryModelConfig | None = None) -> EntryModelBundle:
@@ -170,14 +185,7 @@ def build_entry_model(cfg: EntryModelConfig | None = None) -> EntryModelBundle:
     model = SingleAgentModel(u=u, Q=Q, beta=cfg.beta)
 
     H = np.column_stack([np.ones(J), np.exp(zv), np.exp(zv) * wv, 1.0 - yv])
-    restr = {
-        "homogeneity": additive_homogeneous(fs, 0, nu=1.0, axis="w"),
-        "zero_cross": zero_cross_difference(fs, 0, diff_axis="y", invariant_axes=("w", "z")),
-        "monotonicity": monotonicity(fs, 0, axis="z"),
-        "concavity": concavity(fs, 0, axis="z", convex=True),
-        "complementarity": complementarity(fs, 0, axes=("w", "z")),
-        "linearity": linear_in_parameters(H),
-    }
+    restr = {key: build() for key, build in entry_restrictions(fs, H).items()}
     return EntryModelBundle(model=model, states=fs, restrictions=restr, H=H,
                             u_true=u1.copy(), config=cfg)
 

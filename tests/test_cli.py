@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -15,13 +16,17 @@ from hypothesis import strategies as st
 
 import ddcident
 from ddcident.cli import (
+    ConfigError,
+    _build_restriction,
+    _entry_source,
+    _fd_source,
     main,
     parse_restriction_specs,
     validate_config,
 )
 from ddcident.ddc import SingleAgentModel, solve_bellman
 from ddcident.identify import IdentifiedSet
-from ddcident.scenarios import build_entry_model
+from ddcident.scenarios import build_entry_model, entry_restrictions
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -59,9 +64,24 @@ class TestSpecParsing:
         assert specs[1] == ("linearity", {})
 
     def test_bad_argument(self):
-        from ddcident.cli import ConfigError
         with pytest.raises(ConfigError):
             parse_restriction_specs("mono(axis)")
+
+    def test_commas_inside_parentheses_separate_arguments(self):
+        specs = parse_restriction_specs(" monotonicity(axis=w, direction=decreasing), complementarity(axes=wz)")
+        assert specs == [("monotonicity", {"axis": "w", "direction": "decreasing"}),
+                         ("complementarity", {"axes": "wz"})]
+
+    @pytest.mark.parametrize("text", [
+        # unbalanced parentheses (the second and third were once read as arguments)
+        "monotonicity(axis=z", "monotonicity(axis=z))", "monotonicity(axis=(z)",
+        "monotonicity(axis=z,direction=increasing", "monotonicity)axis=z(",
+        # empty items (once skipped)
+        "homogeneity,,zero-cross", "homogeneity,", ",homogeneity", " ", "monotonicity(axis=z,)",
+    ])
+    def test_unbalanced_or_empty_items_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_restriction_specs(text)
 
 
 class TestValidate:
@@ -532,6 +552,55 @@ class TestParameterizedRestrictions:
         assert "cannot build" in err["issues"][0]["message"]
         assert not out.exists()
 
+    # each key of the entry catalogue with one of the scenario's own arguments
+    # spelled out (linearity binds only its design matrix, and takes no keyword)
+    SPELLED_OUT = {
+        "homogeneity": ["homogeneity(nu=1.0)", "homogeneity(axis=w)"],
+        "zero_cross": ["zero-cross(diff_axis=y)", "zero-cross(invariant_axes=wz)"],
+        "monotonicity": ["monotonicity(axis=z)", "monotonicity(direction=increasing)"],
+        "concavity": ["concavity(axis=z)", "concavity(convex=true)"],
+        "complementarity": ["complementarity(axes=wz)", "complementarity(direction=complements)"],
+    }
+
+    def test_every_catalogue_key_is_spelled_out(self):
+        bundle = build_entry_model()
+        assert set(self.SPELLED_OUT) | {"linearity"} == set(entry_restrictions(bundle.states, bundle.H))
+
+    @pytest.mark.parametrize("source", [_entry_source, _fd_source])
+    @pytest.mark.parametrize("spec", [s for specs in SPELLED_OUT.values() for s in specs])
+    def test_bound_arguments_spelled_out_give_the_bare_key(self, source, spec):
+        # these once rebuilt the set from the bare builder's defaults
+        builders, _, _ = source(argparse.Namespace(tol_fixedpoint=1e-12))
+        ((name, kwargs),) = parse_restriction_specs(spec)
+        key, rs = _build_restriction(builders, name, kwargs)
+        bare_key, bare = _build_restriction(builders, name, {})
+        assert key == bare_key
+        assert rs.label == bare.label and rs.kind == bare.kind
+        assert rs.R.tobytes() == bare.R.tobytes() and rs.c.tobytes() == bare.c.tobytes()
+
+    @pytest.mark.parametrize("spec,label", [
+        ("concavity", "convexity(z)"),
+        ("concavity(axis=w)", "convexity(w)"),
+        ("concavity(axis=w,convex=false)", "concavity(w)"),
+    ])
+    def test_request_arguments_override_the_scenario(self, spec, label):
+        builders, _, _ = _entry_source(argparse.Namespace(tol_fixedpoint=1e-12))
+        ((name, kwargs),) = parse_restriction_specs(spec)
+        assert _build_restriction(builders, name, kwargs)[1].label == label
+
+    @pytest.mark.parametrize("spec,message", [
+        ("complementarity(direction=x)", "direction must be 'complements' or 'substitutes', not 'x'"),
+        ("monotonicity(direction=up)", "direction must be 'increasing' or 'decreasing', not 'up'"),
+        ("homogeneity(nu=nan)", "homogeneity degree nu = nan is not finite"),
+    ])
+    def test_bad_value_is_named(self, tmp_path, capsys, spec, message):
+        out = tmp_path / "o"
+        rc = main(["run", "--scenario", "entry", "--restrictions", spec, "--out-dir", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid_config"
+        assert err["issues"][0]["message"].endswith(message)
+        assert not out.exists()
 
     @pytest.mark.parametrize("spec,axis", [
         ("complementarity(axes=ww)", "'w'"),

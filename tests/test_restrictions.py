@@ -168,6 +168,30 @@ class TestRayMultipliers:
         assert np.all(np.isfinite(r)) and abs(r.sum()) <= 1e-12
 
 
+class TestDegreeAndDirection:
+    """A degree that is not finite, or a direction off the list, is named."""
+
+    @pytest.mark.parametrize("nu", [np.nan, np.inf])
+    def test_non_finite_degree_named(self, ray_states, nu):
+        # a NaN degree once gave rows of NaN on a ray grid (the CLI test covers
+        # a grid through zero, which was blamed instead)
+        for build in (lambda: additive_homogeneous(ray_states, 0, nu=nu),
+                      lambda: homogeneity_known_nu(ray_states, 0, 1.0, [2.0, 4.0], nu=nu),
+                      lambda: log_diff_restriction(ray_states, 0, 1.0, [2.0, 4.0], nu=nu)):
+            with pytest.raises(ValueError, match=f"homogeneity degree nu = {nu} is not finite"):
+                build()
+
+    @pytest.mark.parametrize("build,accepted", [
+        (lambda fs, d: monotonicity(fs, 0, "z", direction=d), "'increasing' or 'decreasing'"),
+        (lambda fs, d: complementarity(fs, 0, ("w", "z"), direction=d), "'complements' or 'substitutes'"),
+    ])
+    @pytest.mark.parametrize("direction", ["x", "Increasing", None])
+    def test_bad_direction_lists_the_accepted_values(self, entry_states, build, accepted, direction):
+        # a KeyError naming only the bad value once
+        with pytest.raises(ValueError, match=f"direction must be {accepted}, not {direction!r}"):
+            build(entry_states, direction)
+
+
 class TestAdditiveHomogeneous:
     def test_entry_model_row_count(self, entry_states):
         rs = additive_homogeneous(entry_states, 0, nu=1.0)
@@ -331,6 +355,22 @@ class TestLogDiff:
         r, c = log_diff_restriction(ray_states, 0, base=1.0, lambdas=[2.0, 4.0], nu=2.0)
         assert abs(r @ np.log(u) - c) < 1e-12
 
+    @pytest.mark.parametrize("lambdas", [[2.0], [2.0, 4.0, 8.0]])
+    def test_exactly_two_multipliers(self, lambdas):
+        # a third multiplier was checked against the grid, then left out of r
+        fs = FactoredStates(axes=("w",), grids=(np.array([1.0, 2.0, 4.0, 8.0]),), n_actions=2)
+        with pytest.raises(ValueError, match=f"exactly two ray multipliers, got {len(lambdas)}"):
+            log_diff_restriction(fs, 0, 1.0, lambdas)
+
+    @pytest.mark.parametrize("axis", ["w", "z"])
+    def test_unknown_degree_is_the_first_log_homogeneity_row(self, axis):
+        fs = FactoredStates(axes=("w", "z"), grids=(np.array([1.0, 2.0, 4.0]), np.array([0.5, 1.0, 2.0])),
+                            n_actions=3)
+        for action in (0, 1):
+            base, lambdas = (1.0, [2.0, 4.0]) if axis == "w" else (0.5, [4.0, 2.0])
+            r, _ = log_diff_restriction(fs, action, base, lambdas, axis=axis)
+            assert r.tobytes() == log_homogeneity(fs, action, base, lambdas, axis=axis).R[0].tobytes()
+
 
 class TestSetPlumbing:
     def test_json_round_trip(self, entry_states):
@@ -398,6 +438,13 @@ class TestSetPlumbing:
     def test_constructor_rejects_bad_targets(self, c, message):
         with pytest.raises(ValueError, match=message):
             RestrictionSet(np.eye(3), c, "ge")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_rejects_non_finite_rows(self, bad):
+        R = np.eye(3)
+        R[1, 2] = bad  # once accepted
+        with pytest.raises(ValueError, match=rf"R row 1 is not finite: R\[1, 2\] = {bad}"):
+            RestrictionSet(R, 0.0, "ge")
 
     @pytest.mark.parametrize("c,expected", [(0.5, [0.5] * 3), (0, [0.0] * 3), ([1, 2, 3], [1.0, 2.0, 3.0])])
     def test_constructor_keeps_a_scalar_or_one_target_per_row(self, c, expected):
@@ -550,8 +597,10 @@ class TestBuildersOnFourAxes:
             < 1e-12
         assert abs(r @ np.log(payoff_along(GRID4, action, ("d",), lambda x, o: o * np.exp(x)) ** 2) - c) \
             > 1e-3
-        # every ray point is checked, the third and later ones included
+        # every ray point is checked, and the weights take exactly two multipliers
         with pytest.raises(ValueError, match="not on the"):
+            log_diff_restriction(GRID4, action, 0.5, [4.0, 16.0], axis="d")
+        with pytest.raises(ValueError, match="exactly two ray multipliers, got 3"):
             log_diff_restriction(GRID4, action, 0.5, [4.0, 8.0, 16.0], axis="d")
 
     @pytest.mark.parametrize("action", [0, 1])

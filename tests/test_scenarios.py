@@ -4,12 +4,14 @@ from scipy.stats import norm
 
 from ddcident.ddc import solve_bellman
 from ddcident.identify import check_finite_dependence
+from ddcident.restrictions import zero_cross_difference
 from ddcident.scenarios import (
     EntryModelConfig,
     ar1_transition,
     build_entry_game,
     build_entry_model,
     build_entry_model_fd,
+    entry_restrictions,
     tauchen,
 )
 
@@ -124,6 +126,17 @@ class TestEntryModel:
         counts = {name: rs.n_rows for name, rs in bundle.restrictions.items()}
         assert counts == {"homogeneity": 6, "zero_cross": 8, "monotonicity": 12,
                           "concavity": 6, "complementarity": 8, "linearity": 14}
+
+    def test_restrictions_are_the_catalogue_called_bare(self, bundle):
+        catalogue = entry_restrictions(bundle.states, bundle.H)
+        assert list(catalogue) == list(bundle.restrictions)
+        for key, build in catalogue.items():
+            rs, prebuilt = build(), bundle.restrictions[key]
+            assert (rs.label, rs.kind) == (prebuilt.label, prebuilt.kind)
+            assert rs.R.tobytes() == prebuilt.R.tobytes() and rs.c.tobytes() == prebuilt.c.tobytes()
+        # zero_cross binds only its difference axis: the invariant axes default to (w, z)
+        explicit = zero_cross_difference(bundle.states, 0, diff_axis="y", invariant_axes=("w", "z"))
+        assert catalogue["zero_cross"]().R.tobytes() == explicit.R.tobytes()
 
     def test_equalities_annihilate_truth(self, bundle):
         for name in ("homogeneity", "zero_cross", "linearity"):

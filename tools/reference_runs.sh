@@ -40,9 +40,14 @@ run entry-zc-mono --scenario entry --restrictions zero-cross,monotonicity --beta
 run entry-five --scenario entry --restrictions "$ENTRY_ALL"
 run entry-six --scenario entry --restrictions "$ENTRY_ALL,linearity"
 run entry-mono-w --scenario entry --restrictions "monotonicity(axis=w),homogeneity"
-# every entry builder rebuilt from arguments, on non-default axes and orders
+# every entry key with arguments that override the scenario's, on non-default
+# axes and orders
 run entry-rebuilt --scenario entry --restrictions \
     "monotonicity(axis=w,direction=decreasing),concavity(axis=w),complementarity(direction=substitutes),zero-cross(diff_axis=z),homogeneity(axis=z)"
+# every entry key with one of the scenario's own arguments spelled out: the
+# identified_set.json and curves.csv of entry-five
+run entry-bound-args --scenario entry --restrictions \
+    "homogeneity(nu=1.0),zero-cross(invariant_axes=wz),monotonicity(direction=increasing),concavity(convex=true),complementarity(direction=complements)"
 run fd-six --scenario entry-fd --restrictions "$ENTRY_ALL,linearity"
 run fd-zc-mono --scenario entry-fd --restrictions zero-cross,monotonicity
 run game-firm1 --scenario entry-game --firm 1 --restrictions "$GAME_ALL"
