@@ -85,19 +85,21 @@ class RootSet:
 _STOCH_TOL = 1e-10
 
 
-def check_stochastic(M, name: str, labels, axis: int = -1) -> None:
-    """Check that ``M`` holds probability distributions along ``axis``: entries
-    at least ``-_STOCH_TOL``, sums within ``_STOCH_TOL`` of 1.  The ValueError
-    names the first bad one by its index, with one label per other axis."""
-    M = np.moveaxis(np.asarray(M, dtype=float), axis, -1)
-    sums = M.sum(axis=-1)
-    negative = np.any(M < -_STOCH_TOL, axis=-1)
+def check_stochastic(M, name: str, labels, axis: int = -1) -> np.ndarray:
+    """``M`` as a float array, checked to hold probability distributions along
+    ``axis`` (entries at least ``-_STOCH_TOL``, sums within ``_STOCH_TOL`` of
+    1); the ValueError names the first bad one by index, a label per other axis."""
+    M = np.asarray(M, dtype=float)
+    P = np.moveaxis(M, axis, -1)
+    sums = P.sum(axis=-1)
+    negative = np.any(P < -_STOCH_TOL, axis=-1)
     bad = negative | ~(np.abs(sums - 1.0) <= _STOCH_TOL)  # a NaN sum is bad too
     if np.any(bad):
         idx = tuple(np.argwhere(bad)[0])
         where = ", ".join(f"{label} {i}" for label, i in zip(labels, idx))
         problem = "has a negative entry" if negative[idx] else f"sums to {sums[idx]:.12g}, not 1"
         raise ValueError(f"{name} ({where}) {problem}")
+    return M
 
 
 # Error-free transformations: a pair of floats whose exact sum is the exact
@@ -224,13 +226,28 @@ def faddeev_adj_det(Q) -> tuple[MatrixPoly, npoly.Polynomial]:
     return MatrixPoly(horner_stack(Q, d[:-1, None, None] * np.eye(len(Q)))), npoly.Polynomial(d)
 
 
-def require_finite(C) -> None:
-    """Raise a ValueError naming the first row of ``C`` with a NaN or inf."""
-    C = np.atleast_2d(C)
-    bad = np.argwhere(~np.isfinite(C))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(f"coefficient row {i} is not finite: {C[i, j]} multiplies beta**{j}")
+def require_finite(x, name: str) -> np.ndarray:
+    """``x`` as a float array, every entry finite: the package's one check of
+    a number it is given.  The first NaN or infinite entry is a ValueError
+    ``name[index] = value is not finite``; a lone bool, a parsed ``true``
+    standing for a number, is one too."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{name} = {x} is not a number")
+    a = np.asarray(x, dtype=float)
+    if not np.isfinite(a).all():
+        i = tuple(int(k) for k in np.argwhere(~np.isfinite(a))[0])
+        raise ValueError(f"{name}{list(i) if i else ''} = {a[i]} is not finite")
+    return a
+
+
+def freeze(obj, **arrays) -> None:
+    """Set each named field of the frozen dataclass ``obj`` to a read-only
+    float copy of the given value, checked by :func:`require_finite` first:
+    the caller's own arrays stay as they were."""
+    for name, x in arrays.items():
+        a = require_finite(np.array(x, dtype=float), name)
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
 
 
 def roots_in_interval(p, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
@@ -248,8 +265,7 @@ def roots_in_interval(p, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
     set is empty and flagged ``uninformative``.  A NaN or infinite coefficient
     raises a ValueError.
     """
-    p = np.asarray(p, dtype=float)
-    require_finite(p)
+    p = require_finite(p, "p")
     scale = np.max(np.abs(p))
     if scale == 0.0:
         return RootSet(np.empty(0), np.empty(0), uninformative=True)
@@ -273,7 +289,7 @@ def roots_in_interval(p, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
     # radius) are treated as 1 and excluded; likewise snapped up to 0
     real = real[(real >= -ROOT_CLUSTER_TOL) & (real < 1.0 - ROOT_CLUSTER_TOL)]
     real = np.clip(real, 0.0, None)
-    real = real[np.abs(npoly.polyval(real, c)) <= residual_tol]
+    real = real[np.abs(polyval_rows(c[None], real)[0]) <= residual_tol]
     if real.size == 0:
         return RootSet(np.empty(0), np.empty(0))
 
@@ -285,7 +301,7 @@ def roots_in_interval(p, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
         else:
             clusters.append([r])
     pts = np.array([np.mean(cl) for cl in clusters])
-    res = np.abs(npoly.polyval(pts, c))
+    res = np.abs(polyval_rows(c[None], pts)[0])
     return RootSet(pts, res)
 
 
@@ -337,8 +353,7 @@ def sign_region(C) -> list:
     (``1 / SIGN_GRID_POINTS``), or a tangent point, can fall between grid
     points and be missed.  A NaN or infinite coefficient raises a ValueError.
     """
-    C = np.asarray(C, dtype=float)
-    require_finite(C)
+    C = require_finite(C, "C")
     scale = np.max(np.abs(C), axis=1)
     keep = scale != 0.0
     C = C[keep]  # a copy, scaled in place: one copy of the rows at a time

@@ -41,7 +41,7 @@ from .identify import (
     finite_restriction_poly,
     identified_set,
 )
-from .restrictions import RestrictionSet
+from .restrictions import RestrictionSet, _number
 from .scenarios import (
     build_entry_game,
     build_entry_model,
@@ -77,13 +77,12 @@ def _check_config(cfg) -> tuple:
         issues.append({"field": field, "message": message})
 
     def numbers(name):
-        try:
-            arr = np.asarray(cfg.get(name, []), dtype=float)
-        except (TypeError, ValueError, OverflowError) as err:  # an int beyond float range overflows
-            return issue(name, f"{name} must be an array of numbers: {err}")
-        if not np.all(np.isfinite(arr)):
-            return issue(name, f"{name} must be finite")
-        return arr
+        """The field as a float array if its entries follow the rule of the
+        row format's ``vals`` and ``c`` (finite, no bool, no string)."""
+        arr = np.asarray(cfg.get(name, []), dtype=object)  # uneven lists stay lists
+        if all(map(_number, arr.flat)):
+            return arr.astype(float)
+        issue(name, f"{name} must be an array of numbers, all finite")
 
     if not isinstance(cfg, dict):
         return [{"field": "config", "message": "config must be a JSON object"}], None, None
@@ -92,11 +91,12 @@ def _check_config(cfg) -> tuple:
     if cfg.get("mode") != "single":
         issue("mode", "mode must be 'single'")
         return issues, None, None
-    try:
-        K, J = int(cfg["n_actions"]), int(cfg["n_states"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        issue("n_actions/n_states", "missing or non-integer sizes")
+    sizes = [name for name in ("n_actions", "n_states") if type(cfg.get(name)) is not int]
+    for name in sizes:
+        issue(name, f"{name} must be a JSON integer")
+    if sizes:
         return issues, None, None
+    K, J = cfg["n_actions"], cfg["n_states"]
     Q = numbers("Q")
     if Q is not None and Q.shape != (K, J, J):
         issue("Q", f"Q must have shape {(K, J, J)}, got {Q.shape}")
@@ -113,6 +113,8 @@ def _check_config(cfg) -> tuple:
             issue("payoffs", f"payoffs must have shape {(K, J)}")
         if "beta" not in cfg:
             issue("beta", "beta is required with payoffs")
+    if "beta" in cfg and not _number(cfg["beta"]):
+        issue("beta", "beta must be a number")
     if "ccps" in cfg:
         p = numbers("ccps")
         if p is not None and p.shape != (K, J):
@@ -404,9 +406,8 @@ def cmd_run(args) -> int:
 def _model_from_config(cfg) -> SingleAgentModel:
     """The model of a config; a CCP-only config (no payoffs, maybe no beta)
     still needs transitions and gets a placeholder payoff."""
-    K, J = int(cfg["n_actions"]), int(cfg["n_states"])
-    return SingleAgentModel(u=np.asarray(cfg.get("payoffs", np.zeros((K, J))), dtype=float),
-                            Q=np.asarray(cfg["Q"], dtype=float), beta=float(cfg.get("beta", 0.0)))
+    K, J = cfg["n_actions"], cfg["n_states"]
+    return SingleAgentModel(u=cfg.get("payoffs", np.zeros((K, J))), Q=cfg["Q"], beta=float(cfg.get("beta", 0.0)))
 
 
 def cmd_validate(args) -> int:

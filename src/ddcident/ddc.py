@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .betapoly import MatrixPoly, check_stochastic, det_coeffs, faddeev_adj_det, grid_split, horner_stack
-from .betapoly import two_prod, two_sum
+from .betapoly import MatrixPoly, check_stochastic, det_coeffs, faddeev_adj_det, freeze, grid_split, horner_stack
+from .betapoly import require_finite, two_prod, two_sum
 from .errors import ConvergenceError
 from .restrictions import _targets
 
@@ -41,6 +41,8 @@ class SingleAgentModel:
         Row-stochastic transition matrices by action.
     beta : float
         Discount factor in ``[0, 1)``.
+
+    ``u`` and ``Q`` are kept as read-only float copies, each checked finite.
     """
 
     u: np.ndarray
@@ -48,22 +50,17 @@ class SingleAgentModel:
     beta: float
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        Q = np.asarray(self.Q, dtype=float)
-        if u.ndim != 2:
+        freeze(self, u=self.u, Q=self.Q)
+        if self.u.ndim != 2:
             raise ValueError("u must be a (K, J) array")
-        K, J = u.shape
+        K, J = self.u.shape
         if K < 2 or J < 1:
             raise ValueError("need at least two actions and one state")
-        if Q.shape != (K, J, J):
-            raise ValueError(f"Q must have shape {(K, J, J)}, got {Q.shape}")
-        check_stochastic(Q, "transition row", ("action", "state"))
+        if self.Q.shape != (K, J, J):
+            raise ValueError(f"Q must have shape {(K, J, J)}, got {self.Q.shape}")
+        check_stochastic(self.Q, "transition row", ("action", "state"))
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
-        u.setflags(write=False)
-        Q.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "Q", Q)
 
     @property
     def n_actions(self) -> int:
@@ -169,10 +166,10 @@ def psi_from_ccps(p) -> np.ndarray:
     """Hotz-Miller inversion for type-I extreme value shocks: ``gamma - log(p)``.
 
     Accepts any array of choice probabilities; every entry must lie strictly
-    inside ``(0, 1)``.
+    inside ``(0, 1)`` (a NaN does not).
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("choice probabilities must lie strictly inside (0, 1)")
     return EULER_GAMMA - np.log(p)
 
@@ -183,10 +180,11 @@ def recover_payoffs(psi, Q, beta_hat: float) -> np.ndarray:
     Computes ``u_k = -psi_k + (I - beta Q_k) (I - beta Q_{K-1})^{-1} psi_{K-1}``
     for ``k = 0..K-2`` via a linear solve (no explicit inverse) and returns the
     action-major stacked vector of length ``J*(K-1)``.  The last action's
-    payoff is the zero vector by normalization.
+    payoff is the zero vector by normalization.  A NaN or infinite ``psi``,
+    or a ``Q`` that is not row-stochastic, is a ValueError.
     """
-    psi = np.asarray(psi, dtype=float)
-    Q = np.asarray(Q, dtype=float)
+    psi = require_finite(psi, "psi")
+    Q = check_stochastic(Q, "transition row", ("action", "state"))
     if not 0.0 <= beta_hat < 1.0:
         raise ValueError("beta_hat must lie in [0, 1)")
     K, J = psi.shape
@@ -211,7 +209,7 @@ class MasterSystem:
     shape ``(J*(K-1), J+1)``; ``det`` holds the ``J + 1`` coefficients of the
     determinant, from :func:`betapoly.det_coeffs` (about ``3.5 sqrt(J)``
     matrix products and ``sqrt(J) J^2`` floats from 64 states on), and
-    ``q_last`` is ``Q[K-1]``.
+    ``q_last`` is a read-only copy of ``Q[K-1]``.
 
     A game firm's system (``games.build_system``) is this system mapped
     through the firm's square blocks, one per exogenous state and own lag:
@@ -227,6 +225,9 @@ class MasterSystem:
     g: np.ndarray
     noise: float
     info: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        freeze(self, q_last=self.q_last)
 
     @cached_property
     def m(self) -> MatrixPoly:
@@ -269,17 +270,18 @@ def master_system(psi, Q) -> MasterSystem:
     ----------
     psi : ndarray, shape (K, J)
         Inversion vectors (``gamma - log p`` under type-I extreme value, or any
-        precomputed family).
+        precomputed family), finite.
     Q : ndarray, shape (K, J, J)
         Row-stochastic transition matrices.
     """
-    psi = np.asarray(psi, dtype=float)
+    psi = require_finite(psi, "psi")
     Q = np.asarray(Q, dtype=float)
     K, J = psi.shape
     if K < 2 or J < 1:
         raise ValueError("need at least two actions and one state")
     if Q.shape != (K, J, J):
         raise ValueError(f"Q must have shape {(K, J, J)} to match psi, got {Q.shape}")
+    check_stochastic(Q[: K - 1], "transition row", ("action", "state"))  # det_coeffs checks Q[K-1]
     det = det_coeffs(Q[K - 1])
     ah = horner_stack(Q[K - 1], det[:J, None] * psi[K - 1])  # row j: coefficient j of adj psi_last, rounded
     X1, X2 = grid_split(ah, J, axis=1)
@@ -311,6 +313,4 @@ def master_system(psi, Q) -> MasterSystem:
         g[k], big = residual(k, al)
         noise = max(noise, big)
     noise *= 1e-12  # rows at rounding level of the system inputs
-    q_last = Q[K - 1].copy()
-    q_last.setflags(write=False)
-    return MasterSystem(det=det, q_last=q_last, g=g.reshape(-1, J + 1), noise=noise)
+    return MasterSystem(det=det, q_last=Q[K - 1], g=g.reshape(-1, J + 1), noise=noise)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .betapoly import check_stochastic
+from .betapoly import check_stochastic, freeze
 from .ddc import EULER_GAMMA, MasterSystem, master_system, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, identified_set
@@ -51,6 +51,7 @@ class GameModel:
 
     ``last_action_known`` declares that the payoff of the last action
     (``a_i = K-1``) is known to the analyst; identification requires it.
+    The arrays are kept as read-only float copies, each checked finite.
     """
 
     n_firms: int
@@ -62,30 +63,19 @@ class GameModel:
     last_action_known: bool = False
 
     def __post_init__(self):
-        s_values = np.asarray(self.s_values, dtype=float)
-        T = np.asarray(self.s_transition, dtype=float)
-        payoffs = np.asarray(self.payoffs, dtype=float)
-        betas = np.asarray(self.betas, dtype=float)
-        N, K = self.n_firms, self.n_actions
+        freeze(self, s_values=self.s_values, s_transition=self.s_transition, payoffs=self.payoffs,
+               betas=self.betas)
+        N, K, m_s = self.n_firms, self.n_actions, len(self.s_values)
         if N < 1 or K < 2:
             raise ValueError(f"need at least one firm and two actions, got {N} and {K}")
-        m_s = len(s_values)
-        if T.shape != (m_s, m_s):
+        if self.s_transition.shape != (m_s, m_s):
             raise ValueError("exogenous transition must be square and match the state values")
-        check_stochastic(T, "exogenous transition row", ("state",))
-        m_x = m_s * K ** N
-        if payoffs.shape != (N, K, K ** (N - 1), m_x):
-            raise ValueError(f"payoffs must have shape {(N, K, K ** (N - 1), m_x)}, got {payoffs.shape}")
-        if not np.all(np.isfinite(payoffs)):
-            raise ValueError("payoff tensor must be finite")
-        if betas.shape != (N,) or np.any(betas < 0.0) or np.any(betas >= 1.0):
+        check_stochastic(self.s_transition, "exogenous transition row", ("state",))
+        shape = (N, K, K ** (N - 1), m_s * K ** N)
+        if self.payoffs.shape != shape:
+            raise ValueError(f"payoffs must have shape {shape}, got {self.payoffs.shape}")
+        if self.betas.shape != (N,) or np.any(self.betas < 0.0) or np.any(self.betas >= 1.0):
             raise ValueError("betas must be N discount factors in [0, 1)")
-        for arr in (s_values, T, payoffs, betas):
-            arr.setflags(write=False)
-        object.__setattr__(self, "s_values", s_values)
-        object.__setattr__(self, "s_transition", T)
-        object.__setattr__(self, "payoffs", payoffs)
-        object.__setattr__(self, "betas", betas)
 
     @property
     def m_s(self) -> int:
@@ -261,10 +251,9 @@ def solve_mpe(model: GameModel, damping: float = 0.5, start=None,
         BR, V_i, v_i = solve_logit(pi_star, Q_star, model.betas[i], V0=V_cache[i])
         residual = max(residual, float(np.max(np.abs(BR - P[i]))))
         V[i], v[i] = V_i, v_i
-    psi = EULER_GAMMA - np.log(P)
-    for arr in (P, V, v, psi):
-        arr.setflags(write=False)
-    return MpeSolution(P=P, V=V, v=v, psi=psi, residual=residual, n_iter=len(history))
+    mpe = MpeSolution(P=P, V=V, v=v, psi=EULER_GAMMA - np.log(P), residual=residual, n_iter=len(history))
+    freeze(mpe, P=P, V=V, v=v, psi=mpe.psi)
+    return mpe
 
 
 def build_system(model: GameModel, mpe: MpeSolution, i: int) -> MasterSystem:

@@ -17,6 +17,7 @@ import numpy as np
 from .betapoly import (
     ROOT_RESIDUAL_TOL,
     RootSet,
+    check_stochastic,
     crossing,
     polyval_rows,
     require_finite,
@@ -130,10 +131,9 @@ def identified_set(rows, kind: str, diagnostics: dict, *,
     caller's ``diagnostics`` (a label, a firm) are merged into the set's; an
     equality system with a nonzero row also reports
     ``independent_polynomials``, its numerical rank.  A NaN or infinite
-    coefficient raises a ValueError that names its row.
+    coefficient raises a ValueError that names its row and column.
     """
-    rows = np.asarray(rows, dtype=float)
-    require_finite(rows)
+    rows = require_finite(rows, "rows")
     diag = _poly_diagnostics(rows)
     if kind == "ge":
         return IdentifiedSet(inequality_intervals=sign_region(rows), rows=rows,
@@ -211,12 +211,10 @@ def solve_log_diff(master: MasterSystem, r, c: float) -> RootSet:
     tolerance of zero everywhere on its domain the restriction holds
     identically and the result is flagged uninformative.
     """
-    r = np.asarray(r, dtype=float)
+    r = require_finite(r, "log-difference weights")  # NaN would pass every check below
+    require_finite(c, "log-difference target")
     if r.shape != (master.n_rows,):
         raise ValueError(f"log-difference weights have length {r.size}; the system has {master.n_rows} rows")
-    for name, x in (("weights", r), ("target", c)):  # NaN would pass every check below
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"log-difference {name} must be finite, got {x}")
     if abs(r.sum()) > 1e-10:
         raise ValueError("log-difference weights must sum to zero")
     active = np.nonzero(r)[0]
@@ -265,9 +263,10 @@ def check_finite_dependence(Q, pairs, rho_max: int = 5) -> FiniteDependenceCert:
     ``Q_ka(x_a) - Q_kb(x_b) - Q_last(x_a) + Q_last(x_b)`` are stacked as the
     rows of one matrix ``D``; the certificate verifies
     ``max |D Q_last^rho| <= FD_CERT_TOL``, returning the smallest such
-    ``rho <= rho_max`` or an unsatisfied certificate.
+    ``rho <= rho_max`` or an unsatisfied certificate.  ``Q`` must be
+    row-stochastic, so finite.
     """
-    Q = np.asarray(Q, dtype=float)
+    Q = check_stochastic(Q, "transition row", ("action", "state"))
     K, J = Q.shape[:2]
     pairs = tuple((tuple(a), tuple(b)) for a, b in pairs)
     if not pairs:
@@ -295,14 +294,17 @@ def finite_restriction_poly(psi, Q, row, c: float, rho: int) -> np.ndarray:
     ``d = sum_kx r_kx (Q_last(x) - Q_k(x))``, the row is certified when
     ``max |d Q_last^rho| <= FD_CERT_TOL * max(1, sum |r|)``; the series then stops
     and the coefficients are ``a_0 = sum_kx r_kx (psi_last(x) - psi_k(x)) - c``
-    and ``a_(s+1) = d Q_last^s psi_last`` for ``s < rho``.
+    and ``a_(s+1) = d Q_last^s psi_last`` for ``s < rho``.  A NaN or
+    infinite ``psi``, ``row`` or ``c``, or a ``Q`` that is not row-stochastic,
+    is a ValueError.
     """
-    psi = np.asarray(psi, dtype=float)
-    Q = np.asarray(Q, dtype=float)
+    psi = require_finite(psi, "psi")
+    require_finite(c, "c")
+    Q = check_stochastic(Q, "transition row", ("action", "state"))
     if rho < 1:
         raise ValueError("rho must be a positive integer")
     K, J = psi.shape
-    r = np.asarray(row, dtype=float).reshape(K - 1, J)
+    r = require_finite(row, "row").reshape(K - 1, J)
     weight = max(1.0, float(np.sum(np.abs(r))))
     d = r.sum(axis=0) @ Q[K - 1] - np.einsum("kx,kxy->y", r, Q[: K - 1])
     powers = _dependence_powers(d, Q[K - 1], rho)

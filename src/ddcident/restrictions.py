@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .betapoly import freeze, require_finite
 from .errors import RankDeficiencyError
 
 RANK_TOL = 1e-10
@@ -97,26 +98,27 @@ class FactoredStates:
         return int(hits[0])
 
 
+def _number(v) -> bool:
+    """The row format's number: an int or a float, not a bool, finite as a float."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _targets(c, n_rows: int) -> np.ndarray:
-    """The targets of ``n_rows`` restriction rows as a new float vector, by
-    the row format's rule: one finite number per row, or one number for every
-    row (the builders' ``0.0``).  Anything else, a bool or a string included,
-    is a ``ValueError`` that names the shape or the entry."""
+    """The targets of ``n_rows`` restriction rows as a float vector, by the
+    row format's rule: one finite number per row, or one number for every row
+    (the builders' ``0.0``).  Anything else, a bool or a string included, is a
+    ``ValueError`` that names the shape or the entry."""
     a = np.asarray(c)
     if a.dtype.kind not in "iuf" or (a.ndim and a.shape != (n_rows,)):
         raise ValueError(f"c must be a number or one number per row ({n_rows}), not {a.dtype} of shape {a.shape}")
-    a = a.astype(float)
-    if not np.isfinite(a).all():
-        i = next(i for i, v in np.ndenumerate(a) if not math.isfinite(v))
-        raise ValueError(f"c{list(i) if i else ''} = {a[i]} is not finite")
-    return np.broadcast_to(a, (n_rows,)).copy()
+    return np.broadcast_to(require_finite(a, "c"), (n_rows,))
 
 
 @dataclass(frozen=True)
 class RestrictionSet:
-    """A batch of linear restrictions ``R @ U (=|>=) c`` on stacked payoffs.
-    ``R`` is finite and ``c`` is one finite number per row, or one for every
-    row; anything else is a ``ValueError``."""
+    """A batch of linear restrictions ``R @ U (=|>=) c`` on stacked payoffs,
+    kept as read-only float copies.  ``R`` is finite and ``c`` is one finite
+    number per row, or one for every row; anything else is a ``ValueError``."""
 
     R: np.ndarray
     c: np.ndarray
@@ -124,17 +126,10 @@ class RestrictionSet:
     label: str = ""
 
     def __post_init__(self):
-        R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        if not np.isfinite(R).all():
-            i, j = np.argwhere(~np.isfinite(R))[0]
-            raise ValueError(f"R row {i} is not finite: R[{i}, {j}] = {R[i, j]}")
-        c = _targets(self.c, R.shape[0])
+        R = np.atleast_2d(self.R)
+        freeze(self, R=R, c=_targets(self.c, R.shape[0]))
         if self.kind not in ("eq", "ge"):
             raise ValueError("kind must be 'eq' or 'ge'")
-        R.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "c", c)
 
     @property
     def n_rows(self) -> int:
@@ -157,9 +152,8 @@ class RestrictionSet:
         ``kind``, a column given twice, ``vals`` or ``c`` entries that are not
         finite numbers, bools and strings included, ``vals`` not one per
         column, ``c`` not one per row) is a ``ValueError``."""
-        def numbers(xs):  # finite as floats, and no bool
-            return isinstance(xs, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                                                and abs(v) <= sys.float_info.max for v in xs)
+        def numbers(xs):
+            return isinstance(xs, list) and all(map(_number, xs))
         if not isinstance(d, dict) or d.get("kind") not in ("equality", "inequality_ge"):
             raise ValueError("a restriction must be an object whose kind is 'equality' or 'inequality_ge'")
         n, rows, label = d.get("n_columns"), d.get("rows"), d.get("label", "")
@@ -220,12 +214,6 @@ def _flat_points(points, axes, shape) -> np.ndarray:
     return np.ravel_multi_index(tuple(pts.T), shape)
 
 
-def _degree(nu) -> None:
-    """Reject a NaN or infinite homogeneity degree, which makes every row NaN."""
-    if not math.isfinite(nu):
-        raise ValueError(f"homogeneity degree nu = {nu} is not finite")
-
-
 def _orientation(direction, positive: str, negative: str) -> float:
     """1.0 for ``positive``, -1.0 for ``negative``, else a ``ValueError`` naming both."""
     if direction not in (positive, negative):
@@ -246,7 +234,7 @@ def homogeneity_known_nu(fs: FactoredStates, action: int, base: float, lambdas, 
                          axis: str = "w") -> RestrictionSet:
     """Rows ``u(base*lam, z) - lam**nu * u(base, z) = 0`` for each multiplier and
     each combination of the remaining axes.  Every ray point must be on the grid."""
-    _degree(nu)
+    require_finite(nu, "homogeneity degree nu")
     lambdas = [float(l) for l in lambdas]
     i_base, i_ray = _ray(fs, axis, base, lambdas)
     u = fs.cells(action, axis)
@@ -275,7 +263,7 @@ def _log_ray_rows(fs: FactoredStates, action: int, base: float, lambdas, axis: s
         raise ValueError("insufficient ray points: need at least two multipliers besides 1")
     i_base, i_ray = _ray(fs, axis, base, lambdas)
     if nu is not None:
-        _degree(nu)
+        require_finite(nu, "homogeneity degree nu")
         for lam in lambdas:
             if lam ** nu == 1.0:
                 raise ValueError(f"ray multiplier {lam} has lam**nu == 1 at nu={nu}: its weight is undefined")
@@ -294,7 +282,7 @@ def additive_homogeneous(fs: FactoredStates, action: int, nu: float = 1.0,
     degrees the grid points of each triplet must be nonzero with a common sign
     and are treated as a ray anchored at the leftmost point.
     """
-    _degree(nu)
+    require_finite(nu, "homogeneity degree nu")
     g = fs.grid(axis)
     if len(g) < 3:
         raise ValueError(f"axis {axis!r} needs at least 3 grid points, has {len(g)}")
@@ -327,7 +315,7 @@ def zero_cross_difference(fs: FactoredStates, action: int, diff_axis: str,
     ``(n_diff - 1) * (n_invariant - 1)`` rows (per combination of any axes not
     named, if the two sets do not exhaust the state space).  Invariant points
     are index tuples over ``invariant_axes``; by default every combination,
-    last axis fastest.
+    last axis fastest.  A single index in place of a list is one point.
     """
     if invariant_axes is None:
         invariant_axes = tuple(a for a in fs.axes if a != diff_axis)
@@ -335,9 +323,9 @@ def zero_cross_difference(fs: FactoredStates, action: int, diff_axis: str,
     u = fs.cells(action, diff_axis, *invariant_axes)
     k = len(invariant_axes)
     n_d, inv_shape = u.shape[-1 - k], u.shape[u.ndim - k:]
-    d_pts = range(n_d) if diff_points is None else list(diff_points)
-    a_pts = list(np.ndindex(inv_shape)) if invariant_points is None else list(invariant_points)
-    if len(d_pts) < 2 or len(a_pts) < 2:
+    d_pts = range(n_d) if diff_points is None else diff_points
+    a_pts = list(np.ndindex(inv_shape)) if invariant_points is None else invariant_points
+    if len(np.atleast_1d(d_pts)) < 2 or len(np.atleast_1d(a_pts)) < 2:  # a scalar is one point
         raise ValueError("need at least two points along the difference axis and two across")
     u = u.reshape(u.shape[:u.ndim - k] + (-1,))  # invariant points flattened in C order
     v = u[..., _flat_points(d_pts, (diff_axis,), (n_d,))[:, None],
@@ -385,7 +373,10 @@ def concavity(fs: FactoredStates, action: int, axis: str, *, convex: bool = Fals
     differences are non-increasing, so a function like ``-x**2`` satisfies every
     row); ``convex=True`` flips the orientation.  Divided differences use the
     actual grid coordinates, so non-equispaced grids are handled correctly.
+    A ``convex`` other than a bool is a ``ValueError``.
     """
+    if not isinstance(convex, (bool, np.bool_)):
+        raise ValueError(f"convex must be true or false, not {convex!r}")
     g = fs.grid(axis)
     if len(g) < 3:
         raise ValueError(f"axis {axis!r} needs at least 3 grid points, has {len(g)}")

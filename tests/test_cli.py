@@ -208,6 +208,29 @@ class TestValidate:
         issues = validate_config(bad)
         assert any("duplicate label 'zero-cross'" in i["message"] for i in issues)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("beta", "0.5", "beta must be a number"),                # once read as 0.5
+        ("n_actions", "2", "n_actions must be a JSON integer"),  # once read as 2
+        ("n_states", 18.7, "n_states must be a JSON integer"),   # once read as 18
+        ("payoffs", True, "payoffs must be an array of numbers, all finite"),  # once read as 1.0
+    ])
+    def test_model_fields_follow_the_number_rule(self, entry_config, tmp_path, capsys, field, value, message):
+        # the rule of the row format's vals and c, reported under the field
+        _, cfg = entry_config
+        bad = json.loads(json.dumps(cfg))
+        if field == "payoffs":
+            bad["payoffs"][0][0] = value
+        else:
+            bad[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        expected = [{"field": field, "message": message}]
+        assert main(["validate", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["issues"] == expected
+        assert main(["run", "--config", str(path), "--restrictions", "zero-cross",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "invalid_config", "issues": expected}
+
     @pytest.mark.parametrize("restrictions", [[], None])
     def test_config_without_restrictions_rejected(self, entry_config, tmp_path, capsys, restrictions):
         # run offers only a config's own restrictions, so without any it cannot run
@@ -592,6 +615,10 @@ class TestParameterizedRestrictions:
         ("complementarity(direction=x)", "direction must be 'complements' or 'substitutes', not 'x'"),
         ("monotonicity(direction=up)", "direction must be 'increasing' or 'decreasing', not 'up'"),
         ("homogeneity(nu=nan)", "homogeneity degree nu = nan is not finite"),
+        ("homogeneity(nu=true)", "homogeneity degree nu = True is not a number"),  # once degree 1
+        ("concavity(axis=w,convex=no)", "convex must be true or false, not 'no'"),  # once convexity(w)
+        ("zero-cross(diff_axis=y,diff_points=0)",  # once "'int' object is not iterable"
+         "need at least two points along the difference axis and two across"),
     ])
     def test_bad_value_is_named(self, tmp_path, capsys, spec, message):
         out = tmp_path / "o"

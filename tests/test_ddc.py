@@ -123,6 +123,22 @@ class TestSolveBellman:
         with pytest.raises(ValueError, match="beta"):
             SingleAgentModel(u=np.zeros((2, 2)), Q=np.full((2, 2, 2), 0.5), beta=1.0)
 
+    def test_non_finite_payoff_named(self):
+        # accepted once, and the solve then blamed "the values overflow"
+        u = np.zeros((2, 3))
+        u[0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"u\[0, 1\] = nan is not finite"):
+            SingleAgentModel(u=u, Q=np.full((2, 3, 3), 1.0 / 3.0), beta=0.5)
+
+    def test_callers_arrays_stay_writable(self):
+        # the model once made the caller's own arrays read-only
+        u, Q = np.zeros((2, 3)), np.full((2, 3, 3), 1.0 / 3.0)
+        m = SingleAgentModel(u=u, Q=Q, beta=0.5)
+        assert u.flags.writeable and Q.flags.writeable
+        assert not (m.u.flags.writeable or m.Q.flags.writeable)
+        u[0, 0] = 1.0
+        assert m.u[0, 0] == 0.0
+
 
 class TestPsiInversion:
     def test_even_odds(self):
@@ -145,6 +161,9 @@ class TestPsiInversion:
             psi_from_ccps(-0.1)
         with pytest.raises(ValueError):
             psi_from_ccps(1.0)
+        # NaN fails both comparisons, so it once passed and gave a NaN psi
+        with pytest.raises(ValueError, match="strictly inside"):
+            psi_from_ccps([0.5, np.nan])
 
 
 class TestRecoverPayoffs:
@@ -172,6 +191,17 @@ class TestRecoverPayoffs:
         sol = solve_bellman(m)
         with pytest.raises(ValueError):
             recover_payoffs(sol.psi, m.Q, 1.0)
+
+    @pytest.mark.parametrize("build", [lambda psi, Q: recover_payoffs(psi, Q, 0.5),
+                                       lambda psi, Q: master_system(psi, Q)],
+                             ids=["recover_payoffs", "master_system"])
+    def test_non_finite_psi_named(self, build):
+        # each once returned NaN payoffs or rows with no error
+        m = random_model(np.random.default_rng(9))
+        psi = solve_bellman(m).psi.copy()
+        psi[1, 2] = np.inf
+        with pytest.raises(ValueError, match=r"psi\[1, 2\] = inf is not finite"):
+            build(psi, m.Q)
 
 
 class TestMasterSystem:

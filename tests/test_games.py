@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -627,6 +628,22 @@ class TestMpeSolution:
         _, mpe = game
         assert mpe.residual <= 1e-10
         assert mpe.P.shape == (3, 2, 24)
+
+
+class TestGameModelInputs:
+    def test_non_finite_beta_named(self):
+        # NaN fails both range comparisons, so it was once accepted
+        with pytest.raises(ValueError, match=r"betas\[1\] = nan is not finite"):
+            small_game(np.random.default_rng(0), betas=(0.6, np.nan))
+
+    def test_callers_payoffs_stay_writable(self):
+        # the model once made the caller's own arrays read-only
+        m = small_game(np.random.default_rng(0))
+        payoffs = np.array(m.payoffs)
+        kept = replace(m, payoffs=payoffs)
+        assert payoffs.flags.writeable and not kept.payoffs.flags.writeable
+        payoffs[0, 0, 0, 0] += 1.0
+        assert kept.payoffs[0, 0, 0, 0] == m.payoffs[0, 0, 0, 0]
 
 
 class TestGameModelSizes:

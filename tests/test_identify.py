@@ -111,7 +111,7 @@ class TestEqualitySets:
 
     @pytest.mark.parametrize("kind", ["eq", "ge"])
     def test_non_finite_row_rejected(self, kind):
-        with pytest.raises(ValueError, match="row 0 is not finite"):
+        with pytest.raises(ValueError, match=r"rows\[0, 0\] = nan is not finite"):
             identified_set(np.array([[np.nan, 1.0]]), kind, {})
 
     def test_wrong_kind_rejected(self, entry):
@@ -225,10 +225,13 @@ class TestLogDiff:
         ms, r, c = planted
         r = r.copy()
         if name == "weights":
+            i = np.flatnonzero(r)[0]
             r[np.flatnonzero(r)[:2]] = bad
+            message = rf"log-difference weights\[{i}\] = {bad} is not finite"
         else:
             c = bad
-        with pytest.raises(ValueError, match=f"log-difference {name} must be finite"):
+            message = rf"log-difference target = {bad} is not finite"
+        with pytest.raises(ValueError, match=message):
             solve_log_diff(ms, r, c)
 
     @pytest.mark.parametrize("r", [[1.0, -1.0, 0.0], [1.0, -1.0, 0.0, 0.0, 0.0]])
@@ -263,6 +266,13 @@ class TestFiniteDependence:
         pairs = [((0, 0), (0, 9)), ((0, 3), (0, 4))]
         cert = check_finite_dependence(bundle.model.Q, pairs, rho_max=3)
         assert cert.rho == 1
+
+    def test_nan_transition_gets_no_certificate(self):
+        # a NaN row once certified rho = 1 with max_violation 0.0
+        Q = np.full((2, 3, 3), 1.0 / 3.0)
+        Q[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match=r"transition row \(action 1, state 2\) sums to nan"):
+            check_finite_dependence(Q, [((0, 0), (0, 1))])
 
     def test_full_entry_model_is_not_finitely_dependent(self, entry):
         bundle, _, _ = entry
@@ -314,7 +324,34 @@ class TestFiniteDependence:
             assert got == check_finite_dependence(Q, [same_as]).max_violation
 
 
+@pytest.mark.parametrize("build", [lambda psi, Q: recover_payoffs(psi, Q, 0.5),
+                                   lambda psi, Q: master_system(psi, Q),
+                                   lambda psi, Q: finite_restriction_poly(psi, Q, np.eye(3)[0], 0.0, 1)],
+                         ids=["recover_payoffs", "master_system", "finite_restriction_poly"])
+def test_nan_transition_named(build):
+    # a NaN in a transition of an action other than the last once gave NaN
+    # payoffs, rows or coefficients with no error
+    psi = np.array([[0.3, 0.4, 0.5], [0.6, 0.2, 0.1]])
+    Q = np.full((2, 3, 3), 1.0 / 3.0)
+    Q[0, 1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"transition row \(action 0, state 1\) sums to nan"):
+        build(psi, Q)
+
+
 class TestFiniteDependencePolys:
+    @pytest.mark.parametrize("bad,message", [("psi", r"psi\[0, 3\] = nan"), ("row", r"row\[3\] = nan"),
+                                             ("c", r"c = nan")])
+    def test_non_finite_input_named(self, entry_fd, bad, message):
+        # each once gave NaN coefficients with no error
+        bundle, sol = entry_fd
+        args = {"psi": sol.psi.copy(), "row": bundle.restrictions["homogeneity"].R[0].copy(), "c": 0.0}
+        if bad == "c":
+            args["c"] = np.nan
+        else:
+            args[bad][..., 3] = np.nan
+        with pytest.raises(ValueError, match=message + " is not finite"):
+            finite_restriction_poly(args["psi"], bundle.model.Q, args["row"], args["c"], 1)
+
     def test_pair_poly_matches_master_recovery(self, entry_fd):
         # the degree-rho payoff-difference polynomial agrees with the full
         # master-system recovery at every discount factor

@@ -181,6 +181,20 @@ class TestDegreeAndDirection:
             with pytest.raises(ValueError, match=f"homogeneity degree nu = {nu} is not finite"):
                 build()
 
+    def test_bool_degree_named(self, ray_states):
+        # a parsed "true" once ran as degree 1, labelled nu=True
+        for build in (lambda: additive_homogeneous(ray_states, 0, nu=True),
+                      lambda: homogeneity_known_nu(ray_states, 0, 1.0, [2.0, 4.0], nu=True),
+                      lambda: log_diff_restriction(ray_states, 0, 1.0, [2.0, 4.0], nu=False)):
+            with pytest.raises(ValueError, match="homogeneity degree nu = (True|False) is not a number"):
+                build()
+
+    @pytest.mark.parametrize("convex", ["no", 0, 1.0, None])
+    def test_non_bool_convex_named(self, entry_states, convex):
+        # any truthy value once ran as convexity
+        with pytest.raises(ValueError, match=f"convex must be true or false, not {convex!r}"):
+            concavity(entry_states, 0, "z", convex=convex)
+
     @pytest.mark.parametrize("build,accepted", [
         (lambda fs, d: monotonicity(fs, 0, "z", direction=d), "'increasing' or 'decreasing'"),
         (lambda fs, d: complementarity(fs, 0, ("w", "z"), direction=d), "'complements' or 'substitutes'"),
@@ -246,6 +260,12 @@ class TestZeroCross:
         with pytest.raises(ValueError):
             zero_cross_difference(entry_states, 0, diff_axis="y", invariant_axes=("w",),
                                   invariant_points=[(0,)])
+
+    @pytest.mark.parametrize("points", [{"diff_points": 0}, {"invariant_points": 0}])
+    def test_a_scalar_is_one_point(self, entry_states, points):
+        # "'int' object is not iterable" once
+        with pytest.raises(ValueError, match="need at least two points"):
+            zero_cross_difference(entry_states, 0, diff_axis="y", invariant_axes=("w",), **points)
 
 
 class TestExclusion:
@@ -439,11 +459,20 @@ class TestSetPlumbing:
         with pytest.raises(ValueError, match=message):
             RestrictionSet(np.eye(3), c, "ge")
 
+    def test_callers_arrays_stay_writable(self):
+        # the set once made the caller's own R read-only
+        R, c = np.eye(3), np.zeros(3)
+        rs = RestrictionSet(R, c, "ge")
+        assert R.flags.writeable and c.flags.writeable
+        assert not (rs.R.flags.writeable or rs.c.flags.writeable)
+        R[0, 0] = 2.0
+        assert rs.R[0, 0] == 1.0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_constructor_rejects_non_finite_rows(self, bad):
         R = np.eye(3)
         R[1, 2] = bad  # once accepted
-        with pytest.raises(ValueError, match=rf"R row 1 is not finite: R\[1, 2\] = {bad}"):
+        with pytest.raises(ValueError, match=rf"R\[1, 2\] = {bad} is not finite"):
             RestrictionSet(R, 0.0, "ge")
 
     @pytest.mark.parametrize("c,expected", [(0.5, [0.5] * 3), (0, [0.0] * 3), ([1, 2, 3], [1.0, 2.0, 3.0])])
