@@ -12,6 +12,7 @@ zero row is the zero polynomial.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,28 +227,38 @@ def faddeev_adj_det(Q) -> tuple[MatrixPoly, npoly.Polynomial]:
     return MatrixPoly(horner_stack(Q, d[:-1, None, None] * np.eye(len(Q)))), npoly.Polynomial(d)
 
 
+def _number(v) -> bool:
+    """The row format's number: an int or a float, not a bool, finite as a float."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def require_finite(x, name: str) -> np.ndarray:
     """``x`` as a float array, every entry finite: the package's one check of
     a number it is given.  The first NaN or infinite entry is a ValueError
-    ``name[index] = value is not finite``; a lone bool, a parsed ``true``
-    standing for a number, is one too."""
-    if isinstance(x, (bool, np.bool_)):
-        raise ValueError(f"{name} = {x} is not a number")
-    a = np.asarray(x, dtype=float)
+    ``name[index] = value is not finite``; a lone bool (a parsed ``true``) and
+    string, bytes or object input are ``name[index] = value is not a number``."""
+    a = np.asarray(x)
+    if isinstance(x, (bool, np.bool_)) or a.dtype.kind not in "biuf":
+        i, v = next(((i, v) for i, v in np.ndenumerate(a.astype(object)) if not _number(v)), ((), x))
+        raise ValueError(f"{name}{list(i) if i else ''} = {v!r} is not a number")
+    a = a.astype(float, copy=False)
     if not np.isfinite(a).all():
         i = tuple(int(k) for k in np.argwhere(~np.isfinite(a))[0])
         raise ValueError(f"{name}{list(i) if i else ''} = {a[i]} is not finite")
     return a
 
 
+def frozen(x, name: str) -> np.ndarray:
+    """A read-only float copy of ``x``, checked first by :func:`require_finite`."""
+    a = np.array(require_finite(x, name))
+    a.setflags(write=False)
+    return a
+
+
 def freeze(obj, **arrays) -> None:
-    """Set each named field of the frozen dataclass ``obj`` to a read-only
-    float copy of the given value, checked by :func:`require_finite` first:
-    the caller's own arrays stay as they were."""
+    """Set each named field of the frozen dataclass ``obj`` to :func:`frozen` of the given value."""
     for name, x in arrays.items():
-        a = require_finite(np.array(x, dtype=float), name)
-        a.setflags(write=False)
-        object.__setattr__(obj, name, a)
+        object.__setattr__(obj, name, frozen(x, name))
 
 
 def roots_in_interval(p, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .betapoly import check_stochastic, polyval_rows
+from .betapoly import _number, check_stochastic, polyval_rows
 from .ddc import SingleAgentModel, master_system, psi_from_ccps, solve_bellman
 from .errors import ConvergenceError
 from .games import (
@@ -41,7 +41,7 @@ from .identify import (
     finite_restriction_poly,
     identified_set,
 )
-from .restrictions import RestrictionSet, _number
+from .restrictions import RestrictionSet
 from .scenarios import (
     build_entry_game,
     build_entry_model,

@@ -42,7 +42,7 @@ class SingleAgentModel:
     beta : float
         Discount factor in ``[0, 1)``.
 
-    ``u`` and ``Q`` are kept as read-only float copies, each checked finite.
+    ``u`` and ``Q`` are kept as read-only float copies and ``beta`` as a float, each checked finite.
     """
 
     u: np.ndarray
@@ -59,6 +59,7 @@ class SingleAgentModel:
         if self.Q.shape != (K, J, J):
             raise ValueError(f"Q must have shape {(K, J, J)}, got {self.Q.shape}")
         check_stochastic(self.Q, "transition row", ("action", "state"))
+        object.__setattr__(self, "beta", float(require_finite(self.beta, "beta")))
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
 
@@ -180,11 +181,12 @@ def recover_payoffs(psi, Q, beta_hat: float) -> np.ndarray:
     Computes ``u_k = -psi_k + (I - beta Q_k) (I - beta Q_{K-1})^{-1} psi_{K-1}``
     for ``k = 0..K-2`` via a linear solve (no explicit inverse) and returns the
     action-major stacked vector of length ``J*(K-1)``.  The last action's
-    payoff is the zero vector by normalization.  A NaN or infinite ``psi``,
-    or a ``Q`` that is not row-stochastic, is a ValueError.
+    payoff is the zero vector by normalization.  A non-finite ``psi`` or
+    ``beta_hat``, or a ``Q`` that is not row-stochastic, is a ValueError.
     """
     psi = require_finite(psi, "psi")
     Q = check_stochastic(Q, "transition row", ("action", "state"))
+    beta_hat = float(require_finite(beta_hat, "beta_hat"))
     if not 0.0 <= beta_hat < 1.0:
         raise ValueError("beta_hat must lie in [0, 1)")
     K, J = psi.shape

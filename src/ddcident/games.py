@@ -358,8 +358,7 @@ def r3_linear(model: GameModel, i: int, design: np.ndarray) -> np.ndarray:
     left null space), scattered to the stacked payoff coordinates.
     """
     cells = payoff_cells(model, i)[..., 0].ravel()
-    design = np.asarray(design, dtype=float)
-    if design.shape[0] != len(cells):
+    if np.shape(design)[0] != len(cells):
         raise ValueError(f"design must have {len(cells)} rows (one per reduced cell)")
     kernel = linear_in_parameters(design).R
     rows = np.zeros((kernel.shape[0], model.m_pi))

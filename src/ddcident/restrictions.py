@@ -16,12 +16,11 @@ of ``games.payoff_cells`` and use the same assembler.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .betapoly import freeze, require_finite
+from .betapoly import _number, freeze, frozen, require_finite
 from .errors import RankDeficiencyError
 
 RANK_TOL = 1e-10
@@ -30,7 +29,7 @@ GRID_MATCH_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FactoredStates:
-    """Index map for a state space that is a product of named scalar grids.
+    """Index map for a product of named scalar grids, kept as read-only, finite, ascending copies.
 
     The first axis varies fastest in the flat state index.  Payoff columns are
     action-major: column of ``(action k, state x)`` is ``k * J + x`` for
@@ -47,12 +46,12 @@ class FactoredStates:
     n_actions: int
 
     def __post_init__(self):
-        if len(self.axes) != len(self.grids):
-            raise ValueError("axes and grids must align")
-        grids = tuple(np.asarray(g, dtype=float) for g in self.grids)
+        if len(self.axes) != len(self.grids) or len(set(self.axes)) < len(self.axes):
+            raise ValueError(f"axes {self.axes} must be distinct and align with the {len(self.grids)} grids")
+        grids = tuple(frozen(g, f"axis {name!r} grid") for name, g in zip(self.axes, self.grids))
         for name, g in zip(self.axes, grids):
-            if g.ndim != 1 or len(g) < 1:
-                raise ValueError(f"grid for axis {name!r} must be a nonempty vector")
+            if g.ndim != 1 or len(g) < 1 or np.any(np.diff(g) <= 0):
+                raise ValueError(f"grid for axis {name!r} must be a nonempty, strictly ascending vector")
         object.__setattr__(self, "grids", grids)
 
     @property
@@ -96,11 +95,6 @@ class FactoredStates:
         if hits.size == 0:
             raise ValueError(f"value {value} is not on the {axis!r} grid {g}")
         return int(hits[0])
-
-
-def _number(v) -> bool:
-    """The row format's number: an int or a float, not a bool, finite as a float."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _targets(c, n_rows: int) -> np.ndarray:
@@ -283,25 +277,23 @@ def additive_homogeneous(fs: FactoredStates, action: int, nu: float = 1.0,
     and are treated as a ray anchored at the leftmost point.
     """
     require_finite(nu, "homogeneity degree nu")
-    g = fs.grid(axis)
-    if len(g) < 3:
-        raise ValueError(f"axis {axis!r} needs at least 3 grid points, has {len(g)}")
-    g0, g1, g2 = g[:-2], g[1:-1], g[2:]
     if nu == 1.0:
-        w2, w0 = 1.0 / (g2 - g1), 1.0 / (g1 - g0)
-        w1 = -(w2 + w0)
+        R = _second_differences(fs, action, axis, 1.0)
     else:
-        if np.any((g0 == 0.0) | (g0 * g1 <= 0.0) | (g0 * g2 <= 0.0)):
+        g = fs.grid(axis)
+        if len(g) < 3:
+            raise ValueError(f"axis {axis!r} needs at least 3 grid points, has {len(g)}")
+        if g[0] <= 0.0 <= g[-1]:  # the ascending grid has a point at or across zero
             raise ValueError(
                 f"axis {axis!r} grid is not a ray away from zero; "
                 f"degree-{nu} homogeneity rows are not available"
             )
         # scalar powers: numpy's vectorized power may round differently
-        a2 = np.array([x ** nu for x in g2 / g0]) - 1.0
-        a1 = np.array([x ** nu for x in g1 / g0]) - 1.0
-        w2, w1, w0 = 1.0 / a2, -1.0 / a1, 1.0 / a1 - 1.0 / a2
-    u = fs.cells(action, axis)
-    R = _stencil_rows(fs.n_columns, (u[..., 2:], w2), (u[..., 1:-1], w1), (u[..., :-2], w0))
+        a2 = np.array([x ** nu for x in g[2:] / g[:-2]]) - 1.0
+        a1 = np.array([x ** nu for x in g[1:-1] / g[:-2]]) - 1.0
+        u = fs.cells(action, axis)
+        R = _stencil_rows(fs.n_columns, (u[..., 2:], 1.0 / a2), (u[..., 1:-1], -1.0 / a1),
+                          (u[..., :-2], 1.0 / a1 - 1.0 / a2))
     return RestrictionSet(R, 0.0, "eq", f"additive_homogeneous(nu={nu})")
 
 
@@ -353,13 +345,21 @@ def exclusion(fs: FactoredStates, pair_a, pair_b) -> RestrictionSet:
     return RestrictionSet(row[None, :], 0.0, "eq", label="exclusion")
 
 
+def _second_differences(fs: FactoredStates, action: int, axis: str, sgn: float) -> np.ndarray:
+    """Rows ``sgn`` times the divided second differences along ``axis`` (``>= 0`` if convex)."""
+    g = fs.grid(axis)
+    if len(g) < 3:
+        raise ValueError(f"axis {axis!r} needs at least 3 grid points, has {len(g)}")
+    d1, d2 = g[1:-1] - g[:-2], g[2:] - g[1:-1]
+    u = fs.cells(action, axis)
+    return _stencil_rows(fs.n_columns, (u[..., :-2], sgn / d1),
+                         (u[..., 1:-1], -(sgn * (1.0 / d1 + 1.0 / d2))), (u[..., 2:], sgn / d2))
+
+
 def monotonicity(fs: FactoredStates, action: int, axis: str,
                  direction: str = "increasing") -> RestrictionSet:
-    """Weak monotonicity along an ascending scalar axis:
+    """Weak monotonicity along a scalar axis:
     ``u(next) - u(cur) >= 0`` (or the reverse for ``direction='decreasing'``)."""
-    g = fs.grid(axis)
-    if np.any(np.diff(g) <= 0):
-        raise ValueError(f"axis {axis!r} grid must be strictly ascending")
     sgn = _orientation(direction, "increasing", "decreasing")
     u = fs.cells(action, axis)
     R = _stencil_rows(fs.n_columns, (u[..., 1:], sgn), (u[..., :-1], -sgn))
@@ -377,15 +377,7 @@ def concavity(fs: FactoredStates, action: int, axis: str, *, convex: bool = Fals
     """
     if not isinstance(convex, (bool, np.bool_)):
         raise ValueError(f"convex must be true or false, not {convex!r}")
-    g = fs.grid(axis)
-    if len(g) < 3:
-        raise ValueError(f"axis {axis!r} needs at least 3 grid points, has {len(g)}")
-    # divided second difference: nonnegative for convex u, nonpositive for concave u
-    sgn = 1.0 if convex else -1.0
-    d1, d2 = g[1:-1] - g[:-2], g[2:] - g[1:-1]
-    u = fs.cells(action, axis)
-    R = _stencil_rows(fs.n_columns, (u[..., :-2], sgn / d1),
-                      (u[..., 1:-1], -(sgn * (1.0 / d1 + 1.0 / d2))), (u[..., 2:], sgn / d2))
+    R = _second_differences(fs, action, axis, 1.0 if convex else -1.0)
     return RestrictionSet(R, 0.0, "ge", f"{'convexity' if convex else 'concavity'}({axis})")
 
 
@@ -411,7 +403,7 @@ def linear_in_parameters(H) -> RestrictionSet:
     Returns an orthonormal basis of the left null space of ``H`` as equality
     rows, so ``R @ U = R @ H @ theta = 0`` for every parameter vector.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
+    H = np.atleast_2d(require_finite(H, "design"))
     p, d = H.shape
     Umat, s, _ = np.linalg.svd(H, full_matrices=True)
     rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0

@@ -291,6 +291,25 @@ class TestPolyTypes:
         assert np.array_equal(polyval_rows(C, xs[7]), [npoly.polyval(xs[7], c) for c in C])
 
 
+class TestNumberCheck:
+    @pytest.mark.parametrize("x,message", [
+        ("0.5", r"x = '0\.5' is not a number"),          # once returned 0.5
+        (["1", 2.0], r"x\[0\] = '1' is not a number"),    # once returned [1, 2]
+        ([1.0, None], r"x\[1\] = None is not a number"),  # once a NaN, "not finite"
+        (b"1", r"x = b'1' is not a number"),
+    ])
+    def test_string_bytes_and_object_input_named(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            betapoly.require_finite(x, "x")
+
+    def test_frozen_is_a_read_only_checked_copy(self):
+        x = [1, 2]
+        a = betapoly.frozen(x, "x")
+        assert a.dtype == float and a.tolist() == [1.0, 2.0] and not a.flags.writeable
+        with pytest.raises(ValueError, match=r"x\[0\] = '1' is not a number"):
+            betapoly.frozen(["1", 2.0], "x")
+
+
 class TestScenarioDeterminant:
     def test_entry_transition_det_matches_lu(self):
         from ddcident.scenarios import build_entry_model

@@ -139,6 +139,20 @@ class TestSolveBellman:
         u[0, 0] = 1.0
         assert m.u[0, 0] == 0.0
 
+    @pytest.mark.parametrize("beta,message", [(False, "beta = False is not a number"),  # once stored
+                                              ("0.5", "beta = '0.5' is not a number")])  # once a TypeError
+    def test_beta_read_as_a_number(self, beta, message):
+        with pytest.raises(ValueError, match=message):
+            SingleAgentModel(u=np.zeros((2, 3)), Q=np.full((2, 3, 3), 1.0 / 3.0), beta=beta)
+
+    def test_beta_stored_as_float(self):
+        assert type(SingleAgentModel(u=np.zeros((2, 3)), Q=np.full((2, 3, 3), 1.0 / 3.0), beta=0).beta) is float
+
+    def test_string_payoff_named(self):
+        # once read as numbers
+        with pytest.raises(ValueError, match=r"u\[0, 0\] = '1' is not a number"):
+            SingleAgentModel(u=[["1", "2"], ["0", "0"]], Q=np.full((2, 2, 2), 0.5), beta=0.5)
+
 
 class TestPsiInversion:
     def test_even_odds(self):
@@ -167,6 +181,13 @@ class TestPsiInversion:
 
 
 class TestRecoverPayoffs:
+    @pytest.mark.parametrize("beta_hat", ["0.5", True])
+    def test_beta_hat_read_as_a_number(self, beta_hat):
+        # a string was once a bare TypeError, and True read as 1 and refused as out of range
+        m = random_model(np.random.default_rng(9))
+        with pytest.raises(ValueError, match=f"beta_hat = {beta_hat!r} is not a number"):
+            recover_payoffs(solve_bellman(m).psi, m.Q, beta_hat)
+
     def test_static_logit_inversion_at_zero(self):
         rng = np.random.default_rng(7)
         m = random_model(rng, K=3, J=4)

@@ -447,6 +447,15 @@ class TestRestrictionRows:
         with pytest.raises(RankDeficiencyError):
             r3_linear(bundle.model, 0, design)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_linear_design_non_finite_named(self, game, bad):
+        # a NaN once gave "SVD did not converge", an inf "numeric rank is 0"
+        bundle, _ = game
+        design = np.array(bundle.designs[0], dtype=float)
+        design[0, 1] = bad
+        with pytest.raises(ValueError, match=rf"design\[0, 1\] = {bad} is not finite"):
+            r3_linear(bundle.model, 0, design)
+
     def test_linear_design_shape_guard(self, game):
         bundle, _ = game
         with pytest.raises(ValueError):

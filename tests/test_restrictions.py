@@ -674,3 +674,72 @@ class TestEmptyAndRepeatedAxes:
             zero_cross_difference(entry_states, 0, "y", invariant_axes=("y", "w"))
         with pytest.raises(ValueError, match="'z'"):
             zero_cross_difference(entry_states, 0, "y", invariant_axes=("z", "w", "z"))
+
+
+class TestGridOwner:
+    """``FactoredStates`` keeps read-only, checked, ascending grids under distinct names."""
+
+    def test_grid_is_a_read_only_copy(self):
+        # the caller's array was once kept: w[1] = 3.0 moved fs.grid("w") to [1, 3, 4]
+        w = np.array([1.0, 2.0, 4.0])
+        fs = FactoredStates(("w",), (w,), 2)
+        w[1] = 3.0
+        assert fs.grid("w").tolist() == [1.0, 2.0, 4.0]
+        assert w.flags.writeable and not fs.grid("w").flags.writeable
+
+    @pytest.mark.parametrize("axes,grids", [
+        # concavity's rows of the concave -x**2 here once read -2, -2: the convexity rows
+        (("x",), ([2.0, 1.0, 0.0, -1.0],)),
+        # complementarity's row of the complements w*z here once read -1: the substitutes row
+        (("w", "z"), ([1.0, 0.0], [0.0, 1.0])),
+        (("x",), ([0.0, 1.0, 1.0],)),
+    ])
+    def test_grid_that_does_not_ascend_named(self, axes, grids):
+        with pytest.raises(ValueError, match=f"grid for axis '{axes[0]}' must be a nonempty, strictly ascending"):
+            FactoredStates(axes, tuple(np.array(g) for g in grids), 2)
+
+    def test_repeated_axis_name_named(self):
+        # once accepted, every lookup of "w" finding the first grid
+        with pytest.raises(ValueError, match=r"axes \('w', 'z', 'w'\) must be distinct"):
+            FactoredStates(("w", "z", "w"), (np.array([0.0, 1.0]),) * 3, 2)
+
+    @pytest.mark.parametrize("grid,message", [
+        ([0.0, np.nan, 1.0], r"axis 'z' grid\[1\] = nan is not finite"),  # once accepted
+        ([], r"grid for axis 'z' must be a nonempty, strictly ascending vector"),
+        ([[0.0, 1.0]], r"grid for axis 'z' must be a nonempty, strictly ascending vector"),
+        (["0", "1"], r"axis 'z' grid\[0\] = '0' is not a number"),  # once read as 0.0 and 1.0
+    ])
+    def test_bad_grid_named(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            FactoredStates(("w", "z"), (np.array([0.0, 1.0]), grid), 2)
+
+    @pytest.mark.parametrize("action", [0, 1])
+    @pytest.mark.parametrize("axis", [a for a in GRID4.axes if len(GRID4.grid(a)) >= 3])
+    def test_degree_one_homogeneity_is_the_convexity_stencil(self, axis, action):
+        eq = additive_homogeneous(GRID4, action, nu=1.0, axis=axis).R
+        ge = concavity(GRID4, action, axis, convex=True).R
+        assert eq.shape == ge.shape and eq.tobytes() == ge.tobytes()
+
+
+class TestInputsThatAreNotFiniteNumbers:
+    def test_string_rows_named(self):
+        # once read as 1.0 and -1.0
+        with pytest.raises(ValueError, match=r"R\[0, 0\] = '1' is not a number"):
+            RestrictionSet([["1", "-1"]], 0.0, "eq")
+
+    def test_string_degree_named(self, ray_states):
+        # a TypeError from the ray powers once, or a degree-1 set labelled nu=1
+        for build in (lambda: additive_homogeneous(ray_states, 0, nu="1"),
+                      lambda: homogeneity_known_nu(ray_states, 0, 1.0, [2.0, 4.0], nu="2"),
+                      lambda: log_diff_restriction(ray_states, 0, 1.0, [2.0, 4.0], nu="2")):
+            with pytest.raises(ValueError, match="homogeneity degree nu = '[12]' is not a number"):
+                build()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_design_named(self, bad):
+        # a NaN once gave "SVD did not converge", an inf "numeric rank is 0"
+        H = np.ones((4, 2))
+        H[:, 1] = np.arange(4.0)
+        H[0, 1] = bad
+        with pytest.raises(ValueError, match=rf"design\[0, 1\] = {bad} is not finite"):
+            linear_in_parameters(H)
