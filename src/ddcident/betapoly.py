@@ -89,8 +89,9 @@ _STOCH_TOL = 1e-10
 def check_stochastic(M, name: str, labels, axis: int = -1) -> np.ndarray:
     """``M`` as a float array, checked to hold probability distributions along
     ``axis`` (entries at least ``-_STOCH_TOL``, sums within ``_STOCH_TOL`` of
-    1); the ValueError names the first bad one by index, a label per other axis."""
-    M = np.asarray(M, dtype=float)
+    1); the ValueError names the first bad one by index, a label per other axis
+    (entries by :func:`_numbers`, so a NaN is named by its sum)."""
+    M = _numbers(M, name)
     P = np.moveaxis(M, axis, -1)
     sums = P.sum(axis=-1)
     negative = np.any(P < -_STOCH_TOL, axis=-1)
@@ -153,10 +154,10 @@ def det_coeffs(Q) -> np.ndarray:
     products a step) and each solve is refined once on a residual
     :func:`math.fsum` adds exactly.  About ``(m + 7) J^2`` floats; ``Q`` is
     checked (square, nonempty, row-stochastic) before any product."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or not Q.size:
-        raise ValueError(f"transition matrix must be square with at least one state, got shape {Q.shape}")
-    check_stochastic(Q, "transition row", ("state",))
+    shape = np.shape(Q)
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+        raise ValueError(f"transition matrix must be square with at least one state, got shape {shape}")
+    Q = check_stochastic(Q, "transition row", ("state",))
     J = Q.shape[0]
     d, A = np.ones(J + 1), np.eye(J)
     if J < _BLOCKED_FROM:  # the plain recursion
@@ -222,26 +223,38 @@ def faddeev_adj_det(Q) -> tuple[MatrixPoly, npoly.Polynomial]:
     """Adjugate and determinant of ``I - beta*Q`` as explicit polynomials: the
     determinant's ``coef`` is :func:`det_coeffs`, and the degree ``J - 1``
     adjugate is :func:`horner_stack` of ``d_j I``, ``J^3`` floats."""
-    Q = np.asarray(Q, dtype=float)
-    d = det_coeffs(Q)
-    return MatrixPoly(horner_stack(Q, d[:-1, None, None] * np.eye(len(Q)))), npoly.Polynomial(d)
+    d = det_coeffs(Q)  # checks Q
+    return MatrixPoly(horner_stack(np.asarray(Q), d[:-1, None, None] * np.eye(len(Q)))), npoly.Polynomial(d)
+
+
+def _real(v) -> bool:
+    """A Python or numpy int or float, not a bool."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
 def _number(v) -> bool:
     """The row format's number: an int or a float, not a bool, finite as a float."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    return _real(v) and abs(v) <= sys.float_info.max
+
+
+def _numbers(x, name: str) -> np.ndarray:
+    """``x`` as a float array if every entry is an int or a float, a list's
+    read before numpy converts them: a bool anywhere, a string, bytes or any
+    other object is a ValueError ``name[index] = value is not a number``."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf" or (isinstance(x, (list, tuple))
+                                     and not all(map(_real, np.asarray(x, dtype=object).flat))):
+        i, v = next(((i, v) for i, v in np.ndenumerate(np.asarray(x, dtype=object)) if not _real(v)), ((), x))
+        raise ValueError(f"{name}{list(i) if i else ''} = {v!r} is not a number")
+    return a.astype(float, copy=False)
 
 
 def require_finite(x, name: str) -> np.ndarray:
     """``x`` as a float array, every entry finite: the package's one check of
     a number it is given.  The first NaN or infinite entry is a ValueError
-    ``name[index] = value is not finite``; a lone bool (a parsed ``true``) and
+    ``name[index] = value is not finite``; a bool, wherever it sits, and
     string, bytes or object input are ``name[index] = value is not a number``."""
-    a = np.asarray(x)
-    if isinstance(x, (bool, np.bool_)) or a.dtype.kind not in "biuf":
-        i, v = next(((i, v) for i, v in np.ndenumerate(a.astype(object)) if not _number(v)), ((), x))
-        raise ValueError(f"{name}{list(i) if i else ''} = {v!r} is not a number")
-    a = a.astype(float, copy=False)
+    a = _numbers(x, name)
     if not np.isfinite(a).all():
         i = tuple(int(k) for k in np.argwhere(~np.isfinite(a))[0])
         raise ValueError(f"{name}{list(i) if i else ''} = {a[i]} is not finite")

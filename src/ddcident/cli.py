@@ -284,7 +284,7 @@ def _config_source(args):
     issues, model, inline = _check_config(cfg)
     if issues:
         raise ConfigError(issues)
-    psi = (psi_from_ccps(np.asarray(cfg["ccps"], dtype=float)) if "ccps" in cfg
+    psi = (psi_from_ccps(cfg["ccps"]) if "ccps" in cfg
            else solve_bellman(model, tol=args.tol_fixedpoint).psi)
     ms = master_system(psi, model.Q)
     return {label: _no_arguments(rs) for label, rs in inline.items()}, ms.payoff_polys, ms.info

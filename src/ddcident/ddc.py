@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .betapoly import MatrixPoly, check_stochastic, det_coeffs, faddeev_adj_det, freeze, grid_split, horner_stack
-from .betapoly import require_finite, two_prod, two_sum
+from .betapoly import _numbers, require_finite, two_prod, two_sum
 from .errors import ConvergenceError
 from .restrictions import _targets
 
@@ -27,6 +27,28 @@ EULER_GAMMA = float(np.euler_gamma)
 # A Newton step below this (relative to max(1, |V|_inf)) that does not shrink is
 # rounding noise: under quadratic convergence the next step is at rounding level.
 _NOISE_STEP = 1e-8
+
+
+def _model_arrays(x, Q, name: str):
+    """Payoffs or inversion vectors ``x`` and transitions ``Q`` as float
+    arrays, the one check of the pair: ``x`` finite, ``(K, J)``, at least two
+    actions and one state, and ``Q`` row-stochastic, ``(K, J, J)``, so that
+    ``Q[K-1]`` is the normalized action's."""
+    x = require_finite(x, name)
+    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 1:
+        raise ValueError(f"{name} must be (K, J): need at least two actions and one state, got {x.shape}")
+    K, J = x.shape
+    if np.shape(Q) != (K, J, J):
+        raise ValueError(f"Q must have shape {(K, J, J)} to match {name}, got {np.shape(Q)}")
+    return x, check_stochastic(Q, "transition row", ("action", "state"))
+
+
+def _discount(beta, name: str) -> float:
+    """``beta`` as a float, read by :func:`require_finite` and checked to lie in ``[0, 1)``."""
+    beta = float(require_finite(beta, name))
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"{name} must lie in [0, 1)")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -42,7 +64,8 @@ class SingleAgentModel:
     beta : float
         Discount factor in ``[0, 1)``.
 
-    ``u`` and ``Q`` are kept as read-only float copies and ``beta`` as a float, each checked finite.
+    ``u`` and ``Q`` are kept as read-only float copies, checked by
+    :func:`_model_arrays`, and ``beta`` as a float, checked by :func:`_discount`.
     """
 
     u: np.ndarray
@@ -51,17 +74,8 @@ class SingleAgentModel:
 
     def __post_init__(self):
         freeze(self, u=self.u, Q=self.Q)
-        if self.u.ndim != 2:
-            raise ValueError("u must be a (K, J) array")
-        K, J = self.u.shape
-        if K < 2 or J < 1:
-            raise ValueError("need at least two actions and one state")
-        if self.Q.shape != (K, J, J):
-            raise ValueError(f"Q must have shape {(K, J, J)}, got {self.Q.shape}")
-        check_stochastic(self.Q, "transition row", ("action", "state"))
-        object.__setattr__(self, "beta", float(require_finite(self.beta, "beta")))
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must lie in [0, 1)")
+        _model_arrays(self.u, self.Q, "u")
+        object.__setattr__(self, "beta", _discount(self.beta, "beta"))
 
     @property
     def n_actions(self) -> int:
@@ -89,14 +103,6 @@ class CcpSolution:
     residual: float
     residual_path: np.ndarray
 
-    @property
-    def n_actions(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def n_states(self) -> int:
-        return self.p.shape[1]
-
     def __iter__(self):
         return iter((self.p, self.V, self.v))
 
@@ -116,7 +122,8 @@ def solve_logit(u, Q, beta: float, V0=None, tol: float = 1e-12, max_iter: int = 
 
     Each step takes the logit choice probabilities ``p`` at the integrated
     value ``V`` (``u`` is (K, J), ``Q`` is (K, J, J), ``V0`` defaults to zero
-    and is not written to) and solves the policy's Bellman equation
+    and is not written to; ``beta`` is checked by :func:`_discount`, ``u`` and
+    ``Q`` are not) and solves the policy's Bellman equation
     ``(I - beta sum_k p_k Q_k) V = gamma + sum_k p_k (u_k - log p_k)``.  It stops
     after a step of at most ``tol * max(1, |V|_inf)``, or before a step that is
     rounding noise (``_NOISE_STEP``), which it does not take.
@@ -127,6 +134,7 @@ def solve_logit(u, Q, beta: float, V0=None, tol: float = 1e-12, max_iter: int = 
         If neither happens within ``max_iter`` steps, or a step cannot be
         solved or overflows; the exception carries the last step sizes.
     """
+    beta = _discount(beta, "beta")
     V = np.zeros(u.shape[1]) if V0 is None else np.array(V0, dtype=float)
     eye = np.eye(len(V))
     steps = []
@@ -166,10 +174,10 @@ def solve_bellman(model: SingleAgentModel, tol: float = 1e-12, max_iter: int = 1
 def psi_from_ccps(p) -> np.ndarray:
     """Hotz-Miller inversion for type-I extreme value shocks: ``gamma - log(p)``.
 
-    Accepts any array of choice probabilities; every entry must lie strictly
-    inside ``(0, 1)`` (a NaN does not).
+    Accepts any array of numbers (:func:`betapoly._numbers`); every entry
+    must lie strictly inside ``(0, 1)`` (a NaN does not).
     """
-    p = np.asarray(p, dtype=float)
+    p = _numbers(p, "p")
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("choice probabilities must lie strictly inside (0, 1)")
     return EULER_GAMMA - np.log(p)
@@ -181,20 +189,14 @@ def recover_payoffs(psi, Q, beta_hat: float) -> np.ndarray:
     Computes ``u_k = -psi_k + (I - beta Q_k) (I - beta Q_{K-1})^{-1} psi_{K-1}``
     for ``k = 0..K-2`` via a linear solve (no explicit inverse) and returns the
     action-major stacked vector of length ``J*(K-1)``.  The last action's
-    payoff is the zero vector by normalization.  A non-finite ``psi`` or
-    ``beta_hat``, or a ``Q`` that is not row-stochastic, is a ValueError.
+    payoff is the zero vector by normalization.  ``psi`` and ``Q`` are checked
+    by :func:`_model_arrays`, ``beta_hat`` by :func:`_discount`.
     """
-    psi = require_finite(psi, "psi")
-    Q = check_stochastic(Q, "transition row", ("action", "state"))
-    beta_hat = float(require_finite(beta_hat, "beta_hat"))
-    if not 0.0 <= beta_hat < 1.0:
-        raise ValueError("beta_hat must lie in [0, 1)")
+    psi, Q = _model_arrays(psi, Q, "psi")
+    beta_hat = _discount(beta_hat, "beta_hat")
     K, J = psi.shape
     V = np.linalg.solve(np.eye(J) - beta_hat * Q[K - 1], psi[K - 1])
-    u = np.empty((K - 1, J))
-    for k in range(K - 1):
-        u[k] = -psi[k] + V - beta_hat * (Q[k] @ V)
-    return u.reshape(-1)
+    return (-psi[: K - 1] + V - beta_hat * (Q[: K - 1] @ V)).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -245,10 +247,10 @@ class MasterSystem:
         """Coefficient rows of ``R G(beta) - c det(beta)``, shape
         ``(rows, J + 1)``: since ``det > 0`` on ``[0, 1)``, a row is ``>= 0``
         where the payoffs recovered at beta satisfy ``R U >= c``.  ``c`` is
-        one finite number per row, or one for every row; anything else is a
-        ``ValueError``.  A row no larger than ``noise * max(1, max|R|)``
-        holds at every discount factor and is set to zero."""
-        R = np.atleast_2d(np.asarray(R, dtype=float))
+        one finite number per row, or one for every row, and ``R`` finite;
+        anything else is a ``ValueError``.  A row no larger than ``noise *
+        max(1, max|R|)`` holds at every discount factor and is set to zero."""
+        R = np.atleast_2d(require_finite(R, "R"))
         rows = R @ self.g - np.outer(_targets(c, R.shape[0]), self.det)
         rows[np.max(np.abs(rows), axis=1) <= self.noise * max(1.0, np.abs(R).max(initial=0.0))] = 0.0
         return rows
@@ -268,22 +270,12 @@ def master_system(psi, Q) -> MasterSystem:
     exact arithmetic: the kernel's values there are minus the recursion's
     rounding errors, which run through it once more.
 
-    Parameters
-    ----------
-    psi : ndarray, shape (K, J)
-        Inversion vectors (``gamma - log p`` under type-I extreme value, or any
-        precomputed family), finite.
-    Q : ndarray, shape (K, J, J)
-        Row-stochastic transition matrices.
+    ``psi`` holds the (K, J) inversion vectors (``gamma - log p`` under
+    type-I extreme value, or any precomputed family) and ``Q`` the (K, J, J)
+    transitions, both checked by :func:`_model_arrays`.
     """
-    psi = require_finite(psi, "psi")
-    Q = np.asarray(Q, dtype=float)
+    psi, Q = _model_arrays(psi, Q, "psi")
     K, J = psi.shape
-    if K < 2 or J < 1:
-        raise ValueError("need at least two actions and one state")
-    if Q.shape != (K, J, J):
-        raise ValueError(f"Q must have shape {(K, J, J)} to match psi, got {Q.shape}")
-    check_stochastic(Q[: K - 1], "transition row", ("action", "state"))  # det_coeffs checks Q[K-1]
     det = det_coeffs(Q[K - 1])
     ah = horner_stack(Q[K - 1], det[:J, None] * psi[K - 1])  # row j: coefficient j of adj psi_last, rounded
     X1, X2 = grid_split(ah, J, axis=1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .betapoly import check_stochastic, freeze
+from .betapoly import _numbers, check_stochastic, freeze
 from .ddc import EULER_GAMMA, MasterSystem, master_system, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, identified_set
@@ -203,7 +203,7 @@ def solve_mpe(model: GameModel, damping: float = 0.5, start=None,
     if start is None:
         P = np.full((N, K, m_x), 1.0 / K)
     else:
-        P = np.array(start, dtype=float)
+        P = _numbers(start, "start").copy()  # written in place below
         if P.shape != (N, K, m_x):
             raise ValueError(f"start must have shape {(N, K, m_x)}, got {P.shape}")
         check_stochastic(P, "start choice distribution", ("firm", "state"), axis=1)

@@ -24,7 +24,7 @@ from .betapoly import (
     roots_in_interval,
     sign_region,
 )
-from .ddc import MasterSystem
+from .ddc import MasterSystem, _model_arrays
 from .restrictions import RestrictionSet, _flat_points
 
 COMMON_ROOT_TOL = 1e-6
@@ -294,13 +294,12 @@ def finite_restriction_poly(psi, Q, row, c: float, rho: int) -> np.ndarray:
     ``d = sum_kx r_kx (Q_last(x) - Q_k(x))``, the row is certified when
     ``max |d Q_last^rho| <= FD_CERT_TOL * max(1, sum |r|)``; the series then stops
     and the coefficients are ``a_0 = sum_kx r_kx (psi_last(x) - psi_k(x)) - c``
-    and ``a_(s+1) = d Q_last^s psi_last`` for ``s < rho``.  A NaN or
-    infinite ``psi``, ``row`` or ``c``, or a ``Q`` that is not row-stochastic,
-    is a ValueError.
+    and ``a_(s+1) = d Q_last^s psi_last`` for ``s < rho``.  ``psi`` and ``Q``
+    are checked by :func:`ddc._model_arrays`; a NaN or infinite ``row`` or
+    ``c`` is a ValueError.
     """
-    psi = require_finite(psi, "psi")
+    psi, Q = _model_arrays(psi, Q, "psi")
     require_finite(c, "c")
-    Q = check_stochastic(Q, "transition row", ("action", "state"))
     if rho < 1:
         raise ValueError("rho must be a positive integer")
     K, J = psi.shape

@@ -105,7 +105,7 @@ def _targets(c, n_rows: int) -> np.ndarray:
     a = np.asarray(c)
     if a.dtype.kind not in "iuf" or (a.ndim and a.shape != (n_rows,)):
         raise ValueError(f"c must be a number or one number per row ({n_rows}), not {a.dtype} of shape {a.shape}")
-    return np.broadcast_to(require_finite(a, "c"), (n_rows,))
+    return np.broadcast_to(require_finite(c, "c"), (n_rows,))
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class RestrictionSet:
     label: str = ""
 
     def __post_init__(self):
-        R = np.atleast_2d(self.R)
+        R = np.atleast_2d(require_finite(self.R, "R"))
         freeze(self, R=R, c=_targets(self.c, R.shape[0]))
         if self.kind not in ("eq", "ge"):
             raise ValueError("kind must be 'eq' or 'ge'")

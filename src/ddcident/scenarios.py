@@ -10,6 +10,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .betapoly import check_stochastic, require_finite
 from .ddc import SingleAgentModel
 from .games import GameModel, payoff_cells
 from .restrictions import (
@@ -32,8 +33,9 @@ def _norm_cdf(z) -> np.ndarray:
 def ar1_transition(grid, gamma1: float, sigma: float, shift: float = 0.0) -> np.ndarray:
     """Transition matrix on a fixed ascending grid for ``x' = shift + gamma1*x + e``,
     ``e ~ N(0, sigma^2)``, with midpoint-rule cell probabilities and tail mass
-    assigned to the edge points."""
-    grid = np.asarray(grid, dtype=float)
+    assigned to the edge points; a row with a negative or NaN entry, as from a
+    descending grid or ``sigma <= 0``, is a ValueError."""
+    grid = require_finite(grid, "grid")
     J = len(grid)
     if J == 1:
         return np.ones((1, 1))
@@ -45,7 +47,7 @@ def ar1_transition(grid, gamma1: float, sigma: float, shift: float = 0.0) -> np.
         T[i, 0] = cdf[0]
         T[i, 1:-1] = np.diff(cdf)
         T[i, -1] = 1.0 - cdf[-1]
-    return T
+    return check_stochastic(T, "AR(1) transition row", ("state",))
 
 
 def tauchen(gamma1: float, sigma: float, J: int, center: float = 0.0):
@@ -238,7 +240,10 @@ def build_entry_game(cfg: EntryGameConfig | None = None) -> EntryGameBundle:
     """
     cfg = cfg or EntryGameConfig()
     N, K = cfg.n_firms, 2
-    s_values = np.asarray(cfg.s_values, dtype=float)
+    theta_fc = require_finite(cfg.theta_fc, "theta_fc")
+    if theta_fc.shape != (N,):
+        raise ValueError(f"theta_fc must hold one entry per firm: {N} firms, got shape {theta_fc.shape}")
+    s_values = require_finite(cfg.s_values, "s_values")
     # scalar logs: numpy's vectorized log may round differently
     log_s = np.array([np.log(v) for v in s_values])
     log_1n = np.array([np.log(1.0 + n) for n in range(N)])
@@ -253,10 +258,9 @@ def build_entry_game(cfg: EntryGameConfig | None = None) -> EntryGameBundle:
     for i in range(N):
         own_out = np.where(lag // K ** i % K == 1, 1.0, 0.0)
         payoffs[i, 0] = (cfg.theta_rs * log_s[s_idx] - cfg.theta_rn * log_1n[n_in(o)]
-                         - cfg.theta_fc[i] - cfg.theta_ec * own_out)
+                         - theta_fc[i] - cfg.theta_ec * own_out)
     model = GameModel(n_firms=N, n_actions=K, s_values=s_values,
-                      s_transition=np.asarray(cfg.s_transition, dtype=float),
-                      payoffs=payoffs, betas=np.asarray(cfg.betas, dtype=float),
+                      s_transition=cfg.s_transition, payoffs=payoffs, betas=cfg.betas,
                       last_action_known=True)
 
     # every firm's baseline cells have the same (action, o, s, own lag) layout

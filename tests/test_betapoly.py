@@ -302,6 +302,24 @@ class TestNumberCheck:
         with pytest.raises(ValueError, match=message):
             betapoly.require_finite(x, "x")
 
+    @pytest.mark.parametrize("x,message", [
+        ([True, 0.5], r"x\[0\] = True is not a number"),                # once returned [1.0, 0.5]
+        ([[0.5, 1.0], [0.0, False]], r"x\[1, 1\] = False is not a number"),
+        ((0.5, np.True_), r"x\[1\] = np.True_ is not a number"),
+        (np.array([True, False]), r"x\[0\] = True is not a number"),    # once returned [1.0, 0.0]
+    ])
+    def test_bool_named_wherever_it_sits(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            betapoly.require_finite(x, "x")
+
+    @pytest.mark.parametrize("M,message", [
+        ([["0.5", "0.5"]], r"row\[0, 0\] = '0.5' is not a number"),      # once read as numbers
+        ([[True, False]], r"row\[0, 0\] = True is not a number"),        # once read as [1, 0]
+    ])
+    def test_check_stochastic_reads_numbers(self, M, message):
+        with pytest.raises(ValueError, match=message):
+            betapoly.check_stochastic(M, "row", ("state",))
+
     def test_frozen_is_a_read_only_checked_copy(self):
         x = [1, 2]
         a = betapoly.frozen(x, "x")

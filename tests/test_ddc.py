@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from ddcident.ddc import (
     psi_from_ccps,
     recover_payoffs,
     solve_bellman,
+    solve_logit,
 )
 from ddcident.errors import ConvergenceError
 
@@ -459,8 +461,58 @@ class TestStreamedAdjugate:
     def test_non_stochastic_last_action_named(self):
         psi, Q = banded_inputs(18)
         Q[-1, 3, 3] += 0.1
-        with pytest.raises(ValueError, match=r"transition row \(state 3\) sums to 1.1"):
+        with pytest.raises(ValueError, match=r"transition row \(action 1, state 3\) sums to 1.1"):
             master_system(psi, Q)
+
+
+PSI = np.arange(8.0).reshape(2, 4) / 10  # two actions, four states
+STRING_Q = np.full((2, 4, 4), "0.25")
+
+
+class TestModelInputReaders:
+    """The (psi, Q) pair, the discount factor and every number each have one reader."""
+
+    def test_bool_payoffs_named(self):
+        # once stored as 0/1 payoffs
+        with pytest.raises(ValueError, match=r"u\[0, 0\] = True is not a number"):
+            SingleAgentModel(u=np.array([[True, False], [False, False]]), Q=np.full((2, 2, 2), 0.5), beta=0.5)
+
+    @pytest.mark.parametrize("beta,message", [
+        (1.5, r"beta must lie in \[0, 1\)"),           # once returned choice probabilities
+        ("0.5", r"beta = '0.5' is not a number"),      # once a numpy UFuncTypeError
+        (True, r"beta = True is not a number"),
+    ])
+    def test_solve_logit_beta_read(self, beta, message):
+        with pytest.raises(ValueError, match=message):
+            solve_logit(np.zeros((2, 2)), np.full((2, 2, 2), 0.5), beta)
+
+    def test_string_ccps_named(self):
+        # once read as numbers
+        with pytest.raises(ValueError, match=r"p\[0, 0\] = '0.5' is not a number"):
+            psi_from_ccps([["0.5", "0.5"], ["0.5", "0.5"]])
+
+    def test_string_restriction_rows_named(self):
+        # once read as numbers
+        ms = master_system(PSI, np.full((2, 4, 4), 0.25))
+        with pytest.raises(ValueError, match=r"R\[0, 0\] = '1' is not a number"):
+            ms.payoff_polys([["1", "0", "0", "0"]])
+
+    @pytest.mark.parametrize("build", [
+        lambda Q: master_system(PSI, Q),
+        lambda Q: recover_payoffs(PSI, Q, 0.9),
+        lambda Q: det_coeffs(Q[1]),
+    ], ids=["master_system", "recover_payoffs", "det_coeffs"])
+    def test_string_transitions_named(self, build):
+        # each once read the strings as numbers
+        with pytest.raises(ValueError, match=r"transition row\[0, 0(, 0)?\] = '0.25' is not a number"):
+            build(STRING_Q)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (2, 3, 3)], ids=["actions", "states"])
+    def test_recover_payoffs_mismatched_q_named(self, shape):
+        # three actions once normalized Q[1]; three states were a bare broadcast error
+        Q = np.full(shape, 1.0 / shape[-1])
+        with pytest.raises(ValueError, match=r"Q must have shape \(2, 4, 4\) to match psi, got " + re.escape(str(shape))):
+            recover_payoffs(PSI, Q, 0.9)
 
 
 class TestEntryModelCrossChecks:

@@ -686,6 +686,12 @@ class TestSolverEdges:
         with pytest.raises(ValueError):
             solve_mpe(bundle.model, start=np.full_like(mpe.P, 0.4))
 
+    def test_string_start_named(self, game):
+        # once run for 16 sweeps
+        bundle, mpe = game
+        with pytest.raises(ValueError, match=r"start\[0, 0, 0\] = '0.5' is not a number"):
+            solve_mpe(bundle.model, start=np.full(mpe.P.shape, "0.5"))
+
     def test_negative_start_rejected(self, game):
         bundle, mpe = game
         start = np.full_like(mpe.P, 0.5)

@@ -338,6 +338,18 @@ def test_nan_transition_named(build):
         build(psi, Q)
 
 
+def test_finite_restriction_poly_mismatched_actions_named():
+    # a third action's Q once gave [1.6, 0.0], with Q[1] taken as the normalized action
+    with pytest.raises(ValueError, match=r"Q must have shape \(2, 4, 4\) to match psi, got \(3, 4, 4\)"):
+        finite_restriction_poly(np.arange(8.0).reshape(2, 4) / 10, np.full((3, 4, 4), 0.25), np.ones(4), 0.0, 1)
+
+
+def test_string_transitions_get_no_certificate():
+    # once certified rho = 1
+    with pytest.raises(ValueError, match=r"transition row\[0, 0, 0\] = '0.25' is not a number"):
+        check_finite_dependence(np.full((2, 4, 4), "0.25"), [((0, 0), (0, 1))])
+
+
 class TestFiniteDependencePolys:
     @pytest.mark.parametrize("bad,message", [("psi", r"psi\[0, 3\] = nan"), ("row", r"row\[3\] = nan"),
                                              ("c", r"c = nan")])

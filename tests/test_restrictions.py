@@ -468,6 +468,13 @@ class TestSetPlumbing:
         R[0, 0] = 2.0
         assert rs.R[0, 0] == 1.0
 
+    def test_constructor_rejects_a_bool_among_numbers(self):
+        # numpy once read the list as [[1.0, 0.5]]
+        with pytest.raises(ValueError, match=r"R\[0, 0\] = True is not a number"):
+            RestrictionSet([[True, 0.5]], 0.0, "ge")
+        with pytest.raises(ValueError, match=r"c\[1\] = False is not a number"):
+            RestrictionSet(np.eye(2), [0.5, False], "ge")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_constructor_rejects_non_finite_rows(self, bad):
         R = np.eye(3)

@@ -6,6 +6,7 @@ from ddcident.ddc import solve_bellman
 from ddcident.identify import check_finite_dependence
 from ddcident.restrictions import zero_cross_difference
 from ddcident.scenarios import (
+    EntryGameConfig,
     EntryModelConfig,
     ar1_transition,
     build_entry_game,
@@ -155,6 +156,30 @@ class TestEntryModel:
     def test_solver_reaches_tolerance(self, bundle):
         sol = solve_bellman(bundle.model)
         assert sol.residual <= 1e-12
+
+
+class TestAr1TransitionRows:
+    # each once returned rows with negative entries; sigma = 0 (a NaN row) is
+    # left out, since it divides by zero before the check
+    @pytest.mark.parametrize("grid,sigma", [([0.0, 1.0, 2.0], -1.0), ([2.0, 1.0, 0.0], 1.0)],
+                             ids=["negative-sigma", "descending-grid"])
+    def test_bad_rows_named(self, grid, sigma):
+        with pytest.raises(ValueError, match=r"AR\(1\) transition row \(state 0\) has a negative entry"):
+            ar1_transition(grid, 0.5, sigma)
+
+
+class TestEntryGameFixedCosts:
+    @pytest.mark.parametrize("cfg,message", [
+        (EntryGameConfig(n_firms=2, betas=(0.8, 0.9)), r"2 firms, got shape \(3,\)"),  # once dropped the third
+        (EntryGameConfig(theta_fc=(1.0,)), r"3 firms, got shape \(1,\)"),              # once an IndexError
+    ])
+    def test_one_entry_per_firm(self, cfg, message):
+        with pytest.raises(ValueError, match=r"theta_fc must hold one entry per firm: " + message):
+            build_entry_game(cfg)
+
+    def test_string_fixed_cost_named(self):
+        with pytest.raises(ValueError, match=r"theta_fc\[1\] = '0.9' is not a number"):
+            build_entry_game(EntryGameConfig(theta_fc=(1.0, "0.9", 0.8)))
 
 
 class TestEntryModelFd:
