@@ -1,9 +1,7 @@
 """Identified sets for discount factors and payoffs in dynamic discrete choice models."""
 
 from .betapoly import (
-    MatrixPoly,
     RootSet,
-    faddeev_adj_det,
     roots_in_interval,
     sign_region,
 )

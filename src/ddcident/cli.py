@@ -115,6 +115,8 @@ def _check_config(cfg) -> tuple:
             issue("beta", "beta is required with payoffs")
     if "beta" in cfg and not _number(cfg["beta"]):
         issue("beta", "beta must be a number")
+    if "ccps" in cfg and "payoffs" in cfg:
+        issue("ccps", "give 'payoffs' (with beta) or 'ccps', not both")
     if "ccps" in cfg:
         p = numbers("ccps")
         if p is not None and p.shape != (K, J):

@@ -264,9 +264,11 @@ def check_finite_dependence(Q, pairs, rho_max: int = 5) -> FiniteDependenceCert:
     rows of one matrix ``D``; the certificate verifies
     ``max |D Q_last^rho| <= FD_CERT_TOL``, returning the smallest such
     ``rho <= rho_max`` or an unsatisfied certificate.  ``Q`` must be
-    row-stochastic, so finite.
+    row-stochastic, so finite, of shape ``(K, J, J)`` with ``K >= 2``.
     """
     Q = check_stochastic(Q, "transition row", ("action", "state"))
+    if Q.ndim != 3 or Q.shape[0] < 2 or Q.shape[1] != Q.shape[2]:
+        raise ValueError(f"Q must have shape (K, J, J) with K >= 2 actions, got {Q.shape}")
     K, J = Q.shape[:2]
     pairs = tuple((tuple(a), tuple(b)) for a, b in pairs)
     if not pairs:

@@ -216,12 +216,28 @@ def _orientation(direction, positive: str, negative: str) -> float:
 
 
 def _ray(fs: FactoredStates, axis: str, base: float, lambdas):
-    """Grid indices on ``axis`` of ``base`` and of each ``lam * base``, all of which must be on it.
-    A multiplier that is not positive, or is 1, raises ``ValueError``."""
-    for lam in lambdas:
+    """Grid indices on ``axis`` of ``base`` and each ``lam * base`` (all on it), then the multipliers
+    as floats, all read by :func:`require_finite`; a multiplier not positive, or 1, is a ``ValueError``."""
+    base = require_finite(base, "ray base").item()
+    lams = require_finite(lambdas, "ray multipliers").tolist()
+    for lam in lams:
         if not (lam > 0.0 and lam != 1.0):
             raise ValueError(f"ray multiplier {lam} must be positive and other than 1")
-    return fs.find_on_grid(axis, base), [fs.find_on_grid(axis, lam * base) for lam in lambdas]
+    return fs.find_on_grid(axis, base), [fs.find_on_grid(axis, lam * base) for lam in lams], lams
+
+
+def _ray_stencil(fs, action, axis, i0, i1, i2, lam1, lam2, nu) -> np.ndarray:
+    """Rows ``w2 [u(i2) - u(i0)] - w1 [u(i1) - u(i0)]`` along ``axis`` (C order: other axes, then
+    the indices), ``lam1`` and ``lam2`` listing the multipliers of ``i1`` and ``i2`` over ``i0``.
+    The weights ``w = 1/log(lam)`` (``nu=None``) or ``1/(lam**nu - 1)`` take scalar powers (numpy's
+    vectorized power may round differently); one with ``lam**nu == 1`` is a ``ValueError``."""
+    for lam in lam1 + lam2 if nu is not None else ():
+        if lam ** nu == 1.0:
+            raise ValueError(f"ray multiplier {lam} has lam**nu == 1 at nu={nu}: its weight is undefined")
+    w1, w2 = (np.array([1.0 / np.log(lam) if nu is None else 1.0 / (lam ** nu - 1.0) for lam in lams])
+              for lams in (lam1, lam2))
+    u = fs.cells(action, axis)
+    return _stencil_rows(fs.n_columns, (u[..., i2], w2), (u[..., i1], -w1), (u[..., i0], w1 - w2))
 
 
 def homogeneity_known_nu(fs: FactoredStates, action: int, base: float, lambdas, nu: float,
@@ -229,11 +245,10 @@ def homogeneity_known_nu(fs: FactoredStates, action: int, base: float, lambdas, 
     """Rows ``u(base*lam, z) - lam**nu * u(base, z) = 0`` for each multiplier and
     each combination of the remaining axes.  Every ray point must be on the grid."""
     require_finite(nu, "homogeneity degree nu")
-    lambdas = [float(l) for l in lambdas]
-    i_base, i_ray = _ray(fs, axis, base, lambdas)
+    i_base, i_ray, lams = _ray(fs, axis, base, lambdas)
     u = fs.cells(action, axis)
     R = _stencil_rows(fs.n_columns, (np.take(u, i_ray, axis=-1), 1.0),
-                      (u[..., [i_base]], [-(lam ** nu) for lam in lambdas]))
+                      (u[..., [i_base]], [-(lam ** nu) for lam in lams]))
     return RestrictionSet(R, 0.0, "eq", f"homogeneity(nu={nu})")
 
 
@@ -250,21 +265,13 @@ def log_homogeneity(fs: FactoredStates, action: int, base: float, lambdas,
 def _log_ray_rows(fs: FactoredStates, action: int, base: float, lambdas, axis: str,
                   nu: float | None = None) -> np.ndarray:
     """Rows ``w_j [u(lam_j base) - u(base)] - w_0 [u(lam_0 base) - u(base)]``
-    for ``j >= 1``, one block per cell of the other axes, with the weights
-    ``w = 1/log(lam)`` (``nu=None``) or ``1/(lam**nu - 1)``."""
-    lambdas = [float(l) for l in lambdas]
+    for ``j >= 1`` by :func:`_ray_stencil`, one block per cell of the other axes."""
     if len(lambdas) < 2:
         raise ValueError("insufficient ray points: need at least two multipliers besides 1")
-    i_base, i_ray = _ray(fs, axis, base, lambdas)
+    i_base, i_ray, lams = _ray(fs, axis, base, lambdas)
     if nu is not None:
         require_finite(nu, "homogeneity degree nu")
-        for lam in lambdas:
-            if lam ** nu == 1.0:
-                raise ValueError(f"ray multiplier {lam} has lam**nu == 1 at nu={nu}: its weight is undefined")
-    inv = [1.0 / np.log(lam) if nu is None else 1.0 / (lam ** nu - 1.0) for lam in lambdas]
-    u = fs.cells(action, axis)
-    return _stencil_rows(fs.n_columns, (u[..., i_ray[1:]], inv[1:]), (u[..., [i_ray[0]]], -inv[0]),
-                         (u[..., [i_base]], [inv[0] - w for w in inv[1:]]))
+    return _ray_stencil(fs, action, axis, [i_base], i_ray[:1], i_ray[1:], lams[:1], lams[1:], nu)
 
 
 def additive_homogeneous(fs: FactoredStates, action: int, nu: float = 1.0,
@@ -288,12 +295,8 @@ def additive_homogeneous(fs: FactoredStates, action: int, nu: float = 1.0,
                 f"axis {axis!r} grid is not a ray away from zero; "
                 f"degree-{nu} homogeneity rows are not available"
             )
-        # scalar powers: numpy's vectorized power may round differently
-        a2 = np.array([x ** nu for x in g[2:] / g[:-2]]) - 1.0
-        a1 = np.array([x ** nu for x in g[1:-1] / g[:-2]]) - 1.0
-        u = fs.cells(action, axis)
-        R = _stencil_rows(fs.n_columns, (u[..., 2:], 1.0 / a2), (u[..., 1:-1], -1.0 / a1),
-                          (u[..., :-2], 1.0 / a1 - 1.0 / a2))
+        R = _ray_stencil(fs, action, axis, np.s_[:-2], np.s_[1:-1], np.s_[2:],
+                         (g[1:-1] / g[:-2]).tolist(), (g[2:] / g[:-2]).tolist(), nu)
     return RestrictionSet(R, 0.0, "eq", f"additive_homogeneous(nu={nu})")
 
 
@@ -335,9 +338,10 @@ def exclusion(fs: FactoredStates, pair_a, pair_b) -> RestrictionSet:
     """
     (ka, ca), (kb, cb) = pair_a, pair_b
     axes = fs.axes[::-1]  # C order over the reversed axes is the flat state order
-    pairs = [(ka, ca)] if kb == fs.n_actions - 1 else [(ka, ca), (kb, cb)]  # the normalized action has no column
-    cols = [fs.cells(k, *axes).flat[_flat_points([[x[a] for a in axes]], axes, fs.shape[::-1])[0]]
-            for k, x in pairs]
+    xa, xb = (_flat_points([[x[a] for a in axes]], axes, fs.shape[::-1])[0] for x in (ca, cb))
+    kb = _flat_points(kb, ("action",), (fs.n_actions,))[0]
+    pairs = [(ka, xa)] if kb == fs.n_actions - 1 else [(ka, xa), (kb, xb)]  # the normalized action has no column
+    cols = [fs.cells(k, *axes).flat[x] for k, x in pairs]
     if len(set(cols)) < len(cols):
         raise ValueError("exclusion must reference two distinct action-state pairs")
     row = np.zeros(fs.n_columns)

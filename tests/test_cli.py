@@ -250,6 +250,20 @@ class TestValidate:
                      "--out-dir", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().err) == {"error": "invalid_config", "issues": [expected]}
 
+    def test_payoffs_and_ccps_together_rejected(self, entry_config, tmp_path, capsys):
+        # run once used the CCPs and dropped the payoffs and beta, exit 0
+        _, cfg = entry_config
+        both = json.loads(json.dumps(cfg))
+        both["ccps"] = [[0.5] * cfg["n_states"]] * cfg["n_actions"]
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(both))
+        expected = [{"field": "ccps", "message": "give 'payoffs' (with beta) or 'ccps', not both"}]
+        assert main(["validate", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["issues"] == expected
+        assert main(["run", "--config", str(path), "--restrictions", "zero-cross",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "invalid_config", "issues": expected}
+
     def test_malformed_json_is_structured_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"schema_version": 1,')
@@ -544,7 +558,7 @@ class TestParameterizedRestrictions:
         ident = json.loads((out / "identified_set.json").read_text())
         assert "monotonicity" in ident["restrictions"]
         # 12 rows along w as well: (J_w-1) * J_z * |y|
-        header = open(out / "curves.csv").readline().strip().split(",")
+        header = (out / "curves.csv").read_text().splitlines()[0].split(",")
         assert len(header) == 13
 
     def test_bad_argument_reports_error(self, tmp_path, capsys):

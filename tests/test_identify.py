@@ -274,6 +274,16 @@ class TestFiniteDependence:
         with pytest.raises(ValueError, match=r"transition row \(action 1, state 2\) sums to nan"):
             check_finite_dependence(Q, [((0, 0), (0, 1))])
 
+    @pytest.mark.parametrize("Q", [
+        np.full((4, 4), 0.25),           # once a numpy matmul core-dimension error
+        np.full((2, 3, 4), 0.25),        # rows of four states for three: the same
+        np.full((1, 3, 3), 1.0 / 3.0),   # one action: once "actions other than the last, 0..-1"
+    ], ids=["2-D", "not-square", "one-action"])
+    def test_transition_shape_named(self, Q):
+        with pytest.raises(ValueError, match=rf"Q must have shape \(K, J, J\) with K >= 2 actions, "
+                                             rf"got \({', '.join(map(str, Q.shape))}\)"):
+            check_finite_dependence(Q, [((0, 0), (0, 1))])
+
     def test_full_entry_model_is_not_finitely_dependent(self, entry):
         bundle, _, _ = entry
         pairs = [((0, 0), (0, 9))]

@@ -750,3 +750,69 @@ class TestInputsThatAreNotFiniteNumbers:
         H[0, 1] = bad
         with pytest.raises(ValueError, match=rf"design\[0, 1\] = {bad} is not finite"):
             linear_in_parameters(H)
+
+
+class TestRayAndExclusionInputs:
+    """The ray builders read the base and the multipliers, and ``exclusion``
+    both pairs, by the package's number and index rules."""
+
+    FS = FactoredStates(("w", "z"), ([1.0, 2.0, 4.0], [0.0, 1.0]), 2)
+
+    def ray_builders(self, base, lambdas):
+        fs = self.FS
+        return [lambda: homogeneity_known_nu(fs, 0, base, lambdas[:1], nu=1.0),
+                lambda: homogeneity_known_nu(fs, 0, base, lambdas, nu=2.0),
+                lambda: log_homogeneity(fs, 0, base, lambdas),
+                lambda: log_diff_restriction(fs, 0, base, lambdas),
+                lambda: log_diff_restriction(fs, 0, base, lambdas, nu=2.0)]
+
+    def test_string_multipliers_named(self):
+        # once read as 2.0 and 4.0, so every builder returned rows or weights
+        for build in self.ray_builders(1.0, ["2", "4"]):
+            with pytest.raises(ValueError, match=r"ray multipliers\[0\] = '2' is not a number"):
+                build()
+
+    @pytest.mark.parametrize("base,message", [
+        (True, "ray base = True is not a number"),  # once read as 1.0
+        ("1", "ray base = '1' is not a number"),    # once a numpy UFuncTypeError
+    ], ids=["bool", "string"])
+    def test_base_that_is_not_a_number_named(self, base, message):
+        for build in self.ray_builders(base, [2.0, 4.0]):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_bool_multiplier_named(self):
+        # once blamed as "ray multiplier 1.0"
+        with pytest.raises(ValueError, match=r"ray multipliers\[0\] = True is not a number"):
+            log_homogeneity(self.FS, 0, 1.0, [True, 2.0, 4.0])
+        for build in self.ray_builders(1.0, [True, 2.0]):
+            with pytest.raises(ValueError, match=r"ray multipliers\[0\] = True is not a number"):
+                build()
+
+    def test_zero_degree_on_a_ray_grid_named(self):
+        # once a division by zero, then "R[0, 0] = nan is not finite"
+        with pytest.raises(ValueError, match=r"ray multiplier 2.0 has lam\*\*nu == 1 at nu=0.0"):
+            additive_homogeneous(self.FS, 0, nu=0.0)
+
+    def test_overflowing_degree_raises(self):
+        # lam**nu = inf once gave the weight 1/(lam**nu - 1) = 0, an all-zero row
+        with pytest.raises(OverflowError):
+            additive_homogeneous(self.FS, 0, nu=2000.0)
+
+    @pytest.mark.parametrize("pair_b,message", [
+        # the normalized action's term is dropped, but its point is still read
+        ((1, {"w": 99, "z": 0}), "axis 'w' index 99 out of range"),  # once a one-term row
+        ((1, {"w": 0.5, "z": 0}), r"index 0.5 on axes \('z', 'w'\) is not an integer"),
+        ((True, {"w": 1, "z": 0}), r"index True on axes \('action',\) is not an integer"),  # once the normalized one
+        ((np.True_, {"w": 1, "z": 0}), r"index True on axes \('action',\) is not an integer"),
+    ], ids=["off-grid", "fraction", "bool-action", "numpy-bool-action"])
+    def test_second_pair_read(self, pair_b, message):
+        with pytest.raises(IndexError, match=message):
+            exclusion(self.FS, (0, {"w": 0, "z": 0}), pair_b)
+
+    @pytest.mark.parametrize("nu", [0.5, 2.0, 3.0, -1.0, 1.7])
+    def test_degree_nu_homogeneity_is_the_log_difference_stencil(self, nu):
+        fs = FactoredStates(("w",), ([1.0, 2.0, 4.0],), 2)
+        eq = additive_homogeneous(fs, 0, nu=nu).R[0]
+        r, _ = log_diff_restriction(fs, 0, 1.0, [2.0, 4.0], nu=nu)
+        assert eq.tobytes() == r.tobytes()
