@@ -274,7 +274,7 @@ def freeze(obj, **arrays) -> None:
         object.__setattr__(obj, name, frozen(x, name))
 
 
-def roots_in_interval(p, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
+def roots_in_interval(p) -> RootSet:
     """All real roots in ``[0, 1)`` of the polynomial with coefficient vector
     ``p`` (``p[j]`` multiplies ``beta**j``).
 
@@ -284,7 +284,7 @@ def roots_in_interval(p, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
     step is taken where both are within the rounding bounds of their
     evaluation, as at an exact double root.  A candidate is accepted when its
     imaginary part is within ``ROOT_IMAG_TOL`` and its relative residual
-    within ``residual_tol``; accepted roots are deduplicated within
+    within ``ROOT_RESIDUAL_TOL``; accepted roots are deduplicated within
     ``ROOT_CLUSTER_TOL``.  The zero polynomial holds at every point: its root
     set is empty and flagged ``uninformative``.  A NaN or infinite coefficient
     raises a ValueError.
@@ -313,7 +313,7 @@ def roots_in_interval(p, *, residual_tol: float = ROOT_RESIDUAL_TOL) -> RootSet:
     # radius) are treated as 1 and excluded; likewise snapped up to 0
     real = real[(real >= -ROOT_CLUSTER_TOL) & (real < 1.0 - ROOT_CLUSTER_TOL)]
     real = np.clip(real, 0.0, None)
-    real = real[np.abs(polyval_rows(c[None], real)[0]) <= residual_tol]
+    real = real[np.abs(polyval_rows(c[None], real)[0]) <= ROOT_RESIDUAL_TOL]
     if real.size == 0:
         return RootSet(np.empty(0), np.empty(0))
 

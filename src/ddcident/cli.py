@@ -23,10 +23,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .betapoly import _number, check_stochastic, polyval_rows
+from .betapoly import ROOT_RESIDUAL_TOL, _number, check_stochastic, polyval_rows
 from .ddc import SingleAgentModel, master_system, psi_from_ccps, solve_bellman
 from .errors import ConvergenceError
 from .games import (
+    DAMPING,
     build_system,
     r3_adjustment_cost,
     r3_exchangeability,
@@ -50,6 +51,9 @@ from .scenarios import (
 )
 
 SCHEMA_VERSION = 1
+# every run's numerical policy, as run_manifest.json records it
+FIXED_POINT_TOL = 1e-12  # solve_bellman's default, and tighter than solve_mpe's for the game
+TOLERANCES = {"root_residual": ROOT_RESIDUAL_TOL, "fixed_point": FIXED_POINT_TOL, "damping": DAMPING}
 
 
 class ConfigError(ValueError):
@@ -213,21 +217,6 @@ def _beta_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _check_tolerances(args):
-    """Reject a tolerance or damping that would give a wrong set, a
-    traceback or an endless solve (NaN fails every comparison, so it is
-    caught here too)."""
-    issues = []
-    if not 0.0 < args.tol_root < np.inf:
-        issues.append({"field": "--tol-root", "message": "must be a positive finite number"})
-    if not 0.0 <= args.tol_fixedpoint < np.inf:
-        issues.append({"field": "--tol-fixedpoint", "message": "must be a nonnegative finite number"})
-    if not 0.0 < args.damping <= 1.0:
-        issues.append({"field": "--damping", "message": "must lie in (0, 1]"})
-    if issues:
-        raise ConfigError(issues)
-
-
 def _normalized_curves(grid, rows, key):
     cols = {}
     for i, vals in enumerate(polyval_rows(rows, grid)):
@@ -287,21 +276,21 @@ def _config_source(args):
     if issues:
         raise ConfigError(issues)
     psi = (psi_from_ccps(cfg["ccps"]) if "ccps" in cfg
-           else solve_bellman(model, tol=args.tol_fixedpoint).psi)
+           else solve_bellman(model).psi)
     ms = master_system(psi, model.Q)
     return {label: _no_arguments(rs) for label, rs in inline.items()}, ms.payoff_polys, ms.info
 
 
 def _entry_source(args):
     bundle = build_entry_model()
-    ms = master_system(solve_bellman(bundle.model, tol=args.tol_fixedpoint).psi, bundle.model.Q)
+    ms = master_system(solve_bellman(bundle.model).psi, bundle.model.Q)
     return entry_restrictions(bundle.states, bundle.H), ms.payoff_polys, ms.info
 
 
 def _fd_source(args):
     bundle = build_entry_model_fd()
     model = bundle.model
-    psi = solve_bellman(model, tol=args.tol_fixedpoint).psi
+    psi = solve_bellman(model).psi
     cert = check_finite_dependence(model.Q, [((0, 0), (0, bundle.states.n_states // 2))], rho_max=4)
     if not cert.satisfied:
         raise ConfigError([{"field": "scenario",
@@ -322,7 +311,7 @@ def _game_source(args):
         raise ConfigError([{"field": "--firm", "message":
                             f"firm indices are 1-based, from 1 to {model.n_firms}"}])
     i = args.firm - 1
-    mpe = solve_mpe(model, damping=args.damping, tol=max(args.tol_fixedpoint, 1e-13))
+    mpe = solve_mpe(model, tol=FIXED_POINT_TOL)
     system = build_system(model, mpe, i)
     builders = {  # each set is labelled with its result key
         "exchangeability": lambda **kw: RestrictionSet(
@@ -345,7 +334,6 @@ _SOURCES = {"entry": _entry_source, "entry-fd": _fd_source, "entry-game": _game_
 
 def cmd_run(args) -> int:
     grid = _beta_grid(args.beta_grid)
-    _check_tolerances(args)
     specs = parse_restriction_specs(args.restrictions) if args.restrictions else []
     if not specs:
         raise ConfigError([{"field": "--restrictions", "message": "at least one restriction is required"}])
@@ -353,9 +341,7 @@ def cmd_run(args) -> int:
         raise ConfigError([{"field": "--firm", "message": "--firm applies to --scenario entry-game "
                             "only, and not with --config"}])
     config_echo = {"scenario": args.scenario, "config": args.config, "firm": args.firm,
-                   "restrictions": args.restrictions, "beta_grid": args.beta_grid,
-                   "tol_root": args.tol_root, "tol_fixedpoint": args.tol_fixedpoint,
-                   "damping": args.damping}
+                   "restrictions": args.restrictions, "beta_grid": args.beta_grid}
     if args.config:
         source = _config_source
     elif args.scenario in _SOURCES:
@@ -378,8 +364,11 @@ def cmd_run(args) -> int:
         if key in results:
             raise ConfigError([{"field": "--restrictions",
                                 "message": f"{name!r} asks again for the result {key!r}"}])
-        ident = identified_set(payoff_rows(rs.R, rs.c), rs.kind, {"label": rs.label, **info},
-                               residual_tol=args.tol_root)
+        try:
+            rows = payoff_rows(rs.R, rs.c)
+        except ValueError as err:
+            raise ConfigError([{"field": "--restrictions", "message": f"cannot form the rows of {name!r}: {err}"}])
+        ident = identified_set(rows, rs.kind, {"label": rs.label, **info})
         results[key] = ident.to_json_dict()
         curves.update(_normalized_curves(grid, ident.rows, key))
         sets.append(ident)
@@ -395,8 +384,7 @@ def cmd_run(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
         "config": config_echo,
-        "tolerances": {"root_residual": args.tol_root, "fixed_point": args.tol_fixedpoint,
-                       "damping": args.damping},
+        "tolerances": TOLERANCES,
         "outputs": ["curves.csv", "identified_set.json", "run_manifest.json"],
     }
     with open(os.path.join(args.out_dir, "run_manifest.json"), "w", encoding="utf-8") as fh:
@@ -440,13 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--firm", type=int, help="firm index for the game scenario (1-based)")
     run.add_argument("--beta-grid", default="0:1:2001", help="lo:hi:n curve grid")
     run.add_argument("--out-dir", default=".", help="output directory")
-    run.add_argument("--tol-root", type=float, default=1e-8, help="root residual tolerance")
-    run.add_argument("--tol-fixedpoint", type=float, default=1e-12,
-                     help="fixed-point tolerance: Newton steps of the logit solver stop at "
-                          "tol * max(1, ||V||inf); game best responses at max(tol, 1e-13)")
-    run.add_argument("--damping", type=float, default=0.5,
-                     help="games: weight of each firm's best response in a sweep of the "
-                          "accelerated equilibrium solver")
     run.set_defaults(func=cmd_run)
 
     val = sub.add_parser("validate", help="validate a model JSON config")

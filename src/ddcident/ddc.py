@@ -248,10 +248,13 @@ class MasterSystem:
         ``(rows, J + 1)``: since ``det > 0`` on ``[0, 1)``, a row is ``>= 0``
         where the payoffs recovered at beta satisfy ``R U >= c``.  ``c`` is
         one finite number per row, or one for every row, and ``R`` finite;
-        anything else is a ``ValueError``.  A row no larger than ``noise *
-        max(1, max|R|)`` holds at every discount factor and is set to zero."""
+        anything else, or a row that overflows, is a ``ValueError``.  A row no
+        larger than ``noise * max(1, max|R|)`` holds at every beta and is set to zero."""
         R = np.atleast_2d(require_finite(R, "R"))
-        rows = R @ self.g - np.outer(_targets(c, R.shape[0]), self.det)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row is named below
+            rows = R @ self.g - np.outer(_targets(c, R.shape[0]), self.det)
+        if not np.isfinite(rows).all():
+            raise ValueError(f"row {np.argwhere(~np.isfinite(rows))[0, 0]} of R G(beta) - c det(beta) overflows")
         rows[np.max(np.abs(rows), axis=1) <= self.noise * max(1.0, np.abs(R).max(initial=0.0))] = 0.0
         return rows
 

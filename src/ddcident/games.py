@@ -26,8 +26,9 @@ from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, identified_set
 from .restrictions import _flat_points, _stencil_rows, linear_in_parameters
 
-# sweeps the equilibrium solver extrapolates from (see solve_mpe)
+# sweeps the equilibrium solver extrapolates from, and its default damping (see solve_mpe)
 ANDERSON_DEPTH = 5
+DAMPING = 0.5
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ def expected_objects(model: GameModel, P, i: int):
     return pi_star, Q_star, P_minus
 
 
-def solve_mpe(model: GameModel, damping: float = 0.5, start=None,
+def solve_mpe(model: GameModel, damping: float = DAMPING, start=None,
               tol: float = 1e-10, max_iter: int = 100_000) -> MpeSolution:
     """Equilibrium choice probabilities by Anderson-accelerated damped
     best-response sweeps.

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .betapoly import (
-    ROOT_RESIDUAL_TOL,
     RootSet,
     check_stochastic,
     crossing,
@@ -99,7 +98,7 @@ def _poly_diagnostics(rows):
             for d, s, u in zip(degree, scale, uninformative)]
 
 
-def _common_roots(rows, diag, residual_tol):
+def _common_roots(rows, diag):
     """Common roots on [0, 1) of the rows of a coefficient matrix.
 
     Candidates are the roots of the first informative row; a candidate
@@ -109,7 +108,7 @@ def _common_roots(rows, diag, residual_tol):
     informative = rows[[not d["uninformative"] for d in diag]]
     if not len(informative):
         return None
-    candidates = roots_in_interval(informative[0], residual_tol=residual_tol)
+    candidates = roots_in_interval(informative[0])
     rest = informative[1:]
     vals = np.abs(polyval_rows(rest, candidates.points)) / np.max(np.abs(rest), axis=1)[:, None]
     keep = np.all(vals <= COMMON_ROOT_TOL, axis=0)
@@ -117,14 +116,14 @@ def _common_roots(rows, diag, residual_tol):
     return RootSet(candidates.points[keep], res[keep])
 
 
-def identified_set(rows, kind: str, diagnostics: dict, *,
-                   residual_tol: float = ROOT_RESIDUAL_TOL) -> IdentifiedSet:
+def identified_set(rows, kind: str, diagnostics: dict) -> IdentifiedSet:
     """The identified set of a system of restriction rows, the rows of a
     coefficient matrix (``rows[i, j]`` multiplies ``beta**j``), each a
     polynomial that is ``>= 0`` (kind ``"ge"``) or ``== 0`` (kind ``"eq"``) at
     the discount factors consistent with it.
 
-    Equality rows give their common roots on ``[0, 1)``; identically-zero rows
+    Equality rows give their common roots on ``[0, 1)``, at fixed tolerances
+    (``betapoly.ROOT_RESIDUAL_TOL``, ``COMMON_ROOT_TOL``); identically-zero rows
     are flagged uninformative and excluded, and if every row is, the set
     carries ``no_identifying_content`` and an empty root list.  Inequality
     rows give the subintervals of ``[0, 1)`` where all are nonnegative.  The
@@ -140,7 +139,7 @@ def identified_set(rows, kind: str, diagnostics: dict, *,
                              diagnostics={**diagnostics, "polynomials": diag})
     if kind != "eq":
         raise ValueError("kind must be 'eq' or 'ge'")
-    roots = _common_roots(rows, diag, residual_tol)
+    roots = _common_roots(rows, diag)
     if roots is None:
         return IdentifiedSet(equality_roots=[], rows=rows, diagnostics={
             **diagnostics, "polynomials": diag, "no_identifying_content": True})

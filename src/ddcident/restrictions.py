@@ -226,16 +226,26 @@ def _ray(fs: FactoredStates, axis: str, base: float, lambdas):
     return fs.find_on_grid(axis, base), [fs.find_on_grid(axis, lam * base) for lam in lams], lams
 
 
+def _power(lam: float, nu) -> float:
+    """``lam**nu`` by scalar float power (numpy's may round differently); an overflow is a ``ValueError``."""
+    try:
+        return lam ** float(nu)
+    except OverflowError:
+        raise ValueError(f"ray multiplier {lam} to the degree nu={nu} overflows") from None
+
+
 def _ray_stencil(fs, action, axis, i0, i1, i2, lam1, lam2, nu) -> np.ndarray:
     """Rows ``w2 [u(i2) - u(i0)] - w1 [u(i1) - u(i0)]`` along ``axis`` (C order: other axes, then
     the indices), ``lam1`` and ``lam2`` listing the multipliers of ``i1`` and ``i2`` over ``i0``.
-    The weights ``w = 1/log(lam)`` (``nu=None``) or ``1/(lam**nu - 1)`` take scalar powers (numpy's
-    vectorized power may round differently); one with ``lam**nu == 1`` is a ``ValueError``."""
-    for lam in lam1 + lam2 if nu is not None else ():
-        if lam ** nu == 1.0:
+    The weights are ``w = 1/log(lam)`` (``nu=None``) or ``1/(lam**nu - 1)`` by :func:`_power`; one
+    with ``lam**nu == 1`` is a ``ValueError``."""
+    def weight(lam):
+        if nu is None:
+            return 1.0 / np.log(lam)
+        if (power := _power(lam, nu)) == 1.0:
             raise ValueError(f"ray multiplier {lam} has lam**nu == 1 at nu={nu}: its weight is undefined")
-    w1, w2 = (np.array([1.0 / np.log(lam) if nu is None else 1.0 / (lam ** nu - 1.0) for lam in lams])
-              for lams in (lam1, lam2))
+        return 1.0 / (power - 1.0)
+    w1, w2 = (np.array([weight(lam) for lam in lams]) for lams in (lam1, lam2))
     u = fs.cells(action, axis)
     return _stencil_rows(fs.n_columns, (u[..., i2], w2), (u[..., i1], -w1), (u[..., i0], w1 - w2))
 
@@ -248,7 +258,7 @@ def homogeneity_known_nu(fs: FactoredStates, action: int, base: float, lambdas, 
     i_base, i_ray, lams = _ray(fs, axis, base, lambdas)
     u = fs.cells(action, axis)
     R = _stencil_rows(fs.n_columns, (np.take(u, i_ray, axis=-1), 1.0),
-                      (u[..., [i_base]], [-(lam ** nu) for lam in lams]))
+                      (u[..., [i_base]], [-_power(lam, nu) for lam in lams]))
     return RestrictionSet(R, 0.0, "eq", f"homogeneity(nu={nu})")
 
 
@@ -333,10 +343,14 @@ def zero_cross_difference(fs: FactoredStates, action: int, diff_axis: str,
 def exclusion(fs: FactoredStates, pair_a, pair_b) -> RestrictionSet:
     """Equate the payoff at two action-state pairs (one row).
 
-    Each pair is ``(action, coords)``.  If the second action is the normalized
-    last action, its term is dropped (that payoff is identically zero).
+    Each pair is ``(action, coords)``, ``coords`` one grid index for each axis and no other
+    (a ``ValueError`` otherwise).  If the second action is the normalized last action, its
+    term is dropped (that payoff is identically zero).
     """
     (ka, ca), (kb, cb) = pair_a, pair_b
+    for pair, coords in (("first", ca), ("second", cb)):
+        if set(coords) != set(fs.axes):
+            raise ValueError(f"exclusion's {pair} pair gives the axes {list(coords)}; the grid's are {list(fs.axes)}")
     axes = fs.axes[::-1]  # C order over the reversed axes is the flat state order
     xa, xb = (_flat_points([[x[a] for a in axes]], axes, fs.shape[::-1])[0] for x in (ca, cb))
     kb = _flat_points(kb, ("action",), (fs.n_actions,))[0]

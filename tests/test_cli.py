@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import inspect
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddcident
+from ddcident.betapoly import ROOT_RESIDUAL_TOL
 from ddcident.cli import (
     ConfigError,
     _build_restriction,
@@ -25,6 +28,7 @@ from ddcident.cli import (
     validate_config,
 )
 from ddcident.ddc import SingleAgentModel, solve_bellman
+from ddcident.games import solve_mpe
 from ddcident.identify import IdentifiedSet
 from ddcident.scenarios import build_entry_model, entry_restrictions
 
@@ -264,6 +268,32 @@ class TestValidate:
                      "--out-dir", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().err) == {"error": "invalid_config", "issues": expected}
 
+    @pytest.mark.parametrize("row,c", [
+        ({"cols": [0, 1], "vals": [1e308, -1e308]}, [0.0]),
+        ({"cols": [0], "vals": [1.0]}, [1e308]),
+    ], ids=["vals", "c"])
+    def test_overflowing_rows_are_json_errors(self, entry_config, tmp_path, capsys, row, c):
+        # validate cannot see this without solving the model; run once printed
+        # an overflow warning, then a traceback, and exited 1
+        _, cfg = entry_config
+        big = json.loads(json.dumps(cfg))
+        big["restrictions"] = [{"label": "big", "kind": "equality", "n_columns": cfg["n_states"],
+                                "rows": [row], "c": c}]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(big))
+        assert main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(path), "--restrictions", "big",
+                         "--out-dir", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid_config"
+        assert [i["field"] for i in err["issues"]] == ["--restrictions"]
+        assert err["issues"][0]["message"] == ("cannot form the rows of 'big': "
+                                               "row 0 of R G(beta) - c det(beta) overflows")
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_json_is_structured_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"schema_version": 1,')
@@ -394,6 +424,19 @@ class TestRun:
         assert set(manifest["outputs"]) == {"curves.csv", "identified_set.json",
                                             "run_manifest.json"}
 
+    def test_manifest_records_the_constants_the_run_uses(self, tmp_path):
+        # the solver tolerances are no longer options: the manifest records the
+        # constants, and the config echo only what was asked for
+        out = tmp_path / "m"
+        main(["run", "--scenario", "entry-game", "--firm", "1", "--restrictions", "exchangeability",
+              "--beta-grid", "0:1:11", "--out-dir", str(out)])
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        used = {"root_residual": ROOT_RESIDUAL_TOL,
+                "fixed_point": inspect.signature(solve_bellman).parameters["tol"].default,
+                "damping": inspect.signature(solve_mpe).parameters["damping"].default}
+        assert manifest["tolerances"] == used == {"root_residual": 1e-8, "fixed_point": 1e-12, "damping": 0.5}
+        assert set(manifest["config"]) == {"scenario", "config", "firm", "restrictions", "beta_grid"}
+
 
 class TestReferenceConfigs:
     def test_entry_reference_config_validates_and_runs(self, tmp_path):
@@ -519,35 +562,6 @@ class TestGameCliBranches:
         assert combined["equality_roots"] == pytest.approx([0.8], abs=1e-3)
         assert combined["combined"] == pytest.approx([0.8], abs=1e-3)
 
-    def test_loose_equilibrium_flags_adjustment_cost(self, tmp_path):
-        out = tmp_path / "g_loose"
-        rc = main(["run", "--scenario", "entry-game", "--firm", "2", "--tol-fixedpoint", "1e-8",
-                   "--restrictions", "adjustment-cost", "--beta-grid", "0:1:51",
-                   "--out-dir", str(out)])
-        assert rc == 0
-        ident = json.loads((out / "identified_set.json").read_text())
-        assert ident["restrictions"]["adjustment_cost"]["diagnostics"].get("no_identifying_content")
-        assert ident["combined"]["diagnostics"].get("no_identifying_content")
-
-    def test_tol_root_reaches_game_roots(self, tmp_path, monkeypatch):
-        # the manifest records --tol-root as root_residual, so the game's
-        # root finder must use it too
-        from ddcident import identify
-        seen, roots_in_interval = [], identify.roots_in_interval
-
-        def spy(p, **kwargs):
-            seen.append(kwargs.get("residual_tol"))
-            return roots_in_interval(p, **kwargs)
-        monkeypatch.setattr(identify, "roots_in_interval", spy)
-        out = tmp_path / "g_tol"
-        rc = main(["run", "--scenario", "entry-game", "--firm", "1", "--tol-root", "1e-7",
-                   "--restrictions", "exchangeability", "--beta-grid", "0:1:51",
-                   "--out-dir", str(out)])
-        assert rc == 0
-        assert seen == [1e-7]
-        manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["tolerances"]["root_residual"] == 1e-7
-
 
 class TestParameterizedRestrictions:
     def test_monotonicity_axis_argument(self, tmp_path):
@@ -607,7 +621,7 @@ class TestParameterizedRestrictions:
     @pytest.mark.parametrize("spec", [s for specs in SPELLED_OUT.values() for s in specs])
     def test_bound_arguments_spelled_out_give_the_bare_key(self, source, spec):
         # these once rebuilt the set from the bare builder's defaults
-        builders, _, _ = source(argparse.Namespace(tol_fixedpoint=1e-12))
+        builders, _, _ = source(argparse.Namespace())
         ((name, kwargs),) = parse_restriction_specs(spec)
         key, rs = _build_restriction(builders, name, kwargs)
         bare_key, bare = _build_restriction(builders, name, {})
@@ -621,7 +635,7 @@ class TestParameterizedRestrictions:
         ("concavity(axis=w,convex=false)", "concavity(w)"),
     ])
     def test_request_arguments_override_the_scenario(self, spec, label):
-        builders, _, _ = _entry_source(argparse.Namespace(tol_fixedpoint=1e-12))
+        builders, _, _ = _entry_source(argparse.Namespace())
         ((name, kwargs),) = parse_restriction_specs(spec)
         assert _build_restriction(builders, name, kwargs)[1].label == label
 
@@ -735,25 +749,6 @@ class TestCliEdges:
         assert [i["field"] for i in err["issues"]] == [flag]
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["0", "nan"])
-    def test_bad_damping_rejected(self, tmp_path, capsys, value):
-        self.assert_flag_rejected(tmp_path, capsys, [
-            "--scenario", "entry-game", "--firm", "1", "--restrictions", "exchangeability",
-            "--damping", value], "--damping")
-
-    @pytest.mark.parametrize("value", ["nan", "-1"])
-    def test_bad_tol_root_rejected(self, tmp_path, capsys, value):
-        self.assert_flag_rejected(tmp_path, capsys, [
-            "--scenario", "entry", "--restrictions", "homogeneity", "--tol-root", value],
-            "--tol-root")
-
-    @pytest.mark.parametrize("value", ["nan", "-1"])
-    def test_bad_tol_fixedpoint_rejected(self, tmp_path, capsys, value):
-        # NaN made the game's best-response loop run all its sweeps
-        self.assert_flag_rejected(tmp_path, capsys, [
-            "--scenario", "entry", "--restrictions", "homogeneity", "--tol-fixedpoint", value],
-            "--tol-fixedpoint")
-
     @pytest.mark.parametrize("source", [
         ["--scenario", "entry", "--firm", "3"],
         ["--scenario", "entry-fd", "--firm", "1"],
@@ -773,8 +768,9 @@ class TestCliEdges:
 
     @pytest.mark.parametrize("argv,message", [
         (["run", "--scenario", "nope", "--restrictions", "homogeneity"], "invalid choice: 'nope'"),
-        (["run", "--scenario", "entry", "--restrictions", "homogeneity", "--tol-root", "abc"],
-         "invalid float value: 'abc'"),
+        # the solver tolerances are constants, not options
+        (["run", "--scenario", "entry", "--restrictions", "homogeneity", "--tol-root", "1e-7"],
+         "unrecognized arguments: --tol-root 1e-7"),
         (["run", "--scenario", "entry-game", "--restrictions", "exchangeability", "--firm", "1.5"],
          "invalid int value: '1.5'"),
         (["run", "--scenario", "entry"], "required: --restrictions"),

@@ -1,11 +1,15 @@
-"""Every python block in README.md runs and prints what its ``# -> ...`` comments say."""
+"""Every python block in README.md runs and prints what its ``# -> ...`` comments
+say, and its command-line section names exactly the parser's flags."""
 
+import argparse
 import contextlib
 import io
 import pathlib
 import re
 
 import pytest
+
+from ddcident.cli import build_parser
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
@@ -23,3 +27,13 @@ def test_block_prints_its_comments(code):
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_command_line_section_names_the_parser_flags():
+    # a removed flag cannot linger in the docs, nor a new one go undocumented
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n")[1].split("\n## ")[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {flag for name in ("run", "validate") for action in commands.choices[name]._actions
+               if not isinstance(action, argparse._HelpAction) for flag in action.option_strings}
+    assert named == options

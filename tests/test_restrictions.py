@@ -794,10 +794,27 @@ class TestRayAndExclusionInputs:
         with pytest.raises(ValueError, match=r"ray multiplier 2.0 has lam\*\*nu == 1 at nu=0.0"):
             additive_homogeneous(self.FS, 0, nu=0.0)
 
-    def test_overflowing_degree_raises(self):
-        # lam**nu = inf once gave the weight 1/(lam**nu - 1) = 0, an all-zero row
-        with pytest.raises(OverflowError):
-            additive_homogeneous(self.FS, 0, nu=2000.0)
+    @pytest.mark.parametrize("build", [
+        lambda fs, nu: additive_homogeneous(fs, 0, nu=nu),
+        lambda fs, nu: homogeneity_known_nu(fs, 0, 1.0, [2.0], nu=nu),
+        lambda fs, nu: log_diff_restriction(fs, 0, 1.0, [2.0, 4.0], nu=nu),
+    ], ids=["additive", "known-nu", "log-diff"])
+    @pytest.mark.parametrize("nu", [2000.0, np.float64(2000.0)], ids=["float", "numpy-float"])
+    def test_overflowing_degree_raises(self, build, nu):
+        # lam**nu = inf once gave the weight 1/(lam**nu - 1) = 0, an all-zero
+        # row, and then a bare OverflowError
+        with pytest.raises(ValueError, match=r"ray multiplier 2.0 to the degree nu=2000.0 overflows"):
+            build(self.FS, nu)
+
+    @pytest.mark.parametrize("pair_a,pair_b,message", [
+        ((0, {"w": 0, "z": 0}), (1, {"w": 1}),  # once a bare KeyError: 'z'
+         r"exclusion's second pair gives the axes \['w'\]; the grid's are \['w', 'z'\]"),
+        ((0, {"w": 0, "z": 0, "q": 5}), (0, {"w": 1, "z": 1}),  # "q" was once dropped unread
+         r"exclusion's first pair gives the axes \['w', 'z', 'q'\]; the grid's are \['w', 'z'\]"),
+    ], ids=["missing-axis", "extra-axis"])
+    def test_pair_coordinates_are_the_grid_axes(self, pair_a, pair_b, message):
+        with pytest.raises(ValueError, match=message):
+            exclusion(self.FS, pair_a, pair_b)
 
     @pytest.mark.parametrize("pair_b,message", [
         # the normalized action's term is dropped, but its point is still read
