@@ -51,6 +51,13 @@ def _discount(beta, name: str) -> float:
     return beta
 
 
+def _check_max_iter(max_iter) -> None:
+    """A ValueError unless ``max_iter`` is at least 1: an iteration that takes
+    no step has no answer to return."""
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 @dataclass(frozen=True)
 class SingleAgentModel:
     """Primitives of a stationary infinite-horizon discrete choice model.
@@ -117,39 +124,57 @@ def _logit(u, Q, beta, V):
     return v, (v - m) - log_s, m + log_s
 
 
-def solve_logit(u, Q, beta: float, V0=None, tol: float = 1e-12, max_iter: int = 100) -> CcpSolution:
-    """Solve a logit dynamic program by Newton-Kantorovich steps (Rust 1987).
-
-    Each step takes the logit choice probabilities ``p`` at the integrated
-    value ``V`` (``u`` is (K, J), ``Q`` is (K, J, J), ``V0`` defaults to zero
-    and is not written to; ``beta`` is checked by :func:`_discount`, ``u`` and
-    ``Q`` are not) and solves the policy's Bellman equation
-    ``(I - beta sum_k p_k Q_k) V = gamma + sum_k p_k (u_k - log p_k)``.  It stops
-    after a step of at most ``tol * max(1, |V|_inf)``, or before a step that is
-    rounding noise (``_NOISE_STEP``), which it does not take.
+def _newton_step(u, Q, beta: float, V, history=()):
+    """One Newton-Kantorovich step from ``V``: the value of the logit policy at
+    ``V``, which solves ``(I - beta sum_k p_k Q_k) V' = gamma + sum_k p_k (u_k
+    - log p_k)``, and the step's size ``|V' - V|_inf``.
 
     Raises
     ------
+    ConvergenceError
+        If the step cannot be solved or overflows; the exception carries the
+        last ten entries of ``history``, the step sizes before it.
+    """
+    _, log_p, _ = _logit(u, Q, beta, V)
+    p = np.exp(log_p)
+    A = np.eye(len(V))
+    A -= beta * np.einsum("ki,kij->ij", p, Q)
+    try:
+        V_new = np.linalg.solve(A, EULER_GAMMA + np.einsum("ki,ki->i", p, u - log_p))
+    except np.linalg.LinAlgError as err:  # beta within rounding of 1
+        raise ConvergenceError(f"Newton step has no solution: {err}", history=history[-10:]) from err
+    step = float(np.max(np.abs(V_new - V)))
+    if not np.isfinite(step):
+        raise ConvergenceError("Newton step is not finite: the values overflow",
+                               residual=step, history=history[-10:])
+    return V_new, step
+
+
+def solve_logit(u, Q, beta: float, V0=None, tol: float = 1e-12, max_iter: int = 100) -> CcpSolution:
+    """Solve a logit dynamic program by Newton-Kantorovich steps (Rust 1987).
+
+    Each step (:func:`_newton_step`) takes the logit choice probabilities
+    ``p`` at the integrated value ``V`` (``u`` is (K, J), ``Q`` is (K, J, J),
+    ``V0`` defaults to zero and is not written to; ``beta`` is checked by
+    :func:`_discount`, ``u`` and ``Q`` are not) and solves the policy's Bellman
+    equation ``(I - beta sum_k p_k Q_k) V = gamma + sum_k p_k (u_k - log p_k)``.
+    It stops after a step of at most ``tol * max(1, |V|_inf)``, or before a
+    step that is rounding noise (``_NOISE_STEP``), which it does not take.
+
+    Raises
+    ------
+    ValueError
+        If ``max_iter`` is below 1.
     ConvergenceError
         If neither happens within ``max_iter`` steps, or a step cannot be
         solved or overflows; the exception carries the last step sizes.
     """
     beta = _discount(beta, "beta")
+    _check_max_iter(max_iter)
     V = np.zeros(u.shape[1]) if V0 is None else np.array(V0, dtype=float)
-    eye = np.eye(len(V))
     steps = []
     for _ in range(max_iter):
-        _, log_p, _ = _logit(u, Q, beta, V)
-        p = np.exp(log_p)
-        A = eye - beta * np.einsum("ki,kij->ij", p, Q)
-        try:
-            V_new = np.linalg.solve(A, EULER_GAMMA + np.einsum("ki,ki->i", p, u - log_p))
-        except np.linalg.LinAlgError as err:  # beta within rounding of 1
-            raise ConvergenceError(f"Newton step has no solution: {err}", history=steps[-10:]) from err
-        step = float(np.max(np.abs(V_new - V)))
-        if not np.isfinite(step):
-            raise ConvergenceError("Newton step is not finite: the values overflow",
-                                   residual=step, history=steps[-10:])
+        V_new, step = _newton_step(u, Q, beta, V, steps)
         scale = max(1.0, float(np.max(np.abs(V_new))))
         if steps and steps[-1] <= step <= _NOISE_STEP * scale:
             break

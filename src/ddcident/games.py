@@ -1,13 +1,17 @@
 """Dynamic discrete games: primitives, equilibrium solver, and per-firm
 discount-factor identification.
 
-States are pairs of an exogenous component and the lagged action profile.
-Solving proceeds by damped sequential best-response sweeps on conditional
-choice probabilities, each firm's logit best response computed by
-``ddc.solve_logit``, with Anderson extrapolation between sweeps; it falls back
-to the plain sweep where extrapolation leaves ``(0, 1)`` or the sweep change
-rises, and on the games tested it selects the equilibrium the plain sweeps
-select.  Identification maps each firm's single-agent system of its
+States are pairs of an exogenous component and the lagged action profile;
+each firm's index maps over them are built once per game.  Solving proceeds
+by damped sequential best-response sweeps on conditional choice
+probabilities, with Anderson extrapolation between sweeps; it falls back to
+the plain sweep where extrapolation leaves ``(0, 1)`` or the sweep change
+rises.  Each firm's logit best response is a full ``ddc.solve_logit`` solve
+until the sweeps are local (a sweep change of at most ``LOCAL_CHANGE``), and
+one of its Newton steps from the firm's last value after that.  A profile is
+returned only once every firm's exact best response to it is within the
+tolerance.  On the games tested the solver selects the equilibrium the plain
+sweeps select.  Identification maps each firm's single-agent system of its
 equilibrium objects through one small square block per exogenous state and
 own lagged action, rivals' lagged actions being irrelevant; cross-firm payoff
 restrictions are then polynomial rows in the firm's discount factor.
@@ -17,18 +21,40 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .betapoly import _numbers, check_stochastic, freeze
-from .ddc import EULER_GAMMA, MasterSystem, master_system, solve_logit
+from .ddc import EULER_GAMMA, MasterSystem, _check_max_iter, _logit, _newton_step, master_system, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, identified_set
 from .restrictions import _flat_points, _stencil_rows, linear_in_parameters
 
-# sweeps the equilibrium solver extrapolates from, and its default damping (see solve_mpe)
+# sweeps the equilibrium solver extrapolates from, its default damping, and the
+# largest best-response change of a sweep after which the next is local (see solve_mpe)
 ANDERSON_DEPTH = 5
 DAMPING = 0.5
+LOCAL_CHANGE = 1e-3
+
+
+class _FirmMaps(NamedTuple):
+    """Index maps of one firm that depend on the game only, read-only.
+
+    ``cells`` is :func:`payoff_cells`; ``rivals`` lists the other firms,
+    lowest first, and ``rival_actions[t, o]``, shape ``(N-1, K**(N-1))``, is
+    rival ``t``'s action in rival profile ``o``; ``next_s[x]``, shape ``(m_x, 1, m_s)``, is the exogenous
+    transition row of state ``x``; ``lag_cols[k]`` holds the ``Q_star``
+    columns reached by own action ``k``, one per (rival profile, next
+    exogenous state) in C order.
+    """
+
+    cells: np.ndarray
+    rivals: np.ndarray
+    rival_actions: np.ndarray
+    next_s: np.ndarray
+    lag_cols: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,27 +124,47 @@ class GameModel:
         """True stacked payoff vector of firm ``i`` (for tests and diagnostics)."""
         return self.payoffs[i, :-1].transpose(0, 2, 1).ravel()
 
+    @cached_property
+    def _firm_maps(self) -> tuple[_FirmMaps, ...]:
+        """One :class:`_FirmMaps` per firm, built on first read."""
+        N, K, m_s, n_o = self.n_firms, self.n_actions, self.m_s, self.n_rival_profiles
+        base = K ** N
+        acts = np.arange(n_o) // K ** np.arange(N - 1)[:, None] % K
+        next_s = self.s_transition[np.arange(self.m_x) // base, None, :]
+        # column (k * m_x + x) * n_o + o, with the lag digits of x from firm N-1
+        # (slowest) to firm 0; moving firm i's digit out leaves the rivals' lags in
+        # the order of a rival profile index, lowest rival fastest
+        u = np.arange(self.m_pi).reshape((K - 1, m_s) + (K,) * N + (n_o,))
+        maps = []
+        for i in range(N):
+            own = 2 + N - 1 - i
+            lags = [own] + [ax for ax in range(2, 2 + N) if ax != own]
+            cells = u.transpose([0, 2 + N, 1] + lags).reshape(K - 1, n_o, m_s, K, n_o)
+            # today's joint action profile is tomorrow's lag profile; the (own
+            # lag, rivals' lags) cells of action 0, profile 0, state 0 sit at
+            # column lag * n_o, so this is the lag index of (own action k, rival
+            # profile o), and the next state is (s', that lag profile)
+            lag = cells[0, 0, 0] // n_o
+            lag_cols = (lag[:, :, None] + np.arange(m_s) * base).reshape(K, -1)
+            firm = _FirmMaps(cells, np.delete(np.arange(N), i), acts, next_s, lag_cols)
+            for a in firm:
+                a.setflags(write=False)
+            maps.append(firm)
+        return tuple(maps)
+
+
+def _maps(model: GameModel, i: int) -> _FirmMaps:
+    """Firm ``i``'s :class:`_FirmMaps`; a firm outside ``0..N-1`` raises ``IndexError``."""
+    if not 0 <= i < model.n_firms:
+        raise IndexError(f"firm {i} out of range 0..{model.n_firms - 1}")
+    return model._firm_maps[i]
+
 
 def payoff_cells(model: GameModel, i: int) -> np.ndarray:
     """Stacked-payoff columns of firm ``i``, one dimension per cell coordinate
-    (see the :class:`GameModel` docstring for the axes)."""
-    N, K, n_o = model.n_firms, model.n_actions, model.n_rival_profiles
-    if not 0 <= i < N:
-        raise IndexError(f"firm {i} out of range 0..{N - 1}")
-    # column (k * m_x + x) * n_o + o, with the lag digits of x from firm N-1
-    # (slowest) to firm 0; moving firm i's digit out leaves the rivals' lags in
-    # the order of a rival profile index, lowest rival fastest
-    u = np.arange(model.m_pi).reshape((K - 1, model.m_s) + (K,) * N + (n_o,))
-    own = 2 + N - 1 - i
-    lags = [own] + [ax for ax in range(2, 2 + N) if ax != own]
-    return u.transpose([0, 2 + N, 1] + lags).reshape(K - 1, n_o, model.m_s, K, n_o)
-
-
-def _rival_actions(model: GameModel) -> np.ndarray:
-    """Action of each rival (row, lowest-numbered first) in each rival
-    profile (column), shape ``(N-1, K**(N-1))``."""
-    K = model.n_actions
-    return np.arange(model.n_rival_profiles) // K ** np.arange(model.n_firms - 1)[:, None] % K
+    (see the :class:`GameModel` docstring for the axes); read-only, built once
+    per model."""
+    return _maps(model, i).cells
 
 
 @dataclass(frozen=True)
@@ -142,10 +188,10 @@ class MpeSolution:
 def rival_probabilities(model: GameModel, P, i: int) -> np.ndarray:
     """Joint probability of each rival action profile by state, shape
     ``(m_x, K**(N-1))``; rows sum to one."""
+    maps = _maps(model, i)
     out = np.ones((model.m_x, model.n_rival_profiles))
-    acts = _rival_actions(model)
-    for t, j in enumerate(np.delete(np.arange(model.n_firms), i)):
-        out *= P[j, acts[t]].T
+    for t, j in enumerate(maps.rivals):
+        out *= P[j, maps.rival_actions[t]].T
     return out
 
 
@@ -155,18 +201,15 @@ def expected_objects(model: GameModel, P, i: int):
     Returns ``(pi_star, Q_star, P_minus)`` with shapes ``(K, m_x)``,
     ``(K, m_x, m_x)`` and ``(m_x, K**(N-1))``.
     """
+    maps = _maps(model, i)
     P_minus = rival_probabilities(model, P, i)
     pi_star = np.einsum("xo,kox->kx", P_minus, model.payoffs[i])
-    K, m_x, base = model.n_actions, model.m_x, model.n_actions ** model.n_firms
-    # today's joint action profile is tomorrow's lag profile; the (own lag,
-    # rivals' lags) cells of action 0, profile 0, state 0 sit at column
-    # lag * n_o, so this is the lag index of (own action k, rival profile o)
-    lag = payoff_cells(model, i)[0, 0, 0] // model.n_rival_profiles
+    K, m_x = model.n_actions, model.m_x
     # next state = (s', joint action profile); lag part deterministic
-    block = (P_minus[:, :, None] * model.s_transition[np.arange(m_x) // base, None, :]).reshape(m_x, -1)
+    block = (P_minus[:, :, None] * maps.next_s).reshape(m_x, -1)
     Q_star = np.zeros((K, m_x, m_x))
     for k in range(K):
-        Q_star[k][:, (lag[k][:, None] + np.arange(model.m_s) * base).ravel()] += block
+        Q_star[k][:, maps.lag_cols[k]] += block
     return pi_star, Q_star, P_minus
 
 
@@ -175,17 +218,26 @@ def solve_mpe(model: GameModel, damping: float = DAMPING, start=None,
     """Equilibrium choice probabilities by Anderson-accelerated damped
     best-response sweeps.
 
-    A sweep ``G(P)`` updates the firms sequentially, each mixing its exact
-    logit best response into the current profile with weight ``damping``.
-    Iteration starts from a uniform profile (or ``start``) and stops after a
-    sweep in which no best response differs from the profile by more than
-    ``tol``.  After each other sweep the next profile is ``G(P) - dG gamma``,
-    with ``gamma`` the least-squares fit of ``F = G(P) - P`` by its last
-    ``ANDERSON_DEPTH`` differences ``dF`` and ``dG`` the matching differences
-    of ``G`` (``dG = dP + dF``): Anderson acceleration, type II, mixing 1
-    (Walker and Ni 2011).  The plain sweep ``G(P)`` is kept instead, and the
-    differences dropped, when that profile leaves ``(0, 1)`` or the sweep's
-    largest change rose.
+    A sweep ``G(P)`` updates the firms sequentially, each mixing its logit
+    best response into the current profile with weight ``damping``.
+    Iteration starts from a uniform profile (or ``start``).  After each sweep
+    whose best responses differ from the profile by more than ``tol``, the
+    next profile is ``G(P) - dG gamma``, with ``gamma`` the least-squares fit
+    of ``F = G(P) - P`` by its last ``ANDERSON_DEPTH`` differences ``dF`` and
+    ``dG`` the matching differences of ``G`` (``dG = dP + dF``): Anderson
+    acceleration, type II, mixing 1 (Walker and Ni 2011).  The plain sweep
+    ``G(P)`` is kept instead, and the differences dropped, when that profile
+    leaves ``(0, 1)`` or the sweep's largest change rose.
+
+    A best response is the full :func:`ddc.solve_logit` solve, warm-started
+    from the firm's last value, until a sweep's largest change is at most
+    ``LOCAL_CHANGE``.  From then on the sweeps are local: each best response
+    is the one Newton step of ``solve_logit`` from that value, whose error is
+    second order in the sweep change (Rust 1987; Puterman and Shin 1978).
+    After a sweep in which no best response differs from the profile by more
+    than ``tol``, every firm's exact best response to the profile is solved;
+    the profile is returned only if all of them are within ``tol`` of it,
+    and otherwise the sweeps go on, with full solves only.
 
     Extrapolation combines sweeps, so the fixed points are those of the plain
     sweeps.  Which equilibrium is found depends on the sweep order, damping
@@ -195,11 +247,15 @@ def solve_mpe(model: GameModel, damping: float = DAMPING, start=None,
 
     Raises
     ------
+    ValueError
+        If ``damping`` is outside ``(0, 1]``, ``max_iter`` below 1 or
+        ``start`` not a choice distribution of the profile's shape.
     ConvergenceError
-        If no sweep reaches ``tol`` within ``max_iter`` sweeps.
+        If no profile is confirmed within ``max_iter`` sweeps.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
+    _check_max_iter(max_iter)
     N, K, m_x = model.n_firms, model.n_actions, model.m_x
     if start is None:
         P = np.full((N, K, m_x), 1.0 / K)
@@ -212,23 +268,26 @@ def solve_mpe(model: GameModel, damping: float = DAMPING, start=None,
     history = []
     diffs = deque(maxlen=ANDERSON_DEPTH)  # (dG, dF) of the last sweeps
     g_prev = f_prev = None
-    for it in range(max_iter):
+    full_only = False  # set when a profile fails its confirmation
+    for _ in range(max_iter):
         x = P.flatten()
+        local = not full_only and bool(history) and history[-1] <= LOCAL_CHANGE
         worst = 0.0
         for i in range(N):
             pi_star, Q_star, _ = expected_objects(model, P, i)
-            BR, V_i, _ = solve_logit(pi_star, Q_star, model.betas[i], V0=V_cache[i])
-            V_cache[i] = V_i
+            if local:
+                V_cache[i] = _newton_step(pi_star, Q_star, model.betas[i], V_cache[i])[0]
+                BR = np.exp(_logit(pi_star, Q_star, model.betas[i], V_cache[i])[1])
+            else:
+                BR, V_cache[i], _ = solve_logit(pi_star, Q_star, model.betas[i], V0=V_cache[i])
             worst = max(worst, float(np.max(np.abs(BR - P[i]))))
             P[i] = damping * BR + (1.0 - damping) * P[i]
         history.append(worst)
         if worst <= tol:
-            break
-        if it + 1 >= max_iter:
-            raise ConvergenceError(
-                f"best-response iteration did not reach {tol} in {max_iter} sweeps",
-                residual=worst, history=history[-20:],
-            )
+            mpe = _confirm(model, P, V_cache, len(history))
+            if mpe.residual <= tol:
+                return mpe
+            full_only = True
         g = P.flatten()  # the sweep G(x) and its change F = G(x) - x
         f = g - x
         if len(history) > 1 and worst > history[-2]:
@@ -243,16 +302,23 @@ def solve_mpe(model: GameModel, damping: float = DAMPING, start=None,
             else:
                 diffs.clear()
         g_prev, f_prev = g, f
-    # evaluate the profile: exact best responses and values at the fixed point
+    raise ConvergenceError(f"best-response iteration did not reach {tol} in {max_iter} sweeps",
+                           residual=history[-1], history=history[-20:])
+
+
+def _confirm(model: GameModel, P: np.ndarray, V_cache: np.ndarray, n_iter: int) -> MpeSolution:
+    """The profile ``P`` evaluated: every firm's exact best response and
+    values, solved from ``V_cache``, and the largest distance of a best
+    response from ``P`` as the residual."""
+    N, K, m_x = model.n_firms, model.n_actions, model.m_x
     v = np.zeros((N, K, m_x))
     V = np.zeros((N, m_x))
     residual = 0.0
     for i in range(N):
         pi_star, Q_star, _ = expected_objects(model, P, i)
-        BR, V_i, v_i = solve_logit(pi_star, Q_star, model.betas[i], V0=V_cache[i])
+        BR, V[i], v[i] = solve_logit(pi_star, Q_star, model.betas[i], V0=V_cache[i])
         residual = max(residual, float(np.max(np.abs(BR - P[i]))))
-        V[i], v[i] = V_i, v_i
-    mpe = MpeSolution(P=P, V=V, v=v, psi=EULER_GAMMA - np.log(P), residual=residual, n_iter=len(history))
+    mpe = MpeSolution(P=P, V=V, v=v, psi=EULER_GAMMA - np.log(P), residual=residual, n_iter=n_iter)
     freeze(mpe, P=P, V=V, v=v, psi=mpe.psi)
     return mpe
 
@@ -326,7 +392,7 @@ def r3_exchangeability(model: GameModel, i: int, actions=(0,)) -> np.ndarray:
     profiles with the same action multiset are equated to a representative
     (classes in order of first appearance, each class's first profile).
     """
-    acts = np.sort(_rival_actions(model), axis=0)
+    acts = np.sort(_maps(model, i).rival_actions, axis=0)
     key = (acts * model.n_actions ** np.arange(len(acts))[:, None]).sum(axis=0)
     _, first, cls = np.unique(key, return_index=True, return_inverse=True)
     rep = first[cls]
@@ -386,7 +452,7 @@ def r4_monotone_rivals(model: GameModel, i: int, actions=(0,)) -> tuple[np.ndarr
     at least as large, one strictly), the weaker-rival payoff is at least the
     stronger-rival payoff.  Pairs come in ``itertools.combinations`` order.
     """
-    acts = _rival_actions(model)
+    acts = _maps(model, i).rival_actions
     oa, ob = np.triu_indices(acts.shape[1], 1)
     ge = np.all(acts[:, oa] >= acts[:, ob], axis=0)
     le = np.all(acts[:, oa] <= acts[:, ob], axis=0)

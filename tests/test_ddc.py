@@ -114,6 +114,16 @@ class TestSolveBellman:
             solve_bellman(m, tol=1e-12, max_iter=3)
         assert err.value.residual is not None
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_step_allowed_is_named(self, max_iter):
+        # with no step there is no answer: this ended in a bare IndexError
+        rng = np.random.default_rng(5)
+        m = random_model(rng, K=2, J=4, beta=0.9)
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+            solve_logit(m.u, m.Q, m.beta, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_bellman(m, max_iter=max_iter)
+
     def test_overflowing_values_raise(self):
         m = SingleAgentModel(u=np.array([[1e306], [0.0]]), Q=np.ones((2, 1, 1)), beta=0.999999)
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):

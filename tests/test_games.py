@@ -673,6 +673,13 @@ class TestSolverEdges:
         assert err.value.residual is not None
         assert err.value.history
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_sweep_allowed_is_named(self, game, max_iter):
+        # the uniform start had come back as an equilibrium, residual 0.345
+        bundle, _ = game
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+            solve_mpe(bundle.model, max_iter=max_iter)
+
     def test_custom_start_converges_to_same_equilibrium(self, game):
         bundle, mpe = game
         rng = np.random.default_rng(8)
@@ -1000,3 +1007,117 @@ class TestEquilibriumSelection:
             assert np.max(np.abs(mpe.P - loop_solve_mpe(m, start=corner_start(m, p0)))) <= 1e-8
         lo, hi = np.array(seen).T
         assert np.all(lo > 0.0) and np.all(hi < 1.0)
+
+
+# ---- local sweeps -----------------------------------------------------------
+# Sweeps each selection game took when every best response was a full solve:
+# the local phase may not add one.
+FULL_SOLVE_SWEEPS = {
+    "reference-tol1e-10": 16, "reference-tol1e-12": 19,
+    "draw0": 16, "draw1": 16, "draw2": 16, "draw3": 16, "draw4": 16,
+    "rn1-rs1-ec1": 16, "rn1-rs3-ec1": 14, "rn1-rs3-ec4": 16, "rn1-rs6-ec6": 12,
+    "rn3-rs1-ec1": 27, "rn3-rs3-ec1": 26, "rn3-rs3-ec4": 28, "rn3-rs6-ec6": 24,
+    "rn6-rs1-ec1": 52, "rn6-rs3-ec1": 48, "rn6-rs3-ec4": 37, "rn6-rs6-ec6": 34,
+    "rn10-rs1-ec1": 52, "rn10-rs3-ec1": 57, "rn10-rs3-ec4": 48, "rn10-rs6-ec6": 86,
+    "four-firms-mx96": 17,
+}
+
+
+class TestLocalSweeps:
+    @pytest.mark.parametrize("cfg,tol,sweeps", [pytest.param(*p.values, FULL_SOLVE_SWEEPS[p.id], id=p.id)
+                                                for p in SELECTION_CASES])
+    def test_no_more_sweeps_than_full_solves(self, cfg, tol, sweeps):
+        mpe = solve_mpe(build_entry_game(cfg).model, tol=tol)
+        assert mpe.n_iter <= sweeps
+        assert mpe.residual <= tol
+
+    def test_reference_game_takes_single_steps(self, monkeypatch):
+        # fewer than half the sweeps' best responses are full solves, the
+        # confirmation's included: a silent return to full solves fails here
+        m = build_entry_game().model
+        calls = []
+        monkeypatch.setattr(games, "solve_logit", lambda *a, **k: calls.append(1) or solve_logit(*a, **k))
+        mpe = solve_mpe(m)
+        assert len(calls) < m.n_firms * mpe.n_iter / 2
+
+    def test_failed_confirmation_sweeps_on_with_full_solves(self, monkeypatch):
+        m = build_entry_game().model
+        plain = solve_mpe(m)
+        events = []
+        confirm, newton_step = games._confirm, games._newton_step
+
+        def failing_once(*args):
+            mpe = confirm(*args)
+            events.append("confirm")
+            return replace(mpe, residual=1.0) if events.count("confirm") == 1 else mpe
+
+        monkeypatch.setattr(games, "_confirm", failing_once)
+        monkeypatch.setattr(games, "_newton_step", lambda *a: events.append("step") or newton_step(*a))
+        mpe = solve_mpe(m)
+        first = events.index("confirm")
+        assert "step" in events[:first] and "step" not in events[first:]
+        assert events.count("confirm") == 2
+        assert mpe.n_iter > plain.n_iter and mpe.residual <= 1e-10
+        assert np.max(np.abs(mpe.P - plain.P)) <= 1e-9
+
+
+# ---- index maps built once per game -------------------------------------------
+
+
+def transpose_cells(m, i):
+    """``payoff_cells`` as one transpose of an arange, the construction the
+    cached maps replaced."""
+    N, K, n_o = m.n_firms, m.n_actions, m.n_rival_profiles
+    u = np.arange(m.m_pi).reshape((K - 1, m.m_s) + (K,) * N + (n_o,))
+    own = 2 + N - 1 - i
+    lags = [own] + [ax for ax in range(2, 2 + N) if ax != own]
+    return u.transpose([0, 2 + N, 1] + lags).reshape(K - 1, n_o, m.m_s, K, n_o)
+
+
+def uncached_expected_objects(m, P, i):
+    """``expected_objects`` with every index map built from the model in the call."""
+    N, K, m_x, n_o = m.n_firms, m.n_actions, m.m_x, m.n_rival_profiles
+    base = K ** N
+    P_minus = np.ones((m_x, n_o))
+    acts = np.arange(n_o) // K ** np.arange(N - 1)[:, None] % K
+    for t, j in enumerate(np.delete(np.arange(N), i)):
+        P_minus *= P[j, acts[t]].T
+    pi_star = np.einsum("xo,kox->kx", P_minus, m.payoffs[i])
+    lag = transpose_cells(m, i)[0, 0, 0] // n_o
+    block = (P_minus[:, :, None] * m.s_transition[np.arange(m_x) // base, None, :]).reshape(m_x, -1)
+    Q_star = np.zeros((K, m_x, m_x))
+    for k in range(K):
+        Q_star[k][:, (lag[k][:, None] + np.arange(m.m_s) * base).ravel()] += block
+    return pi_star, Q_star, P_minus
+
+
+class TestFirmMaps:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_payoff_cells_read_only_and_unchanged(self, N):
+        for K, m_s in ((2, 1), (2, 3), (3, 2)):
+            m = random_game(N, K, m_s)
+            for i in range(N):
+                cells = payoff_cells(m, i)
+                assert np.array_equal(cells, transpose_cells(m, i))
+                assert cells is payoff_cells(m, i)  # built once per model
+                with pytest.raises(ValueError, match="read-only"):
+                    cells[(0,) * cells.ndim] = -1
+            assert not any(a.flags.writeable for firm in m._firm_maps for a in firm)
+
+    @pytest.mark.parametrize("cfg", [pytest.param(p.values[0], id=p.id) for p in SELECTION_CASES])
+    def test_expected_objects_bit_equal(self, cfg):
+        m = build_entry_game(cfg).model
+        for P in (np.full((m.n_firms, m.n_actions, m.m_x), 1.0 / m.n_actions), random_play(m)):
+            for i in range(m.n_firms):
+                for new, old in zip(expected_objects(m, P, i), uncached_expected_objects(m, P, i)):
+                    assert np.array_equal(new, old) and np.array_equal(np.signbit(new), np.signbit(old))
+
+    def test_firm_out_of_range(self):
+        # rival_probabilities had read firm -1 as the last firm
+        m = random_game(3, 2, 2)
+        P = random_play(m)
+        for i in (-1, 3):
+            for f in (payoff_cells, lambda m, i: rival_probabilities(m, P, i),
+                      lambda m, i: expected_objects(m, P, i)):
+                with pytest.raises(IndexError, match=f"firm {i} out of range 0..2"):
+                    f(m, i)
