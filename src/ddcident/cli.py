@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .betapoly import ROOT_RESIDUAL_TOL, _number, check_stochastic, polyval_rows
-from .ddc import SingleAgentModel, master_system, psi_from_ccps, solve_bellman
+from .ddc import NEWTON_TOL, SingleAgentModel, master_system, psi_from_ccps, solve_bellman
 from .errors import ConvergenceError
 from .games import (
     DAMPING,
@@ -52,7 +52,7 @@ from .scenarios import (
 
 SCHEMA_VERSION = 1
 # every run's numerical policy, as run_manifest.json records it
-FIXED_POINT_TOL = 1e-12  # solve_bellman's default, and tighter than solve_mpe's for the game
+FIXED_POINT_TOL = NEWTON_TOL  # solve_bellman's relative step, and the game's solve_mpe tol
 TOLERANCES = {"root_residual": ROOT_RESIDUAL_TOL, "fixed_point": FIXED_POINT_TOL, "damping": DAMPING}
 
 
@@ -68,13 +68,14 @@ class ConfigError(ValueError):
 
 
 def validate_config(cfg: dict) -> list:
-    """Every check ``run --config`` relies on; returns an issue list."""
+    """Every check ``run --config`` relies on, its rows on the solved model
+    included; returns an issue list (a failed solve raises, as in ``run``)."""
     return _check_config(cfg)[0]
 
 
 def _check_config(cfg) -> tuple:
-    """Issues of a config, then its model and its inline restrictions by label
-    (both ``None`` unless the issue list is empty)."""
+    """Issues of a config, then its system and its inline restrictions by
+    label (both ``None`` unless the issue list is empty)."""
     issues = []
 
     def issue(field, message):
@@ -155,12 +156,20 @@ def _check_config(cfg) -> tuple:
         inline.setdefault(rs.label, rs)
     if issues:
         return issues, None, None
-    # the model's own checks (sign, beta range, sizes): what validate
-    # accepts, run accepts
+    # the model's own checks (sign, beta range, sizes; a CCP-only config gets a
+    # placeholder payoff), then every inline restriction's rows on the solved
+    # model: what validate accepts, run accepts
     try:
-        return [], _model_from_config(cfg), inline
+        model = SingleAgentModel(u=cfg.get("payoffs", np.zeros((K, J))), Q=cfg["Q"], beta=float(cfg.get("beta", 0.0)))
     except (TypeError, ValueError, OverflowError) as err:
         return [{"field": "model", "message": str(err)}], None, None
+    ms = master_system(psi_from_ccps(cfg["ccps"]) if "ccps" in cfg else solve_bellman(model).psi, model.Q)
+    for r, rs in enumerate(inline.values()):  # one per entry of rdicts: no issue was found
+        try:
+            ms.payoff_polys(rs.R, rs.c)
+        except ValueError as err:
+            issue(f"restrictions[{r}]", f"cannot form the rows of {rs.label!r}: {err}")
+    return (issues, None, None) if issues else ([], ms, inline)
 
 
 # ---- restriction spec parsing ----------------------------------------------
@@ -226,11 +235,11 @@ def _normalized_curves(grid, rows, key):
 
 
 def _write_curves(path, grid, columns):
+    table = np.column_stack([grid, *columns.values()])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["beta"] + list(columns)) + "\n")
-        for r, b in enumerate(grid):
-            row = [f"{b:.17g}"] + [f"{columns[c][r]:.17g}" for c in columns]
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(["beta", *columns]) + "\n")
+        fh.writelines(row % tuple(r) for r in table)
 
 
 def _read_config(path):
@@ -271,13 +280,9 @@ def _build_restriction(builders, name, kwargs):
 
 
 def _config_source(args):
-    cfg = _read_config(args.config)
-    issues, model, inline = _check_config(cfg)
+    issues, ms, inline = _check_config(_read_config(args.config))
     if issues:
         raise ConfigError(issues)
-    psi = (psi_from_ccps(cfg["ccps"]) if "ccps" in cfg
-           else solve_bellman(model).psi)
-    ms = master_system(psi, model.Q)
     return {label: _no_arguments(rs) for label, rs in inline.items()}, ms.payoff_polys, ms.info
 
 
@@ -391,13 +396,6 @@ def cmd_run(args) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
-
-
-def _model_from_config(cfg) -> SingleAgentModel:
-    """The model of a config; a CCP-only config (no payoffs, maybe no beta)
-    still needs transitions and gets a placeholder payoff."""
-    K, J = cfg["n_actions"], cfg["n_states"]
-    return SingleAgentModel(u=cfg.get("payoffs", np.zeros((K, J))), Q=cfg["Q"], beta=float(cfg.get("beta", 0.0)))
 
 
 def cmd_validate(args) -> int:

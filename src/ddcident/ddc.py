@@ -24,8 +24,11 @@ from .restrictions import _targets
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# A Newton step below this (relative to max(1, |V|_inf)) that does not shrink is
-# rounding noise: under quadratic convergence the next step is at rounding level.
+# solve_logit stops after a Newton step of at most NEWTON_TOL relative to
+# max(1, |V|_inf) and fails after NEWTON_STEPS; a step below _NOISE_STEP that
+# does not shrink is not taken: under quadratic convergence it is rounding noise
+NEWTON_TOL = 1e-12
+NEWTON_STEPS = 100
 _NOISE_STEP = 1e-8
 
 
@@ -49,13 +52,6 @@ def _discount(beta, name: str) -> float:
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"{name} must lie in [0, 1)")
     return beta
-
-
-def _check_max_iter(max_iter) -> None:
-    """A ValueError unless ``max_iter`` is at least 1: an iteration that takes
-    no step has no answer to return."""
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,7 @@ def _newton_step(u, Q, beta: float, V, history=()):
     return V_new, step
 
 
-def solve_logit(u, Q, beta: float, V0=None, tol: float = 1e-12, max_iter: int = 100) -> CcpSolution:
+def solve_logit(u, Q, beta: float, V0=None) -> CcpSolution:
     """Solve a logit dynamic program by Newton-Kantorovich steps (Rust 1987).
 
     Each step (:func:`_newton_step`) takes the logit choice probabilities
@@ -158,42 +154,40 @@ def solve_logit(u, Q, beta: float, V0=None, tol: float = 1e-12, max_iter: int = 
     ``V0`` defaults to zero and is not written to; ``beta`` is checked by
     :func:`_discount`, ``u`` and ``Q`` are not) and solves the policy's Bellman
     equation ``(I - beta sum_k p_k Q_k) V = gamma + sum_k p_k (u_k - log p_k)``.
-    It stops after a step of at most ``tol * max(1, |V|_inf)``, or before a
-    step that is rounding noise (``_NOISE_STEP``), which it does not take.
+    It stops after a step of at most ``NEWTON_TOL * max(1, |V|_inf)``, or
+    before a step that is rounding noise (``_NOISE_STEP``), which it does not
+    take.
 
     Raises
     ------
-    ValueError
-        If ``max_iter`` is below 1.
     ConvergenceError
-        If neither happens within ``max_iter`` steps, or a step cannot be
+        If neither happens within ``NEWTON_STEPS`` steps, or a step cannot be
         solved or overflows; the exception carries the last step sizes.
     """
     beta = _discount(beta, "beta")
-    _check_max_iter(max_iter)
     V = np.zeros(u.shape[1]) if V0 is None else np.array(V0, dtype=float)
     steps = []
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         V_new, step = _newton_step(u, Q, beta, V, steps)
         scale = max(1.0, float(np.max(np.abs(V_new))))
         if steps and steps[-1] <= step <= _NOISE_STEP * scale:
             break
         V = V_new
         steps.append(step)
-        if step <= tol * scale:
+        if step <= NEWTON_TOL * scale:
             break
     else:
-        raise ConvergenceError(f"Newton iteration did not reach a relative step of {tol} "
-                               f"in {max_iter} steps", residual=steps[-1], history=steps[-10:])
+        raise ConvergenceError(f"Newton iteration did not reach a relative step of {NEWTON_TOL} "
+                               f"in {NEWTON_STEPS} steps", residual=steps[-1], history=steps[-10:])
     v, log_p, lse = _logit(u, Q, beta, V)
     return CcpSolution(p=np.exp(log_p), psi=EULER_GAMMA - log_p, V=V, v=v,
                        residual=float(np.max(np.abs(EULER_GAMMA + lse - V))),
                        residual_path=np.asarray(steps))
 
 
-def solve_bellman(model: SingleAgentModel, tol: float = 1e-12, max_iter: int = 100) -> CcpSolution:
+def solve_bellman(model: SingleAgentModel) -> CcpSolution:
     """Solve the model's logit dynamic program with :func:`solve_logit`."""
-    return solve_logit(model.u, model.Q, model.beta, tol=tol, max_iter=max_iter)
+    return solve_logit(model.u, model.Q, model.beta)
 
 
 def psi_from_ccps(p) -> np.ndarray:

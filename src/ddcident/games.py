@@ -2,16 +2,10 @@
 discount-factor identification.
 
 States are pairs of an exogenous component and the lagged action profile;
-each firm's index maps over them are built once per game.  Solving proceeds
-by damped sequential best-response sweeps on conditional choice
-probabilities, with Anderson extrapolation between sweeps; it falls back to
-the plain sweep where extrapolation leaves ``(0, 1)`` or the sweep change
-rises.  Each firm's logit best response is a full ``ddc.solve_logit`` solve
-until the sweeps are local (a sweep change of at most ``LOCAL_CHANGE``), and
-one of its Newton steps from the firm's last value after that.  A profile is
-returned only once every firm's exact best response to it is within the
-tolerance.  On the games tested the solver selects the equilibrium the plain
-sweeps select.  Identification maps each firm's single-agent system of its
+each firm's index maps over them are built once per game.  :func:`solve_mpe`
+finds an equilibrium by damped best-response sweeps on conditional choice
+probabilities, with Anderson extrapolation, to its tolerance or its rounding
+floor.  Identification maps each firm's single-agent system of its
 equilibrium objects through one small square block per exogenous state and
 own lagged action, rivals' lagged actions being irrelevant; cross-firm payoff
 restrictions are then polynomial rows in the firm's discount factor.
@@ -27,16 +21,22 @@ from typing import NamedTuple
 import numpy as np
 
 from .betapoly import _numbers, check_stochastic, freeze
-from .ddc import EULER_GAMMA, MasterSystem, _check_max_iter, _logit, _newton_step, master_system, solve_logit
+from .ddc import EULER_GAMMA, MasterSystem, _logit, _newton_step, master_system, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, identified_set
 from .restrictions import _flat_points, _stencil_rows, linear_in_parameters
 
-# sweeps the equilibrium solver extrapolates from, its default damping, and the
-# largest best-response change of a sweep after which the next is local (see solve_mpe)
+# solve_mpe's sweeps: the extrapolation depth, the damping, the largest sweep
+# change after which the next sweep is local, the rounding floor (a smallest
+# change below FLOOR that has not fallen for FLOOR_SWEEPS sweeps), the sweep
+# cap, and the default tol, above which build_system flags the equilibrium
 ANDERSON_DEPTH = 5
 DAMPING = 0.5
 LOCAL_CHANGE = 1e-3
+FLOOR = 1e-12
+FLOOR_SWEEPS = 10
+MAX_SWEEPS = 100_000
+MPE_TOL = 1e-10
 
 
 class _FirmMaps(NamedTuple):
@@ -213,49 +213,42 @@ def expected_objects(model: GameModel, P, i: int):
     return pi_star, Q_star, P_minus
 
 
-def solve_mpe(model: GameModel, damping: float = DAMPING, start=None,
-              tol: float = 1e-10, max_iter: int = 100_000) -> MpeSolution:
+def solve_mpe(model: GameModel, start=None, tol: float = MPE_TOL) -> MpeSolution:
     """Equilibrium choice probabilities by Anderson-accelerated damped
-    best-response sweeps.
+    best-response sweeps, from a uniform profile (or ``start``).
 
     A sweep ``G(P)`` updates the firms sequentially, each mixing its logit
-    best response into the current profile with weight ``damping``.
-    Iteration starts from a uniform profile (or ``start``).  After each sweep
-    whose best responses differ from the profile by more than ``tol``, the
-    next profile is ``G(P) - dG gamma``, with ``gamma`` the least-squares fit
-    of ``F = G(P) - P`` by its last ``ANDERSON_DEPTH`` differences ``dF`` and
-    ``dG`` the matching differences of ``G`` (``dG = dP + dF``): Anderson
-    acceleration, type II, mixing 1 (Walker and Ni 2011).  The plain sweep
-    ``G(P)`` is kept instead, and the differences dropped, when that profile
-    leaves ``(0, 1)`` or the sweep's largest change rose.
+    best response into the profile with weight ``DAMPING``.  The next profile
+    is ``G(P) - dG gamma``, with ``gamma`` the least-squares fit of ``F = G(P)
+    - P`` by its last ``ANDERSON_DEPTH`` differences ``dF`` and ``dG`` those
+    of ``G``: Anderson acceleration, type II, mixing 1 (Walker and Ni 2011).
+    The plain sweep ``G(P)`` is kept instead, and the differences dropped,
+    when that profile leaves ``(0, 1)`` or the sweep's largest change rose.
 
     A best response is the full :func:`ddc.solve_logit` solve, warm-started
     from the firm's last value, until a sweep's largest change is at most
-    ``LOCAL_CHANGE``.  From then on the sweeps are local: each best response
-    is the one Newton step of ``solve_logit`` from that value, whose error is
-    second order in the sweep change (Rust 1987; Puterman and Shin 1978).
-    After a sweep in which no best response differs from the profile by more
-    than ``tol``, every firm's exact best response to the profile is solved;
-    the profile is returned only if all of them are within ``tol`` of it,
-    and otherwise the sweeps go on, with full solves only.
+    ``LOCAL_CHANGE``; after that it is one Newton step of ``solve_logit``
+    from that value, whose error is second order in the sweep change (Rust
+    1987; Puterman and Shin 1978).  After a sweep whose change is at most
+    ``tol``, every firm's exact best response to the profile is solved; the
+    profile is returned if all are within ``tol`` of it, and otherwise the
+    sweeps go on with full solves only.  Once the smallest sweep change is
+    below ``FLOOR`` and has not fallen for ``FLOOR_SWEEPS`` sweeps, the sweeps
+    are at their rounding floor and ``tol`` is out of reach.
 
-    Extrapolation combines sweeps, so the fixed points are those of the plain
-    sweeps.  Which equilibrium is found depends on the sweep order, damping
-    and start; on the shipped and benchmark games, and on entry games with
-    several equilibria, it is the one the plain sweeps find.  Other equilibria
-    are not searched for.  Deterministic given the model, start, and damping.
+    The fixed points are those of the plain sweeps.  Which equilibrium is
+    found depends on the sweep order, damping and start; on the shipped,
+    benchmark and strong-interaction entry games it is the one the plain
+    sweeps find.  Other equilibria are not searched for.
 
     Raises
     ------
     ValueError
-        If ``damping`` is outside ``(0, 1]``, ``max_iter`` below 1 or
-        ``start`` not a choice distribution of the profile's shape.
+        If ``start`` is not a choice distribution of the profile's shape.
     ConvergenceError
-        If no profile is confirmed within ``max_iter`` sweeps.
+        At the rounding floor, named with ``tol`` in the message, or after
+        ``MAX_SWEEPS`` sweeps; it carries the last sweep changes.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-    _check_max_iter(max_iter)
     N, K, m_x = model.n_firms, model.n_actions, model.m_x
     if start is None:
         P = np.full((N, K, m_x), 1.0 / K)
@@ -269,7 +262,8 @@ def solve_mpe(model: GameModel, damping: float = DAMPING, start=None,
     diffs = deque(maxlen=ANDERSON_DEPTH)  # (dG, dF) of the last sweeps
     g_prev = f_prev = None
     full_only = False  # set when a profile fails its confirmation
-    for _ in range(max_iter):
+    floor, stalled = np.inf, 0  # the smallest sweep change, and the sweeps since it
+    for _ in range(MAX_SWEEPS):
         x = P.flatten()
         local = not full_only and bool(history) and history[-1] <= LOCAL_CHANGE
         worst = 0.0
@@ -281,13 +275,18 @@ def solve_mpe(model: GameModel, damping: float = DAMPING, start=None,
             else:
                 BR, V_cache[i], _ = solve_logit(pi_star, Q_star, model.betas[i], V0=V_cache[i])
             worst = max(worst, float(np.max(np.abs(BR - P[i]))))
-            P[i] = damping * BR + (1.0 - damping) * P[i]
+            P[i] = DAMPING * BR + (1.0 - DAMPING) * P[i]
         history.append(worst)
         if worst <= tol:
             mpe = _confirm(model, P, V_cache, len(history))
             if mpe.residual <= tol:
                 return mpe
             full_only = True
+        stalled = 0 if worst < floor else stalled + 1
+        floor = min(floor, worst)
+        if floor < FLOOR and stalled >= FLOOR_SWEEPS:
+            raise ConvergenceError(f"best-response sweeps reached their rounding floor, a change of "
+                                   f"{floor:.2g}, and not tol={tol:g}", residual=worst, history=history[-20:])
         g = P.flatten()  # the sweep G(x) and its change F = G(x) - x
         f = g - x
         if len(history) > 1 and worst > history[-2]:
@@ -302,7 +301,7 @@ def solve_mpe(model: GameModel, damping: float = DAMPING, start=None,
             else:
                 diffs.clear()
         g_prev, f_prev = g, f
-    raise ConvergenceError(f"best-response iteration did not reach {tol} in {max_iter} sweeps",
+    raise ConvergenceError(f"best-response iteration did not reach {tol} in {MAX_SWEEPS} sweeps",
                            residual=history[-1], history=history[-20:])
 
 
@@ -339,7 +338,9 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> MasterSystem:
     (rounding at least) relative to ``rhs``: a beta-free row's coefficients
     sit at a few times that residual, informative rows at 1e-4 or more.
     ``info`` holds the firm, the worst block's ``condition_estimate`` and its
-    ``condition_block``, ``[s, l]``.
+    ``condition_block``, ``[s, l]``, and ``loose_equilibrium``, the residual,
+    when that is above ``MPE_TOL``: the rows then carry the looser
+    equilibrium's error, and an equality set may be empty for it.
 
     Raises
     ------
@@ -370,9 +371,10 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> MasterSystem:
     g[cells] = theta.transpose(0, 3, 1, 2, 4)[..., None, :]  # every rivals' lag alike
     cond = sv[..., 0] / sv[..., -1]
     worst = np.unravel_index(np.argmax(cond), cond.shape)
-    return replace(ms, g=g, noise=max(1e-9, 100.0 * mpe.residual) * float(np.max(np.abs(rhs))),
-                   info={"firm": i, "condition_estimate": float(cond[worst]),
-                         "condition_block": [int(v) for v in worst]})
+    info = {"firm": i, "condition_estimate": float(cond[worst]), "condition_block": [int(v) for v in worst]}
+    if mpe.residual > MPE_TOL:
+        info["loose_equilibrium"] = mpe.residual
+    return replace(ms, g=g, noise=max(1e-9, 100.0 * mpe.residual) * float(np.max(np.abs(rhs))), info=info)
 
 
 # ---- restriction rows on the stacked game payoff -------------------------

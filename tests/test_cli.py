@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import csv
-import inspect
 import io
 import json
 import os
@@ -23,12 +22,14 @@ from ddcident.cli import (
     _build_restriction,
     _entry_source,
     _fd_source,
+    _write_curves,
     main,
     parse_restriction_specs,
     validate_config,
 )
-from ddcident.ddc import SingleAgentModel, solve_bellman
-from ddcident.games import solve_mpe
+from ddcident.ddc import NEWTON_TOL, SingleAgentModel, solve_bellman
+from ddcident.errors import ConvergenceError
+from ddcident.games import DAMPING, solve_mpe
 from ddcident.identify import IdentifiedSet
 from ddcident.scenarios import build_entry_model, entry_restrictions
 
@@ -272,26 +273,25 @@ class TestValidate:
         ({"cols": [0, 1], "vals": [1e308, -1e308]}, [0.0]),
         ({"cols": [0], "vals": [1.0]}, [1e308]),
     ], ids=["vals", "c"])
-    def test_overflowing_rows_are_json_errors(self, entry_config, tmp_path, capsys, row, c):
-        # validate cannot see this without solving the model; run once printed
-        # an overflow warning, then a traceback, and exited 1
-        _, cfg = entry_config
-        big = json.loads(json.dumps(cfg))
+    def test_overflowing_rows_are_json_errors(self, tmp_path, capsys, row, c):
+        # the rows overflow only on the solved model: validate once accepted
+        # them, and run once printed an overflow warning, then a traceback, and
+        # exited 1
+        cfg = json.loads((REPO / "configs" / "entry_model.json").read_text())
+        big = dict(cfg)
         big["restrictions"] = [{"label": "big", "kind": "equality", "n_columns": cfg["n_states"],
                                 "rows": [row], "c": c}]
         path = tmp_path / "big.json"
         path.write_text(json.dumps(big))
-        assert main(["validate", "--config", str(path)]) == 0
-        capsys.readouterr()
+        expected = [{"field": "restrictions[0]",
+                     "message": "cannot form the rows of 'big': row 0 of R G(beta) - c det(beta) overflows"}]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            assert main(["validate", "--config", str(path)]) == 2
+            assert json.loads(capsys.readouterr().out)["issues"] == expected
             assert main(["run", "--config", str(path), "--restrictions", "big",
                          "--out-dir", str(tmp_path / "o")]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "invalid_config"
-        assert [i["field"] for i in err["issues"]] == ["--restrictions"]
-        assert err["issues"][0]["message"] == ("cannot form the rows of 'big': "
-                                               "row 0 of R G(beta) - c det(beta) overflows")
+        assert json.loads(capsys.readouterr().err) == {"error": "invalid_config", "issues": expected}
         assert not (tmp_path / "o").exists()
 
     def test_malformed_json_is_structured_error(self, tmp_path, capsys):
@@ -324,6 +324,16 @@ class TestRun:
         assert main(args + ["--out-dir", str(out_b)]) == 0
         for name in ("curves.csv", "identified_set.json", "run_manifest.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_curves_bytes_match_the_per_cell_writer(self, tmp_path):
+        # the row-template writer against the per-cell formatting it replaced
+        grid = np.linspace(0.0, 1.0, 9)
+        columns = {"a_0": np.array([-0.0, 5e-324, 1e-300, -1.5, np.pi, 1 / 3, 2.0 ** 60, -1e300, 0.1]),
+                   "b_1": np.random.default_rng(0).normal(size=9)}
+        _write_curves(tmp_path / "curves.csv", grid, columns)
+        expected = "beta,a_0,b_1\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                              for row in zip(grid, *columns.values()))
+        assert (tmp_path / "curves.csv").read_bytes() == expected.encode()
 
     def test_fd_scenario_linear_curves(self, tmp_path):
         out = tmp_path / "fd"
@@ -424,16 +434,18 @@ class TestRun:
         assert set(manifest["outputs"]) == {"curves.csv", "identified_set.json",
                                             "run_manifest.json"}
 
-    def test_manifest_records_the_constants_the_run_uses(self, tmp_path):
+    def test_manifest_records_the_constants_the_run_uses(self, tmp_path, monkeypatch):
         # the solver tolerances are no longer options: the manifest records the
         # constants, and the config echo only what was asked for
+        from ddcident import cli
+        calls = []
+        monkeypatch.setattr(cli, "solve_mpe", lambda model, **kw: calls.append(kw) or solve_mpe(model, **kw))
         out = tmp_path / "m"
         main(["run", "--scenario", "entry-game", "--firm", "1", "--restrictions", "exchangeability",
               "--beta-grid", "0:1:11", "--out-dir", str(out)])
         manifest = json.loads((out / "run_manifest.json").read_text())
-        used = {"root_residual": ROOT_RESIDUAL_TOL,
-                "fixed_point": inspect.signature(solve_bellman).parameters["tol"].default,
-                "damping": inspect.signature(solve_mpe).parameters["damping"].default}
+        assert calls == [{"tol": NEWTON_TOL}]
+        used = {"root_residual": ROOT_RESIDUAL_TOL, "fixed_point": NEWTON_TOL, "damping": DAMPING}
         assert manifest["tolerances"] == used == {"root_residual": 1e-8, "fixed_point": 1e-12, "damping": 0.5}
         assert set(manifest["config"]) == {"scenario", "config", "firm", "restrictions", "beta_grid"}
 
@@ -449,6 +461,12 @@ class TestReferenceConfigs:
         assert rc == 0
         ident = json.loads((out / "identified_set.json").read_text())
         assert ident["restrictions"]["homogeneity"]["equality_roots"] == pytest.approx([0.95], abs=1e-4)
+
+    @pytest.mark.parametrize("name", ["entry_model", "entry_model_ccps"])
+    def test_shipped_configs_validate(self, name, capsys):
+        # validate solves each model and forms every inline restriction's rows
+        assert main(["validate", "--config", str(REPO / "configs" / f"{name}.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["issues"] == []
 
     def test_ccp_config_sets_match_the_payoff_config(self, tmp_path):
         # entry_model_ccps.json is entry_model.json with its model's CCPs from
@@ -720,19 +738,21 @@ class TestCliEdges:
         assert calls == []
 
     def test_solver_failure_is_structured_error(self, tmp_path, capsys):
-        # the largest float below 1 passes validation, but I - beta*Q is then
-        # singular to rounding and the Newton steps cannot settle
+        # the largest float below 1 passes the model's checks, but I - beta*Q
+        # is then singular to rounding and the Newton steps cannot settle:
+        # validate, which solves the model to form the rows, and run both say so
         path = tmp_path / "slow.json"
         path.write_text(json.dumps({
             "schema_version": 1, "mode": "single", "n_actions": 2, "n_states": 1,
             "Q": [[[1.0]], [[1.0]]], "payoffs": [[1.0], [0.0]], "beta": 0.9999999999999999,
             "restrictions": [{"label": "r", "kind": "inequality_ge", "n_columns": 1,
                               "rows": [{"cols": [0], "vals": [1.0]}], "c": [0.0]}]}))
-        assert validate_config(json.loads(path.read_text())) == []
-        rc = main(["run", "--config", str(path), "--restrictions", "r",
-                   "--out-dir", str(tmp_path / "o")])
-        assert rc == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "not_converged"
+        with pytest.raises(ConvergenceError):
+            validate_config(json.loads(path.read_text()))
+        for command in (["validate", "--config", str(path)],
+                        ["run", "--config", str(path), "--restrictions", "r", "--out-dir", str(tmp_path / "o")]):
+            assert main(command) == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "not_converged"
 
     def test_empty_restriction_list(self, tmp_path, capsys):
         rc = main(["run", "--scenario", "entry", "--restrictions", ",",

@@ -1,11 +1,12 @@
 import itertools
+import time
 from dataclasses import replace
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from ddcident import games
+from ddcident import ddc, games
 from ddcident.ddc import EULER_GAMMA, SingleAgentModel, master_system, solve_bellman, solve_logit
 from ddcident.errors import ConvergenceError, RankDeficiencyError
 from ddcident.games import (
@@ -101,7 +102,7 @@ class TestMpe:
         payoffs[0, 0, 0] = rng.normal(size=m_x)
         gm = GameModel(n_firms=1, n_actions=2, s_values=s_values, s_transition=T,
                        payoffs=payoffs, betas=np.array([0.9]), last_action_known=True)
-        mpe = solve_mpe(gm, damping=1.0)
+        mpe = solve_mpe(gm)
         # equivalent single-agent model on the same state space
         Q = np.zeros((2, m_x, m_x))
         for a in range(2):
@@ -138,11 +139,6 @@ class TestMpe:
         _, mpe = game
         # inversion values equal value differences at every state and action
         assert mpe.psi == pytest.approx(mpe.V[:, None, :] - mpe.v, abs=1e-10)
-
-    def test_bad_damping(self, game):
-        bundle, _ = game
-        with pytest.raises(ValueError):
-            solve_mpe(bundle.model, damping=0.0)
 
 
 def value_iteration_oracle(pi_star, Q_star, beta):
@@ -188,13 +184,15 @@ class TestFirmDp:
             if V0 is not None:
                 assert np.array_equal(V0, kept)  # the warm start is not written to
 
-    def test_stall_raises_convergence_error(self):
+    def test_stall_raises_convergence_error(self, monkeypatch):
         pi_star, Q_star, beta = random_firm_problem(np.random.default_rng(0))
+        monkeypatch.setattr(ddc, "NEWTON_TOL", 0.0)
+        monkeypatch.setattr(ddc, "NEWTON_STEPS", 1)
         with pytest.raises(ConvergenceError) as err:
-            solve_logit(pi_star, Q_star, beta, tol=0.0, max_iter=1)
+            solve_logit(pi_star, Q_star, beta)
         assert err.value.residual > 0.0
 
-    def test_reference_game_firm_does_not_spin(self):
+    def test_reference_game_firm_does_not_spin(self, monkeypatch):
         # firm 2 (beta 0.95, |V| about 26) against uniform rivals from V0 = 0:
         # its steps level off near 1e-13, so an absolute stop at 1e-13 spun
         model = build_entry_game().model
@@ -203,7 +201,8 @@ class TestFirmDp:
         beta = model.betas[2]
         P_ref, V_ref, v_ref = value_iteration_oracle(pi_star, Q_star, beta)
         for tol in (1e-12, 0.0):  # with tol = 0 only the noise rule can stop it
-            sol = solve_logit(pi_star, Q_star, beta, V0=np.zeros(model.m_x), tol=tol)
+            monkeypatch.setattr(ddc, "NEWTON_TOL", tol)
+            sol = solve_logit(pi_star, Q_star, beta, V0=np.zeros(model.m_x))
             assert len(sol.residual_path) <= 10
             assert np.max(np.abs(sol.V - V_ref)) <= 1e-12
             assert np.max(np.abs(sol.v - v_ref)) <= 1e-12
@@ -521,6 +520,17 @@ class TestIdentifiedSets:
             both = identified_set_game(sys_i, np.vstack([adj, r3_exchangeability(m, i)]))
             assert both.equality_roots == pytest.approx([truth], abs=1e-3)
 
+    def test_loose_equilibrium_is_flagged(self, game):
+        # at tol 1e-6 exchangeability had emptied firms 0 and 1's sets with no flag
+        bundle, tight = game
+        m = bundle.model
+        mpe = solve_mpe(m, tol=1e-6)
+        assert mpe.residual > games.MPE_TOL
+        for i in range(m.n_firms):
+            s = identified_set_game(build_system(m, mpe, i), r3_exchangeability(m, i))
+            assert s.diagnostics["loose_equilibrium"] == mpe.residual
+            assert "loose_equilibrium" not in build_system(m, tight, i).info
+
     @pytest.mark.parametrize("k", [1.0, 10.0, 1e3])
     def test_scaled_adjustment_cost_stays_flagged(self, k):
         # the noise floor scales with the rows: scaled beta-free rows are
@@ -665,20 +675,13 @@ class TestGameModelSizes:
 
 
 class TestSolverEdges:
-    def test_nonconvergence_carries_history(self, game):
+    def test_nonconvergence_carries_history(self, game, monkeypatch):
         bundle, _ = game
-        from ddcident.errors import ConvergenceError
-        with pytest.raises(ConvergenceError) as err:
-            solve_mpe(bundle.model, tol=1e-14, max_iter=2)
+        monkeypatch.setattr(games, "MAX_SWEEPS", 2)
+        with pytest.raises(ConvergenceError, match="did not reach 1e-14 in 2 sweeps") as err:
+            solve_mpe(bundle.model, tol=1e-14)
         assert err.value.residual is not None
-        assert err.value.history
-
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_no_sweep_allowed_is_named(self, game, max_iter):
-        # the uniform start had come back as an equilibrium, residual 0.345
-        bundle, _ = game
-        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
-            solve_mpe(bundle.model, max_iter=max_iter)
+        assert len(err.value.history) == 2
 
     def test_custom_start_converges_to_same_equilibrium(self, game):
         bundle, mpe = game
@@ -1059,6 +1062,29 @@ class TestLocalSweeps:
         assert events.count("confirm") == 2
         assert mpe.n_iter > plain.n_iter and mpe.residual <= 1e-10
         assert np.max(np.abs(mpe.P - plain.P)) <= 1e-9
+
+
+# ---- the rounding floor ----------------------------------------------------------
+
+
+class TestRoundingFloor:
+    @pytest.mark.parametrize("cfg", [pytest.param(p.values[0], id=p.id) for p in SELECTION_CASES])
+    def test_selection_games_reach_1e_14(self, cfg):
+        # below FLOOR each game's sweep change falls on every sweep, so the
+        # floor rule cannot stop a game that reaches its tol
+        assert solve_mpe(build_entry_game(cfg).model, tol=1e-14).residual <= 1e-14
+
+    @pytest.mark.parametrize("tol", [1e-16, 0.0])
+    def test_tol_below_the_rounding_floor_is_named(self, game, tol):
+        # the sweep change levels off near 1e-15: this ran 100,000 sweeps, about a minute
+        bundle, _ = game
+        start = time.perf_counter()
+        floor = rf"rounding floor, a change of \S+e-15, and not tol={tol:g}"
+        with pytest.raises(ConvergenceError, match=floor) as err:
+            solve_mpe(bundle.model, tol=tol)
+        assert time.perf_counter() - start < 1.0
+        assert min(err.value.history) < games.FLOOR
+        assert err.value.residual == err.value.history[-1]
 
 
 # ---- index maps built once per game -------------------------------------------
