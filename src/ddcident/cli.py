@@ -52,8 +52,7 @@ from .scenarios import (
 
 SCHEMA_VERSION = 1
 # every run's numerical policy, as run_manifest.json records it
-FIXED_POINT_TOL = NEWTON_TOL  # solve_bellman's relative step, and the game's solve_mpe tol
-TOLERANCES = {"root_residual": ROOT_RESIDUAL_TOL, "fixed_point": FIXED_POINT_TOL, "damping": DAMPING}
+TOLERANCES = {"root_residual": ROOT_RESIDUAL_TOL, "fixed_point": NEWTON_TOL, "damping": DAMPING}
 
 
 class ConfigError(ValueError):
@@ -316,7 +315,7 @@ def _game_source(args):
         raise ConfigError([{"field": "--firm", "message":
                             f"firm indices are 1-based, from 1 to {model.n_firms}"}])
     i = args.firm - 1
-    mpe = solve_mpe(model, tol=FIXED_POINT_TOL)
+    mpe = solve_mpe(model)
     system = build_system(model, mpe, i)
     builders = {  # each set is labelled with its result key
         "exchangeability": lambda **kw: RestrictionSet(

@@ -4,11 +4,11 @@ discount-factor identification.
 States are pairs of an exogenous component and the lagged action profile;
 each firm's index maps over them are built once per game.  :func:`solve_mpe`
 finds an equilibrium by damped best-response sweeps on conditional choice
-probabilities, with Anderson extrapolation, to its tolerance or its rounding
-floor.  Identification maps each firm's single-agent system of its
-equilibrium objects through one small square block per exogenous state and
-own lagged action, rivals' lagged actions being irrelevant; cross-firm payoff
-restrictions are then polynomial rows in the firm's discount factor.
+probabilities, with Anderson extrapolation, to ``MPE_TOL``.  Identification
+maps each firm's single-agent system of its equilibrium objects through one
+small square block per exogenous state and own lagged action, rivals' lagged
+actions being irrelevant; cross-firm payoff restrictions are then polynomial
+rows in the firm's discount factor.
 """
 
 from __future__ import annotations
@@ -20,23 +20,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .betapoly import _numbers, check_stochastic, freeze
+from .betapoly import _numbers, check_stochastic, freeze, require_finite
 from .ddc import EULER_GAMMA, MasterSystem, _logit, _newton_step, master_system, solve_logit
 from .errors import ConvergenceError, RankDeficiencyError
 from .identify import IdentifiedSet, identified_set
 from .restrictions import _flat_points, _stencil_rows, linear_in_parameters
 
-# solve_mpe's sweeps: the extrapolation depth, the damping, the largest sweep
-# change after which the next sweep is local, the rounding floor (a smallest
-# change below FLOOR that has not fallen for FLOOR_SWEEPS sweeps), the sweep
-# cap, and the default tol, above which build_system flags the equilibrium
+# solve_mpe's sweeps: the extrapolation depth, the damping, the largest change
+# after which a sweep is local, the tolerance of the change and the residual
+# (build_system flags a larger residual), the stall that is the floor, the cap
 ANDERSON_DEPTH = 5
 DAMPING = 0.5
 LOCAL_CHANGE = 1e-3
-FLOOR = 1e-12
+MPE_TOL = 1e-12
 FLOOR_SWEEPS = 10
 MAX_SWEEPS = 100_000
-MPE_TOL = 1e-10
 
 
 class _FirmMaps(NamedTuple):
@@ -213,7 +211,15 @@ def expected_objects(model: GameModel, P, i: int):
     return pi_star, Q_star, P_minus
 
 
-def solve_mpe(model: GameModel, start=None, tol: float = MPE_TOL) -> MpeSolution:
+def _profile(model: GameModel, P, name: str) -> np.ndarray:
+    """``P`` as a float array, checked as a choice profile ``(N, K, m_x)`` of the game."""
+    P = _numbers(P, name)
+    if P.shape != (model.n_firms, model.n_actions, model.m_x):
+        raise ValueError(f"{name} must have shape {(model.n_firms, model.n_actions, model.m_x)}, got {P.shape}")
+    return check_stochastic(P, f"{name} choice distribution", ("firm", "state"), axis=1)
+
+
+def solve_mpe(model: GameModel, start=None) -> MpeSolution:
     """Equilibrium choice probabilities by Anderson-accelerated damped
     best-response sweeps, from a uniform profile (or ``start``).
 
@@ -230,11 +236,11 @@ def solve_mpe(model: GameModel, start=None, tol: float = MPE_TOL) -> MpeSolution
     ``LOCAL_CHANGE``; after that it is one Newton step of ``solve_logit``
     from that value, whose error is second order in the sweep change (Rust
     1987; Puterman and Shin 1978).  After a sweep whose change is at most
-    ``tol``, every firm's exact best response to the profile is solved; the
-    profile is returned if all are within ``tol`` of it, and otherwise the
-    sweeps go on with full solves only.  Once the smallest sweep change is
-    below ``FLOOR`` and has not fallen for ``FLOOR_SWEEPS`` sweeps, the sweeps
-    are at their rounding floor and ``tol`` is out of reach.
+    ``MPE_TOL``, every firm's exact best response to the profile is solved;
+    the profile is returned if all are within ``MPE_TOL`` of it, and otherwise
+    the sweeps go on with full solves only.  Once the smallest sweep change is
+    below ``MPE_TOL`` and has not fallen for ``FLOOR_SWEEPS`` sweeps, the
+    sweeps are at their rounding floor with no profile confirmed.
 
     The fixed points are those of the plain sweeps.  Which equilibrium is
     found depends on the sweep order, damping and start; on the shipped,
@@ -246,26 +252,19 @@ def solve_mpe(model: GameModel, start=None, tol: float = MPE_TOL) -> MpeSolution
     ValueError
         If ``start`` is not a choice distribution of the profile's shape.
     ConvergenceError
-        At the rounding floor, named with ``tol`` in the message, or after
-        ``MAX_SWEEPS`` sweeps; it carries the last sweep changes.
+        At the rounding floor, or after ``MAX_SWEEPS`` sweeps; it carries the
+        last sweep changes.
     """
     N, K, m_x = model.n_firms, model.n_actions, model.m_x
-    if start is None:
-        P = np.full((N, K, m_x), 1.0 / K)
-    else:
-        P = _numbers(start, "start").copy()  # written in place below
-        if P.shape != (N, K, m_x):
-            raise ValueError(f"start must have shape {(N, K, m_x)}, got {P.shape}")
-        check_stochastic(P, "start choice distribution", ("firm", "state"), axis=1)
+    P = np.full((N, K, m_x), 1.0 / K) if start is None else _profile(model, start, "start").copy()
     V_cache = np.zeros((N, m_x))
     history = []
     diffs = deque(maxlen=ANDERSON_DEPTH)  # (dG, dF) of the last sweeps
     g_prev = f_prev = None
-    full_only = False  # set when a profile fails its confirmation
     floor, stalled = np.inf, 0  # the smallest sweep change, and the sweeps since it
     for _ in range(MAX_SWEEPS):
         x = P.flatten()
-        local = not full_only and bool(history) and history[-1] <= LOCAL_CHANGE
+        local = floor > MPE_TOL and bool(history) and history[-1] <= LOCAL_CHANGE  # no confirmation failed
         worst = 0.0
         for i in range(N):
             pi_star, Q_star, _ = expected_objects(model, P, i)
@@ -277,16 +276,15 @@ def solve_mpe(model: GameModel, start=None, tol: float = MPE_TOL) -> MpeSolution
             worst = max(worst, float(np.max(np.abs(BR - P[i]))))
             P[i] = DAMPING * BR + (1.0 - DAMPING) * P[i]
         history.append(worst)
-        if worst <= tol:
+        if worst <= MPE_TOL:
             mpe = _confirm(model, P, V_cache, len(history))
-            if mpe.residual <= tol:
+            if mpe.residual <= MPE_TOL:
                 return mpe
-            full_only = True
         stalled = 0 if worst < floor else stalled + 1
         floor = min(floor, worst)
-        if floor < FLOOR and stalled >= FLOOR_SWEEPS:
+        if floor < MPE_TOL and stalled >= FLOOR_SWEEPS:
             raise ConvergenceError(f"best-response sweeps reached their rounding floor, a change of "
-                                   f"{floor:.2g}, and not tol={tol:g}", residual=worst, history=history[-20:])
+                                   f"{floor:.2g}, with no profile confirmed", residual=worst, history=history[-20:])
         g = P.flatten()  # the sweep G(x) and its change F = G(x) - x
         f = g - x
         if len(history) > 1 and worst > history[-2]:
@@ -301,7 +299,7 @@ def solve_mpe(model: GameModel, start=None, tol: float = MPE_TOL) -> MpeSolution
             else:
                 diffs.clear()
         g_prev, f_prev = g, f
-    raise ConvergenceError(f"best-response iteration did not reach {tol} in {MAX_SWEEPS} sweeps",
+    raise ConvergenceError(f"best-response iteration did not reach {MPE_TOL:g} in {MAX_SWEEPS} sweeps",
                            residual=history[-1], history=history[-20:])
 
 
@@ -309,11 +307,9 @@ def _confirm(model: GameModel, P: np.ndarray, V_cache: np.ndarray, n_iter: int) 
     """The profile ``P`` evaluated: every firm's exact best response and
     values, solved from ``V_cache``, and the largest distance of a best
     response from ``P`` as the residual."""
-    N, K, m_x = model.n_firms, model.n_actions, model.m_x
-    v = np.zeros((N, K, m_x))
-    V = np.zeros((N, m_x))
+    V, v = np.zeros(V_cache.shape), np.zeros(P.shape)
     residual = 0.0
-    for i in range(N):
+    for i in range(model.n_firms):
         pi_star, Q_star, _ = expected_objects(model, P, i)
         BR, V[i], v[i] = solve_logit(pi_star, Q_star, model.betas[i], V0=V_cache[i])
         residual = max(residual, float(np.max(np.abs(BR - P[i]))))
@@ -339,11 +335,14 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> MasterSystem:
     sit at a few times that residual, informative rows at 1e-4 or more.
     ``info`` holds the firm, the worst block's ``condition_estimate`` and its
     ``condition_block``, ``[s, l]``, and ``loose_equilibrium``, the residual,
-    when that is above ``MPE_TOL``: the rows then carry the looser
-    equilibrium's error, and an equality set may be empty for it.
+    when that is above ``MPE_TOL`` (a caller's equilibrium, never
+    :func:`solve_mpe`'s): its error is then in the rows, and may empty a set.
 
     Raises
     ------
+    ValueError
+        If ``mpe.residual`` is not a finite number at least 0, or ``mpe.P``
+        is not a choice profile of the game.
     RankDeficiencyError
         If a block is singular; ``rank`` (``K-1`` times ``(n_o-1) m_x`` plus the
         blocks' ranks) is that of the payoff rows over the rivals'-lag equalities.
@@ -351,7 +350,9 @@ def build_system(model: GameModel, mpe: MpeSolution, i: int) -> MasterSystem:
     if not model.last_action_known:
         raise ValueError("identification requires declaring the last action's payoff as known")
     K, m_x, n_o = model.n_actions, model.m_x, model.n_rival_profiles
-    pi_star, Q_star, P_minus = expected_objects(model, mpe.P, i)
+    if not require_finite(mpe.residual, "residual") >= 0.0:
+        raise ValueError(f"residual = {mpe.residual} is below 0")
+    pi_star, Q_star, P_minus = expected_objects(model, _profile(model, mpe.P, "P"), i)
     psi = mpe.psi[i].copy()
     psi[K - 1] += pi_star[K - 1]  # the known-action expected payoff joins psi_last
     ms = master_system(psi, Q_star)

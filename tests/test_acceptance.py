@@ -58,7 +58,7 @@ def entry_fd():
 @pytest.fixture(scope="module")
 def game():
     bundle = build_entry_game()
-    mpe = solve_mpe(bundle.model, tol=1e-12)
+    mpe = solve_mpe(bundle.model)
     return bundle, mpe
 
 

@@ -29,7 +29,7 @@ from ddcident.cli import (
 )
 from ddcident.ddc import NEWTON_TOL, SingleAgentModel, solve_bellman
 from ddcident.errors import ConvergenceError
-from ddcident.games import DAMPING, solve_mpe
+from ddcident.games import DAMPING, MPE_TOL
 from ddcident.identify import IdentifiedSet
 from ddcident.scenarios import build_entry_model, entry_restrictions
 
@@ -434,17 +434,14 @@ class TestRun:
         assert set(manifest["outputs"]) == {"curves.csv", "identified_set.json",
                                             "run_manifest.json"}
 
-    def test_manifest_records_the_constants_the_run_uses(self, tmp_path, monkeypatch):
+    def test_manifest_records_the_constants_the_run_uses(self, tmp_path):
         # the solver tolerances are no longer options: the manifest records the
         # constants, and the config echo only what was asked for
-        from ddcident import cli
-        calls = []
-        monkeypatch.setattr(cli, "solve_mpe", lambda model, **kw: calls.append(kw) or solve_mpe(model, **kw))
         out = tmp_path / "m"
         main(["run", "--scenario", "entry-game", "--firm", "1", "--restrictions", "exchangeability",
               "--beta-grid", "0:1:11", "--out-dir", str(out)])
         manifest = json.loads((out / "run_manifest.json").read_text())
-        assert calls == [{"tol": NEWTON_TOL}]
+        assert manifest["tolerances"]["fixed_point"] == MPE_TOL  # the game's equilibrium too
         used = {"root_residual": ROOT_RESIDUAL_TOL, "fixed_point": NEWTON_TOL, "damping": DAMPING}
         assert manifest["tolerances"] == used == {"root_residual": 1e-8, "fixed_point": 1e-12, "damping": 0.5}
         assert set(manifest["config"]) == {"scenario", "config", "firm", "restrictions", "beta_grid"}

@@ -33,8 +33,7 @@ from ddcident.scenarios import EntryGameConfig, build_entry_game
 @pytest.fixture(scope="module")
 def game():
     bundle = build_entry_game()
-    # tighter than the 1e-10 contract so identities inherit little solver noise
-    mpe = solve_mpe(bundle.model, tol=1e-12)
+    mpe = solve_mpe(bundle.model)
     return bundle, mpe
 
 
@@ -127,7 +126,7 @@ class TestMpe:
     def test_reference_game_residual_and_determinism(self, game):
         bundle, mpe = game
         assert mpe.residual <= 1e-10
-        again = solve_mpe(bundle.model, tol=1e-12)
+        again = solve_mpe(bundle.model)
         assert np.array_equal(again.P, mpe.P)
 
     def test_columns_sum_to_one_and_positive(self, game):
@@ -509,7 +508,7 @@ class TestIdentifiedSets:
         # informative rows without roots
         bundle = build_entry_game()
         m = bundle.model
-        mpe = solve_mpe(m, tol=1e-7)
+        mpe = loose_mpe(m, 3e-8)  # a residual of 1.2e-8
         assert mpe.residual > 1e-9
         for i, truth in enumerate((0.8, 0.9, 0.95)):
             sys_i = build_system(m, mpe, i)
@@ -524,7 +523,7 @@ class TestIdentifiedSets:
         # at tol 1e-6 exchangeability had emptied firms 0 and 1's sets with no flag
         bundle, tight = game
         m = bundle.model
-        mpe = solve_mpe(m, tol=1e-6)
+        mpe = loose_mpe(m, 1e-6)
         assert mpe.residual > games.MPE_TOL
         for i in range(m.n_firms):
             s = identified_set_game(build_system(m, mpe, i), r3_exchangeability(m, i))
@@ -648,6 +647,37 @@ class TestMpeSolution:
         assert mpe.residual <= 1e-10
         assert mpe.P.shape == (3, 2, 24)
 
+    def test_reference_roots_within_1e_8_of_planted(self):
+        # at the old 1e-10 default firm 1's root was 5.2e-8 off; 1.9e-9 at MPE_TOL
+        m = build_entry_game().model
+        mpe = solve_mpe(m)
+        for i in range(m.n_firms):
+            s = identified_set_game(build_system(m, mpe, i), r3_exchangeability(m, i))
+            assert s.equality_roots == pytest.approx([m.betas[i]], abs=1e-8)
+
+
+class TestBuildSystemInputs:
+    # a caller's equilibrium was read unchecked: a NaN or negative residual
+    # passed as exact, with no loose_equilibrium flag and noise at its floor
+    @pytest.mark.parametrize("residual,message", [(np.nan, r"residual = nan is not finite"),
+                                                  (-1.0, r"residual = -1.0 is below 0")])
+    def test_bad_residual_named(self, game, residual, message):
+        bundle, mpe = game
+        with pytest.raises(ValueError, match=message):
+            build_system(bundle.model, replace(mpe, residual=residual), 0)
+
+    def test_profile_shape_named(self, game):
+        # once a bare numpy broadcast error
+        bundle, mpe = game
+        with pytest.raises(ValueError, match=r"P must have shape \(3, 2, 24\), got \(3, 2, 5\)"):
+            build_system(bundle.model, replace(mpe, P=mpe.P[..., :5]), 0)
+
+    def test_non_stochastic_profile_named(self, game):
+        # once "transition row (action 0, state 0) sums to 1.96", which names Q_star
+        bundle, mpe = game
+        with pytest.raises(ValueError, match=r"P choice distribution \(firm 0, state 0\) sums to 1.4, not 1"):
+            build_system(bundle.model, replace(mpe, P=np.full_like(mpe.P, 0.7)), 0)
+
 
 class TestGameModelInputs:
     def test_non_finite_beta_named(self):
@@ -678,8 +708,8 @@ class TestSolverEdges:
     def test_nonconvergence_carries_history(self, game, monkeypatch):
         bundle, _ = game
         monkeypatch.setattr(games, "MAX_SWEEPS", 2)
-        with pytest.raises(ConvergenceError, match="did not reach 1e-14 in 2 sweeps") as err:
-            solve_mpe(bundle.model, tol=1e-14)
+        with pytest.raises(ConvergenceError, match="did not reach 1e-12 in 2 sweeps") as err:
+            solve_mpe(bundle.model)
         assert err.value.residual is not None
         assert len(err.value.history) == 2
 
@@ -688,7 +718,7 @@ class TestSolverEdges:
         rng = np.random.default_rng(8)
         start = rng.uniform(0.3, 0.7, size=mpe.P.shape)
         start[:, 1, :] = 1.0 - start[:, 0, :]
-        again = solve_mpe(bundle.model, start=start, tol=1e-12)
+        again = solve_mpe(bundle.model, start=start)
         assert np.max(np.abs(again.P - mpe.P)) < 1e-9
 
     def test_bad_start_rejected(self, game):
@@ -944,6 +974,12 @@ def loop_solve_mpe(m, damping=0.5, start=None, tol=1e-10, max_iter=10_000):
     raise AssertionError("oracle sweeps did not converge")
 
 
+def loose_mpe(m, tol):
+    """The plain sweeps' profile stopped at a sweep change of ``tol``, evaluated
+    as ``solve_mpe`` evaluates the profile it returns."""
+    return games._confirm(m, loop_solve_mpe(m, tol=tol), np.zeros((m.n_firms, m.m_x)), 0)
+
+
 def draw_configs():
     """The recipe of perfbench.inputs.game_draws(0): betas and fixed costs drawn."""
     rng = np.random.default_rng([0, 4])
@@ -963,11 +999,11 @@ FOUR_FIRMS = EntryGameConfig(
                        0.6 * np.eye(6) + 0.2 * np.eye(6, k=1) + 0.2 * np.eye(6, k=-1)))
 # strong interactions (theta_rn 6 and 10) give games with several equilibria
 SELECTION_CASES = (
-    [pytest.param(EntryGameConfig(), tol, id=f"reference-tol{tol:g}") for tol in (1e-10, 1e-12)]
-    + [pytest.param(cfg, 1e-10, id=f"draw{d}") for d, cfg in enumerate(draw_configs())]
-    + [pytest.param(EntryGameConfig(theta_rn=r, theta_rs=s, theta_ec=e), 1e-10, id=f"rn{r}-rs{s}-ec{e}")
+    [pytest.param(EntryGameConfig(), id="reference")]
+    + [pytest.param(cfg, id=f"draw{d}") for d, cfg in enumerate(draw_configs())]
+    + [pytest.param(EntryGameConfig(theta_rn=r, theta_rs=s, theta_ec=e), id=f"rn{r}-rs{s}-ec{e}")
        for r in (1, 3, 6, 10) for s, e in ((1, 1), (3, 1), (3, 4), (6, 6))]
-    + [pytest.param(FOUR_FIRMS, 1e-10, id="four-firms-mx96")])
+    + [pytest.param(FOUR_FIRMS, id="four-firms-mx96")])
 
 
 def corner_start(m, p0):
@@ -977,15 +1013,25 @@ def corner_start(m, p0):
 
 
 class TestEquilibriumSelection:
-    @pytest.mark.parametrize("cfg,tol", SELECTION_CASES)
-    def test_accelerated_solve_selects_the_sweep_equilibrium(self, cfg, tol):
+    @pytest.mark.parametrize("cfg", SELECTION_CASES)
+    def test_accelerated_solve_selects_the_sweep_equilibrium(self, cfg):
         m = build_entry_game(cfg).model
-        mpe = solve_mpe(m, tol=tol)
-        assert np.max(np.abs(mpe.P - loop_solve_mpe(m, tol=tol))) <= 1e-8
-        assert mpe.residual <= tol
+        mpe = solve_mpe(m)
+        assert np.max(np.abs(mpe.P - loop_solve_mpe(m))) <= 1e-8
+        assert mpe.residual <= games.MPE_TOL
+
+    @pytest.mark.parametrize("cfg", SELECTION_CASES)
+    def test_restart_at_the_equilibrium_stays(self, cfg):
+        # a profile confirmed within MPE_TOL is confirmed again after one sweep
+        m = build_entry_game(cfg).model
+        mpe = solve_mpe(m)
+        again = solve_mpe(m, start=mpe.P)
+        assert again.n_iter == 1
+        assert np.max(np.abs(again.P - mpe.P)) <= games.MPE_TOL
+        assert again.residual <= games.MPE_TOL
 
     def test_reference_game_is_accelerated(self):
-        # the plain sweeps take 39; a silent return to them fails here
+        # the plain sweeps take 47; a silent return to them fails here
         assert solve_mpe(build_entry_game().model).n_iter <= 20
 
     @pytest.mark.parametrize("rn", [1, 6])
@@ -1013,26 +1059,26 @@ class TestEquilibriumSelection:
 
 
 # ---- local sweeps -----------------------------------------------------------
-# Sweeps each selection game took when every best response was a full solve:
-# the local phase may not add one.
+# Sweeps each selection game took when every best response was a full solve
+# (LOCAL_CHANGE below every sweep change): the local phase may not add one.
 FULL_SOLVE_SWEEPS = {
-    "reference-tol1e-10": 16, "reference-tol1e-12": 19,
-    "draw0": 16, "draw1": 16, "draw2": 16, "draw3": 16, "draw4": 16,
-    "rn1-rs1-ec1": 16, "rn1-rs3-ec1": 14, "rn1-rs3-ec4": 16, "rn1-rs6-ec6": 12,
-    "rn3-rs1-ec1": 27, "rn3-rs3-ec1": 26, "rn3-rs3-ec4": 28, "rn3-rs6-ec6": 24,
-    "rn6-rs1-ec1": 52, "rn6-rs3-ec1": 48, "rn6-rs3-ec4": 37, "rn6-rs6-ec6": 34,
-    "rn10-rs1-ec1": 52, "rn10-rs3-ec1": 57, "rn10-rs3-ec4": 48, "rn10-rs6-ec6": 86,
-    "four-firms-mx96": 17,
+    "reference": 19,
+    "draw0": 19, "draw1": 19, "draw2": 19, "draw3": 19, "draw4": 19,
+    "rn1-rs1-ec1": 19, "rn1-rs3-ec1": 16, "rn1-rs3-ec4": 19, "rn1-rs6-ec6": 14,
+    "rn3-rs1-ec1": 34, "rn3-rs3-ec1": 31, "rn3-rs3-ec4": 33, "rn3-rs6-ec6": 28,
+    "rn6-rs1-ec1": 60, "rn6-rs3-ec1": 57, "rn6-rs3-ec4": 43, "rn6-rs6-ec6": 39,
+    "rn10-rs1-ec1": 58, "rn10-rs3-ec1": 64, "rn10-rs3-ec4": 57, "rn10-rs6-ec6": 92,
+    "four-firms-mx96": 20,
 }
 
 
 class TestLocalSweeps:
-    @pytest.mark.parametrize("cfg,tol,sweeps", [pytest.param(*p.values, FULL_SOLVE_SWEEPS[p.id], id=p.id)
-                                                for p in SELECTION_CASES])
-    def test_no_more_sweeps_than_full_solves(self, cfg, tol, sweeps):
-        mpe = solve_mpe(build_entry_game(cfg).model, tol=tol)
+    @pytest.mark.parametrize("cfg,sweeps", [pytest.param(*p.values, FULL_SOLVE_SWEEPS[p.id], id=p.id)
+                                            for p in SELECTION_CASES])
+    def test_no_more_sweeps_than_full_solves(self, cfg, sweeps):
+        mpe = solve_mpe(build_entry_game(cfg).model)
         assert mpe.n_iter <= sweeps
-        assert mpe.residual <= tol
+        assert mpe.residual <= games.MPE_TOL
 
     def test_reference_game_takes_single_steps(self, monkeypatch):
         # fewer than half the sweeps' best responses are full solves, the
@@ -1069,21 +1115,27 @@ class TestLocalSweeps:
 
 class TestRoundingFloor:
     @pytest.mark.parametrize("cfg", [pytest.param(p.values[0], id=p.id) for p in SELECTION_CASES])
-    def test_selection_games_reach_1e_14(self, cfg):
-        # below FLOOR each game's sweep change falls on every sweep, so the
-        # floor rule cannot stop a game that reaches its tol
-        assert solve_mpe(build_entry_game(cfg).model, tol=1e-14).residual <= 1e-14
+    def test_selection_games_confirm_their_first_candidate(self, cfg, monkeypatch):
+        # the first sweep whose change is within MPE_TOL is confirmed, so the
+        # floor rule, which needs a failed confirmation, never ends these solves
+        calls = []
+        confirm = games._confirm
+        monkeypatch.setattr(games, "_confirm", lambda *a: calls.append(a[3]) or confirm(*a))
+        mpe = solve_mpe(build_entry_game(cfg).model)
+        assert calls == [mpe.n_iter]
+        assert mpe.residual <= games.MPE_TOL
 
-    @pytest.mark.parametrize("tol", [1e-16, 0.0])
-    def test_tol_below_the_rounding_floor_is_named(self, game, tol):
-        # the sweep change levels off near 1e-15: this ran 100,000 sweeps, about a minute
+    def test_unconfirmed_profiles_stop_at_the_floor(self, game, monkeypatch):
+        # every confirmation fails, so only the floor rule ends the sweeps,
+        # whose change levels off near 1e-15; without it they run 100,000
         bundle, _ = game
+        confirm = games._confirm
+        monkeypatch.setattr(games, "_confirm", lambda *a: replace(confirm(*a), residual=1.0))
         start = time.perf_counter()
-        floor = rf"rounding floor, a change of \S+e-15, and not tol={tol:g}"
-        with pytest.raises(ConvergenceError, match=floor) as err:
-            solve_mpe(bundle.model, tol=tol)
+        with pytest.raises(ConvergenceError, match=r"rounding floor, a change of \S+e-1[56], with no profile") as err:
+            solve_mpe(bundle.model)
         assert time.perf_counter() - start < 1.0
-        assert min(err.value.history) < games.FLOOR
+        assert min(err.value.history) < games.MPE_TOL
         assert err.value.residual == err.value.history[-1]
 
 
